@@ -150,6 +150,7 @@ def read_archive(indir: str | Path) -> Corpus:
             id_to_word.append(cols[1])
             doc_freq.append(int(cols[2]))
     documents: list[Document] = []
+    v = len(id_to_word)
     with open(src / "documents.txt", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             cols = line.rstrip("\n").split("\t")
@@ -162,6 +163,12 @@ def read_archive(indir: str | Path) -> Corpus:
                 counts[int(w)] = int(c)
             if not counts:
                 raise MalformedRecord("empty document in archive", lineno)
+            lo, hi = min(counts), max(counts)
+            if lo < 0 or hi >= v:
+                raise MalformedRecord(
+                    f"word id {lo if lo < 0 else hi} outside [0, {v})", lineno)
+            if min(counts.values()) < 1:
+                raise MalformedRecord(f"count {min(counts.values())} < 1", lineno)
             documents.append(Document(
                 doc_id=doc_id,
                 counts=counts,
@@ -286,7 +293,10 @@ def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
             cols = line.rstrip("\n").split(",")
             if len(cols) != 2:
                 raise MalformedRecord("expected doc_id,cluster", lineno)
-            rows.append((cols[0], int(cols[1])))
+            z = int(cols[1])
+            if z < 0:
+                raise MalformedRecord(f"negative cluster id {z}", lineno)
+            rows.append((cols[0], z))
     return rows
 
 
@@ -342,8 +352,7 @@ def cmd_topwords(args: argparse.Namespace) -> int:
         return EXIT_UNMATCHED_IDS
 
     k = max(z for _, z in rows) + 1
-    state = ModelState(len(corpus), corpus.vocabulary.size, k,
-                       alpha=summary.get("alpha", 0.1))
+    state = ModelState.for_corpus(corpus, k, alpha=summary.get("alpha", 0.1))
     views = corpus.token_views
     for doc_id, z in rows:
         d = by_id[doc_id]

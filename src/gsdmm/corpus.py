@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -118,16 +119,32 @@ class Corpus:
 
         Each entry is (distinct_words, distinct_counts, word_rep, occ_offset,
         total_len) where word_rep repeats each word id once per occurrence and
-        occ_offset is 0, 1, ... within the repeats of one word.
+        occ_offset is 0, 1, ... within the repeats of one word. Counts are
+        int32, the dtype of the model's count matrix, so adding and removing
+        a document never casts.
+
+        The arrays are built once for the whole corpus; each document's
+        entry holds slices (views) of them.
         """
+        docs = self.documents
+        n = sum(len(doc.counts) for doc in docs)
+        words = np.fromiter(chain.from_iterable(doc.counts for doc in docs),
+                            dtype=np.intp, count=n)
+        counts = np.fromiter(chain.from_iterable(doc.counts.values() for doc in docs),
+                             dtype=np.int32, count=n)
+        word_rep = np.repeat(words, counts)
+        run_start = np.cumsum(counts, dtype=np.intp)
+        run_start -= counts
+        occ = np.arange(len(word_rep), dtype=np.float64)
+        occ -= np.repeat(run_start, counts)
+        del run_start  # freed before the per-document views are made
         views = []
-        for doc in self.documents:
-            words = np.fromiter(doc.counts.keys(), dtype=np.int64, count=len(doc.counts))
-            counts = np.fromiter(doc.counts.values(), dtype=np.int64, count=len(doc.counts))
-            word_rep = np.repeat(words, counts)
-            occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts]) \
-                if len(counts) else np.zeros(0, dtype=np.float64)
-            views.append((words, counts, word_rep, occ, doc.total_len))
+        w = t = 0
+        for doc in docs:
+            w_next, t_next = w + len(doc.counts), t + sum(doc.counts.values())
+            views.append((words[w:w_next], counts[w:w_next], word_rep[t:t_next],
+                          occ[t:t_next], doc.total_len))
+            w, t = w_next, t_next
         return tuple(views)
 
 

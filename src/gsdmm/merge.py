@@ -61,7 +61,7 @@ def compute_icf(state: ModelState) -> np.ndarray:
     """Inverse cluster frequency per word: 1 + log((1 + K) / (1 + cf)),
     natural log, where cf counts active clusters containing the word."""
     k = state.k_active
-    cf = np.count_nonzero(state.nzw[:k] > 0, axis=0)
+    cf = np.count_nonzero(state.wz[:, :k], axis=1)
     return 1.0 + np.log((1.0 + k) / (1.0 + cf))
 
 
@@ -78,7 +78,7 @@ def tficf_vector(state: ModelState, z: int, icf: np.ndarray) -> TfIcfVector:
 
 def _tficf_from_counts(row: np.ndarray, total: int, icf: np.ndarray) -> TfIcfVector:
     ids = np.flatnonzero(row)
-    weights = {int(w): row[w] / total * icf[w] for w in ids}
+    weights = dict(zip(ids.tolist(), (row[ids] / total * icf[ids]).tolist()))
     norm = math.sqrt(math.fsum(x * x for x in weights.values()))
     return TfIcfVector(weights=weights, norm=norm)
 

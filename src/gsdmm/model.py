@@ -7,6 +7,14 @@ matching product on cluster totals. c_w is either a uniform pseudo-count
 beta or a per-word entropy value. All evaluation is in log space; the
 z-constant denominator D - 1 + K*alpha is omitted from scores and only
 reappears in the standalone prior factor.
+
+Per-word counts are stored word-major, one (V, k_max) int32 matrix, so the
+counts of one word across all clusters are a contiguous row. Every empty
+cluster has the same conditional, so the kernel scores the occupied
+clusters plus one representative empty cluster and spreads that score over
+the rest (the smoothing-only bucket of SparseLDA, Yao, Mimno & McCallum,
+KDD 2009): per document the work scales with the live cluster count, not
+with k_max.
 """
 
 from __future__ import annotations
@@ -17,8 +25,8 @@ from typing import Union
 
 import numpy as np
 
-from .corpus import Document, Vocabulary
-from .errors import InactiveCluster, NonFiniteScore
+from .corpus import Corpus, Document, Vocabulary
+from .errors import ConfigError, InactiveCluster, NonFiniteScore
 
 __all__ = [
     "ClusterStats",
@@ -27,6 +35,7 @@ __all__ = [
     "EntropyTable",
     "WeightingScheme",
     "prior_cluster_factor",
+    "scored_slots",
     "cluster_log_scores",
     "doc_cluster_log_score",
     "conditional_distribution",
@@ -95,9 +104,10 @@ def _pseudocounts(weights: WeightingScheme, v: int):
 class ModelState:
     """Mutable sufficient statistics: the sole object the sampler writes.
 
-    Clusters live in rows [0, k_active) of fixed-capacity arrays. m[z] is
-    the document count, n[z] the token count, nzw[z, w] the per-word token
-    count. members[z] mirrors the assignment array so pruning can relabel
+    Clusters live in slots [0, k_active) of fixed-capacity arrays. m[z] is
+    the document count, n[z] the token count, wz[w, z] the per-word token
+    count, stored word-major as int32; nzw is its cluster-major (k_max, V)
+    view. members[z] mirrors the assignment array so pruning can relabel
     one cluster's documents without scanning the corpus.
     """
 
@@ -114,9 +124,26 @@ class ModelState:
         self.alpha = float(alpha)
         self.m = np.zeros(k_max, dtype=np.int64)
         self.n = np.zeros(k_max, dtype=np.int64)
-        self.nzw = np.zeros((k_max, vocab_size), dtype=np.int64)
+        self.wz = np.zeros((vocab_size, k_max), dtype=np.int32)
         self.assignments = np.full(n_docs, -1, dtype=np.int64)
         self.members: list[set[int]] = [set() for _ in range(k_max)]
+
+    @classmethod
+    def for_corpus(cls, corpus: Corpus, k_max: int, alpha: float) -> "ModelState":
+        """Empty state sized for a corpus. A per-word count can reach the
+        corpus token total, so a total beyond int32 is refused up front."""
+        tokens = sum(doc.total_len for doc in corpus.documents)
+        if tokens > np.iinfo(np.int32).max:
+            raise ConfigError(
+                f"corpus has {tokens} tokens; the int32 count matrix holds "
+                f"at most {np.iinfo(np.int32).max}"
+            )
+        return cls(len(corpus), corpus.vocabulary.size, k_max, alpha)
+
+    @property
+    def nzw(self) -> np.ndarray:
+        """Cluster-major (k_max, V) view of the word-major counts."""
+        return self.wz.T
 
     def copy(self) -> "ModelState":
         dup = ModelState.__new__(ModelState)
@@ -124,7 +151,7 @@ class ModelState:
         dup.k_active, dup.alpha = self.k_active, self.alpha
         dup.m = self.m.copy()
         dup.n = self.n.copy()
-        dup.nzw = self.nzw.copy()
+        dup.wz = self.wz.copy()
         dup.assignments = self.assignments.copy()
         dup.members = [set(s) for s in self.members]
         return dup
@@ -133,7 +160,7 @@ class ModelState:
                 total: int, z: int) -> None:
         self.m[z] += 1
         self.n[z] += total
-        self.nzw[z, words] += counts
+        self.wz[:, z][words] += counts
         self.assignments[d] = z
         self.members[z].add(d)
 
@@ -144,7 +171,7 @@ class ModelState:
         z = int(self.assignments[d])
         self.m[z] -= 1
         self.n[z] -= total
-        self.nzw[z, words] -= counts
+        self.wz[:, z][words] -= counts
         self.assignments[d] = -1
         self.members[z].discard(d)
         return z
@@ -158,19 +185,19 @@ class ModelState:
         if z != last:
             self.m[z] = self.m[last]
             self.n[z] = self.n[last]
-            self.nzw[z] = self.nzw[last]
+            self.wz[:, z] = self.wz[:, last]
             self.members[z] = self.members[last]
             for d in self.members[z]:
                 self.assignments[d] = z
         self.m[last] = 0
         self.n[last] = 0
-        self.nzw[last] = 0
+        self.wz[:, last] = 0
         self.members[last] = set()
         self.k_active = last
 
     def cluster_stats(self, z: int) -> ClusterStats:
         self._check_active(z)
-        row = self.nzw[z]
+        row = self.wz[:, z]
         ids = np.flatnonzero(row)
         return ClusterStats(
             m=int(self.m[z]),
@@ -185,9 +212,9 @@ class ModelState:
         """Exact integer consistency checks; raises AssertionError on drift."""
         k = self.k_active
         assert int(self.m[:k].sum()) == self.D, "sum(m) != D"
-        assert (self.nzw[:k].sum(axis=1) == self.n[:k]).all(), "n != sum(nzw)"
+        assert (self.wz[:, :k].sum(axis=0) == self.n[:k]).all(), "n != sum(wz)"
         assert (self.m[k:] == 0).all() and (self.n[k:] == 0).all()
-        assert (self.nzw >= 0).all() and (self.m >= 0).all()
+        assert (self.wz >= 0).all() and (self.m >= 0).all()
         active = self.assignments[self.assignments >= 0]
         assert (active < k).all(), "assignment outside active range"
         for z in range(k):
@@ -215,6 +242,28 @@ def prior_cluster_factor(state: ModelState, z: int, excluding_doc: int) -> float
     return (m + state.alpha) / (state.D - 1 + state.k_max * state.alpha)
 
 
+def scored_slots(state: ModelState) -> tuple[np.ndarray, np.ndarray | None]:
+    """The active clusters the kernel must score, and how to expand them.
+
+    Returns (slots, row_of): every occupied cluster (m > 0 or n > 0) plus
+    the lowest empty one, in index order, and the map from each active
+    cluster to its row among the scored ones; every empty cluster maps to
+    the representative's row, whose counts, and so whose score, it shares.
+    row_of is None when no cluster is empty and slots covers them all.
+    """
+    k = state.k_active
+    scored = (state.m[:k] > 0) | (state.n[:k] > 0)
+    empty = np.flatnonzero(~scored)
+    if not len(empty):
+        return np.arange(k), None
+    scored[empty[0]] = True
+    slots = np.flatnonzero(scored)
+    row_of = np.empty(k, dtype=np.intp)
+    row_of[slots] = np.arange(len(slots))
+    row_of[empty] = row_of[empty[0]]
+    return slots, row_of
+
+
 def cluster_log_scores(
     state: ModelState,
     word_rep: np.ndarray,
@@ -223,21 +272,26 @@ def cluster_log_scores(
     weights: WeightingScheme,
     clusters: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unnormalized log conditional over active clusters, vectorized.
+    """Unnormalized log conditional, vectorized.
 
-    The document's counts must already be excluded from the state. Entries
-    are -inf exactly for empty clusters when alpha == 0; any other
-    non-finite value signals a broken weighting and raises NonFiniteScore.
-    Passing an index array restricts scoring to those clusters.
+    The document's counts must already be excluded from the state. Passing
+    an index array (the slots from scored_slots) scores exactly those
+    clusters, one entry each. Without it the kernel finds the scored slots
+    itself and returns one entry per active cluster. Entries are -inf
+    exactly for empty clusters when alpha == 0; any other non-finite value
+    signals a broken weighting and raises NonFiniteScore.
     """
-    if clusters is None:
-        m = state.m[: state.k_active]
-        nzw = state.nzw[: state.k_active]
-        n = state.n[: state.k_active]
-    else:
-        m = state.m[clusters]
-        nzw = state.nzw[clusters]
-        n = state.n[clusters]
+    if clusters is not None:
+        return _slot_log_scores(state, word_rep, occ_offset, total, weights,
+                                clusters)
+    slots, row_of = scored_slots(state)
+    scores = _slot_log_scores(state, word_rep, occ_offset, total, weights, slots)
+    return scores if row_of is None else scores.take(row_of)
+
+
+def _slot_log_scores(state, word_rep, occ_offset, total, weights, slots):
+    m = state.m[slots]
+    n = state.n[slots]
     cw, ctot = _pseudocounts(weights, state.V)
     if isinstance(weights, UniformBeta):
         add = cw + occ_offset
@@ -246,14 +300,18 @@ def cluster_log_scores(
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.log(m + state.alpha)
         if total:
-            scores = scores + np.log(nzw[:, word_rep] + add[None, :]).sum(axis=1)
+            # (slots x words) in column-major order: numpy then sums each
+            # row word by word, the order a dense cluster-major gather
+            # (nzw[:, word_rep]) sums in, whichever slots are scored
+            counts = state.wz.take(word_rep, axis=0).take(slots, axis=1).T
+            scores = scores + np.log(counts + add[None, :]).sum(axis=1)
             scores -= np.log(
                 n[:, None] + ctot + np.arange(total, dtype=np.float64)[None, :]
             ).sum(axis=1)
     bad = ~np.isfinite(scores)
     if bad.any() and not ((scores[bad] == -np.inf) & (m[bad] == 0)).all():
         raise NonFiniteScore(
-            f"non-finite score for clusters {np.flatnonzero(bad).tolist()}; "
+            f"non-finite score for clusters {slots[bad].tolist()}; "
             "check that all pseudo-counts are strictly positive"
         )
     return scores
@@ -336,6 +394,11 @@ def word_entropy(
     by log(k_active) so the table lies in [0, 1]. A word with equal counts
     in every cluster gets the exact maximum; a lone active cluster defines
     the whole table as ones.
+
+    Only the nonzero counts are visited. With S_w the word's total count
+    plus k * epsilon, each of its k - nnz_w zero counts has the smoothed
+    share epsilon / S_w, so together they contribute one closed-form term,
+    (k - nnz_w) * (epsilon / S_w) * log(epsilon / S_w).
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -347,13 +410,24 @@ def word_entropy(
         # conditional well-defined and is maximally uninformative
         h = np.ones(state.V, dtype=np.float64)
     else:
-        counts = state.nzw[:k].astype(np.float64)
-        p = (counts + epsilon) / (counts.sum(axis=0) + k * epsilon)
-        h = -(p * np.log(p)).sum(axis=0)
+        counts = state.wz[:, :k]
+        # flat positions of the nonzero counts, word-major, so words ascend
+        flat = np.flatnonzero(counts != 0)
+        words = flat // k
+        nz = counts[words, flat - words * k]
+        nnz = np.bincount(words, minlength=state.V)
+        s_w = np.bincount(words, weights=nz, minlength=state.V) + k * epsilon
+        p = (nz + epsilon) / s_w[words]
+        q = epsilon / s_w
+        h = (nnz - k) * q * np.log(q)
+        h -= np.bincount(words, weights=p * np.log(p), minlength=state.V)
         top = math.log(k)
         # a word with equal counts everywhere is exactly uniform after
         # smoothing; pin it to the exact maximum instead of 1 +/- ulps
-        uniform = counts.min(axis=0) == counts.max(axis=0)
+        uniform = nnz == 0
+        full = np.flatnonzero(nnz == k)
+        spread = counts[full]
+        uniform[full] = spread.min(axis=1) == spread.max(axis=1)
         h[uniform] = top
         np.clip(h, None, top, out=h)
         if normalized:
@@ -369,7 +443,7 @@ def posterior_phi(state: ModelState, z: int, beta: float) -> np.ndarray:
     state._check_active(z)
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    row = state.nzw[z].astype(np.float64)
+    row = state.wz[:, z].astype(np.float64)
     return (row + beta) / (state.n[z] + state.V * beta)
 
 

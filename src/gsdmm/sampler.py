@@ -1,12 +1,12 @@
 """Gibbs sampling drivers: initialization, sweeps, pruning, entropy refresh.
 
 Two run modes share one sweep kernel. The classic sampler starts from a
-uniform random assignment and keeps emptied clusters selectable (they get
-zero probability automatically when alpha == 0, which the fast path
-exploits by not scoring them). The enhanced sampler seeds clusters from
-sampled documents, prunes emptied clusters with index compaction, reweights
-words by entropy on a fixed refresh schedule, and merges down to a target
-cluster count afterwards.
+uniform random assignment and keeps emptied clusters selectable; they all
+share one score, computed once per document from a representative empty
+cluster, which is -inf when alpha == 0. The enhanced sampler seeds clusters
+from sampled documents, prunes emptied clusters with index compaction,
+reweights words by entropy on a fixed refresh schedule, and merges down to
+a target cluster count afterwards.
 
 Randomness discipline: one seed feeds two independent generator streams,
 stream 0 for initialization and stream 1 for sweeps, so instrumentation
@@ -32,6 +32,7 @@ from .model import (
     WeightingScheme,
     cluster_log_scores,
     normalize_log_scores,
+    scored_slots,
     word_entropy,
 )
 
@@ -66,9 +67,6 @@ class RunConfig:
     entropy_refreshes_per_sweep: int = 15
     entropy_epsilon: float = 1e-9
     entropy_normalized: bool = True
-    # fixed corpus-order visits by default; shuffling trades determinism of
-    # the visit order for nothing at desk scale
-    shuffle_each_sweep: bool = False
     validate_every_sweep: bool = False
 
     def __post_init__(self):
@@ -83,6 +81,9 @@ class RunConfig:
             )
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("alpha", "beta", "entropy_epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if self.beta <= 0:
@@ -138,7 +139,7 @@ def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
 
 def random_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> ModelState:
     """Assign every document to one of k_max clusters uniformly at random."""
-    state = ModelState(len(corpus), corpus.vocabulary.size, cfg.k_max, cfg.alpha)
+    state = ModelState.for_corpus(corpus, cfg.k_max, cfg.alpha)
     draws = rng.integers(0, cfg.k_max, size=len(corpus))
     for d, view in enumerate(corpus.token_views):
         words, counts, _, _, total = view
@@ -157,7 +158,7 @@ def adaptive_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> M
     d_total = len(corpus)
     if cfg.k_max > d_total:
         raise KMaxExceedsCorpus(f"k_max={cfg.k_max} exceeds corpus size {d_total}")
-    state = ModelState(d_total, corpus.vocabulary.size, cfg.k_max, cfg.alpha)
+    state = ModelState.for_corpus(corpus, cfg.k_max, cfg.alpha)
     state.D = 0
     views = corpus.token_views
     weights = UniformBeta(cfg.beta)
@@ -195,6 +196,11 @@ def gibbs_sweep(
     so, then sample a new cluster from the conditional and re-attach. The
     entropy refresh positions are the multiples of ceil(D / refreshes), so
     a sweep refreshes at most cfg.entropy_refreshes_per_sweep times.
+
+    The kernel scores the occupied clusters and one representative empty
+    cluster, whose score one take spreads over every empty cluster. That
+    slot set changes only when a removal empties a cluster or an addition
+    fills one, and is rebuilt only then.
     """
     d_total = len(corpus)
     views = corpus.token_views
@@ -203,30 +209,28 @@ def gibbs_sweep(
         refresh_step = math.ceil(d_total / cfg.entropy_refreshes_per_sweep)
     else:
         refresh_step = 0
-    order = rng.permutation(d_total) if cfg.shuffle_each_sweep else range(d_total)
-    fast_skip_empty = state.alpha == 0 and not prune_empty
+    slots, row_of = scored_slots(state)
 
     moved = 0
-    for i, d in enumerate(order):
+    for d in range(d_total):
         words, counts, word_rep, occ, total = views[d]
         z_old = state.remove_doc(d, words, counts, total)
         pruned = False
-        if prune_empty and state.n[z_old] == 0:
-            state.deactivate_cluster(z_old)
-            pruned = True
-        if refresh_step and i % refresh_step == 0:
+        if not (state.m[z_old] or state.n[z_old]):
+            if prune_empty:
+                state.deactivate_cluster(z_old)
+                pruned = True
+            slots, row_of = scored_slots(state)
+        if refresh_step and d % refresh_step == 0:
             weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized)
-        if fast_skip_empty:
-            # alpha == 0: emptied clusters can never be re-chosen, so skip
-            # scoring them entirely
-            live = np.flatnonzero(state.m[: state.k_active])
-            sub = cluster_log_scores(state, word_rep, occ, total, weights, clusters=live)
-            scores = np.full(state.k_active, -np.inf)
-            scores[live] = sub
-        else:
-            scores = cluster_log_scores(state, word_rep, occ, total, weights)
+        scores = cluster_log_scores(state, word_rep, occ, total, weights, slots)
+        if row_of is not None:
+            scores = scores.take(row_of)
         z_new = _draw(rng, normalize_log_scores(scores))
+        filled = not (state.m[z_new] or state.n[z_new])
         state.add_doc(d, words, counts, total, z_new)
+        if filled:
+            slots, row_of = scored_slots(state)
         if pruned or z_new != z_old:
             moved += 1
     return moved
@@ -256,8 +260,8 @@ def _dense_labels(state: ModelState) -> np.ndarray:
 def run_gsdmm(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelState, SweepTrace]:
     """Classic run: random initialization, uniform-beta sweeps, no pruning.
 
-    Emptied clusters stay selectable (alpha > 0) or are skipped by the
-    alpha == 0 fast path. Returns assignments relabeled over non-empty
+    Emptied clusters stay selectable; with alpha == 0 their probability is
+    exactly zero. Returns assignments relabeled over non-empty
     clusters, the final state, and the per-sweep trace.
     """
     if cfg.algorithm != GSDMM:

@@ -137,6 +137,42 @@ class TestCluster:
         assert run("cluster", pipeline_dir / "archive",
                    pipeline_dir / "never", "--config", cfg) == 3
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "inf")])
+    def test_non_finite_pseudocount_exit_3(self, pipeline_dir, capsys, flag, value):
+        assert run("cluster", pipeline_dir / "archive", pipeline_dir / "nf",
+                   "--iters", 1, flag, value) == 3
+        assert "finite" in capsys.readouterr().err
+
+
+def _corrupt_first_pair(archive, pair):
+    """Replace the first word:count pair of the archive's first document."""
+    path = archive / "documents.txt"
+    lines = path.read_text().splitlines(keepends=True)
+    doc_id, label, blob = lines[0].rstrip("\n").split("\t")
+    lines[0] = f"{doc_id}\t{label}\t{' '.join([pair] + blob.split()[1:])}\n"
+    path.write_text("".join(lines))
+
+
+class TestArchiveBoundary:
+    def test_negative_word_id_exit_2(self, pipeline_dir, capsys):
+        _corrupt_first_pair(pipeline_dir / "archive", "-1:1")
+        assert run("cluster", pipeline_dir / "archive", pipeline_dir / "r",
+                   "--iters", 1) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    def test_word_id_past_vocabulary_exit_2(self, pipeline_dir, capsys):
+        archive = pipeline_dir / "archive"
+        v = len((archive / "vocabulary.tsv").read_text().splitlines())
+        _corrupt_first_pair(archive, f"{v}:1")
+        assert run("cluster", archive, pipeline_dir / "r", "--iters", 1) == 2
+        assert f"word id {v}" in capsys.readouterr().err
+
+    def test_count_below_one_exit_2(self, pipeline_dir, capsys):
+        _corrupt_first_pair(pipeline_dir / "archive", "0:0")
+        assert run("cluster", pipeline_dir / "archive", pipeline_dir / "r",
+                   "--iters", 1) == 2
+        assert "count 0" in capsys.readouterr().err
+
 
 class TestEval:
     def test_perfect_assignments(self, pipeline_dir):
@@ -204,6 +240,19 @@ class TestTopwords:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         ranks = [row.split("\t")[1] for row in lines]
         assert set(ranks) == {"1"}
+
+    def test_negative_cluster_id_exit_2(self, pipeline_dir, capsys):
+        out = pipeline_dir / "run_neg"
+        assert run("cluster", pipeline_dir / "archive", out,
+                   "--algorithm", "gsdmm", "--kmax", 6, "--iters", 1,
+                   "--seed", 0) == 0
+        path = out / "assignments.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",-1"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("topwords", pipeline_dir / "archive", out) == 2
+        assert "negative cluster id" in capsys.readouterr().err
 
     def test_missing_artifacts_exit_5(self, pipeline_dir):
         assert run("topwords", pipeline_dir / "archive",

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,8 @@ from gsdmm.corpus import (
     tokenize,
 )
 from gsdmm.errors import AllDocumentsEmpty, DuplicateDocId, MalformedRecord
+
+from conftest import corpus_from_counts
 
 RULES = TokenRules(stopword_list=frozenset({"the"}), min_df=1)
 
@@ -171,3 +174,28 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("foo\nbar\n\n")
         assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+
+class TestTokenViews:
+    @staticmethod
+    def _per_document(doc):
+        """Reference: one document's views built on their own."""
+        words = np.fromiter(doc.counts, dtype=np.intp)
+        counts = np.fromiter(doc.counts.values(), dtype=np.int32)
+        occ = [np.arange(c, dtype=np.float64) for c in counts]
+        return (words, counts, np.repeat(words, counts),
+                np.concatenate(occ) if occ else np.zeros(0), doc.total_len)
+
+    def test_match_per_document_construction(self):
+        docs = [{}, {3: 2, 0: 1}, {}, {1: 4}, {0: 1, 1: 1, 2: 3, 4: 2}, {}]
+        corpus = corpus_from_counts(docs, 5)
+        assert len(corpus.token_views) == len(docs)
+        for view, doc in zip(corpus.token_views, corpus.documents):
+            want = self._per_document(doc)
+            for got, ref in zip(view[:4], want[:4]):
+                assert got.dtype == ref.dtype
+                assert np.array_equal(got, ref)
+            assert view[4] == want[4]
+
+    def test_empty_corpus(self):
+        assert corpus_from_counts([], 3).token_views == ()

@@ -14,6 +14,7 @@ from gsdmm.model import (
     doc_cluster_log_score,
     posterior_phi,
     prior_cluster_factor,
+    scored_slots,
     top_words,
     word_entropy,
 )
@@ -107,6 +108,91 @@ class TestDocClusterLogScore:
                          normalized=True)
 
 
+def _sparse_state(gen, alpha, k_max=60, v=30, n_docs=25, max_count=3):
+    """Consistent state built through add_doc: n_docs documents spread over
+    a handful of the k_max slots, one document held out. Returns the state,
+    the held-out document and its word_rep / occ_offset arrays."""
+    live = gen.choice(k_max, size=int(gen.integers(1, 7)), replace=False)
+    state = ModelState(n_docs, v, k_max, alpha)
+    docs = []
+    for d in range(n_docs):
+        words = gen.choice(v, size=int(gen.integers(1, 5)), replace=False)
+        doc = make_doc({int(w): int(gen.integers(1, max_count + 1))
+                        for w in words})
+        docs.append(doc)
+        if d:
+            state.add_doc(d, np.fromiter(doc.counts, dtype=np.intp),
+                          np.fromiter(doc.counts.values(), dtype=np.int32),
+                          doc.total_len, int(gen.choice(live)))
+    doc = docs[0]
+    counts = np.fromiter(doc.counts.values(), dtype=np.int64)
+    word_rep = np.repeat(np.fromiter(doc.counts, dtype=np.intp), counts)
+    occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts])
+    return state, doc, word_rep, occ
+
+
+class TestEmptySlotScoring:
+    """The sweep's production path: scored_slots, the kernel on those slots,
+    and the take that spreads the representative empty score."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("entropy", [False, True])
+    def test_matches_scalar_on_every_slot(self, rng, alpha, entropy):
+        for _ in range(20):
+            state, doc, word_rep, occ = _sparse_state(rng, alpha)
+            if entropy:
+                h = rng.uniform(1e-3, 1.0, size=state.V)
+                weights = EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
+                                       normalized=True)
+            else:
+                weights = UniformBeta(float(rng.choice([0.01, 0.1])))
+            slots, row_of = scored_slots(state)
+            occupied = np.flatnonzero(state.m)
+            assert len(slots) == len(occupied) + 1 < state.k_max
+            scores = cluster_log_scores(state, word_rep, occ, doc.total_len,
+                                        weights, slots).take(row_of)
+            assert np.array_equal(
+                scores, cluster_log_scores(state, word_rep, occ,
+                                           doc.total_len, weights))
+            for z in range(state.k_max):
+                scalar = doc_cluster_log_score(doc, z, state, weights)
+                if state.m[z] == 0 and alpha == 0:
+                    assert scores[z] == scalar == -np.inf
+                else:
+                    assert scores[z] == pytest.approx(scalar, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_bit_identical_to_dense_gather(self, rng, alpha):
+        # the dense gather is column-major, so its rows sum word by word; a
+        # row-contiguous block would sum documents of 9+ tokens pairwise.
+        # Scoring a subset of clusters must not change any bit of any score
+        for _ in range(20):
+            state, doc, word_rep, occ = _sparse_state(rng, alpha, max_count=6)
+            weights = UniformBeta(0.1)
+            k = state.k_active
+            nzw = np.ascontiguousarray(state.nzw[:k], dtype=np.int64)
+            with np.errstate(divide="ignore"):
+                dense = np.log(state.m[:k] + alpha)
+                dense = dense + np.log(nzw[:, word_rep] + (0.1 + occ)[None, :]).sum(axis=1)
+                dense -= np.log(state.n[:k, None] + state.V * 0.1 + np.arange(
+                    doc.total_len, dtype=np.float64)[None, :]).sum(axis=1)
+            slots, row_of = scored_slots(state)
+            got = cluster_log_scores(state, word_rep, occ, doc.total_len,
+                                     weights, slots).take(row_of)
+            assert np.array_equal(got, dense)
+
+    def test_no_empty_slot_scores_all(self):
+        state = make_state([1, 2], [[1, 0], [0, 3]], alpha=0.1)
+        slots, row_of = scored_slots(state)
+        assert slots.tolist() == [0, 1] and row_of is None
+
+    def test_tokens_without_documents_count_as_occupied(self):
+        state = make_state([0, 0, 2], [[1, 0], [0, 0], [0, 3]], alpha=0.1,
+                           n_docs=2)
+        slots, row_of = scored_slots(state)
+        assert slots.tolist() == [0, 1, 2] and row_of.tolist() == [0, 1, 2]
+
+
 class TestConditionalDistribution:
     def test_symmetric_clusters(self):
         state = make_state([3, 3], [[2, 1], [2, 1]], alpha=0.1)
@@ -171,6 +257,56 @@ class TestWordEntropy:
     def test_word_absent_everywhere_is_uninformative(self):
         state = make_state([1, 1], [[3, 0], [2, 0]], alpha=0.1)
         assert word_entropy(state, 1e-9, True).h[1] == 1.0
+
+
+def _dense_word_entropy(state, epsilon, normalized):
+    """The dense formula over every (cluster, word) count: the reference
+    the sparse word_entropy must reproduce."""
+    k = state.k_active
+    if k == 1:
+        return np.ones(state.V)
+    counts = state.nzw[:k].astype(np.float64)
+    p = (counts + epsilon) / (counts.sum(axis=0) + k * epsilon)
+    h = -(p * np.log(p)).sum(axis=0)
+    top = math.log(k)
+    uniform = counts.min(axis=0) == counts.max(axis=0)
+    h[uniform] = top
+    np.clip(h, None, top, out=h)
+    if normalized:
+        h = h / top
+        h[uniform] = 1.0
+    return h
+
+
+class TestWordEntropyMatchesDense:
+    @pytest.mark.parametrize("normalized", [True, False])
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-3])
+    def test_random_states(self, rng, normalized, epsilon):
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            v = int(rng.integers(1, 40))
+            nzw = rng.integers(0, 6, size=(k, v)) * (rng.random((k, v)) < 0.3)
+            state = make_state(rng.integers(1, 5, size=k), nzw, alpha=0.1,
+                               k_max=k + int(rng.integers(0, 5)))
+            got = word_entropy(state, epsilon, normalized).h
+            want = _dense_word_entropy(state, epsilon, normalized)
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_uniform_solo_and_absent_words(self):
+        # word 0 uniform, 1 solo, 2 absent, 3 uniform but not in all clusters
+        state = make_state([1] * 4, [[5, 9, 0, 2], [5, 0, 0, 0],
+                                     [5, 0, 0, 2], [5, 0, 0, 0]], alpha=0.1)
+        for normalized in (True, False):
+            got = word_entropy(state, 1e-9, normalized).h
+            want = _dense_word_entropy(state, 1e-9, normalized)
+            assert got[0] == want[0] and got[2] == want[2]
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+            assert 0 < got[1] < 1e-7
+
+    def test_single_cluster(self):
+        state = make_state([3], [[4, 0, 1]], alpha=0.1, k_max=5)
+        assert word_entropy(state, 1e-9, True).h.tolist() == \
+            _dense_word_entropy(state, 1e-9, True).tolist() == [1.0, 1.0, 1.0]
 
 
 class TestPosteriorPhi:

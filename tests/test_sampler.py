@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from gsdmm.corpus import Corpus, CorpusStats, Document, Vocabulary
 from gsdmm.errors import ConfigError, KMaxExceedsCorpus
 from gsdmm.evaluation import LabeledPartitionPair, nmi
-from gsdmm.model import UniformBeta, conditional_distribution
+from gsdmm.model import UniformBeta, conditional_distribution, normalize_log_scores
 from gsdmm.sampler import (
     RunConfig,
+    _draw,
     adaptive_init,
     gibbs_sweep,
     random_init,
@@ -34,6 +36,26 @@ class TestRunConfig:
             RunConfig(algorithm="kmeans")
         with pytest.raises(ConfigError):
             RunConfig(beta=0.0)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "entropy_epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="finite"):
+            RunConfig(**{field: value})
+
+
+def test_token_total_beyond_int32_rejected():
+    # total_len alone exceeds int32; the counts stay tiny so nothing large
+    # is ever allocated
+    doc = Document(doc_id="d0", counts={0: 1}, total_len=2 ** 31)
+    corpus = Corpus(
+        documents=(doc,),
+        vocabulary=Vocabulary({"w": 0}, ("w",), (1,)),
+        stats=CorpusStats(D=1, V=1, mean_len=2.0 ** 31, max_len=2 ** 31),
+    )
+    for run, algorithm in ((run_gsdmm, "gsdmm"), (run_gsdmm_plus, "gsdmm+")):
+        with pytest.raises(ConfigError, match="int32"):
+            run(corpus, RunConfig(algorithm=algorithm, k_max=1))
 
 
 class TestRandomInit:
@@ -161,6 +183,74 @@ class TestGibbsSweep:
         assert state.k_active == k_before - 1
         assert (state.n[: state.k_active] > 0).all()
         state.validate(require_nonempty=True)
+
+
+def _dense_reference_sweep(state, corpus, weights, rng, prune_empty):
+    """One sweep that scores every active cluster with a dense cluster-major
+    gather, as the sampler did before empty clusters shared one score.
+    Returns the moved count and how many draws chose an empty cluster."""
+    moved = fills = 0
+    for d, (words, counts, word_rep, occ, total) in enumerate(corpus.token_views):
+        z_old = state.remove_doc(d, words, counts, total)
+        pruned = prune_empty and state.n[z_old] == 0
+        if pruned:
+            state.deactivate_cluster(z_old)
+        k = state.k_active
+        m, n = state.m[:k], state.n[:k]
+        nzw = np.ascontiguousarray(state.nzw[:k], dtype=np.int64)
+        with np.errstate(divide="ignore"):
+            scores = np.log(m + state.alpha)
+            scores = scores + np.log(nzw[:, word_rep] + (weights.beta + occ)[None, :]).sum(axis=1)
+            scores -= np.log(n[:, None] + state.V * weights.beta
+                             + np.arange(total, dtype=np.float64)[None, :]).sum(axis=1)
+        z_new = _draw(rng, normalize_log_scores(scores))
+        fills += state.m[z_new] == 0
+        state.add_doc(d, words, counts, total, z_new)
+        moved += pruned or z_new != z_old
+    return moved, fills
+
+
+class TestSweepMatchesDenseReference:
+    """The sweep scores occupied clusters plus one representative empty
+    cluster and rebuilds that set only when occupancy changes; its draws
+    must equal, bit for bit, those of a sweep that scores every cluster."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 2.0])
+    @pytest.mark.parametrize("prune_empty", [False, True])
+    def test_same_assignments(self, alpha, prune_empty):
+        # topical documents with a few random words mixed in; a large alpha
+        # keeps documents moving into empty clusters
+        gen = np.random.default_rng(int(alpha * 10))
+        docs = []
+        for t in range(4):
+            for _ in range(15):
+                # over 8 tokens, where summing in another order than the
+                # dense gather's word by word would change the last bits
+                words = [*gen.choice(range(t * 8, t * 8 + 8), size=9),
+                         *gen.choice(32, size=3)]
+                uniq, cnt = np.unique(words, return_counts=True)
+                docs.append({int(w): int(c) for w, c in zip(uniq, cnt)})
+        corpus = corpus_from_counts(docs, 32)
+        cfg = RunConfig(k_max=40, alpha=alpha, beta=0.05)
+        weights = UniformBeta(cfg.beta)
+        init = adaptive_init if prune_empty else random_init
+        fast = init(corpus, cfg, np.random.default_rng(3))
+        ref = fast.copy()
+        rng_fast, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
+        fills = 0
+        for _ in range(5):
+            moved = gibbs_sweep(fast, corpus, weights, cfg, rng_fast, prune_empty)
+            moved_ref, fills_ref = _dense_reference_sweep(ref, corpus, weights,
+                                                          rng_ref, prune_empty)
+            assert moved == moved_ref
+            assert np.array_equal(fast.assignments, ref.assignments)
+            assert np.array_equal(fast.wz, ref.wz)
+            assert fast.k_active == ref.k_active
+            fast.validate(require_nonempty=prune_empty)
+            fills += fills_ref
+        if not prune_empty:
+            assert fast.nonempty_count() < cfg.k_max
+            assert (fills > 0) == (alpha > 0)  # empty clusters get chosen
 
 
 class TestRunGsdmm:
