@@ -5,6 +5,8 @@ keeps, clusters it, and prints each cluster's most representative words by
 posterior word probability.
 """
 
+import numpy as np
+
 from gsdmm import (
     RunConfig,
     TokenRules,
@@ -45,5 +47,6 @@ for z in range(state.k_active):
         continue
     ranked = top_words(state, corpus.vocabulary, z, n=4, beta=0.1)
     words = ", ".join(f"{w} ({p:.2f})" for w, p in ranked)
-    members = [corpus.documents[d].doc_id for d in sorted(state.members[z])]
+    members = [corpus.documents[d].doc_id
+               for d in np.flatnonzero(state.assignments == z)]
     print(f"   cluster {z} {members}: {words}")

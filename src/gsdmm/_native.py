@@ -1,0 +1,245 @@
+"""The compiled sweep kernel (_sweep.c): build, cache, load and call.
+
+The library is built on the first kernel call, never at import, with the
+system C compiler (cc -O2 -shared -fPIC, never -ffast-math), and loaded
+through ctypes. The built file is cached in $XDG_CACHE_HOME/gsdmm (default
+~/.cache/gsdmm), a directory only the current user may write, under a key
+hashed from the source, the compiler's version and the flags; it is written
+to a temporary name and renamed into place, so concurrent processes never
+load a partial file. When the cache directory is not private, or cannot be
+made, the library is built in a private temporary directory for this
+process only.
+
+kernel() returns None when no compiler exists or the build fails; the
+sampler then runs its numpy reference, which gives the same assignments.
+Every pointer passed to C is checked first: dtype, contiguity and size.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from .errors import NonFiniteScore
+from .model import _pseudocounts
+
+__all__ = ["Kernel", "kernel", "cache_dir"]
+
+log = logging.getLogger("gsdmm")
+
+SOURCE = Path(__file__).with_name("_sweep.c")
+FLAGS = ("-O2", "-shared", "-fPIC")
+
+# return codes and io slots, mirrored from _sweep.c
+DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE = 0, 1, -1, -2, -3
+IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
+
+
+def cache_dir() -> Path:
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(base) / "gsdmm"
+
+
+def _private(path: Path) -> Path:
+    """Create path if needed; refuse it unless the current user owns it and
+    nobody else may write to it."""
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = os.lstat(path)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022 or not path.is_dir() \
+            or path.is_symlink():
+        raise PermissionError(f"{path} is not a private directory")
+    return path
+
+
+def _compile(cc: str, source: bytes, target: Path) -> None:
+    """Compile source into target atomically: build under a temporary name
+    in the same directory, then rename."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                       input=source, capture_output=True, check=True, timeout=300)
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _build_and_load() -> ctypes.CDLL:
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        raise FileNotFoundError("no C compiler (cc or gcc) on PATH")
+    source = SOURCE.read_bytes()
+    version = subprocess.run([cc, "--version"], capture_output=True, check=True,
+                             timeout=60).stdout
+    key = hashlib.sha256(b"\0".join(
+        [source, os.path.realpath(cc).encode(), version, " ".join(FLAGS).encode()]
+    )).hexdigest()[:24]
+    name = f"sweep-{key}.so"
+    try:
+        target = _private(cache_dir()) / name
+    except (OSError, RuntimeError) as exc:  # RuntimeError: no home directory
+        log.info("kernel cache unavailable (%s); building privately", exc)
+        with tempfile.TemporaryDirectory() as tmp:
+            _compile(cc, source, Path(tmp) / name)
+            return ctypes.CDLL(str(Path(tmp) / name))
+    if not target.exists():
+        _compile(cc, source, target)
+    return ctypes.CDLL(str(target))
+
+
+@functools.cache
+def kernel() -> "Kernel | None":
+    """The compiled kernel, built and loaded on first use; None when it
+    cannot be built here, in which case callers run the numpy reference."""
+    try:
+        return Kernel(_build_and_load())
+    except (OSError, subprocess.SubprocessError) as exc:
+        log.info("compiled sweep kernel unavailable (%s); using numpy", exc)
+        return None
+
+
+def _arr(dtype, ndim=1):
+    return np.ctypeslib.ndpointer(dtype=dtype, ndim=ndim, flags="C_CONTIGUOUS")
+
+
+_I64, _F64 = ctypes.c_int64, ctypes.c_double
+_STATE = [_arr(np.int32, 2), _I64, _I64, _arr(np.int64), _arr(np.int64)]
+
+
+class Kernel:
+    """Typed entry points of the loaded library."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        self._sweep = lib.dmm_sweep
+        self._sweep.argtypes = [
+            *_STATE, _arr(np.int64), _I64,                    # assignments, D
+            _arr(np.int64), _arr(np.int64), _arr(np.int32),   # corpus CSR
+            _arr(np.int64), _arr(np.float64), _I64,           # order, u, n
+            _arr(np.float64), _F64, _F64, _I64, _I64,         # weights, flags
+            _arr(np.float64), _arr(np.int64), _arr(np.int64),  # work space, io
+        ]
+        self._sweep.restype = _I64
+        self._scores = lib.dmm_scores
+        self._scores.argtypes = [
+            *_STATE, _I64, _arr(np.int64), _arr(np.int32), _I64,
+            _arr(np.float64), _F64, _F64,
+            _arr(np.float64), _arr(np.int64), _arr(np.float64),
+            ctypes.POINTER(_I64),
+        ]
+        self._scores.restype = _I64
+
+    def sweep(self, state, csr, order: np.ndarray, uniforms: np.ndarray,
+              weights, prune: bool, refresh_step: int = 0,
+              refresh: Callable[[], object] | None = None) -> int:
+        """Run the document steps for order (document order[i] draws with
+        uniforms[i]) on state in place; returns how many documents moved.
+
+        At every position that is a multiple of refresh_step the document is
+        detached (and its cluster pruned) before refresh() is called for the
+        new weights, exactly where the numpy sweep refreshes.
+        """
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+        word_ptr, words, counts = _corpus_arrays(state, csr)
+        if order.shape != uniforms.shape or \
+                (len(order) and not 0 <= order.min() <= order.max() < state.D):
+            raise ValueError("order and uniforms must match, with ids in [0, D)")
+        if refresh_step and refresh is None:
+            raise ValueError("a refresh step needs a refresh callback")
+        work = np.empty(4 * state.k_max, dtype=np.float64)
+        iwork = np.empty(2 * state.k_max, dtype=np.int64)
+        io = np.zeros(IO_LEN, dtype=np.int64)
+        io[IO_K] = state.k_active
+        while True:
+            h, ctot = _weights(weights, state.V)
+            code = self._sweep(state.wz, state.V, state.k_max, state.m, state.n,
+                               state.assignments, state.D, word_ptr, words,
+                               counts, order, uniforms, len(order), h, ctot,
+                               state.alpha, int(prune), int(refresh_step),
+                               work, iwork, io)
+            state.k_active = int(io[IO_K])
+            if code != REFRESH:
+                break
+            weights = refresh()
+        _raise_for(code, int(io[IO_BAD]))
+        return int(io[IO_MOVED])
+
+    def log_scores(self, state, words: np.ndarray, counts: np.ndarray,
+                   weights) -> np.ndarray:
+        """Compiled scores of one document (already excluded from the state)
+        against every active cluster: the values the sweep draws from."""
+        _check_state(state)
+        words = np.ascontiguousarray(words, dtype=np.int64)
+        counts = np.ascontiguousarray(counts, dtype=np.int32)
+        if words.shape != counts.shape or \
+                (len(words) and not 0 <= words.min() <= words.max() < state.V):
+            raise ValueError("words and counts must match, with ids in [0, V)")
+        h, ctot = _weights(weights, state.V)
+        out = np.empty(state.k_active, dtype=np.float64)
+        bad = _I64(-1)
+        code = self._scores(state.wz, state.V, state.k_max, state.m, state.n,
+                            state.k_active, words, counts, len(words), h, ctot,
+                            state.alpha, np.empty(3 * state.k_max),
+                            np.empty(2 * state.k_max, dtype=np.int64), out,
+                            ctypes.byref(bad))
+        _raise_for(code, bad.value)
+        return out
+
+
+def _check_state(state) -> None:
+    if state.wz.shape != (state.V, state.k_max) or \
+            state.m.shape != (state.k_max,) or state.n.shape != (state.k_max,) \
+            or state.assignments.shape != (state.D,) \
+            or not 0 <= state.k_active <= state.k_max:
+        raise ValueError("model state arrays do not match its sizes")
+    if state.D and state.assignments.max() >= state.k_active:
+        raise ValueError("assignment outside the active clusters")
+
+
+def _corpus_arrays(state, csr):
+    """The corpus CSR arrays as the kernel reads them, checked against the
+    state so that every index the kernel follows stays in bounds."""
+    _check_state(state)
+    word_ptr = np.ascontiguousarray(csr.word_ptr, dtype=np.int64)
+    words = np.ascontiguousarray(csr.words, dtype=np.int64)
+    counts = np.ascontiguousarray(csr.counts, dtype=np.int32)
+    if word_ptr.shape != (state.D + 1,) or word_ptr[0] != 0 \
+            or word_ptr[-1] != len(words) or words.shape != counts.shape \
+            or (state.D and np.diff(word_ptr).min() < 0):
+        raise ValueError("corpus arrays do not match the model state")
+    if len(words) and not 0 <= words.min() <= words.max() < state.V:
+        raise ValueError("corpus word id outside the vocabulary")
+    return word_ptr, words, counts
+
+
+def _weights(weights, v: int) -> tuple[np.ndarray, float]:
+    """Per-word pseudo-counts as a (V,) float64 array, and their total."""
+    cw, ctot = _pseudocounts(weights, v)
+    if np.ndim(cw) == 0:
+        return np.full(v, cw, dtype=np.float64), float(ctot)
+    return np.ascontiguousarray(cw, dtype=np.float64), float(ctot)
+
+
+def _raise_for(code: int, bad: int) -> None:
+    if code == NONFINITE:
+        raise NonFiniteScore(
+            f"non-finite score for clusters [{bad}]; "
+            "check that all pseudo-counts are strictly positive"
+        )
+    if code == ALL_ZERO:
+        raise NonFiniteScore("every active cluster has zero probability")
+    if code == DEGENERATE:
+        raise NonFiniteScore("degenerate normalizer")
+    if code != DONE:
+        raise RuntimeError(f"sweep kernel returned {code}")

@@ -52,6 +52,10 @@ CONFIG_KEYS = {
     "entropy_refreshes", "entropy_eps", "entropy_norm", "trace",
     "format", "stopwords", "stem", "min_df", "min_len", "max_len",
 }
+BOOL_KEYS = {"trace", "stem", "entropy_norm"}
+INT_KEYS = {"kmax", "kreal", "iters", "seed", "entropy_refreshes", "min_df",
+            "min_len", "max_len"}
+FLOAT_KEYS = {"alpha", "beta", "entropy_eps"}
 
 
 def _parse_config_value(raw: str):
@@ -72,8 +76,25 @@ def _parse_config_value(raw: str):
     return raw
 
 
+def _typed_config_value(key: str, value, where: str):
+    """Check a parsed value against its key's type: boolean keys take
+    exactly true or false, integer keys integral numbers only and number
+    keys numbers only."""
+    if key in BOOL_KEYS and not isinstance(value, bool):
+        raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if key in INT_KEYS:
+        if not (numeric and float(value).is_integer()):
+            raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+        return int(value)
+    if key in FLOAT_KEYS and not numeric:
+        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
+    return value
+
+
 def load_config_file(path: str | Path) -> dict:
-    """Flat key = value file; blank lines and # comments allowed."""
+    """Flat key = value file; blank lines and # comments allowed. Values are
+    checked against their key's type (see _typed_config_value)."""
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -86,7 +107,8 @@ def load_config_file(path: str | Path) -> dict:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _parse_config_value(raw)
+            values[key] = _typed_config_value(
+                key, _parse_config_value(raw), f"{path}:{lineno}")
     return values
 
 
@@ -282,7 +304,10 @@ def _maybe_int(value):
 
 
 def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
+    """(doc_id, cluster) rows; a repeated doc id or a negative cluster id is
+    a MalformedRecord."""
     rows: list[tuple[str, int]] = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header != "doc_id,cluster":
@@ -296,6 +321,9 @@ def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
             z = int(cols[1])
             if z < 0:
                 raise MalformedRecord(f"negative cluster id {z}", lineno)
+            if cols[0] in seen:
+                raise MalformedRecord(f"duplicate doc id {cols[0]!r}", lineno)
+            seen.add(cols[0])
             rows.append((cols[0], z))
     return rows
 
@@ -351,22 +379,23 @@ def cmd_topwords(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_UNMATCHED_IDS
 
-    k = max(z for _, z in rows) + 1
-    state = ModelState.for_corpus(corpus, k, alpha=summary.get("alpha", 0.1))
+    # one dense slot per cluster id in use, so the state's size does not
+    # depend on how large the ids are
+    ids = sorted({z for _, z in rows})
+    slot_of = {z: slot for slot, z in enumerate(ids)}
+    state = ModelState.for_corpus(corpus, len(ids), alpha=summary.get("alpha", 0.1))
     views = corpus.token_views
     for doc_id, z in rows:
         d = by_id[doc_id]
         words, counts, _, _, total = views[d]
-        state.add_doc(d, words, counts, total, z)
+        state.add_doc(d, words, counts, total, slot_of[z])
     state.D = len(rows)
 
     beta = float(summary.get("beta", 0.1))
     lines = ["cluster\trank\tword\tphi"]
-    for z in range(k):
-        if state.m[z] == 0:
-            continue
+    for slot, z in enumerate(ids):
         for rank, (word, phi) in enumerate(
-                top_words(state, corpus.vocabulary, z, args.n, beta), start=1):
+                top_words(state, corpus.vocabulary, slot, args.n, beta), start=1):
             lines.append(f"{z}\t{rank}\t{word}\t{phi:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:

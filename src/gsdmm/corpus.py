@@ -14,6 +14,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "Document",
     "CorpusStats",
     "Corpus",
+    "TokenCSR",
     "tokenize",
     "build_corpus",
     "read_dataset",
@@ -114,20 +116,14 @@ class Corpus:
         return len(self.documents)
 
     @cached_property
-    def token_views(self) -> tuple[tuple, ...]:
-        """Per-document arrays precomputed for the sampler kernels.
-
-        Each entry is (distinct_words, distinct_counts, word_rep, occ_offset,
-        total_len) where word_rep repeats each word id once per occurrence and
-        occ_offset is 0, 1, ... within the repeats of one word. Counts are
-        int32, the dtype of the model's count matrix, so adding and removing
-        a document never casts.
-
-        The arrays are built once for the whole corpus; each document's
-        entry holds slices (views) of them.
-        """
+    def token_csr(self) -> "TokenCSR":
+        """The corpus's token arrays, built once in compressed-row form."""
         docs = self.documents
-        n = sum(len(doc.counts) for doc in docs)
+        word_len = np.fromiter((len(doc.counts) for doc in docs), dtype=np.int64,
+                               count=len(docs))
+        word_ptr = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum(word_len, out=word_ptr[1:])
+        n = int(word_ptr[-1])
         words = np.fromiter(chain.from_iterable(doc.counts for doc in docs),
                             dtype=np.intp, count=n)
         counts = np.fromiter(chain.from_iterable(doc.counts.values() for doc in docs),
@@ -137,15 +133,49 @@ class Corpus:
         run_start -= counts
         occ = np.arange(len(word_rep), dtype=np.float64)
         occ -= np.repeat(run_start, counts)
-        del run_start  # freed before the per-document views are made
-        views = []
-        w = t = 0
-        for doc in docs:
-            w_next, t_next = w + len(doc.counts), t + sum(doc.counts.values())
-            views.append((words[w:w_next], counts[w:w_next], word_rep[t:t_next],
-                          occ[t:t_next], doc.total_len))
-            w, t = w_next, t_next
-        return tuple(views)
+        del run_start
+        tok_ptr = np.zeros(len(docs) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((doc.total_len for doc in docs), dtype=np.int64,
+                              count=len(docs)), out=tok_ptr[1:])
+        return TokenCSR(word_ptr, words, counts, tok_ptr, word_rep, occ)
+
+    @cached_property
+    def token_views(self) -> tuple[tuple, ...]:
+        """Per-document arrays precomputed for the sampler kernels.
+
+        Each entry is (distinct_words, distinct_counts, word_rep, occ_offset,
+        total_len) where word_rep repeats each word id once per occurrence and
+        occ_offset is 0, 1, ... within the repeats of one word. Counts are
+        int32, the dtype of the model's count matrix, so adding and removing
+        a document never casts.
+
+        Each document's entry holds slices (views) of token_csr's arrays.
+        """
+        csr = self.token_csr
+        wp, tp = csr.word_ptr.tolist(), csr.tok_ptr.tolist()
+        return tuple(
+            (csr.words[wp[d]:wp[d + 1]], csr.counts[wp[d]:wp[d + 1]],
+             csr.word_rep[tp[d]:tp[d + 1]], csr.occ[tp[d]:tp[d + 1]], doc.total_len)
+            for d, doc in enumerate(self.documents)
+        )
+
+
+class TokenCSR(NamedTuple):
+    """Corpus-wide token arrays in compressed-row form.
+
+    Document d's distinct words and their int32 counts are
+    words[word_ptr[d]:word_ptr[d + 1]] and counts[...] of the same range;
+    its tokens are word_rep[tok_ptr[d]:tok_ptr[d + 1]], each word id
+    repeated once per occurrence, with occ (0, 1, ... within the repeats of
+    one word) at the same positions.
+    """
+
+    word_ptr: np.ndarray
+    words: np.ndarray
+    counts: np.ndarray
+    tok_ptr: np.ndarray
+    word_rep: np.ndarray
+    occ: np.ndarray
 
 
 # Light suffix stripper used when TokenRules.stemming is on. Intentionally

@@ -140,10 +140,7 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
         state.m[a] += state.m[b]
         state.n[a] += state.n[b]
         state.nzw[a] += state.nzw[b]
-        for d in state.members[b]:
-            state.assignments[d] = a
-        state.members[a] |= state.members[b]
-        state.members[b] = set()
+        state.assignments[np.flatnonzero(state.assignments == b)] = a
         state.m[b] = 0
         state.n[b] = 0
         state.nzw[b] = 0
@@ -172,11 +169,8 @@ def _compact(state: ModelState, survivors: list[int]) -> None:
         state.m[slot] = state.m[z]
         state.n[slot] = state.n[z]
         state.nzw[slot] = state.nzw[z]
-        state.members[slot] = state.members[z]
-        for d in state.members[slot]:
-            state.assignments[d] = slot
+        state.assignments[np.flatnonzero(state.assignments == z)] = slot
         state.m[z] = 0
         state.n[z] = 0
         state.nzw[z] = 0
-        state.members[z] = set()
     state.k_active = len(survivors)

@@ -15,6 +15,11 @@ clusters plus one representative empty cluster and spreads that score over
 the rest (the smoothing-only bucket of SparseLDA, Yao, Mimno & McCallum,
 KDD 2009): per document the work scales with the live cluster count, not
 with k_max.
+
+The numpy kernels here are the reference. Sampling runs the compiled sweep
+kernel (_sweep.c, loaded by _native) when it can be built; it scores the
+same slots in product form, and the tests hold its scores to these within
+1e-9 and its draws to the numpy sweep's exactly.
 """
 
 from __future__ import annotations
@@ -107,8 +112,8 @@ class ModelState:
     Clusters live in slots [0, k_active) of fixed-capacity arrays. m[z] is
     the document count, n[z] the token count, wz[w, z] the per-word token
     count, stored word-major as int32; nzw is its cluster-major (k_max, V)
-    view. members[z] mirrors the assignment array so pruning can relabel
-    one cluster's documents without scanning the corpus.
+    view. Cluster membership lives only in the assignment array; pruning
+    and merging relabel a cluster's documents by scanning it.
     """
 
     def __init__(self, n_docs: int, vocab_size: int, k_max: int, alpha: float,
@@ -126,7 +131,6 @@ class ModelState:
         self.n = np.zeros(k_max, dtype=np.int64)
         self.wz = np.zeros((vocab_size, k_max), dtype=np.int32)
         self.assignments = np.full(n_docs, -1, dtype=np.int64)
-        self.members: list[set[int]] = [set() for _ in range(k_max)]
 
     @classmethod
     def for_corpus(cls, corpus: Corpus, k_max: int, alpha: float) -> "ModelState":
@@ -153,7 +157,6 @@ class ModelState:
         dup.n = self.n.copy()
         dup.wz = self.wz.copy()
         dup.assignments = self.assignments.copy()
-        dup.members = [set(s) for s in self.members]
         return dup
 
     def add_doc(self, d: int, words: np.ndarray, counts: np.ndarray,
@@ -162,7 +165,6 @@ class ModelState:
         self.n[z] += total
         self.wz[:, z][words] += counts
         self.assignments[d] = z
-        self.members[z].add(d)
 
     def remove_doc(self, d: int, words: np.ndarray, counts: np.ndarray,
                    total: int) -> int:
@@ -173,12 +175,11 @@ class ModelState:
         self.n[z] -= total
         self.wz[:, z][words] -= counts
         self.assignments[d] = -1
-        self.members[z].discard(d)
         return z
 
     def deactivate_cluster(self, z: int) -> None:
         """Remove an emptied cluster and keep indices contiguous by moving
-        the last active cluster into its slot. O(m_last)."""
+        the last active cluster into its slot. O(V + D)."""
         last = self.k_active - 1
         if self.m[z] != 0 or self.n[z] != 0:
             raise InactiveCluster(f"cluster {z} is not empty")
@@ -186,13 +187,10 @@ class ModelState:
             self.m[z] = self.m[last]
             self.n[z] = self.n[last]
             self.wz[:, z] = self.wz[:, last]
-            self.members[z] = self.members[last]
-            for d in self.members[z]:
-                self.assignments[d] = z
+            self.assignments[np.flatnonzero(self.assignments == last)] = z
         self.m[last] = 0
         self.n[last] = 0
         self.wz[:, last] = 0
-        self.members[last] = set()
         self.k_active = last
 
     def cluster_stats(self, z: int) -> ClusterStats:
@@ -217,8 +215,8 @@ class ModelState:
         assert (self.wz >= 0).all() and (self.m >= 0).all()
         active = self.assignments[self.assignments >= 0]
         assert (active < k).all(), "assignment outside active range"
-        for z in range(k):
-            assert len(self.members[z]) == self.m[z], "members index out of sync"
+        assert (np.bincount(active, minlength=k)[:k] == self.m[:k]).all(), \
+            "m != documents assigned"
         if require_nonempty:
             assert (self.n[:k] > 0).all(), "active cluster with zero tokens"
 

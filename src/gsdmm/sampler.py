@@ -10,7 +10,16 @@ a target cluster count afterwards.
 
 Randomness discipline: one seed feeds two independent generator streams,
 stream 0 for initialization and stream 1 for sweeps, so instrumentation
-added between phases cannot perturb sampling.
+added between phases cannot perturb sampling. Each document step consumes
+one uniform; the compiled kernel (see _native) takes a whole run's uniforms
+from one rng.random(n) call, which yields the same values as n calls of
+rng.random().
+
+The document steps of gibbs_sweep and adaptive_init run in one compiled C
+kernel when the system compiler can build it, and otherwise in the numpy
+reference kept here, which the tests hold the kernel to: identical
+assignments and counts, scores within 1e-9. Entropy refreshes and merging
+stay in numpy on both paths.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .corpus import Corpus
 from .errors import ConfigError, KMaxExceedsCorpus
 from .evaluation import LabeledPartitionPair, accuracy, nmi
@@ -141,9 +151,12 @@ def random_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> Mod
     """Assign every document to one of k_max clusters uniformly at random."""
     state = ModelState.for_corpus(corpus, cfg.k_max, cfg.alpha)
     draws = rng.integers(0, cfg.k_max, size=len(corpus))
-    for d, view in enumerate(corpus.token_views):
-        words, counts, _, _, total = view
-        state.add_doc(d, words, counts, total, int(draws[d]))
+    csr = corpus.token_csr
+    state.assignments[:] = draws
+    state.m[:] = np.bincount(draws, minlength=cfg.k_max)
+    np.add.at(state.n, draws, np.diff(csr.tok_ptr))
+    word_z = np.repeat(draws, np.diff(csr.word_ptr))
+    np.add.at(state.wz.reshape(-1), csr.words * cfg.k_max + word_z, csr.counts)
     return state
 
 
@@ -153,13 +166,13 @@ def adaptive_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> M
 
     Seeds are distinct (sampled without replacement). The state grows as
     documents join, so later documents see the clusters the earlier ones
-    built up.
+    built up. The joins are the sweep kernel's steps for the unseeded
+    documents, which have no cluster to leave.
     """
     d_total = len(corpus)
     if cfg.k_max > d_total:
         raise KMaxExceedsCorpus(f"k_max={cfg.k_max} exceeds corpus size {d_total}")
     state = ModelState.for_corpus(corpus, cfg.k_max, cfg.alpha)
-    state.D = 0
     views = corpus.token_views
     weights = UniformBeta(cfg.beta)
 
@@ -167,17 +180,20 @@ def adaptive_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> M
     for z, d in enumerate(seeds):
         words, counts, _, _, total = views[d]
         state.add_doc(int(d), words, counts, total, z)
-        state.D += 1
 
-    seeded = set(int(d) for d in seeds)
-    for d in range(d_total):
-        if d in seeded:
-            continue
+    seeded = np.zeros(d_total, dtype=bool)
+    seeded[seeds] = True
+    rest = np.flatnonzero(~seeded)
+    kernel = _native.kernel()
+    if kernel is not None:
+        kernel.sweep(state, corpus.token_csr, rest, rng.random(len(rest)),
+                     weights, prune=False)
+        return state
+    for d in rest.tolist():
         words, counts, word_rep, occ, total = views[d]
         scores = cluster_log_scores(state, word_rep, occ, total, weights)
         z = _draw(rng, normalize_log_scores(scores))
         state.add_doc(d, words, counts, total, z)
-        state.D += 1
     return state
 
 
@@ -197,22 +213,37 @@ def gibbs_sweep(
     entropy refresh positions are the multiples of ceil(D / refreshes), so
     a sweep refreshes at most cfg.entropy_refreshes_per_sweep times.
 
-    The kernel scores the occupied clusters and one representative empty
-    cluster, whose score one take spreads over every empty cluster. That
-    slot set changes only when a removal empties a cluster or an addition
-    fills one, and is rebuilt only then.
+    The compiled kernel runs the pass when it can be built, the numpy
+    reference otherwise; both draw the same clusters from the same stream
+    (one uniform per document) and refresh at the same points.
     """
     d_total = len(corpus)
-    views = corpus.token_views
-    entropy_mode = isinstance(weights, EntropyTable)
-    if entropy_mode and cfg.entropy_refreshes_per_sweep > 0:
+    if isinstance(weights, EntropyTable) and cfg.entropy_refreshes_per_sweep > 0:
         refresh_step = math.ceil(d_total / cfg.entropy_refreshes_per_sweep)
     else:
         refresh_step = 0
-    slots, row_of = scored_slots(state)
+    kernel = _native.kernel()
+    if kernel is None:
+        return _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty,
+                            refresh_step)
+    return kernel.sweep(
+        state, corpus.token_csr, np.arange(d_total), rng.random(d_total),
+        weights, prune_empty, refresh_step,
+        lambda: word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized))
 
+
+def _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty, refresh_step):
+    """The reference sweep in numpy, one kernel call per document.
+
+    It scores the occupied clusters and one representative empty cluster,
+    whose score one take spreads over every empty cluster. That slot set
+    changes only when a removal empties a cluster or an addition fills one,
+    and is rebuilt only then.
+    """
+    views = corpus.token_views
+    slots, row_of = scored_slots(state)
     moved = 0
-    for d in range(d_total):
+    for d in range(len(corpus)):
         words, counts, word_rep, occ, total = views[d]
         z_old = state.remove_doc(d, words, counts, total)
         pruned = False

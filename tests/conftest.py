@@ -5,16 +5,27 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gsdmm import _native
 from gsdmm.corpus import Corpus, CorpusStats, Document, Vocabulary
 from gsdmm.model import EntropyTable, ModelState, UniformBeta
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _kernel_cache(tmp_path_factory):
+    """Build the compiled kernel once per session, in a directory of the
+    session's own, never in the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        _native.kernel.cache_clear()
+        yield
+    _native.kernel.cache_clear()
 
 
 def make_state(m_counts, nzw, alpha, k_max=None, n_docs=None) -> ModelState:
     """Build a consistent ModelState directly from count tables.
 
-    Assignments and the member index are synthesized so validate() passes;
-    the per-document token structure is irrelevant to the kernels under
-    test.
+    Assignments are synthesized so validate() passes; the per-document
+    token structure is irrelevant to the kernels under test.
     """
     m = np.asarray(m_counts, dtype=np.int64)
     nzw = np.asarray(nzw, dtype=np.int64)
@@ -27,8 +38,6 @@ def make_state(m_counts, nzw, alpha, k_max=None, n_docs=None) -> ModelState:
     state.nzw[:k] = nzw
     assignments = np.repeat(np.arange(k), m)
     state.assignments[: len(assignments)] = assignments
-    for d, z in enumerate(assignments):
-        state.members[int(z)].add(d)
     return state
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gsdmm import cli
 from gsdmm.cli import main
 
 
@@ -137,6 +138,43 @@ class TestCluster:
         assert run("cluster", pipeline_dir / "archive",
                    pipeline_dir / "never", "--config", cfg) == 3
 
+    @pytest.mark.parametrize("key", ["trace", "entropy_norm"])
+    def test_non_boolean_config_value_exit_3(self, pipeline_dir, tmp_path,
+                                             capsys, key):
+        # bool("no") is True: "trace = no" used to write trace.csv
+        cfg = tmp_path / "bool.conf"
+        cfg.write_text(f"kmax = 5\niters = 1\n{key} = no\n")
+        out = pipeline_dir / "bool_run"
+        assert run("cluster", pipeline_dir / "archive", out, "--config", cfg) == 3
+        assert "must be true or false" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
+    def test_non_boolean_stem_exit_3(self, pipeline_dir, tmp_path, capsys):
+        cfg = tmp_path / "stem.conf"
+        cfg.write_text("stem = no\n")
+        assert run("preprocess", pipeline_dir / "data.jsonl",
+                   pipeline_dir / "stem_arch", "--config", cfg) == 3
+        assert "must be true or false" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["kmax = 10.5", "iters = 2.5", "seed = true",
+                                      "kreal = three"])
+    def test_non_integral_config_value_exit_3(self, pipeline_dir, tmp_path,
+                                              capsys, line):
+        # kmax = 10.5 used to be truncated to 10 silently
+        cfg = tmp_path / "int.conf"
+        cfg.write_text(line + "\n")
+        assert run("cluster", pipeline_dir / "archive",
+                   pipeline_dir / "int_run", "--config", cfg) == 3
+        assert "must be an integer" in capsys.readouterr().err
+
+    def test_typed_config_values_accepted(self, pipeline_dir, tmp_path):
+        cfg = tmp_path / "typed.conf"
+        cfg.write_text("kmax = 6.0\niters = 1\ntrace = true\nentropy_norm = false\n")
+        out = pipeline_dir / "typed_run"
+        assert run("cluster", pipeline_dir / "archive", out, "--config", cfg) == 0
+        assert json.loads((out / "summary.json").read_text())["k_max"] == 6
+        assert (out / "trace.csv").exists()
+
     @pytest.mark.parametrize("flag,value", [("--alpha", "nan"), ("--beta", "inf")])
     def test_non_finite_pseudocount_exit_3(self, pipeline_dir, capsys, flag, value):
         assert run("cluster", pipeline_dir / "archive", pipeline_dir / "nf",
@@ -214,7 +252,64 @@ class TestEval:
         assert cli_report == pytest.approx(lib_report)
 
 
+def _duplicate_first_row(run_dir):
+    path = run_dir / "assignments.csv"
+    lines = path.read_text().splitlines()
+    lines.append(lines[1])
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestAssignmentsBoundary:
+    @pytest.fixture()
+    def run_dir(self, pipeline_dir):
+        out = pipeline_dir / "run_dup"
+        assert run("cluster", pipeline_dir / "archive", out,
+                   "--algorithm", "gsdmm", "--kmax", 6, "--iters", 1,
+                   "--seed", 0) == 0
+        return out
+
+    def test_duplicate_doc_id_eval_exit_2(self, pipeline_dir, run_dir, capsys):
+        # eval used to score D + 1 rows and exit 0
+        _duplicate_first_row(run_dir)
+        capsys.readouterr()
+        assert run("eval", run_dir / "assignments.csv",
+                   pipeline_dir / "archive") == 2
+        assert "duplicate doc id" in capsys.readouterr().err
+
+    def test_duplicate_doc_id_topwords_exit_2(self, pipeline_dir, run_dir, capsys):
+        _duplicate_first_row(run_dir)
+        capsys.readouterr()
+        assert run("topwords", pipeline_dir / "archive", run_dir) == 2
+        assert "duplicate doc id" in capsys.readouterr().err
+
+
 class TestTopwords:
+    def test_large_cluster_id_sized_by_ids_in_use(self, pipeline_dir, capsys,
+                                                  monkeypatch):
+        out = pipeline_dir / "run_big"
+        assert run("cluster", pipeline_dir / "archive", out,
+                   "--algorithm", "gsdmm", "--kmax", 6, "--iters", 2,
+                   "--seed", 0) == 0
+        path = out / "assignments.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + ",60000"
+        path.write_text("\n".join(lines) + "\n")
+        ids = {int(line.rsplit(",", 1)[1]) for line in lines[1:]}
+        sizes = []
+        real_for_corpus = cli.ModelState.for_corpus
+
+        def spy(corpus, k_max, alpha):
+            sizes.append(k_max)
+            return real_for_corpus(corpus, k_max, alpha)
+
+        monkeypatch.setattr(cli.ModelState, "for_corpus", spy)
+        capsys.readouterr()
+        assert run("topwords", pipeline_dir / "archive", out, "-n", 2) == 0
+        printed = {int(row.split("\t")[0]) for row in
+                   capsys.readouterr().out.strip().splitlines()[1:]}
+        assert 60000 in printed and printed == ids
+        assert sizes == [len(ids)]
+
     def test_table_shape_default_n(self, pipeline_dir, capsys):
         out = pipeline_dir / "run_tw"
         assert run("cluster", pipeline_dir / "archive", out,

@@ -386,7 +386,6 @@ class TestModelState:
         assert np.array_equal(before.n, state.n)
         assert np.array_equal(before.nzw, state.nzw)
         assert np.array_equal(before.assignments, state.assignments)
-        assert before.members == state.members
 
     def test_burstiness_gap_strictly_increasing(self):
         # identical totals, cluster 0 holds the word, cluster 1 does not:

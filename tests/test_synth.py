@@ -134,7 +134,6 @@ class TestJointEnumeration:
             state = make_state([0, 0], np.zeros((2, 3), dtype=int), alpha,
                                n_docs=4)
             state.assignments[:] = -1
-            state.members = [set(), set()]
             for i, doc in enumerate(corpus.documents):
                 if i == d:
                     continue
