@@ -156,6 +156,10 @@ def write_archive(corpus: Corpus, outdir: str | Path) -> None:
 
 
 def read_archive(indir: str | Path) -> Corpus:
+    """The corpus of an archive written by write_archive. A repeated doc id,
+    a word id repeated within a document or outside [0, V), a count below 1,
+    or a stats.json whose D or V disagrees with the files raises
+    MalformedRecord."""
     src = Path(indir)
     for name in ("vocabulary.tsv", "documents.txt", "stats.json"):
         if not (src / name).exists():
@@ -172,6 +176,7 @@ def read_archive(indir: str | Path) -> Corpus:
             id_to_word.append(cols[1])
             doc_freq.append(int(cols[2]))
     documents: list[Document] = []
+    seen: set[str] = set()
     v = len(id_to_word)
     with open(src / "documents.txt", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -179,12 +184,18 @@ def read_archive(indir: str | Path) -> Corpus:
             if len(cols) != 3:
                 raise MalformedRecord("expected doc_id<TAB>label<TAB>counts", lineno)
             doc_id, label, blob = cols
+            if doc_id in seen:
+                raise MalformedRecord(f"duplicate doc id {doc_id!r}", lineno)
+            seen.add(doc_id)
+            pairs = blob.split()
             counts: dict[int, int] = {}
-            for pair in blob.split():
+            for pair in pairs:
                 w, c = pair.split(":")
                 counts[int(w)] = int(c)
             if not counts:
                 raise MalformedRecord("empty document in archive", lineno)
+            if len(counts) != len(pairs):
+                raise MalformedRecord("repeated word id in document", lineno)
             lo, hi = min(counts), max(counts)
             if lo < 0 or hi >= v:
                 raise MalformedRecord(
@@ -197,8 +208,15 @@ def read_archive(indir: str | Path) -> Corpus:
                 total_len=sum(counts.values()),
                 gold_label=None if label == MISSING_LABEL else label,
             ))
-    with open(src / "stats.json", encoding="utf-8") as fh:
-        stats = json.load(fh)
+    text = (src / "stats.json").read_text(encoding="utf-8")
+    stats = json.loads(text)
+    for key, actual in (("D", len(documents)), ("V", v)):
+        if stats.get(key) != actual:
+            line = next((i for i, row in enumerate(text.splitlines(), start=1)
+                         if f'"{key}"' in row), 1)
+            raise MalformedRecord(
+                f"stats.json gives {key}={stats.get(key)}, the archive has {actual}",
+                line)
     vocab = Vocabulary(
         word_to_id={w: i for i, w in enumerate(id_to_word)},
         id_to_word=tuple(id_to_word),

@@ -1,10 +1,12 @@
 """Clustering quality metrics: optimal-matching accuracy and NMI.
 
 Accuracy maximizes the matched-document count over one-to-one maps between
-predicted clusters and gold labels (Hungarian assignment on the zero-padded
-confusion matrix). NMI is mutual information normalized by the geometric
-mean of the two partition entropies, natural logs, with 0*log(0) taken as 0.
-Both are invariant under relabeling either side.
+predicted clusters and gold labels: an exact maximum-weight assignment on
+the rectangular confusion matrix, solved here in numpy so that no solver
+package is imported. NMI is
+mutual information normalized by the geometric mean of the two partition
+entropies, natural logs, with 0*log(0) taken as 0. Both are invariant under
+relabeling either side.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import LengthMismatch
 
@@ -21,6 +22,7 @@ __all__ = [
     "EvalReport",
     "confusion_matrix",
     "accuracy",
+    "max_assignment",
     "nmi",
     "evaluate",
 ]
@@ -45,9 +47,7 @@ class LabeledPartitionPair:
         if len(pred) == 0:
             raise LengthMismatch("empty partitions")
         for name, arr in (("pred", pred), ("gold", gold)):
-            if arr.min() < 0 or not np.array_equal(
-                np.unique(arr), np.arange(arr.max() + 1)
-            ):
+            if arr.min() < 0 or not np.bincount(arr).all():
                 raise ValueError(f"{name} ids must be dense in [0, K)")
 
     @property
@@ -98,14 +98,100 @@ def confusion_matrix(pair: LabeledPartitionPair) -> np.ndarray:
 
 def accuracy(pair: LabeledPartitionPair) -> float:
     """Fraction of documents matched under the best one-to-one cluster to
-    label mapping. Extra clusters on either side pad with zero rows or
-    columns and contribute nothing."""
+    label mapping. Clusters left over on the larger side stay unmatched and
+    contribute nothing."""
     mat = confusion_matrix(pair)
-    size = max(mat.shape)
-    padded = np.zeros((size, size), dtype=np.int64)
-    padded[: mat.shape[0], : mat.shape[1]] = mat
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum()) / pair.D
+    rows, cols = max_assignment(mat)
+    return float(mat[rows, cols].sum()) / pair.D
+
+
+# bounds |weight|: potentials and reduced costs then stay within 3x that,
+# exact in int64 and far below the solver's infinity (2**61)
+_WEIGHT_LIMIT = 1 << 56
+
+
+def max_assignment(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of a maximum-weight one-to-one matching of an
+    integer matrix that matches every row or every column, whichever side
+    is smaller.
+
+    Exact shortest augmenting paths with integer dual potentials (Jonker &
+    Volgenant, 1987) on the smaller side, in numpy. Meant for the confusion
+    matrices of ACC, whose smaller side is the number of gold labels: about
+    1 ms at tens of labels, 20 ms at 500 x 500 and 90 ms at 1000 x 1000
+    (D = 20k, 2-core Xeon), where scipy's compiled solver takes 11 and
+    41 ms.
+    """
+    weights = np.asarray(weights)
+    if not np.issubdtype(weights.dtype, np.integer):
+        raise TypeError("assignment weights must be integers")
+    if weights.ndim != 2:
+        raise ValueError("assignment weights must be a 2-D matrix")
+    if weights.size and not -_WEIGHT_LIMIT <= weights.min() <= \
+            weights.max() <= _WEIGHT_LIMIT:
+        raise ValueError("assignment weights must lie within +-2**56")
+    flip = weights.shape[0] > weights.shape[1]
+    side = weights.T if flip else weights
+    cols = _assign_rows(side)
+    rows = np.arange(len(cols))
+    return (cols, rows) if flip else (rows, cols)
+
+
+def _assign_rows(weights: np.ndarray) -> np.ndarray:
+    """Column of each row of the (n, m) matrix, n <= m, in max_assignment:
+    each row in turn grows a Dijkstra tree over the columns on reduced costs
+    (cost = -weight) until it reaches a free column, updates the potentials
+    of the tree and flips the path. Among the columns nearest the tree a
+    free one is taken first (as Jonker and Volgenant do), which ends the
+    search early on confusion matrices full of tied counts; further ties go
+    to the lowest column. Arrays are indexed from 1; column 0 holds the row
+    being added."""
+    n, m = weights.shape
+    inf = np.iinfo(np.int64).max // 4
+    cost = np.zeros((n + 1, m + 1), dtype=np.int64)
+    cost[1:, 1:] = -np.asarray(weights, dtype=np.int64)
+    u = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(m + 1, dtype=np.int64)
+    p = np.zeros(m + 1, dtype=np.int64)    # row matched to each column
+    way = np.zeros(m + 1, dtype=np.int64)  # previous column on the path
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        dist = 0  # distance of the column last added to the tree
+        minv = np.full(m + 1, inf, dtype=np.int64)  # inf once in the tree
+        used = np.zeros(m + 1, dtype=bool)
+        busy = p != 0  # sorts matched columns after free ones at one distance
+        tree, entered = [], []
+        while True:
+            used[j0] = True
+            minv[j0] = inf
+            tree.append(j0)
+            entered.append(dist)
+            i0 = p[j0]
+            cand = cost[i0] - v
+            cand += dist - u[i0]
+            cand[used] = inf
+            better = cand < minv
+            np.minimum(minv, cand, out=minv)
+            way[better] = j0
+            key = minv * 2
+            key += busy
+            j0 = int(key.argmin())
+            dist = int(minv[j0])
+            if p[j0] == 0:
+                break
+        tree = np.array(tree)
+        shift = dist - np.array(entered)
+        u[p[tree]] += shift
+        v[tree] -= shift
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    cols = np.empty(n, dtype=np.int64)
+    matched = np.flatnonzero(p[1:])
+    cols[p[1:][matched] - 1] = matched
+    return cols
 
 
 def nmi(pair: LabeledPartitionPair) -> float:

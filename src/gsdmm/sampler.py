@@ -29,11 +29,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 loads numpy.random lazily; load it at import, not inside the first run
+import numpy.random  # noqa: F401
 
 from . import _native
 from .corpus import Corpus
 from .errors import ConfigError, KMaxExceedsCorpus
-from .evaluation import LabeledPartitionPair, accuracy, nmi
+from .evaluation import LabeledPartitionPair, _densify, accuracy, nmi
 from .merge import MergeLog, merge_to_k
 from .model import (
     EntropyTable,
@@ -267,16 +269,36 @@ def _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty, refresh_step):
     return moved
 
 
-def _record(trace: SweepTrace, corpus: Corpus, state: ModelState,
+def _gold_ids(corpus: Corpus) -> np.ndarray | None:
+    """Gold labels as dense ids by first appearance, built once per run;
+    None unless every document has one."""
+    labels = [doc.gold_label for doc in corpus.documents]
+    if not labels or any(lab is None for lab in labels):
+        return None
+    return _densify(labels)
+
+
+def _record(trace: SweepTrace, gold: np.ndarray | None, state: ModelState,
             iteration: int, active: int, moved: int) -> None:
     rec = SweepRecord(iteration=iteration, active_clusters=active, moved_docs=moved)
-    labels = [doc.gold_label for doc in corpus.documents]
-    if all(lab is not None for lab in labels) and len(labels):
-        pair = LabeledPartitionPair.from_labels(
-            _dense_labels(state), labels)
+    if gold is not None:
+        pair = LabeledPartitionPair(_first_seen_ids(state), gold)
         rec.acc = accuracy(pair)
         rec.nmi = nmi(pair)
     trace.records.append(rec)
+
+
+def _first_seen_ids(state: ModelState) -> np.ndarray:
+    """Assignments relabeled densely in order of first appearance, as
+    LabeledPartitionPair.from_labels numbers them (so the confusion matrix,
+    and NMI to the last bit, come out as from_labels gives them)."""
+    z = state.assignments
+    first = np.full(state.k_active, len(z))
+    np.minimum.at(first, z, np.arange(len(z)))
+    used = np.flatnonzero(first < len(z))
+    rank = np.empty(state.k_active, dtype=np.int64)
+    rank[used[np.argsort(first[used])]] = np.arange(len(used))
+    return rank[z]
 
 
 def _dense_labels(state: ModelState) -> np.ndarray:
@@ -300,12 +322,13 @@ def run_gsdmm(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelState, S
     init_rng, sweep_rng = _streams(cfg.seed)
     state = random_init(corpus, cfg, init_rng)
     weights = UniformBeta(cfg.beta)
+    gold = _gold_ids(corpus)
     trace = SweepTrace()
     for it in range(1, cfg.iterations + 1):
         moved = gibbs_sweep(state, corpus, weights, cfg, sweep_rng, prune_empty=False)
         if cfg.validate_every_sweep:
             state.validate()
-        _record(trace, corpus, state, it, state.nonempty_count(), moved)
+        _record(trace, gold, state, it, state.nonempty_count(), moved)
     return _dense_labels(state), state, trace
 
 
@@ -321,12 +344,13 @@ def run_gsdmm_plus(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelSta
     init_rng, sweep_rng = _streams(cfg.seed)
     state = adaptive_init(corpus, cfg, init_rng)
     weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized)
+    gold = _gold_ids(corpus)
     trace = SweepTrace()
     for it in range(1, cfg.iterations + 1):
         moved = gibbs_sweep(state, corpus, weights, cfg, sweep_rng, prune_empty=True)
         if cfg.validate_every_sweep:
             state.validate(require_nonempty=True)
-        _record(trace, corpus, state, it, state.k_active, moved)
+        _record(trace, gold, state, it, state.k_active, moved)
     if cfg.k_real is not None:
         if cfg.k_real > state.k_active:
             msg = (f"k_real={cfg.k_real} exceeds {state.k_active} active "

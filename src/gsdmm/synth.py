@@ -4,7 +4,8 @@ The generator draws mixture weights and per-cluster word distributions from
 symmetric Dirichlets, then emits documents whose words are i.i.d. draws
 from their cluster's distribution. The oracles re-derive the sampler's
 arithmetic by an independent route (log-gamma ratios and exhaustive
-enumeration) and exist purely for verification.
+enumeration) and exist purely for verification; they are the only code in
+the package that imports scipy, and only when they run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 from .corpus import Corpus, CorpusStats, Document, Vocabulary
 from .errors import InstanceTooLarge, NonPositiveArgument, TooManyClusters
@@ -156,6 +156,8 @@ def _pseudo_vector(weights: WeightingScheme, v: int) -> np.ndarray:
 def _log_delta(x: np.ndarray) -> float:
     """log of the Dirichlet normalizer: sum of log-gammas minus log-gamma
     of the sum."""
+    from scipy.special import gammaln
+
     return float(gammaln(x).sum() - gammaln(x.sum()))
 
 
@@ -196,6 +198,8 @@ class JointEnumeration:
 
     def __init__(self, corpus: Corpus, k: int, alpha: float,
                  weights: WeightingScheme):
+        from scipy.special import gammaln
+
         d = len(corpus)
         if k ** d > self.MAX_ASSIGNMENTS:
             raise InstanceTooLarge(f"{k}**{d} assignments exceed the cap")

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,66 @@ class TestArchiveBoundary:
         assert run("cluster", pipeline_dir / "archive", pipeline_dir / "r",
                    "--iters", 1) == 2
         assert "count 0" in capsys.readouterr().err
+
+    def test_repeated_word_id_exit_2(self, pipeline_dir, capsys):
+        # 5:1 ... 5:5 used to keep only the last count
+        path = pipeline_dir / "archive" / "documents.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rstrip("\n") + " 5:1 5:5\n"
+        path.write_text("".join(lines))
+        assert run("cluster", pipeline_dir / "archive", pipeline_dir / "r",
+                   "--iters", 1) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "repeated word id" in err
+
+    def test_duplicate_doc_id_exit_2(self, pipeline_dir, capsys):
+        path = pipeline_dir / "archive" / "documents.txt"
+        lines = path.read_text().splitlines(keepends=True)
+        first_id = lines[0].split("\t", 1)[0]
+        lines[2] = first_id + "\t" + lines[2].split("\t", 1)[1]
+        path.write_text("".join(lines))
+        assert run("cluster", pipeline_dir / "archive", pipeline_dir / "r",
+                   "--iters", 1) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and f"duplicate doc id {first_id!r}" in err
+
+    @pytest.mark.parametrize("key", ["D", "V"])
+    def test_stats_disagreeing_with_files_exit_2(self, pipeline_dir, capsys, key):
+        path = pipeline_dir / "archive" / "stats.json"
+        stats = json.loads(path.read_text())
+        actual = stats[key]
+        stats[key] += 1
+        path.write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n")
+        assert run("cluster", pipeline_dir / "archive", pipeline_dir / "r",
+                   "--iters", 1) == 2
+        err = capsys.readouterr().err
+        assert f"{key}={actual + 1}" in err and f"has {actual}" in err
+
+
+class TestImportHygiene:
+    def test_no_scipy_on_the_run_path(self, pipeline_dir):
+        # scipy is needed only by the synth oracles; the commands never load it
+        archive, runs = pipeline_dir / "archive", pipeline_dir / "runs"
+        code = "\n".join([
+            "import sys",
+            "import gsdmm, gsdmm.cli",
+            "archive, runs = sys.argv[1:3]",
+            "for algo in ('gsdmm', 'gsdmm+'):",
+            "    run = f'{runs}/{algo}'",
+            "    codes = [gsdmm.cli.main(['cluster', archive, run, '--algorithm', algo,",
+            "                             '--kmax', '6', '--kreal', '3', '--iters', '2',",
+            "                             '--trace']),",
+            "             gsdmm.cli.main(['eval', f'{run}/assignments.csv', archive]),",
+            "             gsdmm.cli.main(['topwords', archive, run, '-n', '3'])]",
+            "    assert codes == [0, 0, 0], codes",
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ])
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code, str(archive), str(runs)],
+                             env=env, check=True, capture_output=True, text=True)
+        assert out.stdout.splitlines()[-1] == "[]"
+        assert (runs / "gsdmm+" / "trace.csv").read_text().count(",") > 10
 
 
 class TestEval:

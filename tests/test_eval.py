@@ -9,6 +9,7 @@ from gsdmm.evaluation import (
     accuracy,
     confusion_matrix,
     evaluate,
+    max_assignment,
     nmi,
 )
 from gsdmm.synth import oracle_assignment_bruteforce
@@ -72,6 +73,85 @@ class TestAccuracy:
             gold = rng.integers(0, 3, size=40)
             pair = pair_of(pred.tolist(), gold.tolist())
             assert accuracy(pair) >= confusion_matrix(pair).max() / pair.D
+
+
+def assignment_cases(seed: int) -> list[np.ndarray]:
+    """Integer matrices for the assignment solver: 2400 small random ones
+    of every orientation (1 x n and n x 1 included), value ranges from
+    all-tied 0/1 to wide and negative, all-zero and constant matrices, and
+    200 x 50, 50 x 200 and 500 x 500 ones (a random-partition confusion
+    matrix of 20k documents among them)."""
+    gen = np.random.default_rng(seed)
+    cases = []
+    for i in range(2400):
+        n, m = (int(x) for x in gen.integers(1, 10, size=2))
+        if i % 8 == 0:
+            n = 1
+        elif i % 8 == 1:
+            m = 1
+        kind = i % 5
+        if kind == 0:
+            mat = gen.integers(0, 2, size=(n, m))
+        elif kind == 1:
+            mat = gen.integers(0, 4, size=(n, m))
+        elif kind == 2:
+            mat = gen.integers(0, 1000, size=(n, m))
+        elif kind == 3:
+            mat = gen.integers(-50, 51, size=(n, m))
+        else:
+            mat = np.full((n, m), int(gen.integers(0, 3)))
+        cases.append(mat)
+    cases.append(gen.integers(0, 30, size=(200, 50)))
+    cases.append(gen.integers(0, 3, size=(50, 200)))
+    cases.append(gen.integers(0, 10 ** 6, size=(500, 500)))
+    confusion = np.zeros((500, 500), dtype=np.int64)
+    np.add.at(confusion, (gen.integers(0, 500, 20000),
+                          gen.integers(0, 500, 20000)), 1)
+    cases.append(confusion)
+    return cases
+
+
+def scipy_total(mat) -> int:
+    """Matched total of scipy's solver, the independent reference."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(mat, maximize=True)
+    return int(mat[rows, cols].sum())
+
+
+class TestMaxAssignment:
+    def test_matches_scipy(self):
+        # a valid one-to-one matching of the smaller side with scipy's total
+        for mat in assignment_cases(20):
+            rows, cols = max_assignment(mat)
+            assert len(rows) == len(cols) == min(mat.shape)
+            for idx, size in ((rows, mat.shape[0]), (cols, mat.shape[1])):
+                assert len(set(idx.tolist())) == len(idx)
+                assert 0 <= idx.min() <= idx.max() < size
+            assert int(mat[rows, cols].sum()) == scipy_total(mat)
+
+    def test_empty_side(self):
+        for shape in ((0, 3), (3, 0)):
+            rows, cols = max_assignment(np.zeros(shape, dtype=np.int64))
+            assert len(rows) == len(cols) == 0
+
+    def test_rejects_bad_weights(self):
+        with pytest.raises(TypeError):
+            max_assignment(np.ones((2, 3)))
+        with pytest.raises(ValueError):
+            max_assignment(np.ones(3, dtype=np.int64))
+        with pytest.raises(ValueError):
+            max_assignment(np.array([[1, 2 ** 57]]))
+        with pytest.raises(ValueError):
+            max_assignment(np.array([[1, -2 ** 63]]))
+
+    def test_accuracy_is_scipy_total_over_d(self, rng):
+        for _ in range(60):
+            k_pred = int(rng.integers(1, 60))
+            k_gold = int(rng.integers(1, 30))
+            pair = pair_of(rng.integers(0, k_pred, size=300).tolist(),
+                           rng.integers(0, k_gold, size=300).tolist())
+            assert accuracy(pair) == scipy_total(confusion_matrix(pair)) / pair.D
 
 
 class TestNmi:

@@ -5,7 +5,7 @@ import pytest
 
 from gsdmm.corpus import Corpus, CorpusStats, Document, Vocabulary
 from gsdmm.errors import ConfigError, KMaxExceedsCorpus
-from gsdmm.evaluation import LabeledPartitionPair, nmi
+from gsdmm.evaluation import LabeledPartitionPair, accuracy, nmi
 from gsdmm.model import UniformBeta, conditional_distribution, normalize_log_scores
 from gsdmm.sampler import (
     RunConfig,
@@ -16,6 +16,7 @@ from gsdmm.sampler import (
     run_gsdmm,
     run_gsdmm_plus,
 )
+from gsdmm.synth import GenSpec, generate_corpus
 
 from conftest import corpus_from_counts, disjoint_corpus
 
@@ -332,3 +333,20 @@ class TestRunGsdmmPlus:
                    for r in trace.records)
         csv = trace.to_csv()
         assert csv.startswith("iteration,active_clusters,moved_docs,acc,nmi")
+
+
+@pytest.mark.parametrize("algorithm", ["gsdmm", "gsdmm+"])
+def test_trace_metrics_are_those_of_the_assignments(algorithm):
+    # the last record holds, to the last bit, ACC and NMI of the returned
+    # assignments as from_labels numbers them (gold densified once per run)
+    run = run_gsdmm if algorithm == "gsdmm" else run_gsdmm_plus
+    for seed in range(1, 7):
+        corpus, _, _, _ = generate_corpus(
+            GenSpec(k=20, v=1500, d=1000, doc_len=8, beta_gen=0.01, seed=seed))
+        cfg = RunConfig(algorithm=algorithm, k_max=40, beta=0.02, iterations=2,
+                        seed=seed)
+        assign, _, trace = run(corpus, cfg)
+        pair = LabeledPartitionPair.from_labels(
+            assign.tolist(), [doc.gold_label for doc in corpus.documents])
+        assert trace.records[-1].acc == accuracy(pair)
+        assert trace.records[-1].nmi == nmi(pair)
