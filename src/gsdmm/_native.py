@@ -4,9 +4,10 @@ The library is built on the first kernel call, never at import, with the
 system C compiler (cc -O2 -shared -fPIC, never -ffast-math), and loaded
 through ctypes. The built file is cached in $XDG_CACHE_HOME/gsdmm (default
 ~/.cache/gsdmm), a directory only the current user may write, under a key
-hashed from the source, the compiler's version and the flags; it is written
-to a temporary name and renamed into place, so concurrent processes never
-load a partial file. When the cache directory is not private, or cannot be
+hashed from the source, the compiler (its real path and its file's device,
+inode, size and modification time, so that loading a cached build starts no
+process) and the flags; it is written to a temporary name and renamed into
+place, so concurrent processes never load a partial file. When the cache directory is not private, or cannot be
 made, the library is built in a private temporary directory for this
 process only.
 
@@ -75,15 +76,22 @@ def _compile(cc: str, source: bytes, target: Path) -> None:
             os.unlink(tmp)
 
 
+def _compiler_identity(cc: str) -> bytes:
+    """The compiler's real path and its file's identity (device, inode,
+    size, modification time): a reinstalled or upgraded compiler gets a new
+    key, and a cached build loads without starting a process."""
+    real = os.path.realpath(cc)
+    st = os.stat(real)
+    return f"{real}\0{st.st_dev}:{st.st_ino}:{st.st_size}:{st.st_mtime_ns}".encode()
+
+
 def _build_and_load() -> ctypes.CDLL:
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         raise FileNotFoundError("no C compiler (cc or gcc) on PATH")
     source = SOURCE.read_bytes()
-    version = subprocess.run([cc, "--version"], capture_output=True, check=True,
-                             timeout=60).stdout
     key = hashlib.sha256(b"\0".join(
-        [source, os.path.realpath(cc).encode(), version, " ".join(FLAGS).encode()]
+        [source, _compiler_identity(cc), " ".join(FLAGS).encode()]
     )).hexdigest()[:24]
     name = f"sweep-{key}.so"
     try:

@@ -19,12 +19,9 @@ import time
 from pathlib import Path
 
 from . import __version__
+from .archive import read_archive, write_archive
 from .corpus import (
-    Corpus,
-    CorpusStats,
-    Document,
     TokenRules,
-    Vocabulary,
     build_corpus,
     default_stopwords,
     load_stopwords,
@@ -43,8 +40,6 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_CONFIG = 3
 EXIT_UNMATCHED_IDS = 4
 EXIT_MISSING_ARTIFACTS = 5
-
-MISSING_LABEL = "-"
 
 # every key a config file may define; anything else is rejected
 CONFIG_KEYS = {
@@ -123,115 +118,6 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
 
 
 # ---------------------------------------------------------------------------
-# corpus archive
-
-def write_archive(corpus: Corpus, outdir: str | Path) -> None:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    vocab = corpus.vocabulary
-    with open(out / "vocabulary.tsv", "w", encoding="utf-8") as fh:
-        for wid, word in enumerate(vocab.id_to_word):
-            fh.write(f"{wid}\t{word}\t{vocab.doc_freq[wid]}\n")
-    with open(out / "documents.txt", "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            label = doc.gold_label if doc.gold_label is not None else MISSING_LABEL
-            for value in (doc.doc_id, label):
-                if any(c in value for c in "\t\n "):
-                    raise ConfigError(
-                        f"doc id or label {value!r} contains whitespace; "
-                        "archives need whitespace-free fields"
-                    )
-            pairs = " ".join(f"{w}:{c}" for w, c in sorted(doc.counts.items()))
-            fh.write(f"{doc.doc_id}\t{label}\t{pairs}\n")
-    stats = {
-        "D": corpus.stats.D,
-        "V": corpus.stats.V,
-        "mean_len": corpus.stats.mean_len,
-        "max_len": corpus.stats.max_len,
-        "dropped_doc_ids": list(corpus.dropped_doc_ids),
-    }
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def read_archive(indir: str | Path) -> Corpus:
-    """The corpus of an archive written by write_archive. A repeated doc id,
-    a word id repeated within a document or outside [0, V), a count below 1,
-    or a stats.json whose D or V disagrees with the files raises
-    MalformedRecord."""
-    src = Path(indir)
-    for name in ("vocabulary.tsv", "documents.txt", "stats.json"):
-        if not (src / name).exists():
-            raise FileNotFoundError(src / name)
-    id_to_word: list[str] = []
-    doc_freq: list[int] = []
-    with open(src / "vocabulary.tsv", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 3:
-                raise MalformedRecord("expected id<TAB>word<TAB>df", lineno)
-            if int(cols[0]) != len(id_to_word):
-                raise MalformedRecord("vocabulary ids out of order", lineno)
-            id_to_word.append(cols[1])
-            doc_freq.append(int(cols[2]))
-    documents: list[Document] = []
-    seen: set[str] = set()
-    v = len(id_to_word)
-    with open(src / "documents.txt", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cols = line.rstrip("\n").split("\t")
-            if len(cols) != 3:
-                raise MalformedRecord("expected doc_id<TAB>label<TAB>counts", lineno)
-            doc_id, label, blob = cols
-            if doc_id in seen:
-                raise MalformedRecord(f"duplicate doc id {doc_id!r}", lineno)
-            seen.add(doc_id)
-            pairs = blob.split()
-            counts: dict[int, int] = {}
-            for pair in pairs:
-                w, c = pair.split(":")
-                counts[int(w)] = int(c)
-            if not counts:
-                raise MalformedRecord("empty document in archive", lineno)
-            if len(counts) != len(pairs):
-                raise MalformedRecord("repeated word id in document", lineno)
-            lo, hi = min(counts), max(counts)
-            if lo < 0 or hi >= v:
-                raise MalformedRecord(
-                    f"word id {lo if lo < 0 else hi} outside [0, {v})", lineno)
-            if min(counts.values()) < 1:
-                raise MalformedRecord(f"count {min(counts.values())} < 1", lineno)
-            documents.append(Document(
-                doc_id=doc_id,
-                counts=counts,
-                total_len=sum(counts.values()),
-                gold_label=None if label == MISSING_LABEL else label,
-            ))
-    text = (src / "stats.json").read_text(encoding="utf-8")
-    stats = json.loads(text)
-    for key, actual in (("D", len(documents)), ("V", v)):
-        if stats.get(key) != actual:
-            line = next((i for i, row in enumerate(text.splitlines(), start=1)
-                         if f'"{key}"' in row), 1)
-            raise MalformedRecord(
-                f"stats.json gives {key}={stats.get(key)}, the archive has {actual}",
-                line)
-    vocab = Vocabulary(
-        word_to_id={w: i for i, w in enumerate(id_to_word)},
-        id_to_word=tuple(id_to_word),
-        doc_freq=tuple(doc_freq),
-    )
-    return Corpus(
-        documents=tuple(documents),
-        vocabulary=vocab,
-        stats=CorpusStats(D=stats["D"], V=stats["V"],
-                          mean_len=stats["mean_len"], max_len=stats["max_len"]),
-        dropped_doc_ids=tuple(stats.get("dropped_doc_ids", [])),
-    )
-
-
-# ---------------------------------------------------------------------------
 # commands
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
@@ -289,8 +175,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     with open(out / "assignments.csv", "w", encoding="utf-8") as fh:
         fh.write("doc_id,cluster\n")
-        for doc, z in zip(corpus.documents, assignments):
-            fh.write(f"{doc.doc_id},{int(z)}\n")
+        fh.writelines(f"{doc_id},{z}\n"
+                      for doc_id, z in zip(corpus.doc_ids, assignments.tolist()))
     summary = {
         "algorithm": cfg.algorithm,
         "alpha": cfg.alpha,
@@ -352,9 +238,9 @@ def _gold_labels(source: str, fmt: str) -> dict[str, str]:
     labels: dict[str, str] = {}
     if path.is_dir():
         corpus = read_archive(path)
-        for doc in corpus.documents:
-            if doc.gold_label is not None:
-                labels[doc.doc_id] = doc.gold_label
+        for doc_id, label in zip(corpus.doc_ids, corpus.gold_labels):
+            if label is not None:
+                labels[doc_id] = label
     else:
         for doc_id, _, label in read_dataset(path, fmt):
             if label is not None:
@@ -390,7 +276,7 @@ def cmd_topwords(args: argparse.Namespace) -> int:
     corpus = read_archive(args.archive)
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     rows = _read_assignments(assignments_path)
-    by_id = {doc.doc_id: i for i, doc in enumerate(corpus.documents)}
+    by_id = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
     missing = [doc_id for doc_id, _ in rows if doc_id not in by_id]
     if missing:
         print(f"error: assignment id {missing[0]!r} not in archive",
@@ -402,11 +288,8 @@ def cmd_topwords(args: argparse.Namespace) -> int:
     ids = sorted({z for _, z in rows})
     slot_of = {z: slot for slot, z in enumerate(ids)}
     state = ModelState.for_corpus(corpus, len(ids), alpha=summary.get("alpha", 0.1))
-    views = corpus.token_views
-    for doc_id, z in rows:
-        d = by_id[doc_id]
-        words, counts, _, _, total = views[d]
-        state.add_doc(d, words, counts, total, slot_of[z])
+    state.add_docs(corpus.token_csr, [by_id[doc_id] for doc_id, _ in rows],
+                   [slot_of[z] for _, z in rows])
     state.D = len(rows)
 
     beta = float(summary.get("beta", 0.1))

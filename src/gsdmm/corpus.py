@@ -14,7 +14,6 @@ from functools import cached_property
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -101,23 +100,65 @@ class CorpusStats:
     max_len: int
 
 
-@dataclass(frozen=True)
 class Corpus:
-    """Immutable tokenized corpus. Safe to share across threads."""
+    """Immutable tokenized corpus. Safe to share across threads.
 
-    documents: tuple[Document, ...]
-    vocabulary: Vocabulary
-    stats: CorpusStats
-    # ids of input documents dropped because filtering emptied them; kept so
-    # gold-label alignment downstream stays correct
-    dropped_doc_ids: tuple[str, ...] = ()
+    A corpus is its token arrays (token_csr), its doc ids and its gold
+    labels (None where a document has none), one entry per document in
+    corpus order, plus the vocabulary, the stats and the ids of documents
+    dropped because filtering emptied them (kept so that gold-label
+    alignment downstream stays correct). ``documents`` presents the same
+    facts as one Document per document, built on first access; the
+    sampler and the commands read the arrays and never build it.
+
+    Corpus.from_arrays takes the arrays as they are (read_archive parses
+    straight into them). Corpus(documents=...) keeps the given Document
+    objects instead and derives the arrays from them on first use.
+    """
+
+    def __init__(self, documents, vocabulary: Vocabulary, stats: CorpusStats,
+                 dropped_doc_ids=()):
+        self._set(vocabulary, stats, dropped_doc_ids, documents=tuple(documents))
+
+    @classmethod
+    def from_arrays(cls, token_csr: "TokenCSR", doc_ids, gold_labels,
+                    vocabulary: Vocabulary, stats: CorpusStats,
+                    dropped_doc_ids=()) -> "Corpus":
+        corpus = cls.__new__(cls)
+        corpus._set(vocabulary, stats, dropped_doc_ids, token_csr=token_csr,
+                    doc_ids=tuple(doc_ids), gold_labels=tuple(gold_labels))
+        return corpus
+
+    def _set(self, vocabulary, stats, dropped_doc_ids, **facts) -> None:
+        # the facts given fill the cached properties below; the others are
+        # derived from them on first access
+        self.__dict__.update(vocabulary=vocabulary, stats=stats,
+                             dropped_doc_ids=tuple(dropped_doc_ids), **facts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Corpus")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable Corpus")
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(self.doc_ids)
+
+    def __repr__(self) -> str:
+        return (f"Corpus(D={len(self)}, V={self.vocabulary.size}, "
+                f"dropped={len(self.dropped_doc_ids)})")
+
+    @cached_property
+    def doc_ids(self) -> tuple[str, ...]:
+        return tuple(doc.doc_id for doc in self.documents)
+
+    @cached_property
+    def gold_labels(self) -> tuple[str | None, ...]:
+        return tuple(doc.gold_label for doc in self.documents)
 
     @cached_property
     def token_csr(self) -> "TokenCSR":
-        """The corpus's token arrays, built once in compressed-row form."""
+        """The corpus's token arrays in compressed-row form."""
         docs = self.documents
         word_len = np.fromiter((len(doc.counts) for doc in docs), dtype=np.int64,
                                count=len(docs))
@@ -128,16 +169,24 @@ class Corpus:
                             dtype=np.intp, count=n)
         counts = np.fromiter(chain.from_iterable(doc.counts.values() for doc in docs),
                              dtype=np.int32, count=n)
-        word_rep = np.repeat(words, counts)
-        run_start = np.cumsum(counts, dtype=np.intp)
-        run_start -= counts
-        occ = np.arange(len(word_rep), dtype=np.float64)
-        occ -= np.repeat(run_start, counts)
-        del run_start
         tok_ptr = np.zeros(len(docs) + 1, dtype=np.int64)
         np.cumsum(np.fromiter((doc.total_len for doc in docs), dtype=np.int64,
                               count=len(docs)), out=tok_ptr[1:])
-        return TokenCSR(word_ptr, words, counts, tok_ptr, word_rep, occ)
+        return TokenCSR(word_ptr, words, counts, tok_ptr)
+
+    @cached_property
+    def documents(self) -> tuple[Document, ...]:
+        """One Document per document, built from the arrays."""
+        csr = self.token_csr
+        wp = csr.word_ptr.tolist()
+        words, counts = csr.words.tolist(), csr.counts.tolist()
+        totals = np.diff(csr.tok_ptr).tolist()
+        return tuple(
+            Document(doc_id=doc_id, counts=dict(zip(words[a:b], counts[a:b])),
+                     total_len=total, gold_label=label)
+            for doc_id, label, a, b, total in zip(
+                self.doc_ids, self.gold_labels, wp, wp[1:], totals)
+        )
 
     @cached_property
     def token_views(self) -> tuple[tuple, ...]:
@@ -154,28 +203,41 @@ class Corpus:
         csr = self.token_csr
         wp, tp = csr.word_ptr.tolist(), csr.tok_ptr.tolist()
         return tuple(
-            (csr.words[wp[d]:wp[d + 1]], csr.counts[wp[d]:wp[d + 1]],
-             csr.word_rep[tp[d]:tp[d + 1]], csr.occ[tp[d]:tp[d + 1]], doc.total_len)
-            for d, doc in enumerate(self.documents)
+            (csr.words[a:b], csr.counts[a:b], csr.word_rep[s:t], csr.occ[s:t],
+             t - s)
+            for a, b, s, t in zip(wp, wp[1:], tp, tp[1:])
         )
 
 
-class TokenCSR(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class TokenCSR:
     """Corpus-wide token arrays in compressed-row form.
 
     Document d's distinct words and their int32 counts are
-    words[word_ptr[d]:word_ptr[d + 1]] and counts[...] of the same range;
-    its tokens are word_rep[tok_ptr[d]:tok_ptr[d + 1]], each word id
+    words[word_ptr[d]:word_ptr[d + 1]] and counts[...] of the same range
+    (int64 word_ptr, intp words); its tokens are
+    word_rep[tok_ptr[d]:tok_ptr[d + 1]] (int64 tok_ptr), each word id
     repeated once per occurrence, with occ (0, 1, ... within the repeats of
-    one word) at the same positions.
+    one word, float64) at the same positions. word_rep and occ, one entry
+    per token, are expanded from the counts on first access.
     """
 
     word_ptr: np.ndarray
     words: np.ndarray
     counts: np.ndarray
     tok_ptr: np.ndarray
-    word_rep: np.ndarray
-    occ: np.ndarray
+
+    @cached_property
+    def word_rep(self) -> np.ndarray:
+        return np.repeat(self.words, self.counts)
+
+    @cached_property
+    def occ(self) -> np.ndarray:
+        run_end = np.cumsum(self.counts, dtype=np.intp)
+        occ = np.arange(run_end[-1] if len(run_end) else 0, dtype=np.float64)
+        run_end -= self.counts
+        occ -= np.repeat(run_end, self.counts)
+        return occ
 
 
 # Light suffix stripper used when TokenRules.stemming is on. Intentionally

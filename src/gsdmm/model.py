@@ -36,6 +36,7 @@ from .errors import ConfigError, InactiveCluster, NonFiniteScore
 __all__ = [
     "ClusterStats",
     "ModelState",
+    "check_token_total",
     "UniformBeta",
     "EntropyTable",
     "WeightingScheme",
@@ -106,6 +107,16 @@ def _pseudocounts(weights: WeightingScheme, v: int):
     return weights.h, weights.sum_h
 
 
+def check_token_total(tokens: int) -> None:
+    """A per-word count can reach the corpus token total, so a total beyond
+    int32, the dtype of the count matrix, is refused up front."""
+    if tokens > np.iinfo(np.int32).max:
+        raise ConfigError(
+            f"corpus has {tokens} tokens; the int32 count matrix holds "
+            f"at most {np.iinfo(np.int32).max}"
+        )
+
+
 class ModelState:
     """Mutable sufficient statistics: the sole object the sampler writes.
 
@@ -134,14 +145,8 @@ class ModelState:
 
     @classmethod
     def for_corpus(cls, corpus: Corpus, k_max: int, alpha: float) -> "ModelState":
-        """Empty state sized for a corpus. A per-word count can reach the
-        corpus token total, so a total beyond int32 is refused up front."""
-        tokens = sum(doc.total_len for doc in corpus.documents)
-        if tokens > np.iinfo(np.int32).max:
-            raise ConfigError(
-                f"corpus has {tokens} tokens; the int32 count matrix holds "
-                f"at most {np.iinfo(np.int32).max}"
-            )
+        """Empty state sized for a corpus; see check_token_total."""
+        check_token_total(int(corpus.token_csr.tok_ptr[-1]))
         return cls(len(corpus), corpus.vocabulary.size, k_max, alpha)
 
     @property
@@ -165,6 +170,22 @@ class ModelState:
         self.n[z] += total
         self.wz[:, z][words] += counts
         self.assignments[d] = z
+
+    def add_docs(self, csr, docs, clusters) -> None:
+        """add_doc for many documents in one pass: document docs[i] of the
+        corpus arrays csr joins cluster clusters[i]. docs must be distinct."""
+        docs = np.asarray(docs, dtype=np.intp)
+        clusters = np.asarray(clusters, dtype=np.int64)
+        self.m += np.bincount(clusters, minlength=self.k_max)
+        np.add.at(self.n, clusters, np.diff(csr.tok_ptr)[docs])
+        of_doc = np.full(len(csr.word_ptr) - 1, -1, dtype=np.int64)
+        of_doc[docs] = clusters
+        word_z = np.repeat(of_doc, np.diff(csr.word_ptr))
+        joined = word_z >= 0
+        np.add.at(self.wz.reshape(-1),
+                  csr.words[joined] * self.k_max + word_z[joined],
+                  csr.counts[joined])
+        self.assignments[docs] = clusters
 
     def remove_doc(self, d: int, words: np.ndarray, counts: np.ndarray,
                    total: int) -> int:

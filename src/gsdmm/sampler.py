@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 # numpy 2 loads numpy.random lazily; load it at import, not inside the first run
@@ -108,11 +109,30 @@ class RunConfig:
 
 @dataclass
 class SweepRecord:
+    """One sweep's counts, and its ACC and NMI against the gold labels
+    (None without them). The record keeps the nonzero cells of the sweep's
+    contingency table, rows (cluster, label, documents) with clusters
+    numbered by first appearance; the metrics are computed from them when
+    first read, so a run whose trace nobody reads never computes them."""
+
     iteration: int
     active_clusters: int
     moved_docs: int
-    acc: float | None = None
-    nmi: float | None = None
+    cells: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def acc(self) -> float | None:
+        return None if self.cells is None else accuracy(self._pair())
+
+    @cached_property
+    def nmi(self) -> float | None:
+        return None if self.cells is None else nmi(self._pair())
+
+    def _pair(self) -> LabeledPartitionPair:
+        """A labelling with the recorded contingency table: the same
+        confusion matrix, hence the same metrics to the last bit."""
+        pred, gold, count = self.cells.T
+        return LabeledPartitionPair(np.repeat(pred, count), np.repeat(gold, count))
 
 
 @dataclass
@@ -153,12 +173,7 @@ def random_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> Mod
     """Assign every document to one of k_max clusters uniformly at random."""
     state = ModelState.for_corpus(corpus, cfg.k_max, cfg.alpha)
     draws = rng.integers(0, cfg.k_max, size=len(corpus))
-    csr = corpus.token_csr
-    state.assignments[:] = draws
-    state.m[:] = np.bincount(draws, minlength=cfg.k_max)
-    np.add.at(state.n, draws, np.diff(csr.tok_ptr))
-    word_z = np.repeat(draws, np.diff(csr.word_ptr))
-    np.add.at(state.wz.reshape(-1), csr.words * cfg.k_max + word_z, csr.counts)
+    state.add_docs(corpus.token_csr, np.arange(len(corpus)), draws)
     return state
 
 
@@ -175,13 +190,10 @@ def adaptive_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> M
     if cfg.k_max > d_total:
         raise KMaxExceedsCorpus(f"k_max={cfg.k_max} exceeds corpus size {d_total}")
     state = ModelState.for_corpus(corpus, cfg.k_max, cfg.alpha)
-    views = corpus.token_views
     weights = UniformBeta(cfg.beta)
 
     seeds = rng.choice(d_total, size=cfg.k_max, replace=False)
-    for z, d in enumerate(seeds):
-        words, counts, _, _, total = views[d]
-        state.add_doc(int(d), words, counts, total, z)
+    state.add_docs(corpus.token_csr, seeds, np.arange(cfg.k_max))
 
     seeded = np.zeros(d_total, dtype=bool)
     seeded[seeds] = True
@@ -191,6 +203,7 @@ def adaptive_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> M
         kernel.sweep(state, corpus.token_csr, rest, rng.random(len(rest)),
                      weights, prune=False)
         return state
+    views = corpus.token_views
     for d in rest.tolist():
         words, counts, word_rep, occ, total = views[d]
         scores = cluster_log_scores(state, word_rep, occ, total, weights)
@@ -272,7 +285,7 @@ def _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty, refresh_step):
 def _gold_ids(corpus: Corpus) -> np.ndarray | None:
     """Gold labels as dense ids by first appearance, built once per run;
     None unless every document has one."""
-    labels = [doc.gold_label for doc in corpus.documents]
+    labels = corpus.gold_labels
     if not labels or any(lab is None for lab in labels):
         return None
     return _densify(labels)
@@ -280,12 +293,14 @@ def _gold_ids(corpus: Corpus) -> np.ndarray | None:
 
 def _record(trace: SweepTrace, gold: np.ndarray | None, state: ModelState,
             iteration: int, active: int, moved: int) -> None:
-    rec = SweepRecord(iteration=iteration, active_clusters=active, moved_docs=moved)
+    cells = None
     if gold is not None:
-        pair = LabeledPartitionPair(_first_seen_ids(state), gold)
-        rec.acc = accuracy(pair)
-        rec.nmi = nmi(pair)
-    trace.records.append(rec)
+        k_gold = int(gold.max()) + 1
+        cell, count = np.unique(_first_seen_ids(state) * k_gold + gold,
+                                return_counts=True)
+        cells = np.stack((cell // k_gold, cell % k_gold, count), axis=1)
+    trace.records.append(SweepRecord(iteration=iteration, active_clusters=active,
+                                     moved_docs=moved, cells=cells))
 
 
 def _first_seen_ids(state: ModelState) -> np.ndarray:

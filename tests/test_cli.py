@@ -110,6 +110,25 @@ class TestCluster:
             outs.append((out / "assignments.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("algorithm", ["gsdmm", "gsdmm+"])
+    def test_trace_metrics_only_when_traced(self, pipeline_dir, monkeypatch,
+                                            algorithm):
+        # the per-sweep ACC and NMI are computed when the trace is read, so
+        # an untraced run never calls the ACC solver
+        from gsdmm import evaluation
+
+        solves = []
+        real = evaluation.max_assignment
+        monkeypatch.setattr(evaluation, "max_assignment",
+                            lambda w: solves.append(w.shape) or real(w))
+        args = ["cluster", pipeline_dir / "archive", pipeline_dir / "r",
+                "--algorithm", algorithm, "--kmax", 6, "--kreal", 3,
+                "--iters", 3]
+        assert run(*args) == 0
+        assert solves == []
+        assert run(*args, "--trace") == 0
+        assert len(solves) == 3
+
     def test_config_violation_exit_3(self, pipeline_dir):
         assert run("cluster", pipeline_dir / "archive", pipeline_dir / "bad",
                    "--algorithm", "gsdmm+", "--kmax", 5, "--kreal", 9) == 3

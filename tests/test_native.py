@@ -275,6 +275,33 @@ class TestBuild:
         assert _native.kernel() is not None
         assert len(builds) == 1  # loaded from the cache
 
+    def test_cached_build_loads_without_a_process(self, fresh_cache, monkeypatch):
+        assert _native.kernel() is not None
+        _native.kernel.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"process started: {args}")
+
+        monkeypatch.setattr(_native.subprocess, "run", refuse)
+        assert _native.kernel() is not None
+
+    def test_changed_compiler_file_gets_a_new_build(self, fresh_cache, monkeypatch,
+                                                    tmp_path):
+        real = shutil.which("cc") or shutil.which("gcc")
+        stand_in = tmp_path / "bin" / "cc"
+        stand_in.parent.mkdir()
+        stand_in.write_text(f'#!/bin/sh\nexec "{real}" "$@"\n')
+        stand_in.chmod(0o755)
+        monkeypatch.setattr(_native.shutil, "which",
+                            lambda name: str(stand_in) if name == "cc" else None)
+        assert _native.kernel() is not None
+        assert len(list(fresh_cache.iterdir())) == 1
+        _native.kernel.cache_clear()
+        st = stand_in.stat()
+        os.utime(stand_in, ns=(st.st_atime_ns, st.st_mtime_ns + 10 ** 9))
+        assert _native.kernel() is not None
+        assert len(list(fresh_cache.iterdir())) == 2
+
     def test_shared_cache_directory_not_used(self, fresh_cache):
         fresh_cache.mkdir(mode=0o777)
         os.chmod(fresh_cache, 0o777)
