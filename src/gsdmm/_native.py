@@ -156,6 +156,10 @@ class Kernel:
         At every position that is a multiple of refresh_step the document is
         detached (and its cluster pruned) before refresh() is called for the
         new weights, exactly where the numpy sweep refreshes.
+
+        The state must hold the counts of csr's documents under its
+        assignments: a prune finds the moved cluster's cells from the words
+        of its documents.
         """
         order = np.ascontiguousarray(order, dtype=np.int64)
         uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)

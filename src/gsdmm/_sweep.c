@@ -3,13 +3,14 @@
  * One call runs a whole run of document steps over the word-major (V, k_max)
  * int32 count matrix and the corpus-wide compressed-row token arrays. Each
  * step detaches the document, prunes its cluster if that emptied it and
- * pruning is on (the last active cluster moves into the freed slot and is
- * relabelled by a scan of the assignments), scores the occupied clusters plus
- * the lowest empty one, draws from the conditional and re-attaches. The draw
- * follows the numpy reference exactly: cumulate over all k_active clusters in
- * index order, every empty cluster carrying the representative's mass, then
- * take the first cumulated value above u * total (numpy searchsorted, side
- * right), clamp to the last cluster and back off from zero-width entries.
+ * pruning is on (the last active cluster moves into the freed slot: a scan
+ * of the assignments relabels its documents and moves their cells), scores
+ * the occupied clusters plus the lowest empty one, draws from the
+ * conditional and re-attaches. The draw follows the numpy reference exactly:
+ * cumulate over all k_active clusters in index order, every empty cluster
+ * carrying the representative's mass, then take the first cumulated value
+ * above u * total (numpy searchsorted, side right), clamp to the last
+ * cluster and back off from zero-width entries.
  *
  * The word-match term is a product of factors (count + c_w + j) over
  * (n + C + i). Factors are multiplied CHUNK tokens at a time and each chunk
@@ -210,23 +211,34 @@ static void move_doc(Model *s, int64_t z, const int64_t *words,
         s->wz[words[a] * s->kmax + z] += (int32_t)sign * counts[a];
 }
 
-/* Remove emptied cluster z, moving the last active cluster into its slot. */
-static void deactivate(Model *s, int64_t z, int64_t *k)
+/* Remove emptied cluster z, moving the last active cluster into its slot.
+ * Column z is all zero (its token total n[z] is 0), and the nonzero cells
+ * of column last are exactly the words of the documents assigned to last,
+ * so one scan of the assignments relabels those documents and moves their
+ * cells: O(D + tokens of last), not O(V). A word two of them share is moved
+ * once; the second finds its cell in last already zero. */
+static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
+                       const int64_t *words)
 {
     const int64_t last = *k - 1;
     if (z != last) {
         s->m[z] = s->m[last];
         s->n[z] = s->n[last];
-        for (int64_t w = 0; w < s->v; w++)
-            s->wz[w * s->kmax + z] = s->wz[w * s->kmax + last];
-        for (int64_t d = 0; d < s->n_docs; d++)
-            if (s->assign[d] == last)
-                s->assign[d] = z;
+        for (int64_t d = 0; d < s->n_docs; d++) {
+            if (s->assign[d] != last)
+                continue;
+            s->assign[d] = z;
+            for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++) {
+                int32_t *row = s->wz + words[a] * s->kmax;
+                if (row[last]) {
+                    row[z] = row[last];
+                    row[last] = 0;
+                }
+            }
+        }
     }
     s->m[last] = 0;
     s->n[last] = 0;
-    for (int64_t w = 0; w < s->v; w++)
-        s->wz[w * s->kmax + last] = 0;
     *k = last;
 }
 
@@ -295,7 +307,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                 assign[d] = -1;
                 if (!m[z_old] && !n[z_old]) {
                     if (prune) {
-                        deactivate(&s, z_old, &k);
+                        deactivate(&s, z_old, &k, word_ptr, words);
                         pruned = 1;
                     }
                     ns = build_slots(&s, k, slots, row_of);

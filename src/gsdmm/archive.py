@@ -132,34 +132,46 @@ def _read_columns(path: Path, n: int) -> tuple[list[list[str]], int | None]:
     return [fields[i::n] for i in range(n)], first_bad
 
 
-def _int_column(values: list[str], rank: int, errors: list) -> list[int]:
-    """int() of each value; at the first value int() refuses, its error is
-    added to errors and the values above it are returned."""
-    try:
-        return list(map(int, values))
-    except ValueError:
-        for i, value in enumerate(values):
-            try:
-                int(value)
-            except ValueError as exc:
-                errors.append((i, rank, exc))
-                return list(map(int, values[:i]))
-        raise
+def _digit_column(values: list[str], rank: int, name: str,
+                  errors: list) -> np.ndarray:
+    """int64 values of a column of ASCII-digit numbers, parsed in one
+    whole-array pass. At the first value that is not one or more ASCII
+    digits, a MalformedRecord naming its line is added to errors and the
+    values above it are returned. A value past int64 reads as int64 max."""
+    text = "\n".join(values) + "\n" if values else ""
+    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    del text
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    # the bytes other than digits are the line ends, and before the first
+    # value holding another byte the two lists agree
+    others = np.flatnonzero(_CLASS[buf] != _DIGIT)
+    stray = np.flatnonzero(others[:len(ends)] != ends)
+    bad = [int(np.searchsorted(ends, others[stray[0]]))] if len(stray) else []
+    bad += np.flatnonzero(starts == ends)[:1].tolist()
+    n = len(values)
+    if bad:
+        n = min(bad)
+        errors.append((n, rank, MalformedRecord(
+            f"expected an ASCII-digit {name}, got {values[n]!r}", n + 1)))
+    return _digit_values(buf, starts[:n], ends[:n])
 
 
 def _read_vocabulary(path: Path) -> tuple[list[str], list[int]]:
     """Words by id and their document frequencies; ids must run 0, 1, ...
-    in line order."""
+    in line order. Ids and document frequencies are ASCII digits."""
     (ids, words, dfs), first_bad = _read_columns(path, 3)
     errors: list = []
     if first_bad is not None:
         errors.append((first_bad, 0,
                        MalformedRecord("expected id<TAB>word<TAB>df", first_bad + 1)))
-    ids = _int_column(ids, 1, errors)
-    if ids != list(range(len(ids))):
-        i = next(i for i, wid in enumerate(ids) if wid != i)
+    ids = _digit_column(ids, 1, "id", errors)
+    unordered = np.flatnonzero(ids != np.arange(len(ids)))
+    if len(unordered):
+        i = int(unordered[0])
         errors.append((i, 1, MalformedRecord("vocabulary ids out of order", i + 1)))
-    doc_freq = _int_column(dfs, 2, errors)
+    doc_freq = _digit_column(dfs, 2, "df", errors).tolist()
     _raise_first(errors)
     return words, doc_freq
 

@@ -208,8 +208,8 @@ def _maybe_int(value):
 
 
 def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
-    """(doc_id, cluster) rows; a repeated doc id or a negative cluster id is
-    a MalformedRecord."""
+    """(doc_id, cluster) rows; a cluster id other than ASCII digits (a
+    negative one too) or a repeated doc id is a MalformedRecord."""
     rows: list[tuple[str, int]] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -222,13 +222,16 @@ def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
             cols = line.rstrip("\n").split(",")
             if len(cols) != 2:
                 raise MalformedRecord("expected doc_id,cluster", lineno)
-            z = int(cols[1])
-            if z < 0:
-                raise MalformedRecord(f"negative cluster id {z}", lineno)
+            z = cols[1]
+            if not (z.isascii() and z.isdigit()):
+                if z[:1] == "-" and z[1:].isascii() and z[1:].isdigit():
+                    raise MalformedRecord(f"negative cluster id {z}", lineno)
+                raise MalformedRecord(
+                    f"expected a cluster id in ASCII digits, got {z!r}", lineno)
             if cols[0] in seen:
                 raise MalformedRecord(f"duplicate doc id {cols[0]!r}", lineno)
             seen.add(cols[0])
-            rows.append((cols[0], z))
+            rows.append((cols[0], int(z)))
     return rows
 
 

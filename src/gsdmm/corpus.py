@@ -219,7 +219,8 @@ class TokenCSR:
     word_rep[tok_ptr[d]:tok_ptr[d + 1]] (int64 tok_ptr), each word id
     repeated once per occurrence, with occ (0, 1, ... within the repeats of
     one word, float64) at the same positions. word_rep and occ, one entry
-    per token, are expanded from the counts on first access.
+    per token, and entry_doc, the document of each (document, word) entry,
+    are expanded on first access.
     """
 
     word_ptr: np.ndarray
@@ -238,6 +239,10 @@ class TokenCSR:
         run_end -= self.counts
         occ -= np.repeat(run_end, self.counts)
         return occ
+
+    @cached_property
+    def entry_doc(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.word_ptr) - 1), np.diff(self.word_ptr))
 
 
 # Light suffix stripper used when TokenRules.stemming is on. Intentionally

@@ -1,23 +1,23 @@
 """Granularity adjustment: merge the most similar clusters down to a target.
 
 Clusters are represented by term-frequency times inverse-cluster-frequency
-vectors (the cluster is treated as one large document). Pairs live in a
-max-heap keyed by cosine similarity; version stamps lazily invalidate pairs
-whose clusters have since been merged. The inverse-cluster-frequency table
+vectors (the cluster is treated as one large document), and the pair of
+highest cosine similarity merges first. The inverse-cluster-frequency table
 is computed once from the pre-merge clustering and held fixed, so existing
-vectors stay valid while merging.
+vectors stay valid while merging. merge_to_k keeps every cluster as its
+nonzero cells and chooses each pair exactly from approximate cosines of all
+pairs and exact re-scores of the few near the best.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyCluster, KRealOutOfRange, ZeroNorm
-from .model import ModelState
+from .model import ModelState, _distinct_sorted
 
 __all__ = [
     "TfIcfVector",
@@ -40,7 +40,8 @@ class TfIcfVector:
 
 @dataclass(frozen=True)
 class MergeCandidate:
-    """Queued cluster pair; stale once either cluster's stamp moves on."""
+    """A cluster pair queued by a heap-ordered merge, stale once either
+    cluster's stamp moves on."""
 
     a: int
     b: int
@@ -61,8 +62,7 @@ def compute_icf(state: ModelState) -> np.ndarray:
     """Inverse cluster frequency per word: 1 + log((1 + K) / (1 + cf)),
     natural log, where cf counts active clusters containing the word."""
     k = state.k_active
-    cf = np.count_nonzero(state.wz[:, :k], axis=1)
-    return 1.0 + np.log((1.0 + k) / (1.0 + cf))
+    return _icf(np.count_nonzero(state.wz[:, :k], axis=1), k)
 
 
 def tficf_vector(state: ModelState, z: int, icf: np.ndarray) -> TfIcfVector:
@@ -78,9 +78,8 @@ def tficf_vector(state: ModelState, z: int, icf: np.ndarray) -> TfIcfVector:
 
 def _tficf_from_counts(row: np.ndarray, total: int, icf: np.ndarray) -> TfIcfVector:
     ids = np.flatnonzero(row)
-    weights = dict(zip(ids.tolist(), (row[ids] / total * icf[ids]).tolist()))
-    norm = math.sqrt(math.fsum(x * x for x in weights.values()))
-    return TfIcfVector(weights=weights, norm=norm)
+    x = row[ids] / total * icf[ids]
+    return TfIcfVector(weights=dict(zip(ids.tolist(), x.tolist())), norm=_norm(x))
 
 
 def cosine(u: TfIcfVector, v: TfIcfVector) -> float:
@@ -104,73 +103,154 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
     smallest (a, b) pair wins. Afterwards indices are compacted to
     0..k_real-1 in surviving-id order. Returns the ordered merge log with
     pre-compaction ids.
+
+    The count matrix is scanned once, for the nonzero cells; after that
+    each cluster is its list of words, and a merge moves only the merged
+    cluster's cells. One matrix product approximates every pair's cosine,
+    over the words in two or more clusters (no other word adds to a dot
+    product, and merging never spreads a word to more clusters). Each
+    step then re-scores with cosine, exactly rounded, every pair whose
+    approximation lies within twice the rounding bound of the best one
+    (see _cosine_error), and takes the best of those: no other pair can
+    reach it, so the pair, its similarity and the log are exactly those of
+    scoring every pair with cosine.
     """
     if not 1 <= k_real <= state.k_active:
         raise KRealOutOfRange(
             f"need 1 <= k_real <= {state.k_active}, got {k_real}"
         )
     log: MergeLog = []
-    if k_real == state.k_active:
+    k = state.k_active
+    if k_real == k:
         return log
+    empty = np.flatnonzero(state.n[:k] == 0)
+    if len(empty):
+        raise EmptyCluster(f"cluster {int(empty[0])} has no tokens")
 
-    icf = compute_icf(state)
-    alive = list(range(state.k_active))
-    vectors = {z: tficf_vector(state, z, icf) for z in alive}
-    stamps = {z: 0 for z in alive}
+    counts = state.wz[:, :k]
+    # the nonzero cells, word-major, so that words ascend in each cluster
+    flat = np.flatnonzero(counts != 0)
+    rows = flat // k
+    cols = flat - rows * k
+    cf = np.bincount(rows, minlength=state.V)
+    icf = _icf(cf, k)
+    x = counts[rows, cols] / state.n[cols] * icf[rows]
+    # each cluster's words, ascending, and their weights
+    order = np.argsort(cols, kind="stable")
+    bounds = np.searchsorted(cols[order], np.arange(k + 1)).tolist()
+    cells = [rows[order[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+    xs = [x[order[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
+    norms = np.array([_norm(xz) for xz in xs])
 
-    # heap orders by (-similarity, a, b): highest similarity first, then the
-    # lexicographically smallest pair
-    heap: list[tuple[float, int, int, int, int]] = []
-    for i, a in enumerate(alive):
-        for b in alive[i + 1:]:
-            sim = cosine(vectors[a], vectors[b])
-            heap.append((-sim, a, b, 0, 0))
-    heapq.heapify(heap)
+    # approximate cosines from the weights of the shared words, held
+    # word-major; upper triangle only, -inf marks no pair
+    shared = cf >= 2
+    row_of = np.cumsum(shared) - 1
+    dense = np.zeros((int(shared.sum()), k))
+    keep = shared[rows]
+    dense[row_of[rows[keep]], cols[keep]] = x[keep]
+    approx = np.clip(dense.T @ dense / np.outer(norms, norms), 0.0, 1.0)
+    approx[np.tril_indices(k)] = -np.inf
+    margin = 2 * _cosine_error(len(dense))
+    exact = np.full((k, k), np.nan)
+    vectors: dict[int, TfIcfVector] = {}
 
-    remaining = len(alive)
-    alive_set = set(alive)
-    while remaining > k_real:
-        if not heap:
-            raise KRealOutOfRange("priority queue exhausted before reaching k_real")
-        neg_sim, a, b, sa, sb = heapq.heappop(heap)
-        cand = MergeCandidate(a=a, b=b, similarity=-neg_sim,
-                              stamp_a=sa, stamp_b=sb)
-        if not cand.valid(alive_set, stamps):
-            continue
+    def vector(z: int) -> TfIcfVector:
+        if z not in vectors:
+            vectors[z] = TfIcfVector(
+                weights=dict(zip(cells[z].tolist(), xs[z].tolist())),
+                norm=float(norms[z]))
+        return vectors[z]
+
+    label = np.arange(k)
+    alive = np.ones(k, dtype=bool)
+    for _ in range(k - k_real):
+        top = approx.max(axis=1)
+        bar = top.max() - margin
+        near = np.flatnonzero(top >= bar)
+        pa, pb = np.nonzero(approx[near] >= bar)
+        pa = near[pa]  # pairs (a, b) ascending
+        for i, j in zip(pa.tolist(), pb.tolist()):
+            if math.isnan(exact[i, j]):
+                exact[i, j] = cosine(vector(i), vector(j))
+        best = int(np.argmax(exact[pa, pb]))  # the first of equal ones
+        a, b = int(pa[best]), int(pb[best])
+        log.append((a, b, float(exact[a, b])))
+
         state.m[a] += state.m[b]
         state.n[a] += state.n[b]
-        state.nzw[a] += state.nzw[b]
-        state.assignments[np.flatnonzero(state.assignments == b)] = a
+        moved = cells[b]
+        state.wz[moved, a] += state.wz[moved, b]
+        state.wz[moved, b] = 0
         state.m[b] = 0
         state.n[b] = 0
-        state.nzw[b] = 0
-        alive_set.discard(b)
-        del vectors[b], stamps[b]
-        stamps[a] += 1
-        vectors[a] = _tficf_from_counts(state.nzw[a], int(state.n[a]), icf)
-        log.append((a, b, -neg_sim))
-        remaining -= 1
-        for other in alive_set:
-            if other == a:
-                continue
-            lo, hi = (a, other) if a < other else (other, a)
-            sim = cosine(vectors[a], vectors[other])
-            heapq.heappush(heap, (-sim, lo, hi, stamps[lo], stamps[hi]))
+        label[label == b] = a
+        alive[b] = False
+        cells[a] = words = _distinct_sorted(np.concatenate((cells[a], moved)))
+        xs[a] = state.wz[words, a] / state.n[a] * icf[words]
+        norms[a] = _norm(xs[a])
+        vectors.pop(a, None)
+        vectors.pop(b, None)
 
-    _compact(state, sorted(alive_set))
+        # a's words include all it had, so this overwrites every old weight
+        # of a; its dot products need only the rows of its shared words
+        keep = shared[words]
+        at = row_of[words[keep]]
+        dense[at, a] = xs[a][keep]
+        row = np.clip(dense[at, a] @ dense[at] / (norms * norms[a]), 0.0, 1.0)
+        row[~alive] = -np.inf
+        approx[:a, a] = row[:a]
+        approx[a, a + 1:] = row[a + 1:]
+        approx[b, :] = approx[:, b] = -np.inf
+        exact[a, :] = exact[:, a] = np.nan
+
+    _compact(state, np.flatnonzero(alive).tolist(), cells, label)
     return log
 
 
-def _compact(state: ModelState, survivors: list[int]) -> None:
-    """Move surviving clusters into slots 0..len-1, preserving id order."""
+def _icf(cf: np.ndarray, k: int) -> np.ndarray:
+    return 1.0 + np.log((1.0 + k) / (1.0 + cf))
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm from the exactly rounded sum of squares."""
+    return math.sqrt(math.fsum((x * x).tolist()))
+
+
+def _cosine_error(n: int) -> float:
+    """A bound on |approximate - exact| cosine for weight vectors of n
+    shared words.
+
+    The weights are non-negative, so a dot product summed in any order,
+    with or without fused multiply-adds, lies within gamma_n = n u / (1 - n u)
+    of the exact one, relative (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1); cosine's exactly rounded sum of rounded products lies
+    within gamma_2. By Cauchy-Schwarz the exact dot product is at most the
+    product of the norms, which are within a few u of their computed values,
+    and each side then rounds once in the division. 16 u covers the norms
+    and the divisions with room to spare; a wider bound only re-scores more
+    pairs.
+    """
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1 - n * u) + 2 * u / (1 - 2 * u) + 16 * u
+
+
+def _compact(state: ModelState, survivors: list[int], cells: list[np.ndarray],
+             label: np.ndarray) -> None:
+    """Move surviving clusters into slots 0..len-1, preserving id order, and
+    relabel every document: cluster z merged into label[z]. Only a moved
+    cluster's cells are copied; its new slot's column is already zero."""
+    slot_of = np.full(len(label), -1, dtype=np.int64)
     for slot, z in enumerate(survivors):
+        slot_of[z] = slot
         if slot == z:
             continue
         state.m[slot] = state.m[z]
         state.n[slot] = state.n[z]
-        state.nzw[slot] = state.nzw[z]
-        state.assignments[np.flatnonzero(state.assignments == z)] = slot
+        state.wz[cells[z], slot] = state.wz[cells[z], z]
         state.m[z] = 0
         state.n[z] = 0
-        state.nzw[z] = 0
+        state.wz[cells[z], z] = 0
+    attached = state.assignments >= 0
+    state.assignments[attached] = slot_of[label[state.assignments[attached]]]
     state.k_active = len(survivors)

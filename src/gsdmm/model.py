@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .corpus import Corpus, Document, Vocabulary
+from .corpus import Corpus, Document, TokenCSR, Vocabulary
 from .errors import ConfigError, InactiveCluster, NonFiniteScore
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "cluster_log_scores",
     "doc_cluster_log_score",
     "conditional_distribution",
+    "relative_weights",
     "word_entropy",
     "posterior_phi",
     "top_words",
@@ -389,11 +390,17 @@ def conditional_distribution(
     return normalize_log_scores(scores)
 
 
-def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
+def relative_weights(scores: np.ndarray) -> np.ndarray:
+    """exp(scores - max score): the conditional up to its normalizer, the
+    largest weight exactly 1."""
     top = scores.max()
     if top == -np.inf:
         raise NonFiniteScore("every active cluster has zero probability")
-    p = np.exp(scores - top)
+    return np.exp(scores - top)
+
+
+def normalize_log_scores(scores: np.ndarray) -> np.ndarray:
+    p = relative_weights(scores)
     total = p.sum()
     if not np.isfinite(total) or total <= 0:
         raise NonFiniteScore(f"degenerate normalizer {total}")
@@ -404,6 +411,7 @@ def word_entropy(
     state: ModelState,
     epsilon: float = 1e-9,
     normalized: bool = True,
+    csr: TokenCSR | None = None,
 ) -> EntropyTable:
     """Entropy of each word's distribution over the active clusters.
 
@@ -418,6 +426,13 @@ def word_entropy(
     plus k * epsilon, each of its k - nnz_w zero counts has the smoothed
     share epsilon / S_w, so together they contribute one closed-form term,
     (k - nnz_w) * (epsilon / S_w) * log(epsilon / S_w).
+
+    Given the corpus arrays the state counts (csr, a TokenCSR), the nonzero
+    cells are found from the corpus: they are the cells (w, assignments[d])
+    of the attached documents' entries, so finding them costs O(entries),
+    not a scan of the V x k count matrix. A detached document (assignment
+    -1) adds none. Without csr the matrix is scanned; both give the same
+    cells in the same order, so the same table to the last bit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -431,9 +446,14 @@ def word_entropy(
     else:
         counts = state.wz[:, :k]
         # flat positions of the nonzero counts, word-major, so words ascend
-        flat = np.flatnonzero(counts != 0)
+        if csr is None:
+            flat = np.flatnonzero(counts != 0)
+        else:
+            flat = _occupied_cells(state, csr)
         words = flat // k
         nz = counts[words, flat - words * k]
+        if csr is not None:  # an entry with count 0 occupies no cell
+            words, nz = words[nz != 0], nz[nz != 0]
         nnz = np.bincount(words, minlength=state.V)
         s_w = np.bincount(words, weights=nz, minlength=state.V) + k * epsilon
         p = (nz + epsilon) / s_w[words]
@@ -454,6 +474,24 @@ def word_entropy(
             h[uniform] = 1.0
     return EntropyTable(h=h, sum_h=float(h.sum()), epsilon=epsilon,
                         normalized=normalized)
+
+
+def _occupied_cells(state: ModelState, csr: TokenCSR) -> np.ndarray:
+    """Ascending distinct keys w * k_active + z of the cells the attached
+    documents' entries occupy."""
+    z = state.assignments[csr.entry_doc]
+    attached = z >= 0
+    return _distinct_sorted(csr.words[attached] * state.k_active + z[attached])
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending; sorts keys in
+    place. A sort and a neighbour compare: np.unique gives the same about
+    twenty times more slowly on 50k keys."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 def posterior_phi(state: ModelState, z: int, beta: float) -> np.ndarray:

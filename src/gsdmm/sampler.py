@@ -18,8 +18,10 @@ rng.random().
 The document steps of gibbs_sweep and adaptive_init run in one compiled C
 kernel when the system compiler can build it, and otherwise in the numpy
 reference kept here, which the tests hold the kernel to: identical
-assignments and counts, scores within 1e-9. Entropy refreshes and merging
-stay in numpy on both paths.
+assignments and counts, scores within 1e-9; both draw from exp(score -
+max) with the same arithmetic. Entropy refreshes and merging stay in numpy
+on both paths; a refresh finds the occupied count cells from the corpus
+arrays, not by scanning the count matrix.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy.random  # noqa: F401
 
 from . import _native
 from .corpus import Corpus
-from .errors import ConfigError, KMaxExceedsCorpus
+from .errors import ConfigError, KMaxExceedsCorpus, NonFiniteScore
 from .evaluation import LabeledPartitionPair, _densify, accuracy, nmi
 from .merge import MergeLog, merge_to_k
 from .model import (
@@ -44,7 +46,7 @@ from .model import (
     UniformBeta,
     WeightingScheme,
     cluster_log_scores,
-    normalize_log_scores,
+    relative_weights,
     scored_slots,
     word_entropy,
 )
@@ -159,9 +161,16 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 
 def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
-    """Sample an index from a probability vector; zero-mass entries are
-    never selected."""
+    """Sample an index with probability proportional to the non-negative
+    weights p, normalized or not; zero-mass entries are never selected.
+
+    Step for step the compiled kernel's draw: a sequential cumulation, u
+    times its total, the first cumulated value above that, a clamp to the
+    last index and a back-off from zero-width entries.
+    """
     cum = np.cumsum(p)
+    if not (np.isfinite(cum[-1]) and cum[-1] > 0):
+        raise NonFiniteScore(f"degenerate normalizer {cum[-1]}")
     z = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     z = min(z, len(p) - 1)
     while p[z] == 0.0:  # guards the clamp against a trailing zero-width slot
@@ -207,7 +216,7 @@ def adaptive_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> M
     for d in rest.tolist():
         words, counts, word_rep, occ, total = views[d]
         scores = cluster_log_scores(state, word_rep, occ, total, weights)
-        z = _draw(rng, normalize_log_scores(scores))
+        z = _draw(rng, relative_weights(scores))
         state.add_doc(d, words, counts, total, z)
     return state
 
@@ -244,7 +253,8 @@ def gibbs_sweep(
     return kernel.sweep(
         state, corpus.token_csr, np.arange(d_total), rng.random(d_total),
         weights, prune_empty, refresh_step,
-        lambda: word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized))
+        lambda: word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
+                             corpus.token_csr))
 
 
 def _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty, refresh_step):
@@ -268,11 +278,12 @@ def _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty, refresh_step):
                 pruned = True
             slots, row_of = scored_slots(state)
         if refresh_step and d % refresh_step == 0:
-            weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized)
+            weights = word_entropy(state, cfg.entropy_epsilon,
+                                   cfg.entropy_normalized, corpus.token_csr)
         scores = cluster_log_scores(state, word_rep, occ, total, weights, slots)
         if row_of is not None:
             scores = scores.take(row_of)
-        z_new = _draw(rng, normalize_log_scores(scores))
+        z_new = _draw(rng, relative_weights(scores))
         filled = not (state.m[z_new] or state.n[z_new])
         state.add_doc(d, words, counts, total, z_new)
         if filled:
@@ -358,7 +369,8 @@ def run_gsdmm_plus(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelSta
         raise ConfigError(f"run_gsdmm_plus called with algorithm {cfg.algorithm!r}")
     init_rng, sweep_rng = _streams(cfg.seed)
     state = adaptive_init(corpus, cfg, init_rng)
-    weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized)
+    weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
+                           corpus.token_csr)
     gold = _gold_ids(corpus)
     trace = SweepTrace()
     for it in range(1, cfg.iterations + 1):
