@@ -12,6 +12,7 @@ line-by-line reader would meet first.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,29 +21,33 @@ from .corpus import Corpus, CorpusStats, TokenCSR, Vocabulary
 from .errors import ConfigError, MalformedRecord
 from .model import check_token_total
 
-__all__ = ["MISSING_LABEL", "read_archive", "write_archive"]
+__all__ = ["MISSING_LABEL", "check_comma_free", "read_archive", "write_archive"]
 
 MISSING_LABEL = "-"
 
 
 def write_archive(corpus: Corpus, outdir: str | Path) -> None:
+    """Write the corpus as an archive: vocabulary.tsv, documents.txt with
+    each document's pairs in rising word id order, and stats.json.
+
+    The lines are formatted from the corpus arrays. A doc id or label
+    holding whitespace (any character str.isspace accepts), which would
+    break the line and column structure of documents.txt, or a doc id
+    holding a comma, which would break the assignments.csv of every run,
+    raises ConfigError before any file is written.
+    """
+    doc_ids = corpus.doc_ids
+    labels = [MISSING_LABEL if label is None else label
+              for label in corpus.gold_labels]
+    _check_fields(doc_ids, labels)
+    vocab = corpus.vocabulary
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    vocab = corpus.vocabulary
     with open(out / "vocabulary.tsv", "w", encoding="utf-8") as fh:
-        for wid, word in enumerate(vocab.id_to_word):
-            fh.write(f"{wid}\t{word}\t{vocab.doc_freq[wid]}\n")
+        fh.write("".join(map("{}\t{}\t{}\n".format, range(vocab.size),
+                             vocab.id_to_word, vocab.doc_freq)))
     with open(out / "documents.txt", "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
-            label = doc.gold_label if doc.gold_label is not None else MISSING_LABEL
-            for value in (doc.doc_id, label):
-                if any(c in value for c in "\t\n "):
-                    raise ConfigError(
-                        f"doc id or label {value!r} contains whitespace; "
-                        "archives need whitespace-free fields"
-                    )
-            pairs = " ".join(f"{w}:{c}" for w, c in sorted(doc.counts.items()))
-            fh.write(f"{doc.doc_id}\t{label}\t{pairs}\n")
+        fh.write("".join(_document_lines(corpus.token_csr, doc_ids, labels)))
     stats = {
         "D": corpus.stats.D,
         "V": corpus.stats.V,
@@ -53,6 +58,54 @@ def write_archive(corpus: Corpus, outdir: str | Path) -> None:
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+_WHITESPACE = re.compile(r"\s")  # exactly the characters str.isspace accepts
+
+
+def _check_fields(doc_ids, labels) -> None:
+    """Raise ConfigError naming the first doc id or label, in document
+    order, that holds whitespace, then the first doc id with a comma."""
+    if _WHITESPACE.search("".join(doc_ids) + "".join(labels)):
+        for doc_id, label in zip(doc_ids, labels):
+            for value in (doc_id, label):
+                if _WHITESPACE.search(value):
+                    raise ConfigError(
+                        f"doc id or label {value!r} contains whitespace; "
+                        "archives need whitespace-free fields"
+                    )
+    check_comma_free(doc_ids)
+
+
+def check_comma_free(doc_ids) -> None:
+    """Raise ConfigError naming the first doc id that holds a comma, which
+    the doc_id,cluster lines of a run's assignments.csv cannot hold."""
+    with_comma = [doc_id for doc_id in doc_ids if "," in doc_id]
+    if with_comma:
+        raise ConfigError(f"doc id {with_comma[0]!r} contains a comma; "
+                          "assignments.csv needs comma-free doc ids")
+
+
+def _document_lines(csr: TokenCSR, doc_ids, labels) -> list[str]:
+    """The lines of documents.txt: doc_id<TAB>label<TAB>pairs, each pair
+    word_id:count, in rising word id order. The pair strings come from
+    tables of the id and count strings in use."""
+    words, counts = csr.words, csr.counts
+    rising = np.ones(len(words), dtype=bool)
+    rising[1:] = words[1:] > words[:-1]
+    rising[csr.word_ptr[:-1][csr.word_ptr[:-1] < len(words)]] = True  # line starts
+    if not rising.all():
+        # a Corpus built from Documents holds each one's dict order
+        order = np.lexsort((words, csr.entry_doc))
+        words, counts = words[order], counts[order]
+    id_text = np.array([f"{w}:" for w in range(int(words.max(initial=-1)) + 1)],
+                       dtype=object)
+    distinct, count_index = np.unique(counts, return_inverse=True)
+    count_text = np.array(list(map(str, distinct.tolist())), dtype=object)
+    pairs = (id_text[words] + count_text[count_index]).tolist()
+    wp = csr.word_ptr.tolist()
+    return [f"{doc_id}\t{label}\t{' '.join(pairs[a:b])}\n"
+            for doc_id, label, a, b in zip(doc_ids, labels, wp, wp[1:])]
 
 
 def read_archive(indir: str | Path) -> Corpus:

@@ -11,6 +11,7 @@ verbosity.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -19,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .archive import read_archive, write_archive
+from .archive import check_comma_free, read_archive, write_archive
 from .corpus import (
     TokenRules,
     build_corpus,
@@ -161,6 +162,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         entropy_normalized=bool(_resolve(args, config, "entropy_norm", True)),
     )
     corpus = read_archive(args.archive)
+    check_comma_free(corpus.doc_ids)  # an archive written by hand may hold one
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -392,7 +394,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# whether main has frozen the objects alive after the imports
+_gc_frozen = False
+
+
 def main(argv: list[str] | None = None) -> int:
+    global _gc_frozen
+    if not _gc_frozen:
+        # the import-time objects live as long as the process; frozen, a
+        # full collection during a command no longer traverses them
+        gc.freeze()
+        _gc_frozen = True
     level = os.environ.get("DMM_LOG", "WARNING").upper()
     if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
         level = "WARNING"

@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from itertools import chain
+from itertools import chain, compress, count
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +34,9 @@ __all__ = [
     "default_stopwords",
 ]
 
-_NON_ALPHA = re.compile(r"[^a-z]+")
-_NON_ALPHA_CASED = re.compile(r"[^a-zA-Z]+")
+_SEP = "\x00"  # joins the texts for one regex pass over all of them
+_LATIN = re.compile(r"[a-z]+|\x00")
+_LATIN_CASED = re.compile(r"[a-zA-Z]+|\x00")
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,10 @@ class Corpus:
     facts as one Document per document, built on first access; the
     sampler and the commands read the arrays and never build it.
 
-    Corpus.from_arrays takes the arrays as they are (read_archive parses
-    straight into them). Corpus(documents=...) keeps the given Document
-    objects instead and derives the arrays from them on first use.
+    Corpus.from_arrays takes the arrays as they are (read_archive and
+    build_corpus build them directly). Corpus(documents=...) keeps the
+    given Document objects instead and derives the arrays from them on
+    first use.
     """
 
     def __init__(self, documents, vocabulary: Vocabulary, stats: CorpusStats,
@@ -266,28 +269,52 @@ def _stem(word: str) -> str:
     return word
 
 
+def _split(texts: list[str], rules: TokenRules) -> tuple[list[str], np.ndarray]:
+    """Every raw part of the texts, in order, and the index of the text
+    each part comes from. After lowercasing, a text's raw parts are its
+    runs of Latin letters, or with strip_non_latin off its runs of
+    non-whitespace."""
+    n = len(texts)
+    if not rules.strip_non_latin:
+        per_text = [(text.lower() if rules.lowercase else text).split()
+                    for text in texts]
+        sizes = np.fromiter(map(len, per_text), dtype=np.intp, count=n)
+        return list(chain.from_iterable(per_text)), np.repeat(np.arange(n), sizes)
+    # One regex pass over the texts joined by _SEP, which the pattern
+    # returns as a part of its own wherever it stands: between two texts,
+    # or within a text that holds it. _SEP is neither cased nor
+    # case-ignorable, so lowercasing the joined texts lowercases each alone.
+    joined = _SEP.join(texts)
+    if rules.lowercase:
+        joined = joined.lower()
+    parts = (_LATIN if rules.lowercase else _LATIN_CASED).findall(joined)
+    del joined
+    sep = np.fromiter(map(_SEP.__eq__, parts), dtype=bool, count=len(parts))
+    held = np.fromiter(map(methodcaller("count", _SEP), texts), dtype=np.intp,
+                       count=n)
+    doc = np.repeat(np.arange(n), held + 1)[np.cumsum(sep)]
+    return list(compress(parts, ~sep)), doc[~sep]
+
+
+def _normalize(part: str, rules: TokenRules) -> str | None:
+    """The token a raw part becomes, or None when the rules drop it: a
+    stopword is dropped, then the stem is taken, then the length bounds
+    apply. The one place the per-string rules live."""
+    if part in rules.stopword_list:
+        return None
+    if rules.stemming:
+        part = _stem(part)
+    return part if rules.min_word_len <= len(part) <= rules.max_word_len else None
+
+
 def tokenize(text: str, rules: TokenRules) -> list[str]:
     """Normalize raw text into a (possibly empty) token list.
 
     Total function: never raises, any input yields a list. min_df filtering
     is not applied here.
     """
-    if rules.lowercase:
-        text = text.lower()
-    if rules.strip_non_latin:
-        splitter = _NON_ALPHA if rules.lowercase else _NON_ALPHA_CASED
-        parts = splitter.split(text)
-    else:
-        parts = text.split()
-    tokens = []
-    for tok in parts:
-        if not tok or tok in rules.stopword_list:
-            continue
-        if rules.stemming:
-            tok = _stem(tok)
-        if rules.min_word_len <= len(tok) <= rules.max_word_len:
-            tokens.append(tok)
-    return tokens
+    tokens = (_normalize(part, rules) for part in _split([text], rules)[0])
+    return [tok for tok in tokens if tok is not None]
 
 
 def build_corpus(
@@ -300,65 +327,83 @@ def build_corpus(
     stemming, and length filtering). Words with df < rules.min_df are
     dropped and ids are reassigned contiguously by first appearance.
     Documents that end up empty are dropped and recorded in
-    Corpus.dropped_doc_ids.
+    Corpus.dropped_doc_ids. Each document's words are held in rising id
+    order, the order of its archive line.
+
+    The rules are decided once per distinct raw part, and the counting is
+    done in whole-corpus numpy passes, so no per-document object is built.
 
     Raises DuplicateDocId on repeated ids and AllDocumentsEmpty when nothing
     survives filtering.
     """
-    seen_ids = set()
-    tokenized: list[tuple[str, list[str], str | None]] = []
-    for doc_id, text, label in raw_docs:
-        if doc_id in seen_ids:
-            raise DuplicateDocId(f"duplicate document id {doc_id!r}")
-        seen_ids.add(doc_id)
-        tokenized.append((doc_id, tokenize(text, rules), label))
+    doc_ids = [doc_id for doc_id, _, _ in raw_docs]
+    if len(set(doc_ids)) < len(doc_ids):
+        seen = set()
+        for doc_id in doc_ids:
+            if doc_id in seen:
+                raise DuplicateDocId(f"duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+    n_docs = len(doc_ids)
 
-    df: dict[str, int] = {}
-    for _, tokens, _ in tokenized:
-        for word in set(tokens):
-            df[word] = df.get(word, 0) + 1
+    parts, doc = _split([text for _, text, _ in raw_docs], rules)
+    # each distinct part is decided once, at the position where it first
+    # appears; terms (the distinct tokens) are numbered by first appearance,
+    # so the kept ones are already in word id order
+    first: dict[str, int] = {}
+    at_first = np.fromiter(map(first.setdefault, parts, count()), dtype=np.intp,
+                           count=len(parts))
+    del parts
+    terms: dict[str, int] = {}
+    term_of = np.empty(len(at_first), dtype=np.intp)
+    for part, pos in first.items():
+        tok = _normalize(part, rules)
+        term_of[pos] = -1 if tok is None else terms.setdefault(tok, len(terms))
+    term = term_of[at_first]
+    del first, at_first, term_of
+    kept = term >= 0
+    n_terms = max(len(terms), 1)
+    # one entry per (document, term), sorted by document then term
+    key, counts = np.unique(doc[kept] * n_terms + term[kept], return_counts=True)
+    del term, doc, kept
+    entry_doc, entry_term = np.divmod(key, n_terms)
+    df = np.bincount(entry_term, minlength=len(terms))
+    keep = df >= rules.min_df
+    word_id = np.cumsum(keep) - 1
+    entry = keep[entry_term]
+    entry_doc, counts = entry_doc[entry], counts[entry]
+    words = word_id[entry_term[entry]]
 
-    word_to_id: dict[str, int] = {}
-    id_to_word: list[str] = []
-    documents: list[Document] = []
-    dropped: list[str] = []
-    for doc_id, tokens, label in tokenized:
-        counts: dict[int, int] = {}
-        for word in tokens:
-            if df[word] < rules.min_df:
-                continue
-            wid = word_to_id.get(word)
-            if wid is None:
-                wid = len(id_to_word)
-                word_to_id[word] = wid
-                id_to_word.append(word)
-            counts[wid] = counts.get(wid, 0) + 1
-        if not counts:
-            dropped.append(doc_id)
-            continue
-        documents.append(
-            Document(doc_id=doc_id, counts=counts,
-                     total_len=sum(counts.values()), gold_label=label)
-        )
-
-    if not documents:
+    word_len = np.bincount(entry_doc, minlength=n_docs)
+    nonempty = word_len > 0
+    if not nonempty.any():
         raise AllDocumentsEmpty(
-            f"no documents left after filtering ({len(raw_docs)} inputs)"
+            f"no documents left after filtering ({n_docs} inputs)"
         )
+    word_ptr = np.zeros(int(nonempty.sum()) + 1, dtype=np.int64)
+    np.cumsum(word_len[nonempty], out=word_ptr[1:])
+    lengths = np.add.reduceat(counts, word_ptr[:-1])
+    tok_ptr = np.zeros_like(word_ptr)
+    np.cumsum(lengths, out=tok_ptr[1:])
+    csr = TokenCSR(word_ptr, words.astype(np.intp, copy=False),
+                   counts.astype(np.int32), tok_ptr)
 
-    doc_freq = tuple(df[word] for word in id_to_word)
-    lengths = [d.total_len for d in documents]
+    id_to_word = tuple(t for t, k in zip(terms, keep.tolist()) if k)
     stats = CorpusStats(
-        D=len(documents),
+        D=len(word_ptr) - 1,
         V=len(id_to_word),
         mean_len=float(np.mean(lengths)),
-        max_len=int(max(lengths)),
+        max_len=int(lengths.max()),
     )
-    return Corpus(
-        documents=tuple(documents),
-        vocabulary=Vocabulary(word_to_id, tuple(id_to_word), doc_freq),
+    labels = [label for _, _, label in raw_docs]
+    kept_docs = np.flatnonzero(nonempty).tolist()
+    return Corpus.from_arrays(
+        csr,
+        [doc_ids[d] for d in kept_docs],
+        [labels[d] for d in kept_docs],
+        vocabulary=Vocabulary(dict(zip(id_to_word, range(len(id_to_word)))),
+                              id_to_word, tuple(df[keep].tolist())),
         stats=stats,
-        dropped_doc_ids=tuple(dropped),
+        dropped_doc_ids=[doc_ids[d] for d in np.flatnonzero(~nonempty).tolist()],
     )
 
 
@@ -374,36 +419,69 @@ def read_dataset(
     """
     if format not in ("jsonl", "tsv"):
         raise ValueError(f"unknown dataset format {format!r}")
-    records: list[tuple[str, str, str | None]] = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            if format == "jsonl":
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(f"invalid JSON ({exc.msg})", lineno) from exc
-                if not isinstance(obj, dict) or "id" not in obj:
-                    raise MalformedRecord('missing "id" field', lineno)
-                if "text" not in obj:
-                    raise MalformedRecord('missing "text" field', lineno)
-                label = obj.get("label")
-                records.append((str(obj["id"]), str(obj["text"]),
-                                None if label is None else str(label)))
+        text = fh.read()
+    lines = text.split("\n")
+    if format == "jsonl":
+        records = _read_jsonl_at_once(text, lines)
+        if records is not None:
+            return records
+    records: list[tuple[str, str, str | None]] = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if format == "jsonl":
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"invalid JSON ({exc.msg})", lineno) from exc
+            if not isinstance(obj, dict) or "id" not in obj:
+                raise MalformedRecord('missing "id" field', lineno)
+            if "text" not in obj:
+                raise MalformedRecord('missing "text" field', lineno)
+            label = obj.get("label")
+            records.append((str(obj["id"]), str(obj["text"]),
+                            None if label is None else str(label)))
+        else:
+            cols = line.split("\t")
+            if len(cols) == 2:
+                records.append((cols[0], cols[1], None))
+            elif len(cols) == 3:
+                records.append((cols[0], cols[2], cols[1]))
             else:
-                cols = line.split("\t")
-                if len(cols) == 2:
-                    records.append((cols[0], cols[1], None))
-                elif len(cols) == 3:
-                    records.append((cols[0], cols[2], cols[1]))
-                else:
-                    raise MalformedRecord(
-                        f"expected 2 or 3 tab-separated columns, got {len(cols)}",
-                        lineno,
-                    )
+                raise MalformedRecord(
+                    f"expected 2 or 3 tab-separated columns, got {len(cols)}",
+                    lineno,
+                )
     return records
+
+
+# Two objects separated by a comma within one line. Where the text holds
+# none, each comma between the objects of the joined array of lines is one
+# the join put there, so as many objects as lines means one per line.
+_OBJECTS_IN_ONE_LINE = re.compile(r"\}[ \t]*,[ \t]*\{")
+
+
+def _read_jsonl_at_once(text: str, lines: list[str]
+                        ) -> list[tuple[str, str, str | None]] | None:
+    """The records of a JSONL text split into its lines, parsed by one
+    json.loads over the array of the nonblank lines, or None unless no
+    line holds two objects and the array holds exactly one object with
+    "id" and "text" per nonblank line. On None the caller reads line by
+    line, which names the first bad line."""
+    if _OBJECTS_IN_ONE_LINE.search(text):
+        return None
+    nonblank = list(filter(str.strip, lines))
+    try:
+        objs = json.loads("[" + ",".join(nonblank) + "]")
+    except json.JSONDecodeError:
+        return None
+    if len(objs) != len(nonblank) or not all(
+            isinstance(obj, dict) and "id" in obj and "text" in obj for obj in objs):
+        return None
+    return [(str(obj["id"]), str(obj["text"]),
+             None if obj.get("label") is None else str(obj["label"]))
+            for obj in objs]
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
