@@ -28,16 +28,16 @@ table = word_entropy(state, epsilon=1e-9, normalized=True)
 
 order = np.argsort(table.h)
 vocab = corpus.vocabulary.id_to_word
-used = [w for w in order if state.nzw[: state.k_active, w].sum() > 0]
+used = [w for w in order if state.wz[w, : state.k_active].sum() > 0]
 
 print("most cluster-specific words (lowest entropy):")
 for w in used[:10]:
-    spread = state.nzw[: state.k_active, w]
+    spread = state.wz[w, : state.k_active]
     print(f"   {vocab[w]:>8}  h={table.h[w]:.2e}  counts per cluster {spread}")
 
 print("\nleast informative words (highest entropy):")
 for w in used[-10:]:
-    spread = state.nzw[: state.k_active, w]
+    spread = state.wz[w, : state.k_active]
     print(f"   {vocab[w]:>8}  h={table.h[w]:.4f}  counts per cluster {spread}")
 
 print(f"\ntable covers {len(table.h)} words, total weight {table.sum_h:.1f} "

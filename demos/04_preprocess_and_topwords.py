@@ -47,6 +47,6 @@ for z in range(state.k_active):
         continue
     ranked = top_words(state, corpus.vocabulary, z, n=4, beta=0.1)
     words = ", ".join(f"{w} ({p:.2f})" for w, p in ranked)
-    members = [corpus.documents[d].doc_id
+    members = [corpus.doc_ids[d]
                for d in np.flatnonzero(state.assignments == z)]
     print(f"   cluster {z} {members}: {words}")

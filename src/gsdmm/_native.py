@@ -7,9 +7,9 @@ through ctypes. The built file is cached in $XDG_CACHE_HOME/gsdmm (default
 hashed from the source, the compiler (its real path and its file's device,
 inode, size and modification time, so that loading a cached build starts no
 process) and the flags; it is written to a temporary name and renamed into
-place, so concurrent processes never load a partial file. When the cache directory is not private, or cannot be
-made, the library is built in a private temporary directory for this
-process only.
+place, so concurrent processes never load a partial file. When the cache
+directory is not private, or cannot be made, the library is built in a
+private temporary directory for this process only.
 
 kernel() returns None when no compiler exists or the build fails; the
 sampler then runs its numpy reference, which gives the same assignments.
@@ -155,7 +155,7 @@ class Kernel:
 
         At every position that is a multiple of refresh_step the document is
         detached (and its cluster pruned) before refresh() is called for the
-        new weights, exactly where the numpy sweep refreshes.
+        new weights, exactly where the numpy reference refreshes.
 
         The state must hold the counts of csr's documents under its
         assignments: a prune finds the moved cluster's cells from the words

@@ -73,9 +73,9 @@ def _parse_config_value(raw: str):
 
 
 def _typed_config_value(key: str, value, where: str):
-    """Check a parsed value against its key's type: boolean keys take
-    exactly true or false, integer keys integral numbers only and number
-    keys numbers only."""
+    """Check a parsed value against its key's type and return it as that
+    type: boolean keys take exactly true or false, integer keys integral
+    numbers only (as int) and number keys numbers only (as float)."""
     if key in BOOL_KEYS and not isinstance(value, bool):
         raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -83,8 +83,10 @@ def _typed_config_value(key: str, value, where: str):
         if not (numeric and float(value).is_integer()):
             raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
         return int(value)
-    if key in FLOAT_KEYS and not numeric:
-        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
+    if key in FLOAT_KEYS:
+        if not numeric:
+            raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
+        return float(value)
     return value
 
 
@@ -108,33 +110,39 @@ def load_config_file(path: str | Path) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    """Flag wins over config file, config file wins over the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _settings(args: argparse.Namespace) -> dict:
+    """The config file's values (with --config), each overridden by the
+    flag of the same name when that is given."""
+    config = load_config_file(args.config) if args.config else {}
+    return {**config, **{k: v for k, v in vars(args).items() if v is not None}}
+
+
+# the flags and config keys that set RunConfig and TokenRules fields; one
+# given by neither leaves its field at the dataclass default
+RUN_FIELDS = {
+    "algorithm": "algorithm", "kmax": "k_max", "kreal": "k_real",
+    "alpha": "alpha", "beta": "beta", "iters": "iterations", "seed": "seed",
+    "entropy_refreshes": "entropy_refreshes_per_sweep",
+    "entropy_eps": "entropy_epsilon", "entropy_norm": "entropy_normalized",
+}
+RULE_FIELDS = {"stem": "stemming", "min_len": "min_word_len",
+               "max_len": "max_word_len", "min_df": "min_df"}
+# the enhanced variant's default beta, the one default the command line sets
+# itself; gsdmm takes RunConfig's
+GSDMM_PLUS_BETA = 0.01
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_preprocess(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    fmt = _resolve(args, config, "format", "jsonl")
-    stopword_path = _resolve(args, config, "stopwords", None)
+    given = _settings(args)
+    stopword_path = given.get("stopwords")
     stopwords = load_stopwords(stopword_path) if stopword_path \
         else default_stopwords()
-    rules = TokenRules(
-        stopword_list=stopwords,
-        stemming=bool(_resolve(args, config, "stem", False)),
-        min_word_len=int(_resolve(args, config, "min_len", 2)),
-        max_word_len=int(_resolve(args, config, "max_len", 15)),
-        min_df=int(_resolve(args, config, "min_df", 2)),
-    )
-    records = read_dataset(args.input, fmt)
+    rules = TokenRules(stopword_list=stopwords, **{
+        name: given[key] for key, name in RULE_FIELDS.items() if key in given})
+    records = read_dataset(args.input, given.get("format", "jsonl"))
     corpus = build_corpus(records, rules)
     write_archive(corpus, args.output)
     if corpus.dropped_doc_ids:
@@ -145,34 +153,20 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    algorithm = _resolve(args, config, "algorithm", GSDMM)
-    default_beta = 0.1 if algorithm == GSDMM else 0.01
-    cfg = RunConfig(
-        algorithm=algorithm,
-        k_max=int(_resolve(args, config, "kmax", 500)),
-        k_real=_maybe_int(_resolve(args, config, "kreal", None)),
-        alpha=float(_resolve(args, config, "alpha", 0.1)),
-        beta=float(_resolve(args, config, "beta", default_beta)),
-        iterations=int(_resolve(args, config, "iters", 20)),
-        seed=int(_resolve(args, config, "seed", 0)),
-        entropy_refreshes_per_sweep=int(
-            _resolve(args, config, "entropy_refreshes", 15)),
-        entropy_epsilon=float(_resolve(args, config, "entropy_eps", 1e-9)),
-        entropy_normalized=bool(_resolve(args, config, "entropy_norm", True)),
-    )
+    given = _settings(args)
+    fields = {name: given[key] for key, name in RUN_FIELDS.items() if key in given}
+    if fields.get("algorithm") == GSDMM_PLUS:
+        fields.setdefault("beta", GSDMM_PLUS_BETA)
+    cfg = RunConfig(**fields)
     corpus = read_archive(args.archive)
     check_comma_free(corpus.doc_ids)  # an archive written by hand may hold one
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
 
+    run = run_gsdmm if cfg.algorithm == GSDMM else run_gsdmm_plus
     t0 = time.perf_counter()
-    if cfg.algorithm == GSDMM:
-        assignments, state, trace = run_gsdmm(corpus, cfg)
-        k_final = state.nonempty_count()
-    else:
-        assignments, state, trace = run_gsdmm_plus(corpus, cfg)
-        k_final = state.k_active
+    assignments, state, trace = run(corpus, cfg)
+    k_final = state.nonempty_count()
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
 
     with open(out / "assignments.csv", "w", encoding="utf-8") as fh:
@@ -194,7 +188,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    if _resolve(args, config, "trace", False):
+    if given.get("trace", False):
         (out / "trace.csv").write_text(trace.to_csv(), encoding="utf-8")
     if cfg.algorithm == GSDMM_PLUS:
         lines = ["step,cluster_a,cluster_b,similarity"]
@@ -203,10 +197,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         (out / "mergelog.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"k_final={k_final} wall_time_ms={wall_ms}")
     return EXIT_OK
-
-
-def _maybe_int(value):
-    return None if value is None else int(value)
 
 
 def _read_assignments(path: str | Path) -> list[tuple[str, int]]:

@@ -109,34 +109,41 @@ class Corpus:
     labels (None where a document has none), one entry per document in
     corpus order, plus the vocabulary, the stats and the ids of documents
     dropped because filtering emptied them (kept so that gold-label
-    alignment downstream stays correct). ``documents`` presents the same
-    facts as one Document per document, built on first access; the
-    sampler and the commands read the arrays and never build it.
+    alignment downstream stays correct). ``documents`` and the per-document
+    views present the same facts in other shapes, built on first access;
+    the sampler and the commands read the arrays and build neither.
 
-    Corpus.from_arrays takes the arrays as they are (read_archive and
-    build_corpus build them directly). Corpus(documents=...) keeps the
-    given Document objects instead and derives the arrays from them on
-    first use.
+    Corpus.from_arrays takes the arrays as they are (read_archive,
+    build_corpus and generate_corpus build them directly).
+    Corpus(documents=...) converts the given Document objects to arrays once,
+    at construction, keeping each document's word order.
     """
 
     def __init__(self, documents, vocabulary: Vocabulary, stats: CorpusStats,
                  dropped_doc_ids=()):
-        self._set(vocabulary, stats, dropped_doc_ids, documents=tuple(documents))
+        docs = tuple(documents)
+        csr = TokenCSR.from_rows([doc.counts for doc in docs],
+                                 [doc.counts.values() for doc in docs],
+                                 [doc.total_len for doc in docs])
+        self._set(csr, [doc.doc_id for doc in docs],
+                  [doc.gold_label for doc in docs], vocabulary, stats,
+                  dropped_doc_ids)
 
     @classmethod
     def from_arrays(cls, token_csr: "TokenCSR", doc_ids, gold_labels,
                     vocabulary: Vocabulary, stats: CorpusStats,
                     dropped_doc_ids=()) -> "Corpus":
         corpus = cls.__new__(cls)
-        corpus._set(vocabulary, stats, dropped_doc_ids, token_csr=token_csr,
-                    doc_ids=tuple(doc_ids), gold_labels=tuple(gold_labels))
+        corpus._set(token_csr, doc_ids, gold_labels, vocabulary, stats,
+                    dropped_doc_ids)
         return corpus
 
-    def _set(self, vocabulary, stats, dropped_doc_ids, **facts) -> None:
-        # the facts given fill the cached properties below; the others are
-        # derived from them on first access
-        self.__dict__.update(vocabulary=vocabulary, stats=stats,
-                             dropped_doc_ids=tuple(dropped_doc_ids), **facts)
+    def _set(self, token_csr, doc_ids, gold_labels, vocabulary, stats,
+             dropped_doc_ids) -> None:
+        self.__dict__.update(token_csr=token_csr, doc_ids=tuple(doc_ids),
+                             gold_labels=tuple(gold_labels),
+                             vocabulary=vocabulary, stats=stats,
+                             dropped_doc_ids=tuple(dropped_doc_ids))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Corpus")
@@ -150,32 +157,6 @@ class Corpus:
     def __repr__(self) -> str:
         return (f"Corpus(D={len(self)}, V={self.vocabulary.size}, "
                 f"dropped={len(self.dropped_doc_ids)})")
-
-    @cached_property
-    def doc_ids(self) -> tuple[str, ...]:
-        return tuple(doc.doc_id for doc in self.documents)
-
-    @cached_property
-    def gold_labels(self) -> tuple[str | None, ...]:
-        return tuple(doc.gold_label for doc in self.documents)
-
-    @cached_property
-    def token_csr(self) -> "TokenCSR":
-        """The corpus's token arrays in compressed-row form."""
-        docs = self.documents
-        word_len = np.fromiter((len(doc.counts) for doc in docs), dtype=np.int64,
-                               count=len(docs))
-        word_ptr = np.zeros(len(docs) + 1, dtype=np.int64)
-        np.cumsum(word_len, out=word_ptr[1:])
-        n = int(word_ptr[-1])
-        words = np.fromiter(chain.from_iterable(doc.counts for doc in docs),
-                            dtype=np.intp, count=n)
-        counts = np.fromiter(chain.from_iterable(doc.counts.values() for doc in docs),
-                             dtype=np.int32, count=n)
-        tok_ptr = np.zeros(len(docs) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((doc.total_len for doc in docs), dtype=np.int64,
-                              count=len(docs)), out=tok_ptr[1:])
-        return TokenCSR(word_ptr, words, counts, tok_ptr)
 
     @cached_property
     def documents(self) -> tuple[Document, ...]:
@@ -202,6 +183,8 @@ class Corpus:
         a document never casts.
 
         Each document's entry holds slices (views) of token_csr's arrays.
+        The package slices token_csr itself; perfbench still reads this
+        (ROADMAP item 1).
         """
         csr = self.token_csr
         wp, tp = csr.word_ptr.tolist(), csr.tok_ptr.tolist()
@@ -230,6 +213,24 @@ class TokenCSR:
     words: np.ndarray
     counts: np.ndarray
     tok_ptr: np.ndarray
+
+    @classmethod
+    def from_rows(cls, words, counts, lengths) -> "TokenCSR":
+        """The arrays of per-document rows: document d's distinct word ids
+        words[d], in the order given, their counts counts[d] and its token
+        total lengths[d]."""
+        n = len(lengths)
+        word_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, words), dtype=np.int64, count=n),
+                  out=word_ptr[1:])
+        tok_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(lengths, dtype=np.int64, count=n), out=tok_ptr[1:])
+        size = int(word_ptr[-1])
+        return cls(word_ptr,
+                   np.fromiter(chain.from_iterable(words), dtype=np.intp, count=size),
+                   np.fromiter(chain.from_iterable(counts), dtype=np.int32,
+                               count=size),
+                   tok_ptr)
 
     @cached_property
     def word_rep(self) -> np.ndarray:

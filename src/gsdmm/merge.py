@@ -73,7 +73,7 @@ def tficf_vector(state: ModelState, z: int, icf: np.ndarray) -> TfIcfVector:
     total = int(state.n[z])
     if total == 0:
         raise EmptyCluster(f"cluster {z} has no tokens")
-    return _tficf_from_counts(state.nzw[z], total, icf)
+    return _tficf_from_counts(state.wz[:, z], total, icf)
 
 
 def _tficf_from_counts(row: np.ndarray, total: int, icf: np.ndarray) -> TfIcfVector:

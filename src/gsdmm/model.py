@@ -19,7 +19,7 @@ with k_max.
 The numpy kernels here are the reference. Sampling runs the compiled sweep
 kernel (_sweep.c, loaded by _native) when it can be built; it scores the
 same slots in product form, and the tests hold its scores to these within
-1e-9 and its draws to the numpy sweep's exactly.
+1e-9 and its draws to the numpy reference steps' exactly.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class ModelState:
 
     @property
     def nzw(self) -> np.ndarray:
-        """Cluster-major (k_max, V) view of the word-major counts."""
+        """Cluster-major (k_max, V) view of the word-major counts. The
+        package reads wz; perfbench still reads this (ROADMAP item 1)."""
         return self.wz.T
 
     def copy(self) -> "ModelState":
@@ -355,13 +356,13 @@ def doc_cluster_log_score(
     score = -math.inf if state.m[z] == 0 and state.alpha == 0 else \
         math.log(state.m[z] + state.alpha)
     for w, c in doc.counts.items():
-        base = state.nzw[z, w] + (cw if uniform else cw[w])
+        base = state.wz[w, z] + (cw if uniform else cw[w])
         for j in range(c):
             arg = base + j
             if arg <= 0:
                 raise NonFiniteScore(
                     f"word {w}: log argument {arg} <= 0 (pseudo-count "
-                    f"{cw if uniform else cw[w]}, count {state.nzw[z, w]})"
+                    f"{cw if uniform else cw[w]}, count {state.wz[w, z]})"
                 )
             score += math.log(arg)
     for i in range(doc.total_len):
@@ -381,12 +382,8 @@ def conditional_distribution(
 
     The document's counts must already be excluded from its cluster.
     """
-    words = np.fromiter(doc.counts.keys(), dtype=np.int64, count=len(doc.counts))
-    counts = np.fromiter(doc.counts.values(), dtype=np.int64, count=len(doc.counts))
-    word_rep = np.repeat(words, counts)
-    occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts]) \
-        if len(counts) else np.zeros(0, dtype=np.float64)
-    scores = cluster_log_scores(state, word_rep, occ, doc.total_len, weights)
+    csr = TokenCSR.from_rows([doc.counts], [doc.counts.values()], [doc.total_len])
+    scores = cluster_log_scores(state, csr.word_rep, csr.occ, doc.total_len, weights)
     return normalize_log_scores(scores)
 
 

@@ -1,6 +1,7 @@
-"""Gibbs sampling drivers: initialization, sweeps, pruning, entropy refresh.
+"""Gibbs sampling driver: initialization, sweeps, pruning, entropy refresh.
 
-Two run modes share one sweep kernel. The classic sampler starts from a
+One driver runs both samplers; the algorithm sets the initialization, the
+word weights, pruning and the merge. The classic sampler starts from a
 uniform random assignment and keeps emptied clusters selectable; they all
 share one score, computed once per document from a representative empty
 cluster, which is -inf when alpha == 0. The enhanced sampler seeds clusters
@@ -11,17 +12,17 @@ a target cluster count afterwards.
 Randomness discipline: one seed feeds two independent generator streams,
 stream 0 for initialization and stream 1 for sweeps, so instrumentation
 added between phases cannot perturb sampling. Each document step consumes
-one uniform; the compiled kernel (see _native) takes a whole run's uniforms
-from one rng.random(n) call, which yields the same values as n calls of
-rng.random().
+one uniform; a run of steps takes its uniforms from one rng.random(n) call,
+which yields the same values as n calls of rng.random().
 
-The document steps of gibbs_sweep and adaptive_init run in one compiled C
-kernel when the system compiler can build it, and otherwise in the numpy
-reference kept here, which the tests hold the kernel to: identical
-assignments and counts, scores within 1e-9; both draw from exp(score -
-max) with the same arithmetic. Entropy refreshes and merging stay in numpy
-on both paths; a refresh finds the occupied count cells from the corpus
-arrays, not by scanning the count matrix.
+The document steps of gibbs_sweep and adaptive_init go through one
+interface, _steps. They run in one compiled C kernel (see _native) when the
+system compiler can build it, and otherwise in the numpy reference kept
+here, which takes the kernel's arguments and which the tests hold the
+kernel to: identical assignments and counts, scores within 1e-9; both draw
+from exp(score - max) with the same arithmetic. Entropy refreshes and
+merging stay in numpy on both paths; a refresh finds the occupied count
+cells from the corpus arrays, not by scanning the count matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 # numpy 2 loads numpy.random lazily; load it at import, not inside the first run
@@ -192,32 +194,19 @@ def adaptive_init(corpus: Corpus, cfg: RunConfig, rng: np.random.Generator) -> M
 
     Seeds are distinct (sampled without replacement). The state grows as
     documents join, so later documents see the clusters the earlier ones
-    built up. The joins are the sweep kernel's steps for the unseeded
+    built up. The joins are the sweep's document steps for the unseeded
     documents, which have no cluster to leave.
     """
     d_total = len(corpus)
     if cfg.k_max > d_total:
         raise KMaxExceedsCorpus(f"k_max={cfg.k_max} exceeds corpus size {d_total}")
     state = ModelState.for_corpus(corpus, cfg.k_max, cfg.alpha)
-    weights = UniformBeta(cfg.beta)
-
     seeds = rng.choice(d_total, size=cfg.k_max, replace=False)
     state.add_docs(corpus.token_csr, seeds, np.arange(cfg.k_max))
-
     seeded = np.zeros(d_total, dtype=bool)
     seeded[seeds] = True
-    rest = np.flatnonzero(~seeded)
-    kernel = _native.kernel()
-    if kernel is not None:
-        kernel.sweep(state, corpus.token_csr, rest, rng.random(len(rest)),
-                     weights, prune=False)
-        return state
-    views = corpus.token_views
-    for d in rest.tolist():
-        words, counts, word_rep, occ, total = views[d]
-        scores = cluster_log_scores(state, word_rep, occ, total, weights)
-        z = _draw(rng, relative_weights(scores))
-        state.add_doc(d, words, counts, total, z)
+    _steps(state, corpus, np.flatnonzero(~seeded), rng, UniformBeta(cfg.beta),
+           prune=False)
     return state
 
 
@@ -236,56 +225,66 @@ def gibbs_sweep(
     so, then sample a new cluster from the conditional and re-attach. The
     entropy refresh positions are the multiples of ceil(D / refreshes), so
     a sweep refreshes at most cfg.entropy_refreshes_per_sweep times.
-
-    The compiled kernel runs the pass when it can be built, the numpy
-    reference otherwise; both draw the same clusters from the same stream
-    (one uniform per document) and refresh at the same points.
     """
     d_total = len(corpus)
     if isinstance(weights, EntropyTable) and cfg.entropy_refreshes_per_sweep > 0:
         refresh_step = math.ceil(d_total / cfg.entropy_refreshes_per_sweep)
     else:
         refresh_step = 0
-    kernel = _native.kernel()
-    if kernel is None:
-        return _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty,
-                            refresh_step)
-    return kernel.sweep(
-        state, corpus.token_csr, np.arange(d_total), rng.random(d_total),
-        weights, prune_empty, refresh_step,
+    return _steps(
+        state, corpus, np.arange(d_total), rng, weights, prune_empty, refresh_step,
         lambda: word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
                              corpus.token_csr))
 
 
-def _numpy_sweep(state, corpus, weights, cfg, rng, prune_empty, refresh_step):
-    """The reference sweep in numpy, one kernel call per document.
+def _steps(state: ModelState, corpus: Corpus, order: np.ndarray,
+           rng: np.random.Generator, weights: WeightingScheme, prune: bool,
+           refresh_step: int = 0, refresh=None) -> int:
+    """Kernel.sweep's document steps, with the uniforms drawn from rng in
+    one call, on the compiled kernel when it can be built and on the numpy
+    reference otherwise; returns how many documents moved."""
+    kernel = _native.kernel()
+    step = _numpy_steps if kernel is None else kernel.sweep
+    return step(state, corpus.token_csr, order, rng.random(len(order)), weights,
+                prune, refresh_step, refresh)
+
+
+def _numpy_steps(state: ModelState, csr, order: np.ndarray, uniforms: np.ndarray,
+                 weights: WeightingScheme, prune: bool, refresh_step: int = 0,
+                 refresh=None) -> int:
+    """The reference for Kernel.sweep, with its arguments and result: the
+    document steps in numpy, one scoring call per document.
 
     It scores the occupied clusters and one representative empty cluster,
     whose score one take spreads over every empty cluster. That slot set
     changes only when a removal empties a cluster or an addition fills one,
     and is rebuilt only then.
     """
-    views = corpus.token_views
+    wp, tp = csr.word_ptr.tolist(), csr.tok_ptr.tolist()
+    # _draw takes a generator; this one hands out the given uniforms in turn
+    draws = SimpleNamespace(random=iter(uniforms.tolist()).__next__)
     slots, row_of = scored_slots(state)
     moved = 0
-    for d in range(len(corpus)):
-        words, counts, word_rep, occ, total = views[d]
-        z_old = state.remove_doc(d, words, counts, total)
-        pruned = False
-        if not (state.m[z_old] or state.n[z_old]):
-            if prune_empty:
-                state.deactivate_cluster(z_old)
-                pruned = True
-            slots, row_of = scored_slots(state)
-        if refresh_step and d % refresh_step == 0:
-            weights = word_entropy(state, cfg.entropy_epsilon,
-                                   cfg.entropy_normalized, corpus.token_csr)
-        scores = cluster_log_scores(state, word_rep, occ, total, weights, slots)
+    for pos, d in enumerate(order.tolist()):
+        words, counts = csr.words[wp[d]:wp[d + 1]], csr.counts[wp[d]:wp[d + 1]]
+        s, t = tp[d], tp[d + 1]
+        z_old, pruned = int(state.assignments[d]), False
+        if z_old >= 0:
+            state.remove_doc(d, words, counts, t - s)
+            if not (state.m[z_old] or state.n[z_old]):
+                if prune:
+                    state.deactivate_cluster(z_old)
+                    pruned = True
+                slots, row_of = scored_slots(state)
+        if refresh_step and pos % refresh_step == 0:
+            weights = refresh()
+        scores = cluster_log_scores(state, csr.word_rep[s:t], csr.occ[s:t], t - s,
+                                    weights, slots)
         if row_of is not None:
             scores = scores.take(row_of)
-        z_new = _draw(rng, relative_weights(scores))
+        z_new = _draw(draws, relative_weights(scores))
         filled = not (state.m[z_new] or state.n[z_new])
-        state.add_doc(d, words, counts, total, z_new)
+        state.add_doc(d, words, counts, t - s, z_new)
         if filled:
             slots, row_of = scored_slots(state)
         if pruned or z_new != z_old:
@@ -345,17 +344,7 @@ def run_gsdmm(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelState, S
     """
     if cfg.algorithm != GSDMM:
         raise ConfigError(f"run_gsdmm called with algorithm {cfg.algorithm!r}")
-    init_rng, sweep_rng = _streams(cfg.seed)
-    state = random_init(corpus, cfg, init_rng)
-    weights = UniformBeta(cfg.beta)
-    gold = _gold_ids(corpus)
-    trace = SweepTrace()
-    for it in range(1, cfg.iterations + 1):
-        moved = gibbs_sweep(state, corpus, weights, cfg, sweep_rng, prune_empty=False)
-        if cfg.validate_every_sweep:
-            state.validate()
-        _record(trace, gold, state, it, state.nonempty_count(), moved)
-    return _dense_labels(state), state, trace
+    return _run(corpus, cfg)
 
 
 def run_gsdmm_plus(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelState, SweepTrace]:
@@ -367,18 +356,28 @@ def run_gsdmm_plus(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelSta
     """
     if cfg.algorithm != GSDMM_PLUS:
         raise ConfigError(f"run_gsdmm_plus called with algorithm {cfg.algorithm!r}")
+    return _run(corpus, cfg)
+
+
+def _run(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelState, SweepTrace]:
+    """The one driver. Pruning keeps every active gsdmm+ cluster non-empty
+    and the slots contiguous, so there the dense labels are the assignments."""
+    plus = cfg.algorithm == GSDMM_PLUS
     init_rng, sweep_rng = _streams(cfg.seed)
-    state = adaptive_init(corpus, cfg, init_rng)
-    weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
-                           corpus.token_csr)
+    state = (adaptive_init if plus else random_init)(corpus, cfg, init_rng)
+    if plus:
+        weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
+                               corpus.token_csr)
+    else:
+        weights = UniformBeta(cfg.beta)
     gold = _gold_ids(corpus)
     trace = SweepTrace()
     for it in range(1, cfg.iterations + 1):
-        moved = gibbs_sweep(state, corpus, weights, cfg, sweep_rng, prune_empty=True)
+        moved = gibbs_sweep(state, corpus, weights, cfg, sweep_rng, prune_empty=plus)
         if cfg.validate_every_sweep:
-            state.validate(require_nonempty=True)
-        _record(trace, gold, state, it, state.k_active, moved)
-    if cfg.k_real is not None:
+            state.validate(require_nonempty=plus)
+        _record(trace, gold, state, it, state.nonempty_count(), moved)
+    if plus and cfg.k_real is not None:
         if cfg.k_real > state.k_active:
             msg = (f"k_real={cfg.k_real} exceeds {state.k_active} active "
                    f"clusters; merge skipped")
@@ -386,4 +385,4 @@ def run_gsdmm_plus(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelSta
             trace.notes.append(msg)
         elif cfg.k_real < state.k_active:
             trace.merge_log = merge_to_k(state, cfg.k_real)
-    return state.assignments.copy(), state, trace
+    return _dense_labels(state), state, trace

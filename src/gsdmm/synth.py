@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusStats, Document, Vocabulary
+from .corpus import Corpus, CorpusStats, Document, TokenCSR, Vocabulary
 from .errors import InstanceTooLarge, NonPositiveArgument, TooManyClusters
 from .evaluation import LabeledPartitionPair, confusion_matrix
 from .model import ModelState, UniformBeta, WeightingScheme
@@ -87,10 +87,8 @@ def generate_corpus(
     width = max(2, math.ceil(math.log(max(spec.v, 2)) / math.log(26)))
     id_to_word = tuple(_word_string(w, width) for w in range(spec.v))
 
-    documents: list[Document] = []
-    labels: list[str] = []
-    df = np.zeros(spec.v, dtype=np.int64)
-    for i in range(spec.d):
+    doc_words, doc_counts, lengths, labels = [], [], [], []
+    for _ in range(spec.d):
         z = int(rng.choice(spec.k, p=theta))
         if spec.length_dist == "fixed":
             length = int(spec.doc_len)
@@ -98,45 +96,45 @@ def generate_corpus(
             length = 0
             while length == 0:
                 length = int(rng.poisson(spec.doc_len))
-        words = rng.choice(spec.v, size=length, p=phi[z])
-        uniq, cnt = np.unique(words, return_counts=True)
-        df[uniq] += 1
-        label = f"c{z}"
-        documents.append(Document(
-            doc_id=f"d{i}",
-            counts={int(w): int(c) for w, c in zip(uniq, cnt)},
-            total_len=length,
-            gold_label=label,
-        ))
-        labels.append(label)
+        uniq, cnt = np.unique(rng.choice(spec.v, size=length, p=phi[z]),
+                              return_counts=True)
+        doc_words.append(uniq)
+        doc_counts.append(cnt)
+        lengths.append(length)
+        labels.append(f"c{z}")
 
-    lengths = [doc.total_len for doc in documents]
+    csr = TokenCSR.from_rows(doc_words, doc_counts, lengths)
     stats = CorpusStats(
-        D=len(documents),
+        D=spec.d,
         V=spec.v,
-        mean_len=float(np.mean(lengths)) if documents else 0.0,
-        max_len=int(max(lengths)) if documents else 0,
+        mean_len=float(np.mean(lengths)) if lengths else 0.0,
+        max_len=int(max(lengths)) if lengths else 0,
     )
     vocab = Vocabulary(
         word_to_id={w: i for i, w in enumerate(id_to_word)},
         id_to_word=id_to_word,
-        doc_freq=tuple(int(x) for x in df),
+        doc_freq=tuple(np.bincount(csr.words, minlength=spec.v).tolist()),
     )
-    corpus = Corpus(documents=tuple(documents), vocabulary=vocab, stats=stats)
+    corpus = Corpus.from_arrays(csr, [f"d{i}" for i in range(spec.d)], labels,
+                                vocabulary=vocab, stats=stats)
     return corpus, labels, theta, phi
 
 
 def write_jsonl(corpus: Corpus, path: str | Path) -> None:
-    """Persist a corpus as labeled JSONL, expanding counts into tokens."""
-    vocab = corpus.vocabulary
+    """Persist a corpus as labeled JSONL, expanding counts into tokens in
+    rising word id order."""
+    vocab = corpus.vocabulary.id_to_word
+    csr = corpus.token_csr
+    wp = csr.word_ptr.tolist()
+    words, counts = csr.words.tolist(), csr.counts.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus.documents:
+        for doc_id, label, a, b in zip(corpus.doc_ids, corpus.gold_labels, wp, wp[1:]):
             tokens = []
-            for wid in sorted(doc.counts):
-                tokens.extend([vocab.id_to_word[wid]] * doc.counts[wid])
-            rec = {"id": doc.doc_id, "text": " ".join(tokens)}
-            if doc.gold_label is not None:
-                rec["label"] = doc.gold_label
+            for w, c in sorted(zip(words[a:b], counts[a:b])):
+                tokens.extend([vocab[w]] * c)
+            rec = {"id": doc_id, "text": " ".join(tokens)}
+            if label is not None:
+                rec["label"] = label
             fh.write(json.dumps(rec) + "\n")
 
 
@@ -176,7 +174,7 @@ def oracle_delta_ratio(
     """
     state._check_active(z)
     c = _pseudo_vector(weights, state.V)
-    without = state.nzw[z].astype(np.float64) + c
+    without = state.wz[:, z].astype(np.float64) + c
     with_doc = without.copy()
     for w, cnt in doc.counts.items():
         with_doc[w] += cnt
@@ -210,9 +208,8 @@ class JointEnumeration:
         v = corpus.vocabulary.size
         c = _pseudo_vector(weights, v)
         x = np.zeros((d, v), dtype=np.float64)
-        for i, doc in enumerate(corpus.documents):
-            for w, cnt in doc.counts.items():
-                x[i, w] = cnt
+        csr = corpus.token_csr
+        x[csr.entry_doc, csr.words] = csr.counts
 
         total = k ** d
         # digit place values: document 0 is the most significant digit

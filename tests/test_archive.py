@@ -315,15 +315,15 @@ def test_read_matches_documents_built_corpus(tmp_path):
 
 
 def test_run_path_never_builds_documents(tmp_path, monkeypatch):
+    # nor reads the per-document views: both sampler paths slice the arrays
     archive = _archive(tmp_path)
     built = []
-    derive = Corpus.documents
+    for name in ("documents", "token_views"):
+        def read(self, derive=getattr(Corpus, name)):
+            built.append(self)
+            return derive.__get__(self, Corpus)
 
-    def documents(self):
-        built.append(self)
-        return derive.__get__(self, Corpus)
-
-    monkeypatch.setattr(Corpus, "documents", property(documents))
+        monkeypatch.setattr(Corpus, name, property(read))
     corpus = read_archive(archive)
     plain = RunConfig(k_max=20, iterations=2, seed=1)
     plus = RunConfig(algorithm="gsdmm+", k_max=20, k_real=4, beta=0.01,

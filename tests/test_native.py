@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdmm import _native
+from gsdmm import _native, sampler
 from gsdmm.errors import NonFiniteScore
 from gsdmm.model import (
     EntropyTable,
+    ModelState,
     UniformBeta,
     cluster_log_scores,
     doc_cluster_log_score,
@@ -106,6 +107,41 @@ class TestSweepMatchesNumpy:
                 corpus, cfg, np.random.default_rng(seed)))
             _assert_same_state(compiled, reference)
             compiled.validate(require_nonempty=True)
+
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("entropy", [False, True])
+    def test_mixed_attached_and_detached(self, kernel, prune, entropy):
+        # a state no run gives the steps: gibbs_sweep's documents are all
+        # attached and adaptive_init's all detached. Here the first two
+        # topics' documents sit in clusters 0-8, the other two topics'
+        # documents are detached and fill the empty clusters 9-11, and a
+        # shuffled order interleaves the two kinds
+        corpus = _noisy_topics(13)
+        csr = corpus.token_csr
+        gen = np.random.default_rng(21)
+        attached = np.arange(len(corpus) // 2)
+        weights = UniformBeta(0.05)
+        states, results = [], []
+        for steps in (kernel.sweep, sampler._numpy_steps):
+            state = ModelState.for_corpus(corpus, 12, 0.1)
+            state.add_docs(csr, attached, np.arange(len(attached)) % 9)
+            detached_at_refresh = []
+
+            def refresh(state=state, seen=detached_at_refresh):
+                seen.append(np.flatnonzero(state.assignments < 0).tolist())
+                return word_entropy(state, csr=csr)
+
+            rng = np.random.default_rng(22)
+            order = rng.permutation(len(corpus))
+            moved = steps(state, csr, order, rng.random(len(order)),
+                          word_entropy(state, csr=csr) if entropy else weights,
+                          prune, 5 if entropy else 0, refresh)
+            states.append(state)
+            results.append((moved, detached_at_refresh))
+        assert results[0] == results[1]
+        assert results[0][0] >= len(corpus) - len(attached)
+        _assert_same_state(*states)
+        states[0].validate()
 
     def test_one_draw_per_document(self):
         # the kernel's pre-drawn uniforms are the values the numpy sweep

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -85,6 +86,16 @@ class TestGenerateCorpus:
         # token mass survives the round trip
         assert sum(d.total_len for d in rebuilt.documents) == \
             sum(d.total_len for d in corpus.documents)
+
+    def test_jsonl_bytes_pinned(self, tmp_path):
+        # the benchmark builds its inputs through generate_corpus, so one
+        # poisson-length spec's bytes are pinned: the rng calls and the
+        # writer's word order must not drift
+        spec = GenSpec(k=4, v=120, d=60, doc_len=6, length_dist="poisson", seed=11)
+        corpus, _, _, _ = generate_corpus(spec)
+        write_jsonl(corpus, tmp_path / "synth.jsonl")
+        assert hashlib.sha256((tmp_path / "synth.jsonl").read_bytes()).hexdigest() \
+            == "10b53dac4e0d950095f1783a44be06e20b2f0765b8f19cff91590c34dcd132bf"
 
 
 class TestOracleDeltaRatio:
