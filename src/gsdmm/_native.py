@@ -44,6 +44,16 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 # return codes and io slots, mirrored from _sweep.c
 DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE = 0, 1, -1, -2, -3
 IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
+MEMO_LEN = 4  # int64 fields of one (m, n) memo cell
+
+# A document with more scored slots than this takes the kernel's sparse
+# path; with k_max at most this no document can, and no bitmaps are kept.
+# Sparse scoring pays where a word's count row (k_max int32) spans many
+# cache lines of which the document's words occupy a few, and where many
+# slots share an (m, n), as at k_max 300 and 500 in the benchmark. At
+# k_max 128 over a 5k-word vocabulary a document overlaps nearly every
+# cluster, and with this at 64 the sweeps ran 29% slower than dense.
+_CROSSOVER = 128
 
 
 def cache_dir() -> Path:
@@ -123,6 +133,7 @@ def _arr(dtype, ndim=1):
 
 _I64, _F64 = ctypes.c_int64, ctypes.c_double
 _STATE = [_arr(np.int32, 2), _I64, _I64, _arr(np.int64), _arr(np.int64)]
+_SPARSE = [_arr(np.uint64, 2), _I64, _I64]  # bitmaps, their width, crossover
 
 
 class Kernel:
@@ -135,13 +146,14 @@ class Kernel:
             _arr(np.int64), _arr(np.int64), _arr(np.int32),   # corpus CSR
             _arr(np.int64), _arr(np.float64), _I64,           # order, u, n
             _arr(np.float64), _F64, _F64, _I64, _I64,         # weights, flags
+            *_SPARSE,
             _arr(np.float64), _arr(np.int64), _arr(np.int64),  # work space, io
         ]
         self._sweep.restype = _I64
         self._scores = lib.dmm_scores
         self._scores.argtypes = [
             *_STATE, _I64, _arr(np.int64), _arr(np.int32), _I64,
-            _arr(np.float64), _F64, _F64,
+            _arr(np.float64), _F64, _F64, *_SPARSE,
             _arr(np.float64), _arr(np.int64), _arr(np.float64),
             ctypes.POINTER(_I64),
         ]
@@ -169,8 +181,8 @@ class Kernel:
             raise ValueError("order and uniforms must match, with ids in [0, D)")
         if refresh_step and refresh is None:
             raise ValueError("a refresh step needs a refresh callback")
-        work = np.empty(4 * state.k_max, dtype=np.float64)
-        iwork = np.empty(2 * state.k_max, dtype=np.int64)
+        bits = _bitmaps(state)
+        work, iwork = _work(state.k_max, bits.shape[1])
         io = np.zeros(IO_LEN, dtype=np.int64)
         io[IO_K] = state.k_active
         while True:
@@ -179,7 +191,7 @@ class Kernel:
                                state.assignments, state.D, word_ptr, words,
                                counts, order, uniforms, len(order), h, ctot,
                                state.alpha, int(prune), int(refresh_step),
-                               work, iwork, io)
+                               bits, bits.shape[1], _CROSSOVER, work, iwork, io)
             state.k_active = int(io[IO_K])
             if code != REFRESH:
                 break
@@ -198,12 +210,13 @@ class Kernel:
                 (len(words) and not 0 <= words.min() <= words.max() < state.V):
             raise ValueError("words and counts must match, with ids in [0, V)")
         h, ctot = _weights(weights, state.V)
+        bits = _bitmaps(state)
         out = np.empty(state.k_active, dtype=np.float64)
         bad = _I64(-1)
         code = self._scores(state.wz, state.V, state.k_max, state.m, state.n,
                             state.k_active, words, counts, len(words), h, ctot,
-                            state.alpha, np.empty(3 * state.k_max),
-                            np.empty(2 * state.k_max, dtype=np.int64), out,
+                            state.alpha, bits, bits.shape[1], _CROSSOVER,
+                            *_work(state.k_max, bits.shape[1]), out,
                             ctypes.byref(bad))
         _raise_for(code, bad.value)
         return out
@@ -217,6 +230,23 @@ def _check_state(state) -> None:
         raise ValueError("model state arrays do not match its sizes")
     if state.D and state.assignments.max() >= state.k_active:
         raise ValueError("assignment outside the active clusters")
+
+
+def _bitmaps(state) -> np.ndarray:
+    """Zeroed per-word occupancy bitmaps, (V, ceil(k_max / 64)) words, for
+    the kernel to fill; (V, 0) when no document can have more scored slots
+    (at most k_max) than the crossover."""
+    width = -(-state.k_max // 64) if state.k_max > _CROSSOVER else 0
+    return np.zeros((state.V, width), dtype=np.uint64)
+
+
+def _work(k_max: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's float and integer work space: four k_max arrays of each,
+    then the (m, n) memo of at least 2 * k_max cells and the document's
+    overlap set of width words."""
+    cells = 1 << (2 * k_max - 1).bit_length()
+    return (np.empty(4 * k_max, dtype=np.float64),
+            np.empty(4 * k_max + MEMO_LEN * cells + width, dtype=np.int64))
 
 
 def _corpus_arrays(state, csr):

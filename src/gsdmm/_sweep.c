@@ -19,6 +19,19 @@
  * negative factors could look valid), is redone with one log per factor,
  * the reference form, so it fails exactly where that form does.
  *
+ * A document scores its slots one of two ways. Dense: every slot, reading
+ * each word's count row at every slot. Sparse, when it has more slots than
+ * the caller's crossover: per-word occupancy bitmaps (bit z of word w's row
+ * is set exactly when its count in cluster z is non-zero) give the clusters
+ * it shares a word with, which are scored reading only the cells whose bit
+ * is set. Every other slot has a zero count for each of the document's
+ * words, so its score depends on its (m, n) alone: one slot is scored per
+ * distinct (m, n), and the representative empty cluster is the (0, 0) case.
+ * Each cluster's score takes the same floating-point operations in the same
+ * order on both paths, so the chain does not depend on the crossover. The
+ * bitmaps live for one call: filled from the assignments on entry, kept by
+ * every count change.
+ *
  * Build: cc -O2 -shared -fPIC (never -ffast-math: the non-finite checks and
  * the exact draw rely on IEEE semantics).
  */
@@ -29,6 +42,20 @@
 
 #define CHUNK 8
 
+#ifdef __GNUC__
+#define PREFETCH(p) __builtin_prefetch(p)
+#define LOWEST(x) __builtin_ctzll(x)
+#else
+#define PREFETCH(p) ((void)(p))
+static int64_t LOWEST(uint64_t x)
+{
+    int64_t i = 0;
+    while (!(x >> i & 1))
+        i++;
+    return i;
+}
+#endif
+
 /* return codes, mirrored in _native.py */
 enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3 };
 
@@ -38,12 +65,17 @@ enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3 };
  * BAD receives the cluster whose score was non-finite */
 enum { IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN };
 
+/* fields of one (m, n) memo cell */
+enum { MEMO_M, MEMO_N, MEMO_STAMP, MEMO_ENTRY, MEMO_LEN };
+
 typedef struct {
     int32_t *wz;      /* (V, kmax) word-major counts */
     int64_t v, kmax;
     int64_t *m, *n;   /* (kmax,) document and token counts */
     int64_t *assign;  /* (n_docs,) cluster per document, -1 when detached */
     int64_t n_docs;
+    uint64_t *bits;   /* (V, nb) occupancy bitmaps, NULL when nb == 0 */
+    int64_t nb;
 } Model;
 
 typedef struct {
@@ -51,6 +83,50 @@ typedef struct {
     double ctot;      /* pseudo-count total over the vocabulary */
     double alpha;
 } Weights;
+
+/* Work space of one call, carved from the caller's arrays (sizes in
+ * _native._work): kmax entries each unless noted. */
+typedef struct {
+    int64_t *slots;   /* scored slots: occupied clusters and one empty */
+    int64_t *row_of;  /* active cluster -> its slot, empty -> the empty's */
+    int64_t *list;    /* sparse: the clusters scored */
+    int64_t *ent;     /* sparse: slot -> its entry in list */
+    int64_t *memo;    /* MEMO_LEN * (mask + 1): (m, n) -> entry */
+    uint64_t *seen;   /* nb words: the document's overlap set */
+    int64_t mask, gen;
+    double *num, *den, *score, *cum;
+} Scratch;
+
+static Scratch scratch(int64_t kmax, int64_t nb, double *work, int64_t *iwork)
+{
+    int64_t cells = 1;
+    while (cells < 2 * kmax)
+        cells <<= 1;
+    Scratch x = {iwork, iwork + kmax, iwork + 2 * kmax, iwork + 3 * kmax,
+                 iwork + 4 * kmax,
+                 (uint64_t *)(iwork + 4 * kmax + MEMO_LEN * cells),
+                 cells - 1, 0,
+                 work, work + kmax, work + 2 * kmax, work + 3 * kmax};
+    if (nb)  /* no cell is current until the first document's stamp */
+        for (int64_t t = 0; t < cells; t++)
+            x.memo[MEMO_LEN * t + MEMO_STAMP] = 0;
+    return x;
+}
+
+static int bit(const uint64_t *row, int64_t z)
+{
+    return (int)(row[z >> 6] >> (z & 63) & 1);
+}
+
+/* Keep bit z of word w's bitmap equal to whether its count is non-zero. */
+static void track(Model *s, int64_t w, int64_t z)
+{
+    if (!s->bits)
+        return;
+    uint64_t *word = s->bits + w * s->nb + (z >> 6);
+    const uint64_t b = (uint64_t)1 << (z & 63);
+    *word = s->wz[w * s->kmax + z] ? *word | b : *word & ~b;
+}
 
 /* Occupied clusters (m > 0 or n > 0) plus the lowest empty one, in index
  * order; row_of maps every active cluster to its row, empty clusters to
@@ -72,8 +148,73 @@ static int64_t build_slots(const Model *s, int64_t k, int64_t *slots,
     return ns;
 }
 
+/* The memo cell of (m, n) for the current document: its own, or the free
+ * cell where it goes. The table has at least twice as many cells as there
+ * are slots, so the probe ends. */
+static int64_t *memo_cell(const Scratch *x, int64_t m, int64_t n)
+{
+    uint64_t h = (uint64_t)m * 0x9E3779B97F4A7C15u + (uint64_t)n;
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9u;
+    h ^= h >> 32;
+    for (int64_t t = (int64_t)(h & (uint64_t)x->mask);;
+         t = (t + 1) & x->mask) {
+        int64_t *cell = x->memo + MEMO_LEN * t;
+        if (cell[MEMO_STAMP] != x->gen
+            || (cell[MEMO_M] == m && cell[MEMO_N] == n))
+            return cell;
+    }
+}
+
+/* The clusters to score for one document of nw distinct words: the slots
+ * that share a word with it (occupied clusters, so each is its own slot),
+ * then one slot per distinct (m, n) among the rest. Fills x->list and
+ * x->ent, sets *overlap to the number of the first kind and returns the
+ * number of both. The cells the scoring will read are prefetched here:
+ * each is in its own cache line of a row too long to stay cached. */
+static int64_t plan_sparse(const Model *s, Scratch *x, int64_t ns,
+                           const int64_t *words, int64_t nw, int64_t *overlap)
+{
+    for (int64_t b = 0; b < s->nb; b++)
+        x->seen[b] = 0;
+    for (int64_t a = 0; a < nw; a++) {
+        const uint64_t *row = s->bits + words[a] * s->nb;
+        const int32_t *cells = s->wz + words[a] * s->kmax;
+        for (int64_t b = 0; b < s->nb; b++) {
+            x->seen[b] |= row[b];
+            for (uint64_t r = row[b]; r; r &= r - 1)
+                PREFETCH(cells + 64 * b + LOWEST(r));
+        }
+    }
+    int64_t nc = 0;
+    for (int64_t b = 0; b < s->nb; b++)
+        for (uint64_t r = x->seen[b]; r; r &= r - 1) {
+            const int64_t z = 64 * b + LOWEST(r);
+            x->ent[x->row_of[z]] = nc;
+            x->list[nc++] = z;
+        }
+    *overlap = nc;
+    x->gen++;
+    for (int64_t j = 0; j < ns; j++) {
+        const int64_t z = x->slots[j];
+        if (bit(x->seen, z))
+            continue;
+        int64_t *cell = memo_cell(x, s->m[z], s->n[z]);
+        if (cell[MEMO_STAMP] != x->gen) {
+            cell[MEMO_M] = s->m[z];
+            cell[MEMO_N] = s->n[z];
+            cell[MEMO_STAMP] = x->gen;
+            cell[MEMO_ENTRY] = nc;
+            x->list[nc++] = z;
+        }
+        x->ent[j] = cell[MEMO_ENTRY];
+    }
+    return nc;
+}
+
 /* Sum of the per-factor logs of len tokens starting at occurrence c of
- * distinct word a (token index i), against cluster z: the reference form. */
+ * distinct word a (token index i), against cluster z: the reference form.
+ * It reads cells directly on both paths; a clear bit means a zero cell. */
 static double factor_logs(const Model *s, const Weights *wt, int64_t z,
                           const int64_t *words, const int32_t *counts,
                           int64_t a, int64_t c, int64_t i, int64_t len)
@@ -115,11 +256,14 @@ static void flush(const Model *s, const Weights *wt, const int64_t *slots,
 }
 
 /* Unnormalized log conditional of one document (already detached) for each
- * of the ns scored slots, written to out; num and den are work space. The
+ * of the ns clusters in slots, written to out; num and den are work space.
+ * The first nr read their counts, from the word's row (sparse: only where
+ * its bit is set, 0 elsewhere); the rest have count 0 for every word. The
  * loop is token-outer so each token reads one contiguous row of wz. */
 static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
-                      int64_t ns, const int64_t *words, const int32_t *counts,
-                      int64_t nw, double *num, double *den, double *out)
+                      int64_t ns, int64_t nr, int sparse,
+                      const int64_t *words, const int32_t *counts, int64_t nw,
+                      double *num, double *den, double *out)
 {
     for (int64_t j = 0; j < ns; j++) {
         out[j] = log((double)s->m[slots[j]] + wt->alpha);
@@ -130,12 +274,26 @@ static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
     int suspect = 0;
     for (int64_t a = 0; a < nw; a++) {
         const int32_t *row = s->wz + words[a] * s->kmax;
+        const uint64_t *occupied = sparse ? s->bits + words[a] * s->nb : 0;
         const double cw = wt->h[words[a]];
         for (int64_t c = 0; c < counts[a]; c++, i++) {
             const double add = cw + (double)c, tot = wt->ctot + (double)i;
             suspect |= !(add > 0.0) || !(tot > 0.0);
-            for (int64_t j = 0; j < ns; j++) {
-                num[j] *= (double)row[slots[j]] + add;
+            if (occupied) {
+                for (int64_t j = 0; j < nr; j++) {
+                    const int64_t z = slots[j];
+                    num[j] *= (double)(bit(occupied, z) ? row[z] : 0) + add;
+                    den[j] *= (double)s->n[z] + tot;
+                }
+            } else {
+                for (int64_t j = 0; j < nr; j++) {
+                    num[j] *= (double)row[slots[j]] + add;
+                    den[j] *= (double)s->n[slots[j]] + tot;
+                }
+            }
+            const double absent = (double)0 + add;
+            for (int64_t j = nr; j < ns; j++) {
+                num[j] *= absent;
                 den[j] *= (double)s->n[slots[j]] + tot;
             }
             if (++len == CHUNK) {
@@ -154,31 +312,64 @@ static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
               den, out);
 }
 
-/* First scored slot whose score is non-finite other than the -inf of an
- * empty cluster (alpha == 0), or -1. */
-static int64_t bad_slot(const Model *s, const int64_t *slots, int64_t ns,
-                        const double *scores)
+/* Score the document against the ns slots into x->score: every slot
+ * (dense; *ent set to NULL), or x->list's clusters, with *ent = x->ent
+ * mapping each slot to its score (sparse: more than crossover slots, and
+ * bitmaps kept). Returns the number of scores. */
+static int64_t score_slots(const Model *s, const Weights *wt, Scratch *x,
+                           int64_t ns, int64_t crossover,
+                           const int64_t *words, const int32_t *counts,
+                           int64_t nw, const int64_t **ent)
 {
-    for (int64_t j = 0; j < ns; j++)
-        if (!isfinite(scores[j])
-            && !(scores[j] == -INFINITY && s->m[slots[j]] == 0))
+    if (!s->bits || ns <= crossover) {
+        *ent = 0;
+        score_doc(s, wt, x->slots, ns, ns, 0, words, counts, nw, x->num,
+                  x->den, x->score);
+        return ns;
+    }
+    *ent = x->ent;
+    int64_t overlap;
+    const int64_t nc = plan_sparse(s, x, ns, words, nw, &overlap);
+    score_doc(s, wt, x->list, nc, overlap, 1, words, counts, nw, x->num,
+              x->den, x->score);
+    return nc;
+}
+
+/* First scored slot, in index order, whose score is non-finite other than
+ * the -inf of an empty cluster (alpha == 0), or -1. ent maps slots to
+ * scores (NULL: one score per slot). */
+static int64_t bad_slot(const Model *s, const int64_t *slots, int64_t ns,
+                        const double *scores, const int64_t *ent)
+{
+    for (int64_t j = 0; j < ns; j++) {
+        const double v = scores[ent ? ent[j] : j];
+        if (!isfinite(v) && !(v == -INFINITY && s->m[slots[j]] == 0))
             return slots[j];
+    }
     return -1;
 }
 
-/* Draw a cluster from the scores of the slots, spread over k clusters by
- * row_of. p and cum are work space. Returns the cluster or a negative code. */
-static int64_t draw(const double *scores, int64_t ns, const int64_t *row_of,
-                    int64_t k, double u, double *p, double *cum)
+/* Draw a cluster from nc scores, mapped to the ns slots by ent (NULL: one
+ * score per slot) and spread over k clusters by row_of; each distinct
+ * score is exponentiated once. p, q and cum are work space. Returns the
+ * cluster or a negative code. */
+static int64_t draw(const double *scores, int64_t nc, const int64_t *ent,
+                    int64_t ns, const int64_t *row_of, int64_t k, double u,
+                    double *p, double *q, double *cum)
 {
     double top = -INFINITY;
-    for (int64_t j = 0; j < ns; j++)
+    for (int64_t j = 0; j < nc; j++)
         if (scores[j] > top)
             top = scores[j];
     if (top == -INFINITY)
         return ALL_ZERO;
-    for (int64_t j = 0; j < ns; j++)
+    for (int64_t j = 0; j < nc; j++)
         p[j] = exp(scores[j] - top);
+    if (ent) {
+        for (int64_t j = 0; j < ns; j++)
+            q[j] = p[ent[j]];
+        p = q;
+    }
     double acc = 0.0;
     for (int64_t z = 0; z < k; z++) {
         acc += p[row_of[z]];
@@ -207,8 +398,10 @@ static void move_doc(Model *s, int64_t z, const int64_t *words,
 {
     s->m[z] += sign;
     s->n[z] += sign * total;
-    for (int64_t a = 0; a < nw; a++)
+    for (int64_t a = 0; a < nw; a++) {
         s->wz[words[a] * s->kmax + z] += (int32_t)sign * counts[a];
+        track(s, words[a], z);
+    }
 }
 
 /* Remove emptied cluster z, moving the last active cluster into its slot.
@@ -233,6 +426,8 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
                 if (row[last]) {
                     row[z] = row[last];
                     row[last] = 0;
+                    track(s, words[a], z);
+                    track(s, words[a], last);
                 }
             }
         }
@@ -243,23 +438,30 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
 }
 
 /* Score one detached document against every active cluster, k of them,
- * into out (k,). work holds 3 * kmax doubles, iwork 2 * kmax. Returns DONE,
- * or NONFINITE with the cluster in *bad. */
+ * into out (k,), taking the sparse path past crossover slots when bits is
+ * given (nb > 0; zeroed, V rows, of which the document's words' are filled
+ * here). Work space as for dmm_sweep. Returns DONE, or NONFINITE with the
+ * cluster in *bad. */
 int64_t dmm_scores(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                    int64_t *n, int64_t k, const int64_t *words,
                    const int32_t *counts, int64_t nw, const double *h,
-                   double ctot, double alpha, double *work, int64_t *iwork,
+                   double ctot, double alpha, uint64_t *bits, int64_t nb,
+                   int64_t crossover, double *work, int64_t *iwork,
                    double *out, int64_t *bad)
 {
-    const Model s = {wz, v, kmax, m, n, 0, 0};
+    Model s = {wz, v, kmax, m, n, 0, 0, nb ? bits : 0, nb};
     const Weights wt = {h, ctot, alpha};
-    int64_t *slots = iwork, *row_of = iwork + kmax;
-    double *num = work, *den = work + kmax, *scores = work + 2 * kmax;
-    const int64_t ns = build_slots(&s, k, slots, row_of);
-    score_doc(&s, &wt, slots, ns, words, counts, nw, num, den, scores);
+    Scratch x = scratch(kmax, nb, work, iwork);
+    if (s.bits)
+        for (int64_t a = 0; a < nw; a++)
+            for (int64_t z = 0; z < k; z++)
+                track(&s, words[a], z);
+    const int64_t ns = build_slots(&s, k, x.slots, x.row_of);
+    const int64_t *ent;
+    score_slots(&s, &wt, &x, ns, crossover, words, counts, nw, &ent);
     for (int64_t z = 0; z < k; z++)
-        out[z] = scores[row_of[z]];
-    *bad = bad_slot(&s, slots, ns, scores);
+        out[z] = x.score[ent ? ent[x.row_of[z]] : x.row_of[z]];
+    *bad = bad_slot(&s, x.slots, ns, x.score, ent);
     return *bad < 0 ? DONE : NONFINITE;
 }
 
@@ -268,25 +470,34 @@ int64_t dmm_scores(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
  * one with assignment -1 only joins. With refresh_step > 0 the call returns
  * REFRESH after detaching (and pruning for) each position that is a multiple
  * of refresh_step, so the caller can recompute h and call again to resume.
- * work holds 4 * kmax doubles, iwork 2 * kmax. Returns DONE, REFRESH or a
- * negative code; io always holds the position and counts reached. */
+ * bits (nb > 0) are zeroed by the caller and filled on the first entry;
+ * later entries resume after a REFRESH and keep them. work and iwork are
+ * sized by _native._work. Returns DONE, REFRESH or a negative code; io
+ * always holds the position and counts reached. */
 int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                   int64_t *n, int64_t *assign, int64_t n_docs,
                   const int64_t *word_ptr, const int64_t *words,
                   const int32_t *counts, const int64_t *order,
                   const double *u, int64_t n_order, const double *h,
                   double ctot, double alpha, int64_t prune,
-                  int64_t refresh_step, double *work, int64_t *iwork,
+                  int64_t refresh_step, uint64_t *bits, int64_t nb,
+                  int64_t crossover, double *work, int64_t *iwork,
                   int64_t *io)
 {
-    Model s = {wz, v, kmax, m, n, assign, n_docs};
+    Model s = {wz, v, kmax, m, n, assign, n_docs, nb ? bits : 0, nb};
     const Weights wt = {h, ctot, alpha};
-    int64_t *slots = iwork, *row_of = iwork + kmax;
-    double *num = work, *den = work + kmax, *scores = work + 2 * kmax;
-    double *cum = work + 3 * kmax;
+    Scratch x = scratch(kmax, nb, work, iwork);
     int64_t k = io[IO_K], moved = io[IO_MOVED], pos = io[IO_POS];
-    int64_t ns = build_slots(&s, k, slots, row_of);
+    int64_t ns = build_slots(&s, k, x.slots, x.row_of);
     int64_t code = DONE;
+
+    if (s.bits && !io[IO_RESUME])
+        for (int64_t d = 0; d < n_docs; d++) {
+            if (assign[d] < 0)
+                continue;
+            for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++)
+                track(&s, words[a], assign[d]);
+        }
 
     for (; pos < n_order; pos++) {
         const int64_t d = order[pos];
@@ -310,7 +521,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                         deactivate(&s, z_old, &k, word_ptr, words);
                         pruned = 1;
                     }
-                    ns = build_slots(&s, k, slots, row_of);
+                    ns = build_slots(&s, k, x.slots, x.row_of);
                 }
             }
             if (refresh_step > 0 && pos % refresh_step == 0) {
@@ -321,13 +532,16 @@ int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                 break;
             }
         }
-        score_doc(&s, &wt, slots, ns, w, c, nw, num, den, scores);
-        io[IO_BAD] = bad_slot(&s, slots, ns, scores);
+        const int64_t *ent;
+        const int64_t nc = score_slots(&s, &wt, &x, ns, crossover, w, c, nw,
+                                       &ent);
+        io[IO_BAD] = bad_slot(&s, x.slots, ns, x.score, ent);
         if (io[IO_BAD] >= 0) {
             code = NONFINITE;
             break;
         }
-        const int64_t z_new = draw(scores, ns, row_of, k, u[pos], num, cum);
+        const int64_t z_new = draw(x.score, nc, ent, ns, x.row_of, k, u[pos],
+                                   x.num, x.den, x.cum);
         if (z_new < 0) {
             code = z_new;
             break;
@@ -336,7 +550,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
         move_doc(&s, z_new, w, c, nw, total, 1);
         assign[d] = z_new;
         if (filled)
-            ns = build_slots(&s, k, slots, row_of);
+            ns = build_slots(&s, k, x.slots, x.row_of);
         if (pruned || z_new != z_old)
             moved++;
     }

@@ -52,6 +52,7 @@ BOOL_KEYS = {"trace", "stem", "entropy_norm"}
 INT_KEYS = {"kmax", "kreal", "iters", "seed", "entropy_refreshes", "min_df",
             "min_len", "max_len"}
 FLOAT_KEYS = {"alpha", "beta", "entropy_eps"}
+STR_KEYS = {"format", "stopwords"}
 
 
 def _parse_config_value(raw: str):
@@ -75,18 +76,29 @@ def _parse_config_value(raw: str):
 def _typed_config_value(key: str, value, where: str):
     """Check a parsed value against its key's type and return it as that
     type: boolean keys take exactly true or false, integer keys integral
-    numbers only (as int) and number keys numbers only (as float)."""
+    numbers only (as int), number keys numbers only (as float) and string
+    keys anything but a bare number or boolean (quote a numeric path). A
+    number too large for a float is refused for every key."""
     if key in BOOL_KEYS and not isinstance(value, bool):
         raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
+    if key in STR_KEYS and not isinstance(value, str):
+        raise ConfigError(f"{where}: {key} must be a string (quote a number), "
+                          f"got {value!r}")
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if numeric:
+        try:
+            as_float = float(value)
+        except OverflowError:
+            raise ConfigError(f"{where}: {key} is too large "
+                              f"({len(str(value))} digits)") from None
     if key in INT_KEYS:
-        if not (numeric and float(value).is_integer()):
+        if not (numeric and as_float.is_integer()):
             raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
         return int(value)
     if key in FLOAT_KEYS:
         if not numeric:
             raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-        return float(value)
+        return as_float
     return value
 
 

@@ -14,7 +14,12 @@ cluster has the same conditional, so the kernel scores the occupied
 clusters plus one representative empty cluster and spreads that score over
 the rest (the smoothing-only bucket of SparseLDA, Yao, Mimno & McCallum,
 KDD 2009): per document the work scales with the live cluster count, not
-with k_max.
+with k_max. The compiled kernel takes that rule one step further when a
+document has many slots: a cluster that shares no word with the document
+has a score that depends on its (m, n) alone, so it scores one cluster per
+distinct (m, n) and reads counts only where per-word occupancy bitmaps say
+they are non-zero; the representative empty cluster is then the (0, 0)
+case of that rule.
 
 The numpy kernels here are the reference. Sampling runs the compiled sweep
 kernel (_sweep.c, loaded by _native) when it can be built; it scores the

@@ -190,6 +190,45 @@ class TestCluster:
                    pipeline_dir / "int_run", "--config", cfg) == 3
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["alpha", "kmax"])
+    def test_config_number_too_large_exit_3(self, pipeline_dir, tmp_path, capsys,
+                                            key):
+        # a 401-digit integer used to crash float() with OverflowError (exit 1)
+        cfg = tmp_path / "huge.conf"
+        cfg.write_text(f"iters = 1\n{key} = 1{'0' * 400}\n")
+        assert run("cluster", pipeline_dir / "archive",
+                   pipeline_dir / "huge_run", "--config", cfg) == 3
+        assert f"{cfg}:2: {key} is too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["stopwords = 99", "stopwords = 0",
+                                      "stopwords = true", "format = 1"])
+    def test_bare_number_for_string_key_exit_3(self, pipeline_dir, tmp_path,
+                                               capsys, line):
+        # stopwords = 99 used to reach open(99), a file descriptor
+        cfg = tmp_path / "str.conf"
+        cfg.write_text(line + "\n")
+        assert run("preprocess", pipeline_dir / "data.jsonl",
+                   pipeline_dir / "str_arch", "--config", cfg) == 3
+        assert "must be a string" in capsys.readouterr().err
+        assert not (pipeline_dir / "str_arch").exists()
+
+    def test_quoted_number_is_a_stopword_path(self, pipeline_dir, tmp_path,
+                                              monkeypatch):
+        def vocabulary(archive):
+            lines = (archive / "vocabulary.tsv").read_text().splitlines()
+            return [line.split("\t")[1] for line in lines]
+
+        stopped = vocabulary(pipeline_dir / "archive")[0]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "99").write_text(stopped + "\n")
+        cfg = tmp_path / "str.conf"
+        cfg.write_text('stopwords = "99"\nformat = "jsonl"\n')
+        out = pipeline_dir / "quoted_arch"
+        assert run("preprocess", pipeline_dir / "data.jsonl", out,
+                   "--min-df", 1, "--config", cfg) == 0
+        assert stopped in vocabulary(pipeline_dir / "archive")
+        assert stopped not in vocabulary(out)
+
     def test_typed_config_values_accepted(self, pipeline_dir, tmp_path):
         cfg = tmp_path / "typed.conf"
         cfg.write_text("kmax = 6.0\niters = 1\ntrace = true\nentropy_norm = false\n")

@@ -39,7 +39,16 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture()
-def kernel():
+def crossover():
+    """The slot count above which the kernel scores sparsely: the production
+    value, which the k <= 40 states here never pass, so they run dense. The
+    *Sparse classes rerun their tests at 0, every document sparse."""
+    return _native._CROSSOVER
+
+
+@pytest.fixture()
+def kernel(crossover, monkeypatch):
+    monkeypatch.setattr(_native, "_CROSSOVER", crossover)
     k = _native.kernel()
     assert k is not None, "a compiler exists but the kernel did not build"
     return k
@@ -171,6 +180,50 @@ class TestSweepMatchesNumpy:
         state.validate(require_nonempty=True)
 
 
+class TestSweepMatchesNumpySparse(TestSweepMatchesNumpy):
+    @pytest.fixture()
+    def crossover(self):
+        return 0
+
+
+class TestSparseScoring:
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    @pytest.mark.parametrize("prune_empty", [False, True])
+    @pytest.mark.parametrize("length_dist", ["fixed", "poisson"])
+    def test_crossover_keeps_the_chain(self, monkeypatch, alpha, prune_empty,
+                                       length_dist):
+        # k_max 200 over 300 documents: random_init occupies about 155
+        # clusters, past the production crossover. With fixed lengths n = 6 m,
+        # so most clusters share their (m, n) with many others; with Poisson
+        # lengths clusters share n but not m. The chain is the same with
+        # every document sparse (0), with the production crossover, with no
+        # bitmaps at all (above k_max) and on the numpy reference
+        corpus, _, _, _ = generate_corpus(GenSpec(
+            k=5, v=400, d=300, doc_len=6, length_dist=length_dist,
+            beta_gen=0.05, seed=12))
+        cfg = RunConfig(k_max=200, alpha=alpha, beta=0.05)
+        init = random_init(corpus, cfg, np.random.default_rng(5))
+        assert np.count_nonzero(init.m) > _native._CROSSOVER
+        runs = []
+        for crossover in (0, _native._CROSSOVER, cfg.k_max + 1, None):
+            state, rng, moved = init.copy(), np.random.default_rng(6), []
+            with monkeypatch.context() as mp:
+                if crossover is None:
+                    mp.setattr(_native, "kernel", lambda: None)
+                else:
+                    mp.setattr(_native, "_CROSSOVER", crossover)
+                for _ in range(3):
+                    moved.append(gibbs_sweep(state, corpus, UniformBeta(cfg.beta),
+                                             cfg, rng, prune_empty))
+            state.validate()
+            runs.append((state, moved))
+        for state, moved in runs[1:]:
+            assert moved == runs[0][1]
+            _assert_same_state(state, runs[0][0])
+        if prune_empty:
+            assert runs[0][0].k_active < cfg.k_max
+
+
 class TestCompiledScores:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     @pytest.mark.parametrize("entropy", [False, True])
@@ -217,6 +270,12 @@ class TestCompiledScores:
         ref = cluster_log_scores(state, word_rep, occ, 2000, weights)
         assert np.isfinite(got).all()
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-9)
+
+
+class TestCompiledScoresSparse(TestCompiledScores):
+    @pytest.fixture()
+    def crossover(self):
+        return 0
 
 
 def _bad_weights(kind, v):
@@ -285,6 +344,12 @@ class TestNonFinite:
         with pytest.raises(ValueError):  # state sized for another corpus
             kernel.sweep(state, corpus.token_csr, np.arange(3),
                          np.zeros(3), UniformBeta(0.1), False)
+
+
+class TestNonFiniteSparse(TestNonFinite):
+    @pytest.fixture()
+    def crossover(self):
+        return 0
 
 
 @pytest.fixture()
@@ -366,6 +431,12 @@ class TestBuild:
             assert [r.moved_docs for r in t.records] == \
                 [r.moved_docs for r in t2.records]
             assert t.merge_log == t2.merge_log
+
+    def test_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        subprocess.run([cc, "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                        str(_native.SOURCE), "-o", str(tmp_path / "sweep.so"),
+                        "-lm"], check=True, capture_output=True, timeout=300)
 
     def test_no_compiler_falls_back(self, fresh_cache, monkeypatch):
         monkeypatch.setattr(_native.shutil, "which", lambda name: None)
