@@ -1,12 +1,13 @@
 """The corpus archive: a directory of vocabulary.tsv, documents.txt and
 stats.json, written from a Corpus and read back into its token arrays.
 
-read_archive parses documents.txt in whole-array passes: the lines are
-split into their columns once, and the word_id:count pairs of all lines
-are checked and converted together from their bytes, with no Python object
-per pair or per document. Each check finds its first bad line; the error
-raised is the one of the lowest line and, within one line, the one a
-line-by-line reader would meet first.
+read_archive parses each file in whole-array passes: the lines are split
+into their columns once, and the word_id:count pairs of all lines are
+checked and converted together from their bytes, with no Python object
+per pair or per document. The passes only decide whether a file is valid.
+When one is not, a plain loop over the lines already read finds the first
+bad line and raises its error, checking each line in the order a
+line-by-line reader would.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -91,10 +93,7 @@ def _document_lines(csr: TokenCSR, doc_ids, labels) -> list[str]:
     word_id:count, in rising word id order. The pair strings come from
     tables of the id and count strings in use."""
     words, counts = csr.words, csr.counts
-    rising = np.ones(len(words), dtype=bool)
-    rising[1:] = words[1:] > words[:-1]
-    rising[csr.word_ptr[:-1][csr.word_ptr[:-1] < len(words)]] = True  # line starts
-    if not rising.all():
+    if not _rising_within_lines(words, csr.word_ptr):
         # a Corpus built from Documents holds each one's dict order
         order = np.lexsort((words, csr.entry_doc))
         words, counts = words[order], counts[order]
@@ -108,6 +107,15 @@ def _document_lines(csr: TokenCSR, doc_ids, labels) -> list[str]:
             for doc_id, label, a, b in zip(doc_ids, labels, wp, wp[1:])]
 
 
+def _rising_within_lines(words: np.ndarray, word_ptr: np.ndarray) -> bool:
+    """Whether the word ids rise strictly within every line, the lines
+    being the slices word_ptr[i]:word_ptr[i + 1] of words."""
+    rising = np.ones(len(words), dtype=bool)
+    rising[1:] = words[1:] > words[:-1]
+    rising[word_ptr[:-1][word_ptr[:-1] < len(words)]] = True  # line starts
+    return bool(rising.all())
+
+
 def read_archive(indir: str | Path) -> Corpus:
     """The corpus of an archive written by write_archive.
 
@@ -116,9 +124,11 @@ def read_archive(indir: str | Path) -> Corpus:
     ASCII whitespace but tabs). Any other pair, a repeated doc id, an empty
     document, a word id repeated within a document or outside [0, V), a
     count below 1, or a stats.json whose D or V disagrees with the files
-    raises MalformedRecord naming the first bad line. A count beyond int32,
-    the dtype of the counts array, raises ConfigError (see
-    model.check_token_total).
+    raises MalformedRecord naming the first bad line. Each file is parsed
+    in whole-array passes that only accept or refuse it; a refused file is
+    read again line by line to name its first bad line. A count beyond
+    int32, the dtype of the counts array, raises ConfigError once the file
+    is known to be valid (see model.check_token_total).
     """
     src = Path(indir)
     for name in ("vocabulary.tsv", "documents.txt", "stats.json"):
@@ -151,82 +161,75 @@ def read_archive(indir: str | Path) -> Corpus:
     )
 
 
-def _raise_first(errors: list[tuple[int, int, Exception]]) -> None:
-    """Raise the error of the lowest line (0-based) and, on one line, of
-    the lowest rank: the order in which a line-by-line reader checks."""
-    if errors:
-        raise min(errors, key=lambda e: e[:2])[2]
-
-
-def _read_columns(path: Path, n: int) -> tuple[list[list[str]], int | None]:
-    """The n tab-separated columns of a text file's lines, as n lists, and
-    the index of the first line with another number of columns (None if
-    there is none); only the lines above that one are returned.
-
-    The file is read in text mode, so CRLF and CR line ends read as LF.
-    """
+def _read_text(path: Path) -> str:
+    """A text file's text with every line ended by a newline. The file is
+    read in text mode, so CRLF and CR line ends read as LF."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if text and not text.endswith("\n"):
-        text += "\n"
+    return text + "\n" if text and not text.endswith("\n") else text
+
+
+def _columns(text: str, n: int) -> list[list[str]] | None:
+    """The n tab-separated columns of the lines of text, as n lists, or
+    None if a line has another number of columns."""
     raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
-    tabs = np.diff(np.searchsorted(np.flatnonzero(raw == ord("\t")), ends),
-                   prepend=0)
-    bad = np.flatnonzero(tabs != n - 1)
-    first_bad = int(bad[0]) if len(bad) else None
-    if first_bad is not None:
-        text = raw[:ends[first_bad - 1] + 1].tobytes().decode("utf-8") \
-            if first_bad else ""
-    del raw, ends, tabs
+    # counted per line: a line with a tab too many and a later one with a
+    # tab too few would balance out in the file's total
+    tabs = np.diff(np.searchsorted(np.flatnonzero(raw == ord("\t")),
+                                   np.flatnonzero(raw == ord("\n"))), prepend=0)
+    del raw
+    if (tabs != n - 1).any():
+        return None
     fields = text.replace("\n", "\t").split("\t")
-    del text
     fields.pop()  # after the last line end
-    return [fields[i::n] for i in range(n)], first_bad
+    return [fields[i::n] for i in range(n)]
 
 
-def _digit_column(values: list[str], rank: int, name: str,
-                  errors: list) -> np.ndarray:
+def _digit_column(values: list[str]) -> np.ndarray | None:
     """int64 values of a column of ASCII-digit numbers, parsed in one
-    whole-array pass. At the first value that is not one or more ASCII
-    digits, a MalformedRecord naming its line is added to errors and the
-    values above it are returned. A value past int64 reads as int64 max."""
+    whole-array pass, or None if a value is not one or more ASCII digits.
+    A value past int64 reads as int64 max."""
     text = "\n".join(values) + "\n" if values else ""
     buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     del text
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
-    # the bytes other than digits are the line ends, and before the first
-    # value holding another byte the two lists agree
-    others = np.flatnonzero(_CLASS[buf] != _DIGIT)
-    stray = np.flatnonzero(others[:len(ends)] != ends)
-    bad = [int(np.searchsorted(ends, others[stray[0]]))] if len(stray) else []
-    bad += np.flatnonzero(starts == ends)[:1].tolist()
-    n = len(values)
-    if bad:
-        n = min(bad)
-        errors.append((n, rank, MalformedRecord(
-            f"expected an ASCII-digit {name}, got {values[n]!r}", n + 1)))
-    return _digit_values(buf, starts[:n], ends[:n])
+    # the line ends are the only bytes other than digits, and no value is empty
+    if np.count_nonzero(_CLASS[buf] != _DIGIT) > len(ends) or (starts == ends).any():
+        return None
+    return _digit_values(buf, starts, ends)
 
 
 def _read_vocabulary(path: Path) -> tuple[list[str], list[int]]:
     """Words by id and their document frequencies; ids must run 0, 1, ...
     in line order. Ids and document frequencies are ASCII digits."""
-    (ids, words, dfs), first_bad = _read_columns(path, 3)
-    errors: list = []
-    if first_bad is not None:
-        errors.append((first_bad, 0,
-                       MalformedRecord("expected id<TAB>word<TAB>df", first_bad + 1)))
-    ids = _digit_column(ids, 1, "id", errors)
-    unordered = np.flatnonzero(ids != np.arange(len(ids)))
-    if len(unordered):
-        i = int(unordered[0])
-        errors.append((i, 1, MalformedRecord("vocabulary ids out of order", i + 1)))
-    doc_freq = _digit_column(dfs, 2, "df", errors).tolist()
-    _raise_first(errors)
-    return words, doc_freq
+    text = _read_text(path)
+    columns = _columns(text, 3)
+    if columns is not None:
+        ids, words, dfs = columns
+        ids, doc_freq = _digit_column(ids), _digit_column(dfs)
+        if ids is not None and doc_freq is not None \
+                and (ids == np.arange(len(ids))).all():
+            return words, doc_freq.tolist()
+    _vocabulary_error(text)
+
+
+def _vocabulary_error(text: str) -> NoReturn:
+    """Raise the MalformedRecord of the first bad line of a vocabulary.tsv
+    the array pass refused. A line is checked for, in order: columns, id
+    digits, id order, df digits."""
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise MalformedRecord("expected id<TAB>word<TAB>df", lineno)
+        if not (cols[0].isascii() and cols[0].isdigit()):
+            raise MalformedRecord(f"expected an ASCII-digit id, got {cols[0]!r}", lineno)
+        if int(cols[0]) != lineno - 1:
+            raise MalformedRecord("vocabulary ids out of order", lineno)
+        if not (cols[2].isascii() and cols[2].isdigit()):
+            raise MalformedRecord(f"expected an ASCII-digit df, got {cols[2]!r}", lineno)
+    raise AssertionError("the array pass refused a valid vocabulary.tsv")
 
 
 # byte classes of the pairs column; any byte outside them (a sign, an
@@ -235,113 +238,117 @@ _BAD, _DIGIT, _COLON, _SPACE, _NEWLINE = range(5)
 _CLASS = np.zeros(256, dtype=np.uint8)
 _CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
 _CLASS[ord(":")] = _COLON
-# the whitespace str.split() splits on, less the tab and the line end
-# that delimit the column
-_CLASS[np.frombuffer(b" \x0b\x0c\x1c\x1d\x1e\x1f", dtype=np.uint8)] = _SPACE
+# the ASCII whitespace str.split() splits on, less the tab and the line
+# end that delimit the column
+_SEPARATORS = " \x0b\x0c\x1c\x1d\x1e\x1f"
+_CLASS[np.frombuffer(_SEPARATORS.encode("ascii"), dtype=np.uint8)] = _SPACE
 _CLASS[ord("\n")] = _NEWLINE
 _DIGIT_VALUE = np.zeros(256, dtype=np.int64)
 _DIGIT_VALUE[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
 _MAX_DIGITS = 18  # every number of 18 digits fits int64
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT32_MAX = int(np.iinfo(np.int32).max)
+# the same classes for the line loop over documents.txt
+_PAIR = re.compile("[0-9]+:[0-9]+")
+_SPLIT = re.compile(f"[{_SEPARATORS}]+")
 
 
 def _read_documents(path: Path, v: int):
-    """(doc ids, labels, TokenCSR) of documents.txt, in file order, with
-    the checks ranked on one line as: columns, doc id, pair syntax, empty
-    document, repeated word id, word id range, count."""
-    (doc_ids, labels, blobs), first_bad = _read_columns(path, 3)
-    errors: list = []
-    if first_bad is not None:
-        errors.append((first_bad, 0, MalformedRecord(
-            "expected doc_id<TAB>label<TAB>counts", first_bad + 1)))
-    if len(set(doc_ids)) < len(doc_ids):
-        seen: set[str] = set()
-        for i, doc_id in enumerate(doc_ids):
-            if doc_id in seen:
-                errors.append((i, 1, MalformedRecord(
-                    f"duplicate doc id {doc_id!r}", i + 1)))
-                break
-            seen.add(doc_id)
-
-    # every line's pairs column, each ended by a newline
-    text = "\n".join(blobs) + "\n" if blobs else ""
-    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    del text
-    cls = _CLASS[buf]
-    # pairs are the runs of bytes that separate nothing: [starts, ends)
-    edge = np.diff((cls < _SPACE).view(np.int8), prepend=np.int8(0))
-    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    del edge
-    line_ends = np.flatnonzero(cls == _NEWLINE)
-    word_len = np.diff(np.searchsorted(starts, line_ends), prepend=0)
-    n_lines = len(blobs)
-    colons = np.flatnonzero(cls == _COLON)
-    # well formed: digits, one colon, digits. With no other bytes, as many
-    # colons as pairs and the k-th colon strictly inside the k-th pair,
-    # every pair holds exactly one colon between digits.
-    well_formed = len(colons) == len(starts) and not (cls == _BAD).any() \
-        and bool(((starts < colons) & (colons < ends - 1)).all())
-    if not well_formed:
-        bad = _first_malformed(cls, starts, ends)
-        pair_end = np.cumsum(word_len)
-        n_lines = int(np.searchsorted(pair_end, bad, side="right"))
-        pair = buf[starts[bad]:ends[bad]].tobytes().decode("utf-8")
-        errors.append((n_lines, 2, MalformedRecord(
-            f"expected word_id:count in ASCII digits, got {pair!r}", n_lines + 1)))
-        # the lines above the first bad pair parse; keep only their pairs
-        n_pairs = int(pair_end[n_lines - 1]) if n_lines else 0
-        word_len, starts, ends = word_len[:n_lines], starts[:n_pairs], ends[:n_pairs]
-    del cls
-    colons = colons[:len(starts)]  # one in each pair, in order
-    words = _digit_values(buf, starts, colons)
-    counts = _digit_values(buf, colons + 1, ends)
-    del buf, starts, ends, colons
-
-    word_ptr = np.zeros(n_lines + 1, dtype=np.int64)
-    np.cumsum(word_len, out=word_ptr[1:])
-    line = np.repeat(np.arange(n_lines), word_len)
-    empty = np.flatnonzero(word_len == 0)
-    if len(empty):
-        i = int(empty[0])
-        errors.append((i, 3, MalformedRecord("empty document in archive", i + 1)))
-    repeated = _first_repeat(words, line, word_ptr, blobs)
-    if repeated is not None:
-        errors.append((repeated, 4, MalformedRecord(
-            "repeated word id in document", repeated + 1)))
-    outside = np.flatnonzero(words >= v)
-    if len(outside):
-        i = int(line[outside[0]])
-        hi = max(int(p.split(":")[0]) for p in blobs[i].split())
-        errors.append((i, 5, MalformedRecord(f"word id {hi} outside [0, {v})", i + 1)))
-    zero = np.flatnonzero(counts < 1)
-    if len(zero):
-        i = int(line[zero[0]])
-        errors.append((i, 6, MalformedRecord("count 0 < 1", i + 1)))
-    _raise_first(errors)
-    del line
-
+    """(doc ids, labels, TokenCSR) of documents.txt, in file order."""
+    text = _read_text(path)
+    parsed = _parse_documents(text, v)
+    if parsed is None:
+        _documents_error(text, v)
+    doc_ids, labels, blobs, words, counts, word_ptr = parsed
     if len(counts) and counts.max() > _INT32_MAX:
         # past the int32 counts array; the exact total names the excess
         check_token_total(sum(int(p.split(":")[1])
                               for blob in blobs for p in blob.split()))
-    tok_ptr = np.zeros(n_lines + 1, dtype=np.int64)
-    if n_lines:
+    tok_ptr = np.zeros(len(word_ptr), dtype=np.int64)
+    if len(doc_ids):
         np.cumsum(np.add.reduceat(counts, word_ptr[:-1]), out=tok_ptr[1:])
     csr = TokenCSR(word_ptr, words.astype(np.intp, copy=False),
                    counts.astype(np.int32), tok_ptr)
     return doc_ids, labels, csr
 
 
-def _first_malformed(cls: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> int:
-    """Index of the first pair that is not digits, one colon, digits."""
-    def per_pair(positions):
-        pair = np.searchsorted(starts, positions, side="right") - 1
-        return np.bincount(pair, minlength=len(starts))
-    ok = per_pair(np.flatnonzero(cls == _COLON)) == 1
-    ok &= per_pair(np.flatnonzero(cls == _BAD)) == 0
-    ok &= (cls[starts] == _DIGIT) & (cls[ends - 1] == _DIGIT)
-    return int(np.argmin(ok))
+def _parse_documents(text: str, v: int):
+    """The whole-array pass over documents.txt: (doc ids, labels, pairs
+    columns, word ids, counts, word_ptr) as read, or None if a line is
+    bad in any way _documents_error checks."""
+    columns = _columns(text, 3)
+    if columns is None:
+        return None
+    doc_ids, labels, blobs = columns
+    if len(set(doc_ids)) < len(doc_ids):
+        return None
+    # every line's pairs column, each ended by a newline
+    pairs_text = "\n".join(blobs) + "\n" if blobs else ""
+    buf = np.frombuffer(pairs_text.encode("utf-8"), dtype=np.uint8)
+    del pairs_text
+    cls = _CLASS[buf]
+    # pairs are the runs of bytes that separate nothing: [starts, ends)
+    edge = np.diff((cls < _SPACE).view(np.int8), prepend=np.int8(0))
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    del edge
+    colons = np.flatnonzero(cls == _COLON)
+    # well formed: digits, one colon, digits. With no other bytes, as many
+    # colons as pairs and the k-th colon strictly inside the k-th pair,
+    # every pair holds exactly one colon between digits.
+    if len(colons) != len(starts) or (cls == _BAD).any() \
+            or not ((starts < colons) & (colons < ends - 1)).all():
+        return None
+    word_ptr = np.zeros(len(blobs) + 1, dtype=np.int64)
+    word_ptr[1:] = np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE))
+    del cls
+    words = _digit_values(buf, starts, colons)
+    counts = _digit_values(buf, colons + 1, ends)
+    del buf, starts, ends, colons
+    if (word_ptr[1:] == word_ptr[:-1]).any() or _repeats(words, word_ptr) \
+            or (words >= v).any() or (counts < 1).any():
+        return None
+    return doc_ids, labels, blobs, words, counts, word_ptr
+
+
+def _repeats(words: np.ndarray, word_ptr: np.ndarray) -> bool:
+    """Whether a line names a word id twice. write_archive sorts each line,
+    so ids rising within every line settle it without a sort; otherwise the
+    ids sorted within each line must rise. Ids past int64, read as int64
+    max, may look repeated, but they are outside [0, V) anyway."""
+    if _rising_within_lines(words, word_ptr):
+        return False
+    line = np.repeat(np.arange(len(word_ptr) - 1), np.diff(word_ptr))
+    return not _rising_within_lines(words[np.lexsort((words, line))], word_ptr)
+
+
+def _documents_error(text: str, v: int) -> NoReturn:
+    """Raise the MalformedRecord of the first bad line of a documents.txt
+    the array pass refused. A line is checked for, in order: columns, doc
+    id, pair syntax, empty document, repeated word id, word id range,
+    count. Ids are compared as exact integers."""
+    seen: set[str] = set()
+    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise MalformedRecord("expected doc_id<TAB>label<TAB>counts", lineno)
+        if cols[0] in seen:
+            raise MalformedRecord(f"duplicate doc id {cols[0]!r}", lineno)
+        seen.add(cols[0])
+        pairs = [pair for pair in _SPLIT.split(cols[2]) if pair]
+        malformed = [pair for pair in pairs if not _PAIR.fullmatch(pair)]
+        if malformed:
+            raise MalformedRecord(
+                f"expected word_id:count in ASCII digits, got {malformed[0]!r}", lineno)
+        if not pairs:
+            raise MalformedRecord("empty document in archive", lineno)
+        ids, counts = zip(*(map(int, pair.split(":")) for pair in pairs))
+        if len(set(ids)) < len(ids):
+            raise MalformedRecord("repeated word id in document", lineno)
+        if max(ids) >= v:
+            raise MalformedRecord(f"word id {max(ids)} outside [0, {v})", lineno)
+        if min(counts) < 1:
+            raise MalformedRecord(f"count {min(counts)} < 1", lineno)
+    raise AssertionError("the array pass refused a valid documents.txt")
 
 
 def _digit_values(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -360,26 +367,3 @@ def _digit_values(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         for i in np.flatnonzero(length > _MAX_DIGITS).tolist():
             value[i] = min(int(buf[lo[i]:hi[i]].tobytes()), _INT64_MAX)
     return value
-
-
-def _first_repeat(words: np.ndarray, line: np.ndarray, word_ptr: np.ndarray,
-                  blobs: list[str]) -> int | None:
-    """Index of the first line that names a word id twice, or None.
-    write_archive sorts each line, so ids rising within every line settle
-    it without a sort."""
-    rising = np.ones(len(words), dtype=bool)
-    rising[1:] = words[1:] > words[:-1]
-    rising[word_ptr[:-1][word_ptr[:-1] < len(words)]] = True  # line starts
-    if rising.all():
-        return None
-    order = np.lexsort((words, line))
-    words, line = words[order], line[order]
-    same = (words[1:] == words[:-1]) & (line[1:] == line[:-1])
-    for i in np.unique(line[1:][same]).tolist():
-        if words[line == i].max() < _INT64_MAX:
-            return i
-        # ids past int64 were capped, so equal values need not be equal ids
-        ids = [int(p.split(":")[0]) for p in blobs[i].split()]
-        if len(set(ids)) < len(ids):
-            return i
-    return None

@@ -24,6 +24,7 @@ from .archive import check_comma_free, read_archive, write_archive
 from .corpus import (
     TokenRules,
     build_corpus,
+    check_unique_doc_ids,
     default_stopwords,
     load_stopwords,
     read_dataset,
@@ -152,8 +153,11 @@ def cmd_preprocess(args: argparse.Namespace) -> int:
     stopword_path = given.get("stopwords")
     stopwords = load_stopwords(stopword_path) if stopword_path \
         else default_stopwords()
-    rules = TokenRules(stopword_list=stopwords, **{
-        name: given[key] for key, name in RULE_FIELDS.items() if key in given})
+    try:
+        rules = TokenRules(stopword_list=stopwords, **{
+            name: given[key] for key, name in RULE_FIELDS.items() if key in given})
+    except ValueError as exc:  # a rule value out of range
+        raise ConfigError(str(exc)) from None
     records = read_dataset(args.input, given.get("format", "jsonl"))
     corpus = build_corpus(records, rules)
     write_archive(corpus, args.output)
@@ -249,7 +253,9 @@ def _gold_labels(source: str, fmt: str) -> dict[str, str]:
             if label is not None:
                 labels[doc_id] = label
     else:
-        for doc_id, _, label in read_dataset(path, fmt):
+        records = read_dataset(path, fmt)
+        check_unique_doc_ids([doc_id for doc_id, _, _ in records])
+        for doc_id, _, label in records:
             if label is not None:
                 labels[doc_id] = label
     return labels
@@ -274,6 +280,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_topwords(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ConfigError(f"-n must be >= 1, got {args.n}")
     run_dir = Path(args.run)
     assignments_path = run_dir / "assignments.csv"
     summary_path = run_dir / "summary.json"
@@ -283,6 +291,9 @@ def cmd_topwords(args: argparse.Namespace) -> int:
     corpus = read_archive(args.archive)
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     rows = _read_assignments(assignments_path)
+    if not rows:
+        print(f"error: {assignments_path} holds no assignments", file=sys.stderr)
+        return EXIT_BAD_INPUT
     by_id = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
     missing = [doc_id for doc_id, _ in rows if doc_id not in by_id]
     if missing:

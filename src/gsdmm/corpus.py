@@ -29,6 +29,7 @@ __all__ = [
     "TokenCSR",
     "tokenize",
     "build_corpus",
+    "check_unique_doc_ids",
     "read_dataset",
     "load_stopwords",
     "default_stopwords",
@@ -338,12 +339,7 @@ def build_corpus(
     survives filtering.
     """
     doc_ids = [doc_id for doc_id, _, _ in raw_docs]
-    if len(set(doc_ids)) < len(doc_ids):
-        seen = set()
-        for doc_id in doc_ids:
-            if doc_id in seen:
-                raise DuplicateDocId(f"duplicate document id {doc_id!r}")
-            seen.add(doc_id)
+    check_unique_doc_ids(doc_ids)
     n_docs = len(doc_ids)
 
     parts, doc = _split([text for _, text, _ in raw_docs], rules)
@@ -406,6 +402,16 @@ def build_corpus(
         stats=stats,
         dropped_doc_ids=[doc_ids[d] for d in np.flatnonzero(~nonempty).tolist()],
     )
+
+
+def check_unique_doc_ids(doc_ids: list[str]) -> None:
+    """Raise DuplicateDocId naming the first doc id that repeats."""
+    if len(set(doc_ids)) < len(doc_ids):
+        seen = set()
+        for doc_id in doc_ids:
+            if doc_id in seen:
+                raise DuplicateDocId(f"duplicate document id {doc_id!r}")
+            seen.add(doc_id)
 
 
 def read_dataset(

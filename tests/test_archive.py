@@ -1,9 +1,12 @@
 """The corpus archive: the array reader against a line-by-line reference
-reader, round trips and corruptions drawn by hypothesis, and the guard
-that the run path never builds per-document objects."""
+reader, round trips and corruptions drawn by hypothesis, archives with
+exactly one fault per check, and the guards that the line loops run only
+on refused files and that the run path never builds per-document
+objects."""
 
 import json
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsdmm import _native, cli
+from gsdmm import _native, archive, cli
 from gsdmm.archive import MISSING_LABEL, read_archive, write_archive
 from gsdmm.corpus import Corpus, CorpusStats, Document, Vocabulary
 from gsdmm.errors import MalformedRecord
@@ -295,6 +298,122 @@ class TestReader:
         big = "9" * 25
         with pytest.raises(MalformedRecord, match=f"word id {big} outside"):
             read_archive(self._write(tmp_path, f"a\tx\t0:1 {big}:1 {'8' * 25}:1\n"))
+
+
+VOCABULARY = [f"{i}\tw{i}\t1" for i in range(6)]
+DOCUMENTS = ["a\tx\t0:1 3:2", "b\t-\t1:1", "c\ty\t2:1 5:1", "d\tx\t4:2"]
+
+
+def _write_lines(path: Path, vocabulary: list[str], documents: list[str]) -> Path:
+    (path / "vocabulary.tsv").write_text("".join(f"{line}\n" for line in vocabulary),
+                                         encoding="utf-8")
+    (path / "documents.txt").write_text("".join(f"{line}\n" for line in documents),
+                                        encoding="utf-8")
+    (path / "stats.json").write_text(json.dumps(
+        {"D": len(documents), "V": len(vocabulary), "mean_len": 1.0, "max_len": 2}))
+    return path
+
+
+# one case per check of each file, in the order a line is checked: the file,
+# its lines replaced (by 0-based index), and the error with its line number
+ONE_FAULT = {
+    "documents-columns": ("documents.txt", {2: "c\ty\t2:1 5:1\tz"},
+                          "line 3: expected doc_id<TAB>label<TAB>counts"),
+    # a tab too many and then one too few: the file's tab total is right
+    "documents-balanced-columns": ("documents.txt",
+                                   {1: "b\t-\t1:1\tz", 2: "c\t2:1 5:1"},
+                                   "line 2: expected doc_id<TAB>label<TAB>counts"),
+    "documents-doc-id": ("documents.txt", {2: "a\ty\t2:1 5:1"},
+                         "line 3: duplicate doc id 'a'"),
+    "documents-pair-syntax": ("documents.txt", {2: "c\ty\t2:1 5x:1"},
+                              "line 3: expected word_id:count in ASCII digits, "
+                              "got '5x:1'"),
+    "documents-empty-document": ("documents.txt", {2: "c\ty\t \x0b "},
+                                 "line 3: empty document in archive"),
+    "documents-empty-pair-column": ("documents.txt", {2: "c\ty\t"},
+                                    "line 3: empty document in archive"),
+    "documents-repeated-word-id": ("documents.txt", {2: "c\ty\t2:1 5:1 2:3"},
+                                   "line 3: repeated word id in document"),
+    "documents-word-id-range": ("documents.txt", {2: "c\ty\t7:1 2:1 9:1 6:1"},
+                                "line 3: word id 9 outside [0, 6)"),
+    "documents-count": ("documents.txt", {2: "c\ty\t2:1 5:0"}, "line 3: count 0 < 1"),
+    "vocabulary-columns": ("vocabulary.tsv", {2: "2\tw2"},
+                           "line 3: expected id<TAB>word<TAB>df"),
+    # a tab moved from line 3 to line 2: split at every tab, the fields are
+    # those of the valid file
+    "vocabulary-balanced-columns": ("vocabulary.tsv", {1: "1\tw1\t1\t2", 2: "w2\t1"},
+                                    "line 2: expected id<TAB>word<TAB>df"),
+    "vocabulary-id-digits": ("vocabulary.tsv", {2: "+2\tw2\t1"},
+                             "line 3: expected an ASCII-digit id, got '+2'"),
+    "vocabulary-id-order": ("vocabulary.tsv", {2: "3\tw2\t1"},
+                            "line 3: vocabulary ids out of order"),
+    "vocabulary-df-digits": ("vocabulary.tsv", {2: "2\tw2\t1x"},
+                             "line 3: expected an ASCII-digit df, got '1x'"),
+}
+
+# two faults on one line: the check that comes first in that order wins
+TWO_FAULTS = {
+    "columns-before-pair-syntax": ("documents.txt", {2: "c\ty\tq\tz"},
+                                   "line 3: expected doc_id<TAB>label<TAB>counts"),
+    "doc-id-before-pair-syntax": ("documents.txt", {2: "a\ty\t2:1 5x:1"},
+                                  "line 3: duplicate doc id 'a'"),
+    "repeated-before-range-and-count": ("documents.txt", {2: "c\ty\t9:1 9:0"},
+                                        "line 3: repeated word id in document"),
+    "range-before-count": ("documents.txt", {2: "c\ty\t2:0 9:1"},
+                           "line 3: word id 9 outside [0, 6)"),
+    "id-order-before-df-digits": ("vocabulary.tsv", {2: "3\tw2\tx"},
+                                  "line 3: vocabulary ids out of order"),
+}
+
+
+@pytest.mark.parametrize("case", [*ONE_FAULT.values(), *TWO_FAULTS.values()],
+                         ids=[*ONE_FAULT, *TWO_FAULTS])
+def test_fault_names_its_line(tmp_path, case):
+    name, edits, message = case
+    files = {"vocabulary.tsv": list(VOCABULARY), "documents.txt": list(DOCUMENTS)}
+    for i, line in edits.items():
+        files[name][i] = line
+    _write_lines(tmp_path, files["vocabulary.tsv"], files["documents.txt"])
+    with pytest.raises(MalformedRecord) as info:
+        read_archive(tmp_path)
+    assert str(info.value) == message
+
+
+@contextmanager
+def _counted_line_loops():
+    """The names of the line loops called inside the block, in call order."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_vocabulary_error", "_documents_error"):
+            def counted(*args, name=name, loop=getattr(archive, name)):
+                calls.append(name)
+                return loop(*args)
+
+            mp.setattr(archive, name, counted)
+        yield calls
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(corpora())
+def test_line_loops_never_run_on_round_trip_corpora(corpus):
+    with tempfile.TemporaryDirectory() as tmp, _counted_line_loops() as calls:
+        write_archive(corpus, tmp)
+        read_archive(tmp)
+    assert calls == []
+
+
+def test_line_loops_run_only_on_refused_files(tmp_path):
+    generated = _archive(tmp_path)
+    with _counted_line_loops() as calls:
+        read_archive(generated)
+        read_archive(_write_lines(tmp_path, VOCABULARY, DOCUMENTS))
+        assert calls == []
+        for name in ("documents.txt", "vocabulary.tsv"):
+            with open(tmp_path / name, "a", encoding="utf-8") as fh:
+                fh.write("\n")  # a blank line, with no columns
+            with pytest.raises(MalformedRecord):
+                read_archive(tmp_path)
+    assert calls == ["_documents_error", "_vocabulary_error"]
 
 
 def _archive(tmp_path) -> Path:

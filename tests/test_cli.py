@@ -243,6 +243,41 @@ class TestCluster:
                    "--iters", 1, flag, value) == 3
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", [["--seed", -1], "seed = -5"],
+                             ids=["flag", "config"])
+    def test_negative_seed_exit_3(self, pipeline_dir, tmp_path, capsys, given):
+        # numpy used to refuse it after the run directory was made (exit 2,
+        # "expected non-negative integer", naming no key)
+        if isinstance(given, str):
+            cfg = tmp_path / "seed.conf"
+            cfg.write_text(given + "\n")
+            given = ["--config", cfg]
+        out = pipeline_dir / "neg_seed"
+        assert run("cluster", pipeline_dir / "archive", out, "--iters", 1,
+                   *given) == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,lines,message", [
+        (["--min-len", 0], "", "min_word_len"),
+        (["--min-df", 0], "", "min_df"),
+        (["--min-len", 9, "--max-len", 3], "", "min_word_len"),
+        ([], "min_len = 0", "min_word_len"),
+        ([], "min_df = 0", "min_df"),
+        ([], "min_len = 9\nmax_len = 3", "min_word_len"),
+    ], ids=["min-len", "min-df", "min-len-above-max-len", "config-min-len",
+            "config-min-df", "config-min-len-above-max-len"])
+    def test_rule_value_out_of_range_exit_3(self, pipeline_dir, tmp_path, capsys,
+                                            flags, lines, message):
+        # TokenRules' ValueError used to exit 2
+        cfg = tmp_path / "rules.conf"
+        cfg.write_text(lines + "\n")
+        out = pipeline_dir / "rules_arch"
+        assert run("preprocess", pipeline_dir / "data.jsonl", out, *flags,
+                   "--config", cfg) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _corrupt_first_pair(archive, pair):
     """Replace the first word:count pair of the archive's first document."""
@@ -352,6 +387,21 @@ class TestEval:
         assignments.write_text("doc_id,cluster\nghost,0\n")
         assert run("eval", assignments, pipeline_dir / "archive") == 4
         assert "ghost" in capsys.readouterr().err
+
+    def test_duplicate_id_in_dataset_exit_2(self, pipeline_dir, tmp_path, capsys):
+        # the last label of a repeated id used to win silently (exit 0)
+        out = pipeline_dir / "run_dup_gold"
+        assert run("cluster", pipeline_dir / "archive", out, "--kmax", 6,
+                   "--iters", 1) == 0
+        lines = (pipeline_dir / "data.jsonl").read_text().splitlines()
+        record = json.loads(lines[3])
+        lines.append(json.dumps({**record, "label": "other"}))
+        data = tmp_path / "dup.jsonl"
+        data.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("eval", out / "assignments.csv", data) == 2
+        assert f"duplicate document id {str(record['id'])!r}" \
+            in capsys.readouterr().err
 
     def test_cli_matches_library_eval(self, pipeline_dir, capsys):
         from gsdmm.cli import read_archive, _read_assignments
@@ -470,6 +520,25 @@ class TestTopwords:
         capsys.readouterr()
         assert run("topwords", pipeline_dir / "archive", out) == 2
         assert "negative cluster id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_n_below_one_exit_3(self, pipeline_dir, capsys, n):
+        out = pipeline_dir / "run_n"
+        assert run("cluster", pipeline_dir / "archive", out, "--kmax", 6,
+                   "--iters", 1) == 0
+        capsys.readouterr()
+        assert run("topwords", pipeline_dir / "archive", out, "-n", n) == 3
+        assert "-n must be >= 1" in capsys.readouterr().err
+
+    def test_header_only_assignments_exit_2(self, pipeline_dir, capsys):
+        # used to report "k_max must be >= 1, got 0"
+        out = pipeline_dir / "run_empty"
+        assert run("cluster", pipeline_dir / "archive", out, "--kmax", 6,
+                   "--iters", 1) == 0
+        (out / "assignments.csv").write_text("doc_id,cluster\n")
+        capsys.readouterr()
+        assert run("topwords", pipeline_dir / "archive", out) == 2
+        assert "holds no assignments" in capsys.readouterr().err
 
     def test_missing_artifacts_exit_5(self, pipeline_dir):
         assert run("topwords", pipeline_dir / "archive",

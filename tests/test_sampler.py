@@ -38,6 +38,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(beta=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            RunConfig(seed=-1)
+
     @pytest.mark.parametrize("field", ["alpha", "beta", "entropy_epsilon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
