@@ -45,7 +45,6 @@ from .evaluation import (
     nmi,
 )
 from .merge import (
-    MergeCandidate,
     TfIcfVector,
     compute_icf,
     cosine,

@@ -32,7 +32,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteScore
-from .model import _pseudocounts
 
 __all__ = ["Kernel", "kernel", "cache_dir"]
 
@@ -186,7 +185,7 @@ class Kernel:
         io = np.zeros(IO_LEN, dtype=np.int64)
         io[IO_K] = state.k_active
         while True:
-            h, ctot = _weights(weights, state.V)
+            h, ctot = weights.pseudocounts(state.V)
             code = self._sweep(state.wz, state.V, state.k_max, state.m, state.n,
                                state.assignments, state.D, word_ptr, words,
                                counts, order, uniforms, len(order), h, ctot,
@@ -202,14 +201,15 @@ class Kernel:
     def log_scores(self, state, words: np.ndarray, counts: np.ndarray,
                    weights) -> np.ndarray:
         """Compiled scores of one document (already excluded from the state)
-        against every active cluster: the values the sweep draws from."""
+        against every active cluster: the values the sweep draws from. Its
+        numpy reference is model.cluster_log_scores, with these arguments."""
         _check_state(state)
         words = np.ascontiguousarray(words, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.int32)
         if words.shape != counts.shape or \
                 (len(words) and not 0 <= words.min() <= words.max() < state.V):
             raise ValueError("words and counts must match, with ids in [0, V)")
-        h, ctot = _weights(weights, state.V)
+        h, ctot = weights.pseudocounts(state.V)
         bits = _bitmaps(state)
         out = np.empty(state.k_active, dtype=np.float64)
         bad = _I64(-1)
@@ -263,14 +263,6 @@ def _corpus_arrays(state, csr):
     if len(words) and not 0 <= words.min() <= words.max() < state.V:
         raise ValueError("corpus word id outside the vocabulary")
     return word_ptr, words, counts
-
-
-def _weights(weights, v: int) -> tuple[np.ndarray, float]:
-    """Per-word pseudo-counts as a (V,) float64 array, and their total."""
-    cw, ctot = _pseudocounts(weights, v)
-    if np.ndim(cw) == 0:
-        return np.full(v, cw, dtype=np.float64), float(ctot)
-    return np.ascontiguousarray(cw, dtype=np.float64), float(ctot)
 
 
 def _raise_for(code: int, bad: int) -> None:

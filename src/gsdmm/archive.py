@@ -225,7 +225,7 @@ def _vocabulary_error(text: str) -> NoReturn:
             raise MalformedRecord("expected id<TAB>word<TAB>df", lineno)
         if not (cols[0].isascii() and cols[0].isdigit()):
             raise MalformedRecord(f"expected an ASCII-digit id, got {cols[0]!r}", lineno)
-        if int(cols[0]) != lineno - 1:
+        if _capped(cols[0]) != lineno - 1:
             raise MalformedRecord("vocabulary ids out of order", lineno)
         if not (cols[2].isascii() and cols[2].isdigit()):
             raise MalformedRecord(f"expected an ASCII-digit df, got {cols[2]!r}", lineno)
@@ -259,11 +259,10 @@ def _read_documents(path: Path, v: int):
     parsed = _parse_documents(text, v)
     if parsed is None:
         _documents_error(text, v)
-    doc_ids, labels, blobs, words, counts, word_ptr = parsed
+    doc_ids, labels, words, counts, word_ptr = parsed
     if len(counts) and counts.max() > _INT32_MAX:
-        # past the int32 counts array; the exact total names the excess
-        check_token_total(sum(int(p.split(":")[1])
-                              for blob in blobs for p in blob.split()))
+        # past the int32 counts array; the total names the excess
+        check_token_total(sum(counts.tolist()))
     tok_ptr = np.zeros(len(word_ptr), dtype=np.int64)
     if len(doc_ids):
         np.cumsum(np.add.reduceat(counts, word_ptr[:-1]), out=tok_ptr[1:])
@@ -273,9 +272,9 @@ def _read_documents(path: Path, v: int):
 
 
 def _parse_documents(text: str, v: int):
-    """The whole-array pass over documents.txt: (doc ids, labels, pairs
-    columns, word ids, counts, word_ptr) as read, or None if a line is
-    bad in any way _documents_error checks."""
+    """The whole-array pass over documents.txt: (doc ids, labels, word ids,
+    counts, word_ptr) as read, or None if a line is bad in any way
+    _documents_error checks."""
     columns = _columns(text, 3)
     if columns is None:
         return None
@@ -307,7 +306,7 @@ def _parse_documents(text: str, v: int):
     if (word_ptr[1:] == word_ptr[:-1]).any() or _repeats(words, word_ptr) \
             or (words >= v).any() or (counts < 1).any():
         return None
-    return doc_ids, labels, blobs, words, counts, word_ptr
+    return doc_ids, labels, words, counts, word_ptr
 
 
 def _repeats(words: np.ndarray, word_ptr: np.ndarray) -> bool:
@@ -325,7 +324,8 @@ def _documents_error(text: str, v: int) -> NoReturn:
     """Raise the MalformedRecord of the first bad line of a documents.txt
     the array pass refused. A line is checked for, in order: columns, doc
     id, pair syntax, empty document, repeated word id, word id range,
-    count. Ids are compared as exact integers."""
+    count. Ids are compared as exact integers, by their digits without
+    leading zeros."""
     seen: set[str] = set()
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         cols = line.split("\t")
@@ -341,20 +341,22 @@ def _documents_error(text: str, v: int) -> NoReturn:
                 f"expected word_id:count in ASCII digits, got {malformed[0]!r}", lineno)
         if not pairs:
             raise MalformedRecord("empty document in archive", lineno)
-        ids, counts = zip(*(map(int, pair.split(":")) for pair in pairs))
+        ids, counts = zip(*((value.lstrip("0") or "0" for value in pair.split(":"))
+                            for pair in pairs))
         if len(set(ids)) < len(ids):
             raise MalformedRecord("repeated word id in document", lineno)
-        if max(ids) >= v:
-            raise MalformedRecord(f"word id {max(ids)} outside [0, {v})", lineno)
-        if min(counts) < 1:
-            raise MalformedRecord(f"count {min(counts)} < 1", lineno)
+        top = max(ids, key=lambda digits: (len(digits), digits))
+        if _capped(top) >= v:
+            raise MalformedRecord(f"word id {top} outside [0, {v})", lineno)
+        if "0" in counts:
+            raise MalformedRecord("count 0 < 1", lineno)
     raise AssertionError("the array pass refused a valid documents.txt")
 
 
 def _digit_values(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """int64 values of the ASCII digit strings buf[lo[i]:hi[i]], by Horner's
     rule over all strings at once, one digit place per pass. A string of
-    more than 18 digits is converted on its own and capped at int64 max."""
+    more than 18 digits is converted on its own (see _capped)."""
     length = hi - lo
     width = int(length.max(initial=0))
     value = np.zeros(len(lo), dtype=np.int64)
@@ -365,5 +367,12 @@ def _digit_values(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
         value += _DIGIT_VALUE[buf[np.maximum(hi - 1 - place, lo - 1)]]
     if width > _MAX_DIGITS:
         for i in np.flatnonzero(length > _MAX_DIGITS).tolist():
-            value[i] = min(int(buf[lo[i]:hi[i]].tobytes()), _INT64_MAX)
+            value[i] = _capped(buf[lo[i]:hi[i]].tobytes().decode())
     return value
+
+
+def _capped(digits: str) -> int:
+    """The value of an ASCII digit string, or int64 max if it is larger. At
+    most 19 digits are converted, so a string of any length reads."""
+    digits = digits.lstrip("0")
+    return min(int(digits or 0), _INT64_MAX) if len(digits) <= 19 else _INT64_MAX

@@ -43,17 +43,13 @@ EXIT_BAD_CONFIG = 3
 EXIT_UNMATCHED_IDS = 4
 EXIT_MISSING_ARTIFACTS = 5
 
-# every key a config file may define; anything else is rejected
+# every key a config file may define and its value's type (object: any)
 CONFIG_KEYS = {
-    "algorithm", "alpha", "beta", "kmax", "kreal", "iters", "seed",
-    "entropy_refreshes", "entropy_eps", "entropy_norm", "trace",
-    "format", "stopwords", "stem", "min_df", "min_len", "max_len",
+    "algorithm": object, "alpha": float, "beta": float, "entropy_eps": float,
+    "kmax": int, "kreal": int, "iters": int, "seed": int, "min_df": int,
+    "min_len": int, "max_len": int, "entropy_refreshes": int, "trace": bool,
+    "stem": bool, "entropy_norm": bool, "format": str, "stopwords": str,
 }
-BOOL_KEYS = {"trace", "stem", "entropy_norm"}
-INT_KEYS = {"kmax", "kreal", "iters", "seed", "entropy_refreshes", "min_df",
-            "min_len", "max_len"}
-FLOAT_KEYS = {"alpha", "beta", "entropy_eps"}
-STR_KEYS = {"format", "stopwords"}
 
 
 def _parse_config_value(raw: str):
@@ -80,9 +76,10 @@ def _typed_config_value(key: str, value, where: str):
     numbers only (as int), number keys numbers only (as float) and string
     keys anything but a bare number or boolean (quote a numeric path). A
     number too large for a float is refused for every key."""
-    if key in BOOL_KEYS and not isinstance(value, bool):
+    kind = CONFIG_KEYS[key]
+    if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
-    if key in STR_KEYS and not isinstance(value, str):
+    if kind is str and not isinstance(value, str):
         raise ConfigError(f"{where}: {key} must be a string (quote a number), "
                           f"got {value!r}")
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -92,11 +89,11 @@ def _typed_config_value(key: str, value, where: str):
         except OverflowError:
             raise ConfigError(f"{where}: {key} is too large "
                               f"({len(str(value))} digits)") from None
-    if key in INT_KEYS:
+    if kind is int:
         if not (numeric and as_float.is_integer()):
             raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
         return int(value)
-    if key in FLOAT_KEYS:
+    if kind is float:
         if not numeric:
             raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
         return as_float
@@ -217,7 +214,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
     """(doc_id, cluster) rows; a cluster id other than ASCII digits (a
-    negative one too) or a repeated doc id is a MalformedRecord."""
+    negative one too) or past int64, or a repeated doc id, is a
+    MalformedRecord, and a file without rows a GsdmmError."""
     rows: list[tuple[str, int]] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -236,10 +234,18 @@ def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
                     raise MalformedRecord(f"negative cluster id {z}", lineno)
                 raise MalformedRecord(
                     f"expected a cluster id in ASCII digits, got {z!r}", lineno)
+            # at most 19 digits are converted, so a value of any length reads
+            digits = z.lstrip("0") or "0"
+            cluster = int(digits) if len(digits) <= 19 else 2 ** 63
+            if cluster >= 2 ** 63:
+                raise MalformedRecord(
+                    f"cluster id of {len(digits)} digits is past int64", lineno)
             if cols[0] in seen:
                 raise MalformedRecord(f"duplicate doc id {cols[0]!r}", lineno)
             seen.add(cols[0])
-            rows.append((cols[0], int(z)))
+            rows.append((cols[0], cluster))
+    if not rows:
+        raise GsdmmError(f"{path} holds no assignments")
     return rows
 
 
@@ -291,9 +297,6 @@ def cmd_topwords(args: argparse.Namespace) -> int:
     corpus = read_archive(args.archive)
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     rows = _read_assignments(assignments_path)
-    if not rows:
-        print(f"error: {assignments_path} holds no assignments", file=sys.stderr)
-        return EXIT_BAD_INPUT
     by_id = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
     missing = [doc_id for doc_id, _ in rows if doc_id not in by_id]
     if missing:

@@ -27,6 +27,7 @@ __all__ = [
     "CorpusStats",
     "Corpus",
     "TokenCSR",
+    "occurrences",
     "tokenize",
     "build_corpus",
     "check_unique_doc_ids",
@@ -239,15 +240,21 @@ class TokenCSR:
 
     @cached_property
     def occ(self) -> np.ndarray:
-        run_end = np.cumsum(self.counts, dtype=np.intp)
-        occ = np.arange(run_end[-1] if len(run_end) else 0, dtype=np.float64)
-        run_end -= self.counts
-        occ -= np.repeat(run_end, self.counts)
-        return occ
+        return occurrences(self.counts)
 
     @cached_property
     def entry_doc(self) -> np.ndarray:
         return np.repeat(np.arange(len(self.word_ptr) - 1), np.diff(self.word_ptr))
+
+
+def occurrences(counts) -> np.ndarray:
+    """0, 1, ... within the repeats of each word of np.repeat(words, counts),
+    as float64: the occ of the tokens of distinct words with these counts."""
+    run_end = np.cumsum(counts, dtype=np.intp)
+    occ = np.arange(run_end[-1] if len(run_end) else 0, dtype=np.float64)
+    run_end -= counts
+    occ -= np.repeat(run_end, counts)
+    return occ
 
 
 # Light suffix stripper used when TokenRules.stemming is on. Intentionally

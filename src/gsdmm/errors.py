@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GsdmmError", "DuplicateDocId", "AllDocumentsEmpty", "MalformedRecord",
+    "InactiveCluster", "NonFiniteScore", "KMaxExceedsCorpus", "KRealOutOfRange",
+    "EmptyCluster", "ZeroNorm", "LengthMismatch", "TooManyClusters",
+    "InstanceTooLarge", "NonPositiveArgument", "ConfigError",
+]
+
 
 class GsdmmError(Exception):
     """Base class for all package errors."""

@@ -21,7 +21,6 @@ from .model import ModelState, _distinct_sorted
 
 __all__ = [
     "TfIcfVector",
-    "MergeCandidate",
     "MergeLog",
     "compute_icf",
     "tficf_vector",
@@ -36,23 +35,6 @@ class TfIcfVector:
 
     weights: dict[int, float]
     norm: float
-
-
-@dataclass(frozen=True)
-class MergeCandidate:
-    """A cluster pair queued by a heap-ordered merge, stale once either
-    cluster's stamp moves on."""
-
-    a: int
-    b: int
-    similarity: float
-    stamp_a: int
-    stamp_b: int
-
-    def valid(self, alive: set[int], stamps: dict[int, int]) -> bool:
-        return (self.a in alive and self.b in alive
-                and stamps[self.a] == self.stamp_a
-                and stamps[self.b] == self.stamp_b)
 
 
 MergeLog = list  # ordered (a, b, similarity) tuples

@@ -3,10 +3,10 @@
 The collapsed conditional for a document choosing a cluster factorizes into
 a cluster-size prior (m_z + alpha, up to a constant denominator) and a
 word-match term: a rising product (n + c_w)(n + c_w + 1)... per word over a
-matching product on cluster totals. c_w is either a uniform pseudo-count
-beta or a per-word entropy value. All evaluation is in log space; the
-z-constant denominator D - 1 + K*alpha is omitted from scores and only
-reappears in the standalone prior factor.
+matching product on cluster totals. c_w, a uniform pseudo-count beta or a
+per-word entropy value, comes from weights.pseudocounts(V) with its total.
+All evaluation is in log space; the z-constant denominator D - 1 + K*alpha
+is omitted from scores and only reappears in the standalone prior factor.
 
 Per-word counts are stored word-major, one (V, k_max) int32 matrix, so the
 counts of one word across all clusters are a contiguous row. Every empty
@@ -21,10 +21,11 @@ distinct (m, n) and reads counts only where per-word occupancy bitmaps say
 they are non-zero; the representative empty cluster is then the (0, 0)
 case of that rule.
 
-The numpy kernels here are the reference. Sampling runs the compiled sweep
-kernel (_sweep.c, loaded by _native) when it can be built; it scores the
-same slots in product form, and the tests hold its scores to these within
-1e-9 and its draws to the numpy reference steps' exactly.
+The numpy kernels here are the reference; cluster_log_scores takes the
+arguments of the compiled Kernel.log_scores. Sampling runs the compiled
+sweep kernel (_sweep.c, loaded by _native) when it can be built; it scores
+the same slots in product form, and the tests hold its scores to these
+within 1e-9 and its draws to the numpy reference steps' exactly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Union
 
 import numpy as np
 
-from .corpus import Corpus, Document, TokenCSR, Vocabulary
+from .corpus import Corpus, Document, TokenCSR, Vocabulary, occurrences
 from .errors import ConfigError, InactiveCluster, NonFiniteScore
 
 __all__ = [
@@ -77,6 +78,10 @@ class UniformBeta:
         if not self.beta > 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
 
+    def pseudocounts(self, v: int) -> tuple[np.ndarray, float]:
+        """The (v,) float64 pseudo-counts, each beta, and their total."""
+        return np.full(v, self.beta, dtype=np.float64), float(v * self.beta)
+
 
 @dataclass(frozen=True)
 class EntropyTable:
@@ -92,7 +97,7 @@ class EntropyTable:
     normalized: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))
+        object.__setattr__(self, "h", np.ascontiguousarray(self.h, dtype=np.float64))
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if len(self.h) and not self.h.min() > 0:
@@ -100,17 +105,14 @@ class EntropyTable:
         if not math.isclose(self.sum_h, float(self.h.sum()), rel_tol=1e-9):
             raise ValueError("sum_h inconsistent with table")
 
+    def pseudocounts(self, v: int) -> tuple[np.ndarray, float]:
+        """The table h, the pseudo-count of each of v words, and sum_h."""
+        if len(self.h) != v:
+            raise ValueError(f"entropy table covers {len(self.h)} words, state has {v}")
+        return self.h, float(self.sum_h)
+
 
 WeightingScheme = Union[UniformBeta, EntropyTable]
-
-
-def _pseudocounts(weights: WeightingScheme, v: int):
-    """Return (per-word pseudo-count lookup, total over the vocabulary)."""
-    if isinstance(weights, UniformBeta):
-        return weights.beta, v * weights.beta
-    if len(weights.h) != v:
-        raise ValueError(f"entropy table covers {len(weights.h)} words, state has {v}")
-    return weights.h, weights.sum_h
 
 
 def check_token_total(tokens: int) -> None:
@@ -292,48 +294,50 @@ def scored_slots(state: ModelState) -> tuple[np.ndarray, np.ndarray | None]:
 
 def cluster_log_scores(
     state: ModelState,
-    word_rep: np.ndarray,
-    occ_offset: np.ndarray,
-    total: int,
+    words: np.ndarray,
+    counts: np.ndarray,
     weights: WeightingScheme,
-    clusters: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unnormalized log conditional, vectorized.
+    """Unnormalized log conditional of a document against every active
+    cluster: the numpy reference for Kernel.log_scores, from the same
+    arguments.
 
-    The document's counts must already be excluded from the state. Passing
-    an index array (the slots from scored_slots) scores exactly those
-    clusters, one entry each. Without it the kernel finds the scored slots
-    itself and returns one entry per active cluster. Entries are -inf
-    exactly for empty clusters when alpha == 0; any other non-finite value
-    signals a broken weighting and raises NonFiniteScore.
+    The document, given as its distinct word ids and their counts, must
+    already be excluded from the state. Entries are -inf exactly for empty
+    clusters when alpha == 0; any other non-finite value signals a broken
+    weighting and raises NonFiniteScore.
     """
-    if clusters is not None:
-        return _slot_log_scores(state, word_rep, occ_offset, total, weights,
-                                clusters)
     slots, row_of = scored_slots(state)
-    scores = _slot_log_scores(state, word_rep, occ_offset, total, weights, slots)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = _slot_log_scores(state, *_tokens(words, counts, weights, state.V),
+                                  slots)
     return scores if row_of is None else scores.take(row_of)
 
 
-def _slot_log_scores(state, word_rep, occ_offset, total, weights, slots):
+def _tokens(words, counts, weights: WeightingScheme, v: int):
+    """np.repeat(words, counts), the tokens of distinct words with these
+    counts; each token's pseudo-count plus its rank among its word's
+    repeats; and the pseudo-counts' total. Over a corpus, document d's
+    tokens are the slice tok_ptr[d]:tok_ptr[d + 1]."""
+    cw, ctot = weights.pseudocounts(v)
+    counts = np.asarray(counts, dtype=np.intp)
+    word_rep = np.repeat(np.asarray(words, dtype=np.intp), counts)
+    return word_rep, cw[word_rep] + occurrences(counts), ctot
+
+
+def _slot_log_scores(state, word_rep, offsets, ctot, slots):
+    """Scores of the clusters slots of a document given as _tokens gives
+    it. Run under np.errstate(divide="ignore", invalid="ignore")."""
     m = state.m[slots]
-    n = state.n[slots]
-    cw, ctot = _pseudocounts(weights, state.V)
-    if isinstance(weights, UniformBeta):
-        add = cw + occ_offset
-    else:
-        add = cw[word_rep] + occ_offset
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.log(m + state.alpha)
-        if total:
-            # (slots x words) in column-major order: numpy then sums each
-            # row word by word, the order a dense cluster-major gather
-            # (nzw[:, word_rep]) sums in, whichever slots are scored
-            counts = state.wz.take(word_rep, axis=0).take(slots, axis=1).T
-            scores = scores + np.log(counts + add[None, :]).sum(axis=1)
-            scores -= np.log(
-                n[:, None] + ctot + np.arange(total, dtype=np.float64)[None, :]
-            ).sum(axis=1)
+    scores = np.log(m + state.alpha)
+    if len(word_rep):
+        # (slots x words) in column-major order: numpy then sums each row
+        # word by word, the order a dense cluster-major gather
+        # (nzw[:, word_rep]) sums in, whichever slots are scored
+        counts = state.wz.take(word_rep, axis=0).take(slots, axis=1).T
+        scores = scores + np.log(counts + offsets[None, :]).sum(axis=1)
+        scores -= np.log(state.n[slots][:, None] + ctot + np.arange(
+            len(word_rep), dtype=np.float64)[None, :]).sum(axis=1)
     bad = ~np.isfinite(scores)
     if bad.any() and not ((scores[bad] == -np.inf) & (m[bad] == 0)).all():
         raise NonFiniteScore(
@@ -356,18 +360,17 @@ def doc_cluster_log_score(
     must already be excluded from cluster z.
     """
     state._check_active(z)
-    cw, ctot = _pseudocounts(weights, state.V)
-    uniform = isinstance(weights, UniformBeta)
+    cw, ctot = weights.pseudocounts(state.V)
     score = -math.inf if state.m[z] == 0 and state.alpha == 0 else \
         math.log(state.m[z] + state.alpha)
     for w, c in doc.counts.items():
-        base = state.wz[w, z] + (cw if uniform else cw[w])
+        base = state.wz[w, z] + cw[w]
         for j in range(c):
             arg = base + j
             if arg <= 0:
                 raise NonFiniteScore(
                     f"word {w}: log argument {arg} <= 0 (pseudo-count "
-                    f"{cw if uniform else cw[w]}, count {state.wz[w, z]})"
+                    f"{cw[w]}, count {state.wz[w, z]})"
                 )
             score += math.log(arg)
     for i in range(doc.total_len):
@@ -387,9 +390,8 @@ def conditional_distribution(
 
     The document's counts must already be excluded from its cluster.
     """
-    csr = TokenCSR.from_rows([doc.counts], [doc.counts.values()], [doc.total_len])
-    scores = cluster_log_scores(state, csr.word_rep, csr.occ, doc.total_len, weights)
-    return normalize_log_scores(scores)
+    return normalize_log_scores(cluster_log_scores(
+        state, list(doc.counts), list(doc.counts.values()), weights))
 
 
 def relative_weights(scores: np.ndarray) -> np.ndarray:

@@ -47,7 +47,8 @@ from .model import (
     ModelState,
     UniformBeta,
     WeightingScheme,
-    cluster_log_scores,
+    _slot_log_scores,
+    _tokens,
     relative_weights,
     scored_slots,
     word_entropy,
@@ -251,6 +252,7 @@ def _steps(state: ModelState, corpus: Corpus, order: np.ndarray,
                 prune, refresh_step, refresh)
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # see model._slot_log_scores
 def _numpy_steps(state: ModelState, csr, order: np.ndarray, uniforms: np.ndarray,
                  weights: WeightingScheme, prune: bool, refresh_step: int = 0,
                  refresh=None) -> int:
@@ -260,11 +262,14 @@ def _numpy_steps(state: ModelState, csr, order: np.ndarray, uniforms: np.ndarray
     It scores the occupied clusters and one representative empty cluster,
     whose score one take spreads over every empty cluster. That slot set
     changes only when a removal empties a cluster or an addition fills one,
-    and is rebuilt only then.
+    and is rebuilt only then. The corpus tokens and their offsets are
+    resolved once per weighting, on entry and after each refresh, and
+    sliced per document.
     """
     wp, tp = csr.word_ptr.tolist(), csr.tok_ptr.tolist()
     # _draw takes a generator; this one hands out the given uniforms in turn
     draws = SimpleNamespace(random=iter(uniforms.tolist()).__next__)
+    word_rep, offsets, ctot = _tokens(csr.words, csr.counts, weights, state.V)
     slots, row_of = scored_slots(state)
     moved = 0
     for pos, d in enumerate(order.tolist()):
@@ -279,9 +284,9 @@ def _numpy_steps(state: ModelState, csr, order: np.ndarray, uniforms: np.ndarray
                     pruned = True
                 slots, row_of = scored_slots(state)
         if refresh_step and pos % refresh_step == 0:
-            weights = refresh()
-        scores = cluster_log_scores(state, csr.word_rep[s:t], csr.occ[s:t], t - s,
-                                    weights, slots)
+            word_rep, offsets, ctot = _tokens(csr.words, csr.counts, refresh(),
+                                              state.V)
+        scores = _slot_log_scores(state, word_rep[s:t], offsets[s:t], ctot, slots)
         if row_of is not None:
             scores = scores.take(row_of)
         z_new = _draw(draws, relative_weights(scores))

@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import Corpus, CorpusStats, Document, TokenCSR, Vocabulary
 from .errors import InstanceTooLarge, NonPositiveArgument, TooManyClusters
 from .evaluation import LabeledPartitionPair, confusion_matrix
-from .model import ModelState, UniformBeta, WeightingScheme
+from .model import ModelState, WeightingScheme
 
 __all__ = [
     "GenSpec",
@@ -138,19 +138,6 @@ def write_jsonl(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def _pseudo_vector(weights: WeightingScheme, v: int) -> np.ndarray:
-    if isinstance(weights, UniformBeta):
-        vec = np.full(v, weights.beta)
-    else:
-        vec = np.asarray(weights.h, dtype=np.float64)
-        if len(vec) != v:
-            raise ValueError(f"pseudo-count table covers {len(vec)} words, "
-                             f"state has {v}")
-    if vec.min() <= 0:
-        raise NonPositiveArgument("pseudo-count vector must be positive")
-    return vec
-
-
 def _log_delta(x: np.ndarray) -> float:
     """log of the Dirichlet normalizer: sum of log-gammas minus log-gamma
     of the sum."""
@@ -173,7 +160,9 @@ def oracle_delta_ratio(
     from cluster z.
     """
     state._check_active(z)
-    c = _pseudo_vector(weights, state.V)
+    c, _ = weights.pseudocounts(state.V)
+    if c.min() <= 0:
+        raise NonPositiveArgument("pseudo-count vector must be positive")
     without = state.wz[:, z].astype(np.float64) + c
     with_doc = without.copy()
     for w, cnt in doc.counts.items():
@@ -206,7 +195,9 @@ class JointEnumeration:
         self.k = k
         self.d = d
         v = corpus.vocabulary.size
-        c = _pseudo_vector(weights, v)
+        c, _ = weights.pseudocounts(v)
+        if c.min() <= 0:
+            raise NonPositiveArgument("pseudo-count vector must be positive")
         x = np.zeros((d, v), dtype=np.float64)
         csr = corpus.token_csr
         x[csr.entry_doc, csr.words] = csr.counts

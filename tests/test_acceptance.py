@@ -20,7 +20,6 @@ from gsdmm.model import (
     cluster_log_scores,
     conditional_distribution,
     doc_cluster_log_score,
-    scored_slots,
     word_entropy,
 )
 from gsdmm.sampler import RunConfig, gibbs_sweep, random_init, run_gsdmm, run_gsdmm_plus
@@ -84,19 +83,14 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(1000):
         state, doc, weights, z = random_triple(gen)
         oracle = oracle_delta_ratio(doc, z, state, weights)
-        # the scalar reference kernel, and the production kernel the sweep
-        # runs: scored slots, then the representative empty score spread
-        slots, row_of = scored_slots(state)
+        # the scalar reference kernel, the numpy kernel (scored slots, then
+        # the representative empty score spread) and the compiled kernel,
+        # where it can be built, with the same arguments
+        words = np.fromiter(doc.counts, dtype=np.int64)
         counts = np.fromiter(doc.counts.values(), dtype=np.int64)
-        word_rep = np.repeat(np.fromiter(doc.counts, dtype=np.intp), counts)
-        occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts]) \
-            if len(counts) else np.zeros(0)
-        vec = cluster_log_scores(state, word_rep, occ, doc.total_len, weights, slots)
-        if row_of is not None:
-            vec = vec.take(row_of)
-        paths = [doc_cluster_log_score(doc, z, state, weights), vec[z]]
-        if kernel is not None:  # the compiled kernel, where it can be built
-            words = np.fromiter(doc.counts, dtype=np.int64)
+        paths = [doc_cluster_log_score(doc, z, state, weights),
+                 cluster_log_scores(state, words, counts, weights)[z]]
+        if kernel is not None:
             paths.append(kernel.log_scores(state, words, counts, weights)[z])
         for log_score in paths:
             score = math.exp(log_score)

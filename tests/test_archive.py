@@ -299,6 +299,21 @@ class TestReader:
         with pytest.raises(MalformedRecord, match=f"word id {big} outside"):
             read_archive(self._write(tmp_path, f"a\tx\t0:1 {big}:1 {'8' * 25}:1\n"))
 
+    @pytest.mark.parametrize("pair, code, message", [
+        ("0" * 4999 + "3:1", 0, None),
+        ("7" * 5000 + ":1", 2, "line 2: word id 7777"),
+        ("1:" + "7" * 5000, 3, f"corpus has {2 ** 63} tokens"),
+    ], ids=["word-id-leading-zeros", "word-id", "count"])
+    def test_values_past_the_int_string_limit(self, tmp_path, capsys, pair, code,
+                                              message):
+        # Python's int() refuses strings past 4300 digits; a word id past
+        # int64 reads as int64 max and a count past it as int64 max
+        path = self._write(tmp_path, f"a\tx\t0:1\nb\tx\t{pair}\n")
+        assert cli.main(["cluster", str(path), str(tmp_path / "r"),
+                         "--kmax", "2", "--iters", "1"]) == code
+        if message:
+            assert message in capsys.readouterr().err
+
 
 VOCABULARY = [f"{i}\tw{i}\t1" for i in range(6)]
 DOCUMENTS = ["a\tx\t0:1 3:2", "b\t-\t1:1", "c\ty\t2:1 5:1", "d\tx\t4:2"]

@@ -403,6 +403,13 @@ class TestEval:
         assert f"duplicate document id {str(record['id'])!r}" \
             in capsys.readouterr().err
 
+    def test_header_only_assignments_exit_2(self, pipeline_dir, tmp_path, capsys):
+        # used to report "empty partitions", naming neither file nor cause
+        assignments = tmp_path / "assign.csv"
+        assignments.write_text("doc_id,cluster\n")
+        assert run("eval", assignments, pipeline_dir / "archive") == 2
+        assert f"{assignments} holds no assignments" in capsys.readouterr().err
+
     def test_cli_matches_library_eval(self, pipeline_dir, capsys):
         from gsdmm.cli import read_archive, _read_assignments
         from gsdmm.evaluation import LabeledPartitionPair, evaluate

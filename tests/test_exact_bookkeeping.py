@@ -6,6 +6,7 @@ held to the reference it replaced, bit for bit."""
 import heapq
 import shutil
 import subprocess
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from gsdmm import _native, merge, sampler
 from gsdmm.merge import (
-    MergeCandidate,
     compute_icf,
     cosine,
     merge_to_k,
@@ -155,6 +155,30 @@ class TestKernelPrune:
 
 
 # -- merge ---------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MergeCandidate:
+    """A cluster pair queued by the heap-ordered reference merge, stale once
+    either cluster's stamp moves on."""
+
+    a: int
+    b: int
+    similarity: float
+    stamp_a: int
+    stamp_b: int
+
+    def valid(self, alive: set[int], stamps: dict[int, int]) -> bool:
+        return (self.a in alive and self.b in alive
+                and stamps[self.a] == self.stamp_a
+                and stamps[self.b] == self.stamp_b)
+
+
+def test_candidate_staleness():
+    cand = MergeCandidate(a=0, b=2, similarity=0.8, stamp_a=1, stamp_b=0)
+    assert cand.valid({0, 2}, {0: 1, 2: 0})
+    assert not cand.valid({0}, {0: 1})            # b merged away
+    assert not cand.valid({0, 2}, {0: 2, 2: 0})   # a changed since queued
+
 
 def reference_merge_to_k(state, k_real):
     """The heap-ordered merge merge_to_k replaced: every pair's cosine in a

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from gsdmm.errors import EmptyCluster, KRealOutOfRange, ZeroNorm
 from gsdmm.merge import (
-    MergeCandidate,
     TfIcfVector,
     compute_icf,
     cosine,
@@ -192,12 +191,6 @@ class TestMergeToK:
             merge_to_k(state, 0)
         with pytest.raises(KRealOutOfRange):
             merge_to_k(state, 3)
-
-    def test_candidate_staleness(self):
-        cand = MergeCandidate(a=0, b=2, similarity=0.8, stamp_a=1, stamp_b=0)
-        assert cand.valid({0, 2}, {0: 1, 2: 0})
-        assert not cand.valid({0}, {0: 1})            # b merged away
-        assert not cand.valid({0, 2}, {0: 2, 2: 0})   # a changed since queued
 
     def test_assignments_follow_merges(self):
         nzw = np.array([[5, 0], [5, 0], [0, 5]])

@@ -9,6 +9,8 @@ from gsdmm.model import (
     EntropyTable,
     ModelState,
     UniformBeta,
+    _slot_log_scores,
+    _tokens,
     cluster_log_scores,
     conditional_distribution,
     doc_cluster_log_score,
@@ -21,7 +23,7 @@ from gsdmm.model import (
 from gsdmm.synth import oracle_delta_ratio
 from gsdmm.corpus import Vocabulary
 
-from conftest import make_doc, make_state, random_triple
+from conftest import corpus_from_counts, make_doc, make_state, random_triple
 
 
 class TestPriorClusterFactor:
@@ -82,10 +84,7 @@ class TestDocClusterLogScore:
             state, doc, weights, _ = random_triple(rng)
             words = np.fromiter(doc.counts.keys(), dtype=np.int64)
             counts = np.fromiter(doc.counts.values(), dtype=np.int64)
-            word_rep = np.repeat(words, counts)
-            occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts]) \
-                if len(counts) else np.zeros(0)
-            vec = cluster_log_scores(state, word_rep, occ, doc.total_len, weights)
+            vec = cluster_log_scores(state, words, counts, weights)
             for z in range(state.k_active):
                 scalar = doc_cluster_log_score(doc, z, state, weights)
                 if math.isinf(scalar):
@@ -111,7 +110,8 @@ class TestDocClusterLogScore:
 def _sparse_state(gen, alpha, k_max=60, v=30, n_docs=25, max_count=3):
     """Consistent state built through add_doc: n_docs documents spread over
     a handful of the k_max slots, one document held out. Returns the state,
-    the held-out document and its word_rep / occ_offset arrays."""
+    the held-out document and its distinct word ids and their counts, the
+    arguments of both scorers."""
     live = gen.choice(k_max, size=int(gen.integers(1, 7)), replace=False)
     state = ModelState(n_docs, v, k_max, alpha)
     docs = []
@@ -125,10 +125,17 @@ def _sparse_state(gen, alpha, k_max=60, v=30, n_docs=25, max_count=3):
                           np.fromiter(doc.counts.values(), dtype=np.int32),
                           doc.total_len, int(gen.choice(live)))
     doc = docs[0]
-    counts = np.fromiter(doc.counts.values(), dtype=np.int64)
-    word_rep = np.repeat(np.fromiter(doc.counts, dtype=np.intp), counts)
-    occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts])
-    return state, doc, word_rep, occ
+    words = np.fromiter(doc.counts, dtype=np.int64)
+    counts = np.fromiter(doc.counts.values(), dtype=np.int32)
+    return state, doc, words, counts
+
+
+def _random_weights(gen, state, entropy):
+    if entropy:
+        h = gen.uniform(1e-3, 1.0, size=state.V)
+        return EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
+                            normalized=True)
+    return UniformBeta(float(gen.choice([0.01, 0.1])))
 
 
 class TestEmptySlotScoring:
@@ -139,21 +146,22 @@ class TestEmptySlotScoring:
     @pytest.mark.parametrize("entropy", [False, True])
     def test_matches_scalar_on_every_slot(self, rng, alpha, entropy):
         for _ in range(20):
-            state, doc, word_rep, occ = _sparse_state(rng, alpha)
-            if entropy:
-                h = rng.uniform(1e-3, 1.0, size=state.V)
-                weights = EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
-                                       normalized=True)
-            else:
-                weights = UniformBeta(float(rng.choice([0.01, 0.1])))
+            state, doc, words, counts = _sparse_state(rng, alpha)
+            weights = _random_weights(rng, state, entropy)
             slots, row_of = scored_slots(state)
             occupied = np.flatnonzero(state.m)
             assert len(slots) == len(occupied) + 1 < state.k_max
-            scores = cluster_log_scores(state, word_rep, occ, doc.total_len,
-                                        weights, slots).take(row_of)
+            # the sweep's call, on a document's slices of the corpus tokens
+            corpus = corpus_from_counts([{0: 2}, doc.counts, {1: 1}], state.V)
+            word_rep, offsets, ctot = _tokens(corpus.token_csr.words,
+                                              corpus.token_csr.counts, weights,
+                                              state.V)
+            s, t = corpus.token_csr.tok_ptr[1:3]
+            with np.errstate(divide="ignore"):
+                scores = _slot_log_scores(state, word_rep[s:t], offsets[s:t], ctot,
+                                          slots).take(row_of)
             assert np.array_equal(
-                scores, cluster_log_scores(state, word_rep, occ,
-                                           doc.total_len, weights))
+                scores, cluster_log_scores(state, words, counts, weights))
             for z in range(state.k_max):
                 scalar = doc_cluster_log_score(doc, z, state, weights)
                 if state.m[z] == 0 and alpha == 0:
@@ -165,21 +173,26 @@ class TestEmptySlotScoring:
     def test_bit_identical_to_dense_gather(self, rng, alpha):
         # the dense gather is column-major, so its rows sum word by word; a
         # row-contiguous block would sum documents of 9+ tokens pairwise.
-        # Scoring a subset of clusters must not change any bit of any score
+        # Scoring a subset of clusters must not change any bit of any score,
+        # under either weighting
         for _ in range(20):
-            state, doc, word_rep, occ = _sparse_state(rng, alpha, max_count=6)
-            weights = UniformBeta(0.1)
+            state, doc, words, counts = _sparse_state(rng, alpha, max_count=6)
+            word_rep = np.repeat(words, counts)
+            occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts])
+            h = rng.uniform(1e-3, 1.0, size=state.V)
             k = state.k_active
             nzw = np.ascontiguousarray(state.nzw[:k], dtype=np.int64)
-            with np.errstate(divide="ignore"):
-                dense = np.log(state.m[:k] + alpha)
-                dense = dense + np.log(nzw[:, word_rep] + (0.1 + occ)[None, :]).sum(axis=1)
-                dense -= np.log(state.n[:k, None] + state.V * 0.1 + np.arange(
-                    doc.total_len, dtype=np.float64)[None, :]).sum(axis=1)
-            slots, row_of = scored_slots(state)
-            got = cluster_log_scores(state, word_rep, occ, doc.total_len,
-                                     weights, slots).take(row_of)
-            assert np.array_equal(got, dense)
+            for weights, cw, ctot in [
+                    (UniformBeta(0.1), 0.1, state.V * 0.1),
+                    (EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
+                                  normalized=True), h[word_rep], float(h.sum()))]:
+                with np.errstate(divide="ignore"):
+                    dense = np.log(state.m[:k] + alpha)
+                    dense = dense + np.log(nzw[:, word_rep] + (cw + occ)[None, :]).sum(axis=1)
+                    dense -= np.log(state.n[:k, None] + ctot + np.arange(
+                        doc.total_len, dtype=np.float64)[None, :]).sum(axis=1)
+                got = cluster_log_scores(state, words, counts, weights)
+                assert np.array_equal(got, dense)
 
     def test_no_empty_slot_scores_all(self):
         state = make_state([1, 2], [[1, 0], [0, 3]], alpha=0.1)

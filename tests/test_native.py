@@ -31,7 +31,7 @@ from gsdmm.sampler import (
 from gsdmm.synth import GenSpec, generate_corpus
 
 from conftest import corpus_from_counts, make_doc, make_state
-from test_model import _sparse_state
+from test_model import _random_weights, _sparse_state
 
 pytestmark = pytest.mark.skipif(
     shutil.which("cc") is None and shutil.which("gcc") is None,
@@ -229,17 +229,12 @@ class TestCompiledScores:
     @pytest.mark.parametrize("entropy", [False, True])
     def test_matches_scalar_on_every_slot(self, kernel, rng, alpha, entropy):
         for _ in range(20):
-            state, doc, _, _ = _sparse_state(rng, alpha, max_count=12)
-            if entropy:
-                h = rng.uniform(1e-3, 1.0, size=state.V)
-                weights = EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
-                                       normalized=True)
-            else:
-                weights = UniformBeta(float(rng.choice([0.01, 0.1])))
-            scores = kernel.log_scores(state, np.fromiter(doc.counts, np.int64),
-                                       np.fromiter(doc.counts.values(), np.int32),
-                                       weights)
+            state, doc, words, counts = _sparse_state(rng, alpha, max_count=12)
+            weights = _random_weights(rng, state, entropy)
+            scores = kernel.log_scores(state, words, counts, weights)
             assert len(scores) == state.k_active
+            reference = cluster_log_scores(state, words, counts, weights)
+            assert np.allclose(scores, reference, rtol=1e-12, atol=1e-9)
             for z in range(state.k_active):
                 scalar = doc_cluster_log_score(doc, z, state, weights)
                 if state.m[z] == 0 and alpha == 0:
@@ -265,9 +260,7 @@ class TestCompiledScores:
         assert counts.sum() == 2000 and (counts > 0).all()
         weights = UniformBeta(beta)
         got = kernel.log_scores(state, words, counts, weights)
-        word_rep = np.repeat(words, counts)
-        occ = np.concatenate([np.arange(c, dtype=np.float64) for c in counts])
-        ref = cluster_log_scores(state, word_rep, occ, 2000, weights)
+        ref = cluster_log_scores(state, words, counts, weights)
         assert np.isfinite(got).all()
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-9)
 
@@ -298,10 +291,9 @@ class TestNonFinite:
         # factor), so a bare product would pass
         state = make_state([2, 1], [[0, 0, 30], [0, 0, 10]], alpha=0.1)
         weights = _bad_weights(kind, 3)
-        with pytest.raises(NonFiniteScore):
-            cluster_log_scores(state, np.array([0, 1]), np.zeros(2), 2, weights)
-        with pytest.raises(NonFiniteScore):
-            kernel.log_scores(state, np.array([0, 1]), np.array([1, 1]), weights)
+        for scores in (cluster_log_scores, kernel.log_scores):
+            with pytest.raises(NonFiniteScore):
+                scores(state, np.array([0, 1]), np.array([1, 1]), weights)
         # a document that avoids the bad word scores finite on both paths
         if kind == "zero_entropy":
             ok = make_doc({1: 2, 2: 1})
@@ -310,6 +302,8 @@ class TestNonFinite:
             got = kernel.log_scores(state, words, counts, weights)
             ref = [doc_cluster_log_score(ok, z, state, weights) for z in range(2)]
             assert np.allclose(got, ref, rtol=1e-12)
+            assert np.allclose(cluster_log_scores(state, words, counts, weights),
+                               ref, rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["zero_entropy", "negative_beta", "all_empty"])
     def test_sweep_raises_like_numpy(self, kernel, monkeypatch, kind):

@@ -71,6 +71,19 @@ class TestVocabulary:
                            "ASCII-digit id, got 'x'"):
             read_archive(_archive(tmp_path / "c", lines))
 
+    def test_values_past_the_int_string_limit(self, tmp_path, capsys):
+        # Python's int() refuses strings past 4300 digits: a df past int64
+        # reads as int64 max, an id past it is out of order on its line
+        big = "7" * 5000
+        lines = ["0\tw0\t1\n", f"1\tw1\t{big}\n", f"00{big}\tw2\t1\n"]
+        with pytest.raises(MalformedRecord, match="line 3: vocabulary ids out of order"):
+            read_archive(_archive(tmp_path / "a", lines))
+        lines[2] = "0" * 5000 + "2\tw2\t1\n"
+        vocab = read_archive(_archive(tmp_path / "b", lines)).vocabulary
+        assert vocab.doc_freq == (1, 2 ** 63 - 1, 1)
+        assert run("cluster", tmp_path / "a", tmp_path / "r", "--iters", 1) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_column_count_kept(self, tmp_path):
         lines = ["0\tw0\t1\n", "1\tw1\n", "2\tw2\t1\n"]
         with pytest.raises(MalformedRecord, match="line 2: expected id<TAB>word<TAB>df"):
@@ -97,6 +110,21 @@ class TestAssignments:
         assert repr(value) in str(exc.value)
         archive = _archive(tmp_path / "a", GOOD)
         assert run("eval", path, archive) == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, read", [
+        ("0" * 4999 + "5", 5), ("9223372036854775807", 2 ** 63 - 1),
+        ("9223372036854775808", None), ("7" * 5000, None),
+    ], ids=["5000-digit-5", "int64-max", "past-int64", "5000-digits"])
+    def test_cluster_id_past_int64(self, tmp_path, capsys, value, read):
+        # Python's int() refuses strings past 4300 digits
+        path = self._write(tmp_path, ["a,0", f"b,{value}"])
+        if read is not None:
+            assert _read_assignments(path) == [("a", 0), ("b", read)]
+            return
+        with pytest.raises(MalformedRecord, match="line 3: cluster id .* past int64"):
+            _read_assignments(path)
+        assert run("eval", path, _archive(tmp_path / "a", GOOD)) == 2
         assert "line 3" in capsys.readouterr().err
 
     def test_negative_cluster_named(self, tmp_path):

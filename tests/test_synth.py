@@ -8,7 +8,7 @@ from scipy.stats import chi2
 from gsdmm.corpus import TokenRules, build_corpus, read_dataset
 from gsdmm.errors import InstanceTooLarge, NonPositiveArgument, TooManyClusters
 from gsdmm.evaluation import LabeledPartitionPair
-from gsdmm.model import UniformBeta, conditional_distribution
+from gsdmm.model import EntropyTable, UniformBeta, conditional_distribution
 from gsdmm.synth import (
     GenSpec,
     generate_corpus,
@@ -115,10 +115,11 @@ class TestOracleDeltaRatio:
     def test_nonpositive_pseudocounts_rejected(self):
         state = make_state([1], [[1, 1]], alpha=0.1)
         table = UniformBeta(1.0)
-        bad = np.array([1.0, -0.5])
+        bad = EntropyTable(h=np.array([1.0, 0.5]), sum_h=1.5, epsilon=1e-9,
+                           normalized=True)
+        bad.h[1] = -0.5  # bypasses the constructor's positivity check
         with pytest.raises(NonPositiveArgument):
-            from gsdmm.synth import _pseudo_vector
-            _pseudo_vector(type("W", (), {"h": bad})(), 2)  # noqa
+            oracle_delta_ratio(make_doc({0: 1}), 0, state, bad)
         with pytest.raises(Exception):
             oracle_delta_ratio(make_doc({0: 1}), 5, state, table)
 
