@@ -11,8 +11,13 @@ place, so concurrent processes never load a partial file. When the cache
 directory is not private, or cannot be made, the library is built in a
 private temporary directory for this process only.
 
-kernel() returns None when no compiler exists or the build fails; the
-sampler then runs its numpy reference, which gives the same assignments.
+The library has three entry points: Kernel.sweep runs document steps,
+Kernel.log_scores scores one document, and Kernel.cells lists the occupied
+count cells that gsdmm+'s entropy refresh reads, from the corpus in
+word-major order (TokenCSR.by_word); the refresh's arithmetic stays in
+numpy. kernel() returns None when no compiler exists or the build fails;
+the sampler and the refresh then run their numpy references, which give
+the same assignments and tables.
 Every pointer passed to C is checked first: dtype, contiguity and size.
 """
 
@@ -157,6 +162,13 @@ class Kernel:
             ctypes.POINTER(_I64),
         ]
         self._scores.restype = _I64
+        self._cells = lib.dmm_cells
+        self._cells.argtypes = [
+            _arr(np.int32, 2), _I64, _arr(np.int64), _I64,    # wz, assignments
+            _arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _I64,  # index
+            _arr(np.uint64), _arr(np.int64), _arr(np.int32),  # work space, out
+        ]
+        self._cells.restype = _I64
 
     def sweep(self, state, csr, order: np.ndarray, uniforms: np.ndarray,
               weights, prune: bool, refresh_step: int = 0,
@@ -220,6 +232,32 @@ class Kernel:
                             ctypes.byref(bad))
         _raise_for(code, bad.value)
         return out
+
+    def cells(self, state, csr) -> tuple[np.ndarray, np.ndarray]:
+        """The count cells that csr's attached documents occupy in state,
+        as (words, nz): word ids (int64) ascending and, within a word,
+        clusters ascending, with the cells' counts (int32) read from
+        state.wz. Its numpy reference is model._occupied_cells, with these
+        arguments. The cells are found from csr.by_word, the corpus in
+        word-major order, so the state must hold csr's counts. The index's
+        sizes are checked here, its offsets and document ids by the C loop
+        as it reads them."""
+        _, words, _ = _corpus_arrays(state, csr)
+        start, docs, counts = (np.ascontiguousarray(a, dtype=t) for a, t in
+                               zip(csr.by_word, (np.int64, np.int64, np.int32)))
+        if not 1 <= len(start) <= state.V + 1 or start[0] != 0 \
+                or start[-1] != len(words) or docs.shape != words.shape \
+                or counts.shape != words.shape:
+            raise ValueError("word-major index does not match the corpus")
+        out_w = np.empty(len(words), dtype=np.int64)
+        out_nz = np.empty(len(words), dtype=np.int32)
+        n = self._cells(state.wz, state.k_max, state.assignments, state.D,
+                        start, len(start) - 1, docs, counts, len(docs),
+                        np.zeros(-(-state.k_active // 64), dtype=np.uint64),
+                        out_w, out_nz)
+        if n < 0:
+            raise ValueError("word-major index does not match the corpus")
+        return out_w[:n], out_nz[:n]
 
 
 def _check_state(state) -> None:

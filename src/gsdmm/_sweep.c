@@ -32,6 +32,11 @@
  * bitmaps live for one call: filled from the assignments on entry, kept by
  * every count change.
  *
+ * One more entry point lists the occupied count cells for gsdmm+'s entropy
+ * refresh: it walks the corpus transposed to word-major order (built once per
+ * corpus), so finding the cells costs O(entries), not a sort of them or a
+ * scan of the count matrix. The entropy arithmetic stays with the caller.
+ *
  * Build: cc -O2 -shared -fPIC (never -ffast-math: the non-finite checks and
  * the exact draw rely on IEEE semantics).
  */
@@ -558,4 +563,53 @@ int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
     io[IO_K] = k;
     io[IO_MOVED] = moved;
     return code;
+}
+
+/* The occupied cells (w, z) of the attached documents, for each word w <
+ * n_words in turn and, within a word, for each cluster z ascending, written
+ * to out_w (w) and out_nz (the count wz[w][z]). Word w's entries are
+ * documents col_doc[col_ptr[w]:col_ptr[w + 1]] with their counts col_count
+ * at the same positions; an entry of a detached document (assignment -1) or
+ * of count 0 occupies no cell, and a cell two entries share is listed once.
+ * seen is zeroed work space with a bit for every cluster an assignment
+ * names; a call that succeeds leaves it zeroed. Returns the number of cells
+ * (at most n_entries), or -1 when the index points outside its entries or
+ * the documents. */
+int64_t dmm_cells(const int32_t *wz, int64_t kmax, const int64_t *assign,
+                  int64_t n_docs, const int64_t *col_ptr, int64_t n_words,
+                  const int64_t *col_doc, const int32_t *col_count,
+                  int64_t n_entries, uint64_t *seen, int64_t *out_w,
+                  int32_t *out_nz)
+{
+    int64_t nc = 0;
+    for (int64_t w = 0; w < n_words; w++) {
+        const int64_t lo = col_ptr[w], hi = col_ptr[w + 1];
+        if (lo < 0 || hi < lo || hi > n_entries)
+            return -1;
+        int64_t first = INT64_MAX, last = -1;  /* seen's words in use */
+        for (int64_t e = lo; e < hi; e++) {
+            const int64_t d = col_doc[e];
+            if (d < 0 || d >= n_docs)
+                return -1;
+            const int64_t z = assign[d];
+            if (z < 0 || !col_count[e])
+                continue;
+            seen[z >> 6] |= (uint64_t)1 << (z & 63);
+            first = (z >> 6) < first ? z >> 6 : first;
+            last = (z >> 6) > last ? z >> 6 : last;
+        }
+        for (int64_t b = first; b <= last; b++) {
+            for (uint64_t r = seen[b]; r; r &= r - 1) {
+                out_w[nc] = w;
+                out_nz[nc++] = (int32_t)(64 * b + LOWEST(r));  /* z, for now */
+            }
+            seen[b] = 0;
+        }
+    }
+    /* The counts, in a pass of their own: its reads, scattered over wz, do
+     * not wait on each other, where in the loop above every mispredicted
+     * loop exit would throw away the ones in flight. */
+    for (int64_t c = 0; c < nc; c++)
+        out_nz[c] = wz[out_w[c] * kmax + out_nz[c]];
+    return nc;
 }

@@ -347,7 +347,9 @@ def _documents_error(text: str, v: int) -> NoReturn:
             raise MalformedRecord("repeated word id in document", lineno)
         top = max(ids, key=lambda digits: (len(digits), digits))
         if _capped(top) >= v:
-            raise MalformedRecord(f"word id {top} outside [0, {v})", lineno)
+            # an id of over 40 digits is named by its first digits and length
+            shown = top if len(top) <= 40 else f"{top[:20]}... ({len(top)} digits)"
+            raise MalformedRecord(f"word id {shown} outside [0, {v})", lineno)
         if "0" in counts:
             raise MalformedRecord("count 0 < 1", lineno)
     raise AssertionError("the array pass refused a valid documents.txt")

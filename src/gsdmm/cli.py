@@ -53,6 +53,9 @@ CONFIG_KEYS = {
 
 
 def _parse_config_value(raw: str):
+    """A config value as written: a quoted or bare string, a boolean, an
+    int or a float. An integer too large for a float raises OverflowError
+    with its number of digits."""
     raw = raw.strip()
     if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
         return raw[1:-1]
@@ -60,9 +63,17 @@ def _parse_config_value(raw: str):
     if low in ("true", "false"):
         return low == "true"
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        pass
+        if (raw[1:] if raw[:1] in "+-" else raw).isdecimal():
+            # int() refuses more than 4300 digits, and float() reads inf
+            raise OverflowError(len(raw)) from None
+    else:
+        try:
+            float(value)
+        except OverflowError:
+            raise OverflowError(len(str(value))) from None
+        return value
     try:
         return float(raw)
     except ValueError:
@@ -74,8 +85,7 @@ def _typed_config_value(key: str, value, where: str):
     """Check a parsed value against its key's type and return it as that
     type: boolean keys take exactly true or false, integer keys integral
     numbers only (as int), number keys numbers only (as float) and string
-    keys anything but a bare number or boolean (quote a numeric path). A
-    number too large for a float is refused for every key."""
+    keys anything but a bare number or boolean (quote a numeric path)."""
     kind = CONFIG_KEYS[key]
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
@@ -83,26 +93,21 @@ def _typed_config_value(key: str, value, where: str):
         raise ConfigError(f"{where}: {key} must be a string (quote a number), "
                           f"got {value!r}")
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if numeric:
-        try:
-            as_float = float(value)
-        except OverflowError:
-            raise ConfigError(f"{where}: {key} is too large "
-                              f"({len(str(value))} digits)") from None
     if kind is int:
-        if not (numeric and as_float.is_integer()):
+        if not (numeric and float(value).is_integer()):
             raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
         return int(value)
     if kind is float:
         if not numeric:
             raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-        return as_float
+        return float(value)
     return value
 
 
 def load_config_file(path: str | Path) -> dict:
     """Flat key = value file; blank lines and # comments allowed. Values are
-    checked against their key's type (see _typed_config_value)."""
+    checked against their key's type (see _typed_config_value); a number
+    too large for a float is refused for every key."""
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -115,8 +120,12 @@ def load_config_file(path: str | Path) -> dict:
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _typed_config_value(
-                key, _parse_config_value(raw), f"{path}:{lineno}")
+            try:
+                value = _parse_config_value(raw)
+            except OverflowError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key} is too large "
+                                  f"({exc} digits)") from None
+            values[key] = _typed_config_value(key, value, f"{path}:{lineno}")
     return values
 
 

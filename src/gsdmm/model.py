@@ -36,6 +36,7 @@ from typing import Union
 
 import numpy as np
 
+from . import _native
 from .corpus import Corpus, Document, TokenCSR, Vocabulary, occurrences
 from .errors import ConfigError, InactiveCluster, NonFiniteScore
 
@@ -435,8 +436,11 @@ def word_entropy(
     cells are found from the corpus: they are the cells (w, assignments[d])
     of the attached documents' entries, so finding them costs O(entries),
     not a scan of the V x k count matrix. A detached document (assignment
-    -1) adds none. Without csr the matrix is scanned; both give the same
-    cells in the same order, so the same table to the last bit.
+    -1) adds none. The compiled Kernel.cells lists them when the kernel can
+    be built, and _occupied_cells, its numpy reference, otherwise. Without
+    csr the matrix is scanned. All three give the same cells in the same
+    order, and the arithmetic on them is numpy's on every path, so the
+    table is the same to the last bit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -449,15 +453,15 @@ def word_entropy(
         h = np.ones(state.V, dtype=np.float64)
     else:
         counts = state.wz[:, :k]
-        # flat positions of the nonzero counts, word-major, so words ascend
+        # the nonzero counts, word-major, so words ascend
         if csr is None:
             flat = np.flatnonzero(counts != 0)
+            words = flat // k
+            nz = counts[words, flat - words * k]
         else:
-            flat = _occupied_cells(state, csr)
-        words = flat // k
-        nz = counts[words, flat - words * k]
-        if csr is not None:  # an entry with count 0 occupies no cell
-            words, nz = words[nz != 0], nz[nz != 0]
+            kernel = _native.kernel()
+            cells = _occupied_cells if kernel is None else kernel.cells
+            words, nz = cells(state, csr)
         nnz = np.bincount(words, minlength=state.V)
         s_w = np.bincount(words, weights=nz, minlength=state.V) + k * epsilon
         p = (nz + epsilon) / s_w[words]
@@ -471,6 +475,7 @@ def word_entropy(
         full = np.flatnonzero(nnz == k)
         spread = counts[full]
         uniform[full] = spread.min(axis=1) == spread.max(axis=1)
+        uniform = np.flatnonzero(uniform)  # indexes faster than the mask
         h[uniform] = top
         np.clip(h, None, top, out=h)
         if normalized:
@@ -480,12 +485,19 @@ def word_entropy(
                         normalized=normalized)
 
 
-def _occupied_cells(state: ModelState, csr: TokenCSR) -> np.ndarray:
-    """Ascending distinct keys w * k_active + z of the cells the attached
-    documents' entries occupy."""
+def _occupied_cells(state: ModelState, csr: TokenCSR
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The reference for Kernel.cells, with its arguments and result: the
+    cells (w, z) the attached documents' entries occupy, as their words and
+    counts, word-major with clusters ascending within a word."""
+    k = state.k_active
     z = state.assignments[csr.entry_doc]
     attached = z >= 0
-    return _distinct_sorted(csr.words[attached] * state.k_active + z[attached])
+    flat = _distinct_sorted(csr.words[attached] * k + z[attached])
+    words = flat // k
+    nz = state.wz[words, flat - words * k]
+    occupied = nz != 0  # an entry with count 0 occupies no cell
+    return words[occupied], nz[occupied]
 
 
 def _distinct_sorted(keys: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ interface, _steps. They run in one compiled C kernel (see _native) when the
 system compiler can build it, and otherwise in the numpy reference kept
 here, which takes the kernel's arguments and which the tests hold the
 kernel to: identical assignments and counts, scores within 1e-9; both draw
-from exp(score - max) with the same arithmetic. Entropy refreshes and
-merging stay in numpy on both paths; a refresh finds the occupied count
-cells from the corpus arrays, not by scanning the count matrix.
+from exp(score - max) with the same arithmetic. A refresh finds the
+occupied count cells from the corpus arrays, not by scanning the count
+matrix, in C when the kernel is built (see word_entropy); its arithmetic
+and merging stay in numpy on both paths.
 """
 
 from __future__ import annotations

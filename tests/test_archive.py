@@ -299,6 +299,18 @@ class TestReader:
         with pytest.raises(MalformedRecord, match=f"word id {big} outside"):
             read_archive(self._write(tmp_path, f"a\tx\t0:1 {big}:1 {'8' * 25}:1\n"))
 
+    def test_long_word_id_is_named_short(self, tmp_path, capsys):
+        # a 5000-digit id used to be printed whole, in a 5042-character line
+        path = self._write(tmp_path, f"a\tx\t0:1\nb\tx\t{'7' * 5000}:1\n")
+        with pytest.raises(MalformedRecord) as info:
+            read_archive(path)
+        assert info.value.line_number == 2
+        assert str(info.value) == (
+            f"line 2: word id {'7' * 20}... (5000 digits) outside [0, 6)")
+        assert cli.main(["cluster", str(path), str(tmp_path / "r"),
+                         "--kmax", "2", "--iters", "1"]) == 2
+        assert len(capsys.readouterr().err) < 200
+
     @pytest.mark.parametrize("pair, code, message", [
         ("0" * 4999 + "3:1", 0, None),
         ("7" * 5000 + ":1", 2, "line 2: word id 7777"),

@@ -200,6 +200,18 @@ class TestCluster:
                    pipeline_dir / "huge_run", "--config", cfg) == 3
         assert f"{cfg}:2: {key} is too large" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["alpha", "kmax"])
+    def test_config_integer_past_the_digit_limit_exit_3(
+            self, pipeline_dir, tmp_path, capsys, key):
+        # int() refuses more than 4300 digits; float() then read inf, and
+        # the run exited naming no file or line
+        cfg = tmp_path / "huge.conf"
+        cfg.write_text(f"iters = 1\n{key} = {'7' * 5000}\n")
+        assert run("cluster", pipeline_dir / "archive",
+                   pipeline_dir / "huge_run", "--config", cfg) == 3
+        assert f"{cfg}:2: {key} is too large (5000 digits)" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["stopwords = 99", "stopwords = 0",
                                       "stopwords = true", "format = 1"])
     def test_bare_number_for_string_key_exit_3(self, pipeline_dir, tmp_path,

@@ -19,7 +19,7 @@ from gsdmm.merge import (
     merge_to_k,
     tficf_vector,
 )
-from gsdmm.model import ModelState, UniformBeta, word_entropy
+from gsdmm.model import ModelState, UniformBeta, _occupied_cells, word_entropy
 from gsdmm.sampler import RunConfig, adaptive_init, run_gsdmm_plus
 
 from conftest import corpus_from_counts, make_state
@@ -67,17 +67,21 @@ class TestEntropyFromCells:
             return got
 
         monkeypatch.setattr(sampler, "word_entropy", checked)
-        corpus = _topical(3)
-        for normalized in (True, False):
-            cfg = RunConfig(algorithm="gsdmm+", k_max=40, k_real=5, alpha=alpha,
-                            beta=0.05, iterations=3, entropy_refreshes_per_sweep=9,
-                            entropy_normalized=normalized, seed=2)
-            _, state, _ = run_gsdmm_plus(corpus, cfg)
-        ks = [k for k, _ in seen]
-        assert len(seen) == 2 * (1 + 3 * 9)
-        assert max(ks) > min(ks)  # refreshes across prunes
-        assert {detached for _, detached in seen} == {0, 1}
-        state.validate(require_nonempty=True)
+        # k_max 150 starts above the kernel's sparse-scoring crossover, and
+        # its clusters span three 64-bit words of the compiled cell listing
+        for k_max, corpus in ((40, _topical(3)), (150, _topical(3, per_topic=40))):
+            seen.clear()
+            for normalized in (True, False):
+                cfg = RunConfig(algorithm="gsdmm+", k_max=k_max, k_real=5,
+                                alpha=alpha, beta=0.05, iterations=3,
+                                entropy_refreshes_per_sweep=9,
+                                entropy_normalized=normalized, seed=2)
+                _, state, _ = run_gsdmm_plus(corpus, cfg)
+            ks = [k for k, _ in seen]
+            assert len(seen) == 2 * (1 + 3 * 9)
+            assert max(ks) == k_max > min(ks)  # refreshes across prunes
+            assert {detached for _, detached in seen} == {0, 1}
+            state.validate(require_nonempty=True)
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_detached_document_and_zero_counts(self, normalized):
@@ -103,6 +107,71 @@ class TestEntropyFromCells:
         state = adaptive_init(corpus, cfg, np.random.default_rng(1))
         _assert_same_table(word_entropy(state, csr=corpus.token_csr),
                            word_entropy(state))
+
+
+def _cells_case(seed, n_docs, v, k_max, prunes, detached):
+    """A corpus over v words, some never used (word v - 1 among them when
+    v > 1), with entries of count 0, and a state of it: the documents
+    spread over k_max clusters, then prunes clusters emptied and pruned
+    (their documents moved to others), then up to detached documents
+    detached."""
+    gen = np.random.default_rng(seed)
+    used = gen.choice(max(v - 1, 1), size=max((v - 1) * 2 // 3, 1), replace=False)
+    docs = []
+    for _ in range(n_docs):
+        words = gen.choice(used, size=int(gen.integers(1, min(len(used), 5) + 1)),
+                           replace=False)
+        docs.append({int(w): int(gen.integers(0, 4)) for w in words})
+    corpus = corpus_from_counts(docs, v)
+    csr = corpus.token_csr
+    state = ModelState(n_docs, v, k_max=k_max, alpha=0.1)
+    state.add_docs(csr, np.arange(n_docs), gen.integers(0, k_max, size=n_docs))
+
+    def move(d, z):
+        lo, hi = csr.word_ptr[d], csr.word_ptr[d + 1]
+        total = int(csr.tok_ptr[d + 1] - csr.tok_ptr[d])
+        if state.assignments[d] >= 0:
+            state.remove_doc(d, csr.words[lo:hi], csr.counts[lo:hi], total)
+        if z >= 0:
+            state.add_doc(d, csr.words[lo:hi], csr.counts[lo:hi], total, z)
+
+    for _ in range(min(prunes, k_max - 1)):
+        z = int(gen.integers(0, state.k_active))
+        members = np.flatnonzero(state.assignments == z)
+        for d in members.tolist():
+            move(d, -1)
+        state.deactivate_cluster(z)
+        for d in members.tolist():
+            move(d, int(gen.integers(0, state.k_active)))
+    state.validate()
+    for d in gen.choice(n_docs, size=min(detached, n_docs), replace=False).tolist():
+        move(d, -1)
+    return state, csr
+
+
+@needs_cc
+@settings(derandomize=True, deadline=None, max_examples=120)
+@example(seed=1, n_docs=6, v=5, k_max=2, prunes=0, detached=1)
+@example(seed=2, n_docs=30, v=40, k_max=2, prunes=1, detached=0)
+@example(seed=3, n_docs=60, v=30, k_max=129, prunes=2, detached=3)
+@example(seed=4, n_docs=80, v=60, k_max=200, prunes=0, detached=0)
+@example(seed=5, n_docs=1, v=1, k_max=3, prunes=0, detached=1)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_docs=st.integers(1, 80),
+       v=st.integers(1, 60), k_max=st.integers(2, 200),
+       prunes=st.integers(0, 3), detached=st.integers(0, 4))
+def test_compiled_cells_match_the_reference(seed, n_docs, v, k_max, prunes,
+                                            detached):
+    state, csr = _cells_case(seed, n_docs, v, k_max, prunes, detached)
+    got = _native.kernel().cells(state, csr)
+    want = _occupied_cells(state, csr)
+    # and both equal the scan of the count matrix
+    flat = np.flatnonzero(state.wz[:, :state.k_active] != 0)
+    scan = flat // state.k_active, state.wz.reshape(-1)[
+        flat // state.k_active * state.k_max + flat % state.k_active]
+    for a, b, c in zip(got, want, scan):
+        assert a.dtype == b.dtype == c.dtype
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, c)
 
 
 @needs_cc

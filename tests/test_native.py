@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gsdmm import _native, sampler
+from gsdmm import _native, model, sampler
+from gsdmm.corpus import TokenCSR
 from gsdmm.errors import NonFiniteScore
 from gsdmm.model import (
     EntropyTable,
@@ -344,6 +345,56 @@ class TestNonFiniteSparse(TestNonFinite):
     @pytest.fixture()
     def crossover(self):
         return 0
+
+
+class TestCompiledCells:
+    def test_refresh_lists_cells_in_c(self, kernel, monkeypatch):
+        # a silent fallback to the numpy cells would hide the lost speed
+        calls = []
+        real = _native.Kernel.cells
+
+        def spy(self, state, csr):
+            calls.append(state.k_active)
+            return real(self, state, csr)
+
+        def numpy_cells(state, csr):
+            raise AssertionError("the numpy cells ran beside a compiler")
+
+        monkeypatch.setattr(_native.Kernel, "cells", spy)
+        monkeypatch.setattr(model, "_occupied_cells", numpy_cells)
+        cfg = RunConfig(algorithm="gsdmm+", k_max=20, k_real=4, beta=0.05,
+                        iterations=2, entropy_refreshes_per_sweep=5, seed=3)
+        run_gsdmm_plus(_noisy_topics(2), cfg)
+        assert len(calls) == 1 + 2 * 5
+        assert calls[0] == 20
+
+    def test_rejects_mismatched_arrays(self, kernel):
+        corpus = corpus_from_counts([{0: 1}, {1: 2}, {0: 2, 2: 1}], 3)
+        csr = corpus.token_csr
+        state = ModelState(3, 3, k_max=2, alpha=0.1)
+        state.add_docs(csr, np.arange(3), [0, 1, 0])
+        words, nz = kernel.cells(state, csr)
+        assert words.tolist() == [0, 1, 2] and nz.tolist() == [3, 2, 1]
+        other = corpus_from_counts([{0: 1}, {1: 1}], 2).token_csr
+        with pytest.raises(ValueError):  # state sized for another corpus
+            kernel.cells(state, other)
+        narrow = ModelState(3, 2, k_max=2, alpha=0.1)
+        with pytest.raises(ValueError):  # a word id outside the vocabulary
+            kernel.cells(narrow, csr)
+        stray = state.copy()
+        stray.assignments[0] = 2
+        with pytest.raises(ValueError):  # an assignment past k_active
+            kernel.cells(stray, csr)
+        start, docs, counts = csr.by_word
+        for index in ((start[:-1], docs, counts),             # misses entries
+                      (start[::-1].copy(), docs, counts),     # starts past 0
+                      (np.array([0, 3, 1, 4]), docs, counts),  # falls
+                      (start, docs + 5, counts),              # no such document
+                      (start, docs[:-1], counts[:-1])):       # another corpus
+            stale = TokenCSR(csr.word_ptr, csr.words, csr.counts, csr.tok_ptr)
+            stale.__dict__["by_word"] = index
+            with pytest.raises(ValueError):
+                kernel.cells(state, stale)
 
 
 @pytest.fixture()
