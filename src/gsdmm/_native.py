@@ -48,7 +48,6 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 # return codes and io slots, mirrored from _sweep.c
 DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE = 0, 1, -1, -2, -3
 IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
-MEMO_LEN = 4  # int64 fields of one (m, n) memo cell
 
 # A document with more scored slots than this takes the kernel's sparse
 # path; with k_max at most this no document can, and no bitmaps are kept.
@@ -56,7 +55,9 @@ MEMO_LEN = 4  # int64 fields of one (m, n) memo cell
 # cache lines of which the document's words occupy a few, and where many
 # slots share an (m, n), as at k_max 300 and 500 in the benchmark. At
 # k_max 128 over a 5k-word vocabulary a document overlaps nearly every
-# cluster, and with this at 64 the sweeps ran 29% slower than dense.
+# cluster, and with this at 64 the run took 23% longer than dense; at
+# k_max 256 and 500, on that corpus and on gsdmm-k500's, 64 and 128 ran
+# alike (README, Performance).
 _CROSSOVER = 128
 
 
@@ -138,6 +139,7 @@ def _arr(dtype, ndim=1):
 _I64, _F64 = ctypes.c_int64, ctypes.c_double
 _STATE = [_arr(np.int32, 2), _I64, _I64, _arr(np.int64), _arr(np.int64)]
 _SPARSE = [_arr(np.uint64, 2), _I64, _I64]  # bitmaps, their width, crossover
+_LOGM = [_arr(np.float64), _I64]  # the log(m + alpha) table and its length
 
 
 class Kernel:
@@ -149,15 +151,15 @@ class Kernel:
             *_STATE, _arr(np.int64), _I64,                    # assignments, D
             _arr(np.int64), _arr(np.int64), _arr(np.int32),   # corpus CSR
             _arr(np.int64), _arr(np.float64), _I64,           # order, u, n
-            _arr(np.float64), _F64, _F64, _I64, _I64,         # weights, flags
-            *_SPARSE,
+            _arr(np.float64), _F64, _F64, *_LOGM,            # weights
+            _I64, _I64, *_SPARSE,                             # flags
             _arr(np.float64), _arr(np.int64), _arr(np.int64),  # work space, io
         ]
         self._sweep.restype = _I64
         self._scores = lib.dmm_scores
         self._scores.argtypes = [
             *_STATE, _I64, _arr(np.int64), _arr(np.int32), _I64,
-            _arr(np.float64), _F64, _F64, *_SPARSE,
+            _arr(np.float64), _F64, _F64, *_LOGM, *_SPARSE,
             _arr(np.float64), _arr(np.int64), _arr(np.float64),
             ctypes.POINTER(_I64),
         ]
@@ -194,6 +196,7 @@ class Kernel:
             raise ValueError("a refresh step needs a refresh callback")
         bits = _bitmaps(state)
         work, iwork = _work(state.k_max, bits.shape[1])
+        logm = np.empty(state.D + 1)  # filled once, on the first entry
         io = np.zeros(IO_LEN, dtype=np.int64)
         io[IO_K] = state.k_active
         while True:
@@ -201,8 +204,9 @@ class Kernel:
             code = self._sweep(state.wz, state.V, state.k_max, state.m, state.n,
                                state.assignments, state.D, word_ptr, words,
                                counts, order, uniforms, len(order), h, ctot,
-                               state.alpha, int(prune), int(refresh_step),
-                               bits, bits.shape[1], _CROSSOVER, work, iwork, io)
+                               state.alpha, logm, len(logm), int(prune),
+                               int(refresh_step), bits, bits.shape[1],
+                               _CROSSOVER, work, iwork, io)
             state.k_active = int(io[IO_K])
             if code != REFRESH:
                 break
@@ -223,12 +227,13 @@ class Kernel:
             raise ValueError("words and counts must match, with ids in [0, V)")
         h, ctot = weights.pseudocounts(state.V)
         bits = _bitmaps(state)
+        logm = np.empty(int(state.m[:state.k_active].max(initial=0)) + 1)
         out = np.empty(state.k_active, dtype=np.float64)
         bad = _I64(-1)
         code = self._scores(state.wz, state.V, state.k_max, state.m, state.n,
                             state.k_active, words, counts, len(words), h, ctot,
-                            state.alpha, bits, bits.shape[1], _CROSSOVER,
-                            *_work(state.k_max, bits.shape[1]), out,
+                            state.alpha, logm, len(logm), bits, bits.shape[1],
+                            _CROSSOVER, *_work(state.k_max, bits.shape[1]), out,
                             ctypes.byref(bad))
         _raise_for(code, bad.value)
         return out
@@ -279,12 +284,18 @@ def _bitmaps(state) -> np.ndarray:
 
 
 def _work(k_max: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's float and integer work space: four k_max arrays of each,
-    then the (m, n) memo of at least 2 * k_max cells and the document's
-    overlap set of width words."""
+    """The kernel's float and integer work space, which carries nothing
+    from one C call to the next (_sweep.c's carve lays it out).
+
+    Float, four k_max arrays: the chunk products (the first then holds the
+    exponentiated scores), the scores and the cumulated weights. Integer:
+    four k_max arrays (the dense slots and each cluster's slot, the sparse
+    scored clusters and each cluster's entry), the (m, n) classes' nine
+    k_max arrays and their hash table of the first power of two at or above
+    2 * k_max cells, then the document's overlap set of width words."""
     cells = 1 << (2 * k_max - 1).bit_length()
     return (np.empty(4 * k_max, dtype=np.float64),
-            np.empty(4 * k_max + MEMO_LEN * cells + width, dtype=np.int64))
+            np.empty(13 * k_max + cells + width, dtype=np.int64))
 
 
 def _corpus_arrays(state, csr):

@@ -24,13 +24,23 @@
  * the caller's crossover: per-word occupancy bitmaps (bit z of word w's row
  * is set exactly when its count in cluster z is non-zero) give the clusters
  * it shares a word with, which are scored reading only the cells whose bit
- * is set. Every other slot has a zero count for each of the document's
- * words, so its score depends on its (m, n) alone: one slot is scored per
- * distinct (m, n), and the representative empty cluster is the (0, 0) case.
- * Each cluster's score takes the same floating-point operations in the same
- * order on both paths, so the chain does not depend on the crossover. The
- * bitmaps live for one call: filled from the assignments on entry, kept by
- * every count change.
+ * is set. Every other cluster has a zero count for each of the document's
+ * words, so its score depends on its (m, n) alone. The kernel keeps the
+ * active clusters' classes of equal (m, n), with their member lists, and
+ * moves a cluster between classes at every count change; a document scores
+ * one member of each class that has a member sharing no word with it (the
+ * empty clusters form the (0, 0) class). A class whose members all share a
+ * word with the document is not scored: no cluster would read that score,
+ * and with every score a distinct cluster's there are at most k. The draw
+ * cumulates over the clusters in index order, each reading its own score
+ * (dense, or sparse sharing a word) or its class's. Each cluster's score
+ * takes the same floating-point operations in the same order on both paths,
+ * so the chain does not depend on the crossover.
+ *
+ * log(m + alpha) is read from a table of the same expression for every m up
+ * to the number of documents. It and the bitmaps live across the refresh
+ * re-entries of one sweep: filled on the first entry, the bitmaps then kept
+ * by every count change. Everything else is rebuilt on every entry.
  *
  * One more entry point lists the occupied count cells for gsdmm+'s entropy
  * refresh: it walks the corpus transposed to word-major order (built once per
@@ -70,8 +80,18 @@ enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3 };
  * BAD receives the cluster whose score was non-finite */
 enum { IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN };
 
-/* fields of one (m, n) memo cell */
-enum { MEMO_M, MEMO_N, MEMO_STAMP, MEMO_ENTRY, MEMO_LEN };
+/* The active clusters' classes of equal (m, n), built on each entry when
+ * the bitmaps are kept. cls[z] is cluster z's class. A class lists its
+ * members from head through next and prev (-1 ends a list), and holds its
+ * (m, n) and the current document's entry for it. ids[0, live) are the
+ * classes in use and ids[live, kmax) the free ones, pos their inverse;
+ * cells maps (m, n) to its class by linear probing, -1 marking a free
+ * cell, with at least twice as many cells as classes. */
+typedef struct {
+    int64_t *cls, *next, *prev;                       /* kmax clusters */
+    int64_t *head, *key_m, *key_n, *ent, *ids, *pos;  /* kmax classes */
+    int64_t *cells, mask, live;
+} Classes;
 
 typedef struct {
     int32_t *wz;      /* (V, kmax) word-major counts */
@@ -81,41 +101,51 @@ typedef struct {
     int64_t n_docs;
     uint64_t *bits;   /* (V, nb) occupancy bitmaps, NULL when nb == 0 */
     int64_t nb;
+    Classes cl;       /* kept when bits are */
 } Model;
 
 typedef struct {
     const double *h;  /* (V,) per-word pseudo-count */
     double ctot;      /* pseudo-count total over the vocabulary */
     double alpha;
+    const double *logm;  /* (nlog,) log(m + alpha) for m < nlog */
+    int64_t nlog;
 } Weights;
 
-/* Work space of one call, carved from the caller's arrays (sizes in
- * _native._work): kmax entries each unless noted. */
+/* Work space of one call, carved from the caller's arrays by carve. */
 typedef struct {
     int64_t *slots;   /* scored slots: occupied clusters and one empty */
     int64_t *row_of;  /* active cluster -> its slot, empty -> the empty's */
     int64_t *list;    /* sparse: the clusters scored */
-    int64_t *ent;     /* sparse: slot -> its entry in list */
-    int64_t *memo;    /* MEMO_LEN * (mask + 1): (m, n) -> entry */
+    int64_t *ent;     /* sparse: active cluster -> its entry in list */
     uint64_t *seen;   /* nb words: the document's overlap set */
-    int64_t mask, gen;
     double *num, *den, *score, *cum;
+    /* the document's nc scored clusters, and each active cluster's entry
+     * among them: slots and row_of (dense) or list and ent (sparse) */
+    const int64_t *scored, *entry;
+    int64_t nc;
 } Scratch;
 
-static Scratch scratch(int64_t kmax, int64_t nb, double *work, int64_t *iwork)
+/* Carve the work space (sizes in _native._work): float num, den, score and
+ * cum, kmax each; int slots, row_of, list and ent, the classes' nine
+ * arrays, kmax each, then the classes' cells and the overlap set. */
+static Scratch carve(Model *s, double *work, int64_t *iwork)
 {
+    const int64_t kmax = s->kmax;
     int64_t cells = 1;
     while (cells < 2 * kmax)
         cells <<= 1;
-    Scratch x = {iwork, iwork + kmax, iwork + 2 * kmax, iwork + 3 * kmax,
-                 iwork + 4 * kmax,
-                 (uint64_t *)(iwork + 4 * kmax + MEMO_LEN * cells),
-                 cells - 1, 0,
-                 work, work + kmax, work + 2 * kmax, work + 3 * kmax};
-    if (nb)  /* no cell is current until the first document's stamp */
-        for (int64_t t = 0; t < cells; t++)
-            x.memo[MEMO_LEN * t + MEMO_STAMP] = 0;
-    return x;
+    int64_t *c = iwork + 4 * kmax;
+    s->cl = (Classes){.cls = c, .next = c + kmax, .prev = c + 2 * kmax,
+                      .head = c + 3 * kmax, .key_m = c + 4 * kmax,
+                      .key_n = c + 5 * kmax, .ent = c + 6 * kmax,
+                      .ids = c + 7 * kmax, .pos = c + 8 * kmax,
+                      .cells = c + 9 * kmax, .mask = cells - 1};
+    return (Scratch){.slots = iwork, .row_of = iwork + kmax,
+                     .list = iwork + 2 * kmax, .ent = iwork + 3 * kmax,
+                     .seen = (uint64_t *)(c + 9 * kmax + cells),
+                     .num = work, .den = work + kmax,
+                     .score = work + 2 * kmax, .cum = work + 3 * kmax};
 }
 
 static int bit(const uint64_t *row, int64_t z)
@@ -131,6 +161,114 @@ static void track(Model *s, int64_t w, int64_t z)
     uint64_t *word = s->bits + w * s->nb + (z >> 6);
     const uint64_t b = (uint64_t)1 << (z & 63);
     *word = s->wz[w * s->kmax + z] ? *word | b : *word & ~b;
+}
+
+/* The home cell of (m, n). */
+static int64_t home(const Classes *c, int64_t m, int64_t n)
+{
+    uint64_t h = (uint64_t)m * 0x9E3779B97F4A7C15u + (uint64_t)n;
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9u;
+    h ^= h >> 32;
+    return (int64_t)(h & (uint64_t)c->mask);
+}
+
+/* The cell of (m, n): its class's, or the free cell where it goes. */
+static int64_t *cell_of(const Classes *c, int64_t m, int64_t n)
+{
+    for (int64_t t = home(c, m, n);; t = (t + 1) & c->mask) {
+        const int64_t id = c->cells[t];
+        if (id < 0 || (c->key_m[id] == m && c->key_n[id] == n))
+            return c->cells + t;
+    }
+}
+
+/* Add cluster z to the class of (m, n), opening it if it has no members. */
+static void join(Classes *c, int64_t z, int64_t m, int64_t n)
+{
+    int64_t *cell = cell_of(c, m, n);
+    if (*cell < 0) {
+        *cell = c->ids[c->live++];
+        c->key_m[*cell] = m;
+        c->key_n[*cell] = n;
+        c->head[*cell] = -1;
+    }
+    const int64_t id = *cell;
+    c->cls[z] = id;
+    c->prev[z] = -1;
+    c->next[z] = c->head[id];
+    if (c->head[id] >= 0)
+        c->prev[c->head[id]] = z;
+    c->head[id] = z;
+}
+
+/* Take cluster z out of its class. A class left without members is freed,
+ * and its cell is emptied by shifting back the later cells of its probe run
+ * that may move (linear probing's deletion: no cell is marked deleted). */
+static void leave(Classes *c, int64_t z)
+{
+    const int64_t id = c->cls[z];
+    if (c->prev[z] >= 0)
+        c->next[c->prev[z]] = c->next[z];
+    else
+        c->head[id] = c->next[z];
+    if (c->next[z] >= 0)
+        c->prev[c->next[z]] = c->prev[z];
+    if (c->head[id] >= 0)
+        return;
+    const int64_t last = c->ids[--c->live];
+    c->ids[c->pos[id]] = last;
+    c->pos[last] = c->pos[id];
+    c->ids[c->live] = id;
+    c->pos[id] = c->live;
+    int64_t i = cell_of(c, c->key_m[id], c->key_n[id]) - c->cells;
+    for (int64_t j = (i + 1) & c->mask; c->cells[j] >= 0;
+         j = (j + 1) & c->mask) {
+        const int64_t other = c->cells[j];
+        const int64_t from = home(c, c->key_m[other], c->key_n[other]);
+        if (((j - from) & c->mask) >= ((j - i) & c->mask)) {
+            c->cells[i] = other;
+            i = j;
+        }
+    }
+    c->cells[i] = -1;
+}
+
+/* The classes of the k active clusters, from their counts. */
+static void build_classes(Model *s, int64_t k)
+{
+    Classes *c = &s->cl;
+    for (int64_t t = 0; t <= c->mask; t++)
+        c->cells[t] = -1;
+    for (int64_t i = 0; i < s->kmax; i++)
+        c->ids[i] = c->pos[i] = i;
+    c->live = 0;
+    for (int64_t z = 0; z < k; z++)
+        join(c, z, s->m[z], s->n[z]);
+}
+
+/* Keep cluster z's class that of its (m, n), after they changed. */
+static void reclass(Model *s, int64_t z)
+{
+    if (!s->bits)
+        return;
+    leave(&s->cl, z);
+    join(&s->cl, z, s->m[z], s->n[z]);
+}
+
+/* log(m + alpha) for m < len, the expression log_m falls back to. */
+static void fill_logs(double *logm, int64_t len, double alpha)
+{
+    for (int64_t m = 0; m < len; m++)
+        logm[m] = log((double)m + alpha);
+}
+
+/* log(m + alpha): from the table, or computed for an m past it (a state
+ * whose counts disagree with its assignments). */
+static double log_m(const Weights *wt, int64_t m)
+{
+    return (uint64_t)m < (uint64_t)wt->nlog ? wt->logm[m]
+                                             : log((double)m + wt->alpha);
 }
 
 /* Occupied clusters (m > 0 or n > 0) plus the lowest empty one, in index
@@ -153,32 +291,15 @@ static int64_t build_slots(const Model *s, int64_t k, int64_t *slots,
     return ns;
 }
 
-/* The memo cell of (m, n) for the current document: its own, or the free
- * cell where it goes. The table has at least twice as many cells as there
- * are slots, so the probe ends. */
-static int64_t *memo_cell(const Scratch *x, int64_t m, int64_t n)
-{
-    uint64_t h = (uint64_t)m * 0x9E3779B97F4A7C15u + (uint64_t)n;
-    h ^= h >> 29;
-    h *= 0xBF58476D1CE4E5B9u;
-    h ^= h >> 32;
-    for (int64_t t = (int64_t)(h & (uint64_t)x->mask);;
-         t = (t + 1) & x->mask) {
-        int64_t *cell = x->memo + MEMO_LEN * t;
-        if (cell[MEMO_STAMP] != x->gen
-            || (cell[MEMO_M] == m && cell[MEMO_N] == n))
-            return cell;
-    }
-}
-
-/* The clusters to score for one document of nw distinct words: the slots
- * that share a word with it (occupied clusters, so each is its own slot),
- * then one slot per distinct (m, n) among the rest. Fills x->list and
- * x->ent, sets *overlap to the number of the first kind and returns the
- * number of both. The cells the scoring will read are prefetched here:
- * each is in its own cache line of a row too long to stay cached. */
-static int64_t plan_sparse(const Model *s, Scratch *x, int64_t ns,
-                           const int64_t *words, int64_t nw, int64_t *overlap)
+/* The clusters to score for one document of nw distinct words: those that
+ * share a word with it, then one member of each class that has a member
+ * sharing none. Fills x->list and the classes' entries (-1 for a class
+ * whose members all share a word), sets *overlap to the number of the
+ * first kind and returns the number of both, at most k (all distinct).
+ * The cells the scoring will read are prefetched here: each is in its own
+ * cache line of a row too long to stay cached. */
+static int64_t plan_sparse(Model *s, Scratch *x, const int64_t *words,
+                           int64_t nw, int64_t *overlap)
 {
     for (int64_t b = 0; b < s->nb; b++)
         x->seen[b] = 0;
@@ -193,26 +314,18 @@ static int64_t plan_sparse(const Model *s, Scratch *x, int64_t ns,
     }
     int64_t nc = 0;
     for (int64_t b = 0; b < s->nb; b++)
-        for (uint64_t r = x->seen[b]; r; r &= r - 1) {
-            const int64_t z = 64 * b + LOWEST(r);
-            x->ent[x->row_of[z]] = nc;
-            x->list[nc++] = z;
-        }
+        for (uint64_t r = x->seen[b]; r; r &= r - 1)
+            x->list[nc++] = 64 * b + LOWEST(r);
     *overlap = nc;
-    x->gen++;
-    for (int64_t j = 0; j < ns; j++) {
-        const int64_t z = x->slots[j];
-        if (bit(x->seen, z))
-            continue;
-        int64_t *cell = memo_cell(x, s->m[z], s->n[z]);
-        if (cell[MEMO_STAMP] != x->gen) {
-            cell[MEMO_M] = s->m[z];
-            cell[MEMO_N] = s->n[z];
-            cell[MEMO_STAMP] = x->gen;
-            cell[MEMO_ENTRY] = nc;
+    Classes *c = &s->cl;
+    for (int64_t i = 0; i < c->live; i++) {
+        const int64_t id = c->ids[i];
+        int64_t z = c->head[id];
+        while (z >= 0 && bit(x->seen, z))
+            z = c->next[z];
+        c->ent[id] = z < 0 ? -1 : nc;
+        if (z >= 0)
             x->list[nc++] = z;
-        }
-        x->ent[j] = cell[MEMO_ENTRY];
     }
     return nc;
 }
@@ -271,7 +384,7 @@ static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
                       double *num, double *den, double *out)
 {
     for (int64_t j = 0; j < ns; j++) {
-        out[j] = log((double)s->m[slots[j]] + wt->alpha);
+        out[j] = log_m(wt, s->m[slots[j]]);
         num[j] = den[j] = 1.0;
     }
     /* start of the current chunk: distinct word, occurrence, token index */
@@ -317,82 +430,90 @@ static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
               den, out);
 }
 
-/* Score the document against the ns slots into x->score: every slot
- * (dense; *ent set to NULL), or x->list's clusters, with *ent = x->ent
- * mapping each slot to its score (sparse: more than crossover slots, and
- * bitmaps kept). Returns the number of scores. */
-static int64_t score_slots(const Model *s, const Weights *wt, Scratch *x,
-                           int64_t ns, int64_t crossover,
-                           const int64_t *words, const int32_t *counts,
-                           int64_t nw, const int64_t **ent)
+/* Score the document into x->score: every slot (dense), or, past crossover
+ * slots with the bitmaps kept, the clusters plan_sparse lists (sparse).
+ * Sets x->scored, x->nc and x->entry for the k active clusters; sparse, a
+ * cluster reads its class's entry unless it shares a word with the
+ * document (a class whose members all do has none), then its own. */
+static void score_slots(Model *s, const Weights *wt, Scratch *x, int64_t ns,
+                        int64_t k, int64_t crossover, const int64_t *words,
+                        const int32_t *counts, int64_t nw)
 {
     if (!s->bits || ns <= crossover) {
-        *ent = 0;
+        x->scored = x->slots;
+        x->entry = x->row_of;
+        x->nc = ns;
         score_doc(s, wt, x->slots, ns, ns, 0, words, counts, nw, x->num,
                   x->den, x->score);
-        return ns;
+        return;
     }
-    *ent = x->ent;
     int64_t overlap;
-    const int64_t nc = plan_sparse(s, x, ns, words, nw, &overlap);
-    score_doc(s, wt, x->list, nc, overlap, 1, words, counts, nw, x->num,
+    x->scored = x->list;
+    x->entry = x->ent;
+    x->nc = plan_sparse(s, x, words, nw, &overlap);
+    score_doc(s, wt, x->list, x->nc, overlap, 1, words, counts, nw, x->num,
               x->den, x->score);
-    return nc;
+    for (int64_t z = 0; z < k; z++)
+        x->ent[z] = s->cl.ent[s->cl.cls[z]];
+    for (int64_t j = 0; j < overlap; j++)
+        x->ent[x->list[j]] = j;
 }
 
-/* First scored slot, in index order, whose score is non-finite other than
- * the -inf of an empty cluster (alpha == 0), or -1. ent maps slots to
- * scores (NULL: one score per slot). */
-static int64_t bad_slot(const Model *s, const int64_t *slots, int64_t ns,
-                        const double *scores, const int64_t *ent)
+/* Whether a score of a cluster with m documents is non-finite other than
+ * the -inf of an empty cluster (alpha == 0). */
+static int bad_score(double score, int64_t m)
 {
-    for (int64_t j = 0; j < ns; j++) {
-        const double v = scores[ent ? ent[j] : j];
-        if (!isfinite(v) && !(v == -INFINITY && s->m[slots[j]] == 0))
-            return slots[j];
-    }
+    return !isfinite(score) && !(score == -INFINITY && m == 0);
+}
+
+/* First active cluster, in index order, whose score is bad, or -1. The
+ * clusters are scanned only when one of the scores is. */
+static int64_t bad_cluster(const Model *s, const Scratch *x, int64_t k)
+{
+    int64_t j = 0;
+    while (j < x->nc && !bad_score(x->score[j], s->m[x->scored[j]]))
+        j++;
+    if (j == x->nc)
+        return -1;
+    for (int64_t z = 0; z < k; z++)
+        if (bad_score(x->score[x->entry[z]], s->m[z]))
+            return z;
     return -1;
 }
 
-/* Draw a cluster from nc scores, mapped to the ns slots by ent (NULL: one
- * score per slot) and spread over k clusters by row_of; each distinct
- * score is exponentiated once. p, q and cum are work space. Returns the
+/* Draw one of the k active clusters from the scores, each cluster reading
+ * its entry; each entry is exponentiated once, into x->num. Returns the
  * cluster or a negative code. */
-static int64_t draw(const double *scores, int64_t nc, const int64_t *ent,
-                    int64_t ns, const int64_t *row_of, int64_t k, double u,
-                    double *p, double *q, double *cum)
+static int64_t draw(Scratch *x, int64_t k, double u)
 {
+    const double *scores = x->score;
+    double *p = x->num, *cum = x->cum;
     double top = -INFINITY;
-    for (int64_t j = 0; j < nc; j++)
+    for (int64_t j = 0; j < x->nc; j++)
         if (scores[j] > top)
             top = scores[j];
     if (top == -INFINITY)
         return ALL_ZERO;
-    for (int64_t j = 0; j < nc; j++)
+    for (int64_t j = 0; j < x->nc; j++)
         p[j] = exp(scores[j] - top);
-    if (ent) {
-        for (int64_t j = 0; j < ns; j++)
-            q[j] = p[ent[j]];
-        p = q;
-    }
     double acc = 0.0;
     for (int64_t z = 0; z < k; z++) {
-        acc += p[row_of[z]];
+        acc += p[x->entry[z]];
         cum[z] = acc;
     }
     if (!isfinite(acc) || !(acc > 0.0))
         return DEGENERATE;
-    const double x = u * acc;
+    const double target = u * acc;
     int64_t lo = 0, hi = k;
     while (lo < hi) {
         const int64_t mid = lo + (hi - lo) / 2;
-        if (cum[mid] <= x)
+        if (cum[mid] <= target)
             lo = mid + 1;
         else
             hi = mid;
     }
     int64_t z = lo < k - 1 ? lo : k - 1;
-    while (p[row_of[z]] == 0.0)
+    while (p[x->entry[z]] == 0.0)
         z--;
     return z;
 }
@@ -403,6 +524,7 @@ static void move_doc(Model *s, int64_t z, const int64_t *words,
 {
     s->m[z] += sign;
     s->n[z] += sign * total;
+    reclass(s, z);
     for (int64_t a = 0; a < nw; a++) {
         s->wz[words[a] * s->kmax + z] += (int32_t)sign * counts[a];
         track(s, words[a], z);
@@ -422,6 +544,7 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
     if (z != last) {
         s->m[z] = s->m[last];
         s->n[z] = s->n[last];
+        reclass(s, z);
         for (int64_t d = 0; d < s->n_docs; d++) {
             if (s->assign[d] != last)
                 continue;
@@ -437,6 +560,8 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
             }
         }
     }
+    if (s->bits)
+        leave(&s->cl, last);
     s->m[last] = 0;
     s->n[last] = 0;
     *k = last;
@@ -445,28 +570,31 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
 /* Score one detached document against every active cluster, k of them,
  * into out (k,), taking the sparse path past crossover slots when bits is
  * given (nb > 0; zeroed, V rows, of which the document's words' are filled
- * here). Work space as for dmm_sweep. Returns DONE, or NONFINITE with the
- * cluster in *bad. */
+ * here). logm (nlog,) is filled here. Work space as for dmm_sweep. Returns
+ * DONE, or NONFINITE with the cluster in *bad. */
 int64_t dmm_scores(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                    int64_t *n, int64_t k, const int64_t *words,
                    const int32_t *counts, int64_t nw, const double *h,
-                   double ctot, double alpha, uint64_t *bits, int64_t nb,
-                   int64_t crossover, double *work, int64_t *iwork,
-                   double *out, int64_t *bad)
+                   double ctot, double alpha, double *logm, int64_t nlog,
+                   uint64_t *bits, int64_t nb, int64_t crossover,
+                   double *work, int64_t *iwork, double *out, int64_t *bad)
 {
-    Model s = {wz, v, kmax, m, n, 0, 0, nb ? bits : 0, nb};
-    const Weights wt = {h, ctot, alpha};
-    Scratch x = scratch(kmax, nb, work, iwork);
-    if (s.bits)
+    Model s = {.wz = wz, .v = v, .kmax = kmax, .m = m, .n = n,
+               .bits = nb ? bits : 0, .nb = nb};
+    const Weights wt = {h, ctot, alpha, logm, nlog};
+    Scratch x = carve(&s, work, iwork);
+    fill_logs(logm, nlog, alpha);
+    if (s.bits) {
         for (int64_t a = 0; a < nw; a++)
             for (int64_t z = 0; z < k; z++)
                 track(&s, words[a], z);
+        build_classes(&s, k);
+    }
     const int64_t ns = build_slots(&s, k, x.slots, x.row_of);
-    const int64_t *ent;
-    score_slots(&s, &wt, &x, ns, crossover, words, counts, nw, &ent);
+    score_slots(&s, &wt, &x, ns, k, crossover, words, counts, nw);
     for (int64_t z = 0; z < k; z++)
-        out[z] = x.score[ent ? ent[x.row_of[z]] : x.row_of[z]];
-    *bad = bad_slot(&s, x.slots, ns, x.score, ent);
+        out[z] = x.score[x.entry[z]];
+    *bad = bad_cluster(&s, &x, k);
     return *bad < 0 ? DONE : NONFINITE;
 }
 
@@ -475,34 +603,42 @@ int64_t dmm_scores(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
  * one with assignment -1 only joins. With refresh_step > 0 the call returns
  * REFRESH after detaching (and pruning for) each position that is a multiple
  * of refresh_step, so the caller can recompute h and call again to resume.
- * bits (nb > 0) are zeroed by the caller and filled on the first entry;
- * later entries resume after a REFRESH and keep them. work and iwork are
- * sized by _native._work. Returns DONE, REFRESH or a negative code; io
- * always holds the position and counts reached. */
+ * logm (nlog,) and bits (nb > 0, zeroed by the caller) are filled on the
+ * first entry; later entries resume after a REFRESH and keep them. work and
+ * iwork are sized by _native._work and hold nothing from one entry to the
+ * next. Returns DONE, REFRESH or a negative code; io always holds the
+ * position and counts reached. */
 int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                   int64_t *n, int64_t *assign, int64_t n_docs,
                   const int64_t *word_ptr, const int64_t *words,
                   const int32_t *counts, const int64_t *order,
                   const double *u, int64_t n_order, const double *h,
-                  double ctot, double alpha, int64_t prune,
-                  int64_t refresh_step, uint64_t *bits, int64_t nb,
-                  int64_t crossover, double *work, int64_t *iwork,
+                  double ctot, double alpha, double *logm, int64_t nlog,
+                  int64_t prune, int64_t refresh_step, uint64_t *bits,
+                  int64_t nb, int64_t crossover, double *work, int64_t *iwork,
                   int64_t *io)
 {
-    Model s = {wz, v, kmax, m, n, assign, n_docs, nb ? bits : 0, nb};
-    const Weights wt = {h, ctot, alpha};
-    Scratch x = scratch(kmax, nb, work, iwork);
+    Model s = {.wz = wz, .v = v, .kmax = kmax, .m = m, .n = n,
+               .assign = assign, .n_docs = n_docs, .bits = nb ? bits : 0,
+               .nb = nb};
+    const Weights wt = {h, ctot, alpha, logm, nlog};
+    Scratch x = carve(&s, work, iwork);
     int64_t k = io[IO_K], moved = io[IO_MOVED], pos = io[IO_POS];
     int64_t ns = build_slots(&s, k, x.slots, x.row_of);
     int64_t code = DONE;
 
-    if (s.bits && !io[IO_RESUME])
-        for (int64_t d = 0; d < n_docs; d++) {
-            if (assign[d] < 0)
-                continue;
-            for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++)
-                track(&s, words[a], assign[d]);
-        }
+    if (!io[IO_RESUME]) {
+        fill_logs(logm, nlog, alpha);
+        if (s.bits)
+            for (int64_t d = 0; d < n_docs; d++) {
+                if (assign[d] < 0)
+                    continue;
+                for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++)
+                    track(&s, words[a], assign[d]);
+            }
+    }
+    if (s.bits)
+        build_classes(&s, k);
 
     for (; pos < n_order; pos++) {
         const int64_t d = order[pos];
@@ -537,16 +673,13 @@ int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                 break;
             }
         }
-        const int64_t *ent;
-        const int64_t nc = score_slots(&s, &wt, &x, ns, crossover, w, c, nw,
-                                       &ent);
-        io[IO_BAD] = bad_slot(&s, x.slots, ns, x.score, ent);
+        score_slots(&s, &wt, &x, ns, k, crossover, w, c, nw);
+        io[IO_BAD] = bad_cluster(&s, &x, k);
         if (io[IO_BAD] >= 0) {
             code = NONFINITE;
             break;
         }
-        const int64_t z_new = draw(x.score, nc, ent, ns, x.row_of, k, u[pos],
-                                   x.num, x.den, x.cum);
+        const int64_t z_new = draw(&x, k, u[pos]);
         if (z_new < 0) {
             code = z_new;
             break;

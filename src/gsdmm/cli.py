@@ -14,6 +14,7 @@ import argparse
 import gc
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -84,8 +85,9 @@ def _parse_config_value(raw: str):
 def _typed_config_value(key: str, value, where: str):
     """Check a parsed value against its key's type and return it as that
     type: boolean keys take exactly true or false, integer keys integral
-    numbers only (as int), number keys numbers only (as float) and string
-    keys anything but a bare number or boolean (quote a numeric path)."""
+    numbers only (as int), number keys finite numbers only (as float) and
+    string keys anything but a bare number or boolean (quote a numeric
+    path)."""
     kind = CONFIG_KEYS[key]
     if kind is bool and not isinstance(value, bool):
         raise ConfigError(f"{where}: {key} must be true or false, got {value!r}")
@@ -100,6 +102,8 @@ def _typed_config_value(key: str, value, where: str):
     if kind is float:
         if not numeric:
             raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
+        if not math.isfinite(value):  # 1e400 reads as inf
+            raise ConfigError(f"{where}: {key} must be finite, got {value!r}")
         return float(value)
     return value
 

@@ -212,6 +212,22 @@ class TestCluster:
         assert f"{cfg}:2: {key} is too large (5000 digits)" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, shown", [
+        ("alpha = 1e400", "inf"), ("beta = inf", "inf"),
+        ("entropy_eps = -1e999", "-inf"), ("alpha = nan", "nan")])
+    def test_config_non_finite_number_names_its_line_exit_3(
+            self, pipeline_dir, tmp_path, capsys, line, shown):
+        # float() reads 1e400 as inf, which RunConfig refused later with a
+        # message naming no file or line
+        key = line.split()[0]
+        cfg = tmp_path / "inf.conf"
+        cfg.write_text(f"iters = 1\n{line}\n")
+        assert run("cluster", pipeline_dir / "archive",
+                   pipeline_dir / "inf_run", "--config", cfg) == 3
+        assert f"{cfg}:2: {key} must be finite, got {shown}" \
+            in capsys.readouterr().err
+        assert not (pipeline_dir / "inf_run").exists()
+
     @pytest.mark.parametrize("line", ["stopwords = 99", "stopwords = 0",
                                       "stopwords = true", "format = 1"])
     def test_bare_number_for_string_key_exit_3(self, pipeline_dir, tmp_path,

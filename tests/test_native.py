@@ -225,6 +225,167 @@ class TestSparseScoring:
             assert runs[0][0].k_active < cfg.k_max
 
 
+def _fixed_length_corpus(d=300, seed=31):
+    """Documents of 6 tokens each: a cluster's n is 6 m, so the occupied
+    clusters fall into a few (m, n) classes of many members."""
+    corpus, _, _, _ = generate_corpus(GenSpec(
+        k=5, v=400, d=d, doc_len=6, length_dist="fixed", beta_gen=0.05,
+        seed=seed))
+    return corpus
+
+
+def kernel_scores(state, words, counts, weights, crossover):
+    """Kernel.log_scores with the given crossover (None: every document
+    dense, no bitmaps)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "_CROSSOVER",
+                   state.k_max + 1 if crossover is None else crossover)
+        return _native.kernel().log_scores(state, words, counts, weights)
+
+
+class TestClassBookkeeping:
+    """The sparse path scores one member per (m, n) class, so the classes
+    must follow every count change: moves, prunes and the re-entries after
+    an entropy refresh. Each chain here runs on the sparse path (production
+    crossover, k_max 200), with every document dense (crossover above
+    k_max, no bitmaps) and on the numpy reference. A large beta (gsdmm) or
+    alpha (gsdmm+) gives the clusters that share no word with a document
+    enough mass to be drawn, so a stale class shows in the chain."""
+
+    PATHS = ("sparse", "dense", "numpy")
+
+    @staticmethod
+    def _on(path, monkeypatch, fn):
+        with monkeypatch.context() as mp:
+            if path == "numpy":
+                mp.setattr(_native, "kernel", lambda: None)
+            elif path == "dense":
+                mp.setattr(_native, "_CROSSOVER", 10 ** 6)
+            return fn()
+
+    def _steps(self, path, monkeypatch, state, corpus, weights, prune,
+               refreshes, sweeps=3):
+        """sweeps passes of the path's steps over state, each in a new
+        random order; returns the moves and k_active at every refresh."""
+        csr = corpus.token_csr
+        rng = np.random.default_rng(17)
+        moved, seen = [], []
+
+        def refresh():
+            seen.append(state.k_active)
+            return word_entropy(state, csr=csr)
+
+        step = sampler._numpy_steps if path == "numpy" else \
+            lambda *a: _native.kernel().sweep(*a)
+        for _ in range(sweeps):
+            order = rng.permutation(len(corpus))
+            moved.append(self._on(path, monkeypatch, lambda: step(
+                state, csr, order, rng.random(len(order)), weights(), prune,
+                -(-len(corpus) // refreshes) if refreshes else 0, refresh)))
+        return moved, seen
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_gsdmm_steps_on_shared_classes(self, monkeypatch, alpha):
+        corpus = _fixed_length_corpus()
+        cfg = RunConfig(k_max=200, alpha=alpha, beta=1.0)
+        init = random_init(corpus, cfg, np.random.default_rng(5))
+        occupied = init.m > 0
+        assert occupied.sum() > _native._CROSSOVER
+        assert len(np.unique(init.m[occupied])) < occupied.sum() // 10
+        runs = []
+        for path in self.PATHS:
+            state = init.copy()
+            runs.append((state, self._steps(
+                path, monkeypatch, state, corpus, lambda: UniformBeta(cfg.beta),
+                prune=False, refreshes=0)))
+        for state, result in runs[1:]:
+            assert result == runs[0][1]
+            _assert_same_state(state, runs[0][0])
+        runs[0][0].validate()
+
+    def test_gsdmm_plus_steps_with_prunes_and_refreshes(self, monkeypatch):
+        # adaptive_init seeds every cluster with one document, so the
+        # joins start from a single class of 200 members; the sweeps then
+        # prune, and each refresh re-enters the kernel
+        corpus = _fixed_length_corpus()
+        cfg = RunConfig(algorithm="gsdmm+", k_max=200, alpha=1.0, beta=0.05)
+        runs = []
+        for path in self.PATHS:
+            state = self._on(path, monkeypatch, lambda: adaptive_init(
+                corpus, cfg, np.random.default_rng(8)))
+            runs.append((state, self._steps(
+                path, monkeypatch, state, corpus,
+                lambda s=state: word_entropy(s, csr=corpus.token_csr),
+                prune=True, refreshes=7)))
+        for state, result in runs[1:]:
+            assert result == runs[0][1]
+            _assert_same_state(state, runs[0][0])
+        state, (_, at_refresh) = runs[0]
+        state.validate(require_nonempty=True)
+        assert len(at_refresh) == 3 * 7
+        assert at_refresh[0] > _native._CROSSOVER > state.k_active
+
+    @staticmethod
+    def _overlapped_class_state():
+        """Clusters 0-2 form the class (2, 6) and each holds word 0 of the
+        document (words 0-2); cluster 3 of the class (1, 3) holds words 0
+        and 1, and cluster 4 of the same class none of them; cluster 5 is
+        (3, 9) and 6-7 are empty."""
+        docs = [{0: 1, 5: 2}, {6: 3}, {0: 2, 7: 1}, {8: 3}, {0: 1, 9: 2},
+                {10: 3}, {0: 1, 1: 1, 11: 1}, {12: 3}, {13: 3},
+                {14: 1, 15: 2}, {16: 3}]
+        corpus = corpus_from_counts(docs, 20)
+        state = ModelState.for_corpus(corpus, 8, 0.1)
+        state.add_docs(corpus.token_csr, np.arange(len(docs)),
+                       np.array([0, 0, 1, 1, 2, 2, 3, 4, 5, 5, 5]))
+        return state, np.array([0, 1, 2]), np.array([2, 1, 1])
+
+    @pytest.mark.parametrize("entropy", [False, True])
+    def test_log_scores_bitwise_with_an_overlapped_class(self, entropy):
+        state, words, counts = self._overlapped_class_state()
+        weights = _random_weights(np.random.default_rng(4), state, entropy)
+        sparse, dense = (kernel_scores(state, words, counts, weights, crossover)
+                         for crossover in (0, None))
+        assert sparse.tobytes() == dense.tobytes()
+        assert np.allclose(sparse, cluster_log_scores(state, words, counts,
+                                                      weights), rtol=1e-12)
+
+    def test_log_scores_names_the_same_bad_cluster(self):
+        # word 0 has pseudo-count 0, so every cluster without it scores
+        # -inf. The first is cluster 4, which reads the score of its class
+        # (1, 3) while cluster 3 of that class reads its own, finite one;
+        # the empty clusters' -inf is no fault
+        state, words, counts = self._overlapped_class_state()
+        table = _bad_weights("zero_entropy", state.V)
+        messages = []
+        for crossover in (0, None):
+            with pytest.raises(NonFiniteScore) as err:
+                kernel_scores(state, words, counts, table, crossover)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "clusters [4]" in messages[0]
+
+    def test_sparse_scores_once_per_needed_class(self, monkeypatch):
+        # the overlapping clusters 0-3, then one member of the classes
+        # (1, 3), (3, 9) and (0, 0); the class (2, 6), all of whose members
+        # share a word, gets no score. The kernel writes a score only for
+        # what it scores, into the third k_max block of its float work space
+        state, words, counts = self._overlapped_class_state()
+        spaces = []
+
+        def work(k_max, width):
+            work, iwork = real_work(k_max, width)
+            work[:] = np.nan
+            spaces.append(work)
+            return work, iwork
+
+        real_work = _native._work
+        monkeypatch.setattr(_native, "_work", work)
+        kernel_scores(state, words, counts, UniformBeta(0.1), 0)
+        written = ~np.isnan(spaces[0][2 * state.k_max:3 * state.k_max])
+        assert written.sum() == 4 + 3
+
+
 class TestCompiledScores:
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     @pytest.mark.parametrize("entropy", [False, True])
@@ -395,6 +556,85 @@ class TestCompiledCells:
             stale.__dict__["by_word"] = index
             with pytest.raises(ValueError):
                 kernel.cells(state, stale)
+
+
+# Run in a process of its own with the sanitizer runtime preloaded: the
+# kernel built with AddressSanitizer and UndefinedBehaviorSanitizer
+# (argv[1]) against the numpy reference, on dense and sparse documents.
+_SANITIZED_RUN = """
+import ctypes, sys
+import numpy as np
+from gsdmm import _native, model
+from gsdmm.model import UniformBeta, cluster_log_scores, word_entropy
+from gsdmm.sampler import RunConfig, run_gsdmm, run_gsdmm_plus
+from gsdmm.synth import GenSpec, generate_corpus
+
+built = _native.Kernel(ctypes.CDLL(sys.argv[1]))
+
+
+def on(kernel, crossover, fn):
+    _native.kernel = lambda: kernel
+    _native._CROSSOVER = crossover
+    return fn()
+
+
+configs = [RunConfig(k_max=40, alpha=alpha, iterations=2, seed=1)
+           for alpha in (0.0, 0.1)]
+configs.append(RunConfig(algorithm="gsdmm+", k_max=40, k_real=4, beta=0.05,
+                         iterations=2, entropy_refreshes_per_sweep=5, seed=1))
+for dist in ("fixed", "poisson"):
+    corpus = generate_corpus(GenSpec(k=4, v=120, d=90, doc_len=6,
+                                     length_dist=dist, seed=3))[0]
+    csr = corpus.token_csr
+    for crossover in (0, 1000):  # every document sparse, then dense
+        for cfg in configs:
+            run = run_gsdmm_plus if cfg.algorithm == "gsdmm+" else run_gsdmm
+            (a, state, trace), (b, _, ref) = (
+                on(k, crossover, lambda: run(corpus, cfg)) for k in (built, None))
+            assert np.array_equal(a, b), (dist, crossover, cfg)
+            assert [r.moved_docs for r in trace.records] == \\
+                [r.moved_docs for r in ref.records]
+            assert trace.merge_log == ref.merge_log
+            for got, want in zip(built.cells(state, csr),
+                                 model._occupied_cells(state, csr)):
+                assert np.array_equal(got, want)
+            lo, hi = csr.word_ptr[0], csr.word_ptr[1]
+            words, counts = csr.words[lo:hi], csr.counts[lo:hi]
+            state.remove_doc(0, words, counts, int(counts.sum()))
+            for weights in (UniformBeta(0.1), word_entropy(state, csr=csr)):
+                got = on(built, crossover, lambda: built.log_scores(
+                    state, words, counts, weights))
+                assert np.allclose(got, cluster_log_scores(
+                    state, words, counts, weights), rtol=1e-12, atol=1e-9)
+print("ok")
+"""
+
+
+class TestSanitized:
+    def test_kernel_under_address_and_undefined_sanitizers(self, tmp_path):
+        # gsdmm at alpha 0 and 0.1 and gsdmm+ with prunes, refreshes and a
+        # merge, each with every document sparse and dense, then the cells
+        # and one document's scores on the final state. An out-of-bounds
+        # access, a use after free or undefined behaviour aborts the process
+        cc = shutil.which("cc") or shutil.which("gcc")
+        runtime = subprocess.run([cc, "-print-file-name=libasan.so"],
+                                 capture_output=True, text=True).stdout.strip()
+        if not os.path.isabs(runtime):  # the bare name: no runtime installed
+            pytest.skip("no AddressSanitizer runtime for this compiler")
+        lib = tmp_path / "sweep-sanitized.so"
+        subprocess.run([cc, "-O1", "-g", "-fsanitize=address,undefined",
+                        "-fno-sanitize-recover=undefined", "-shared", "-fPIC",
+                        str(_native.SOURCE), "-o", str(lib), "-lm"],
+                       check=True, capture_output=True, timeout=300)
+        src = Path(_native.__file__).resolve().parents[1]
+        env = dict(os.environ, LD_PRELOAD=runtime, PYTHONPATH=str(src),
+                   ASAN_OPTIONS="detect_leaks=0",
+                   XDG_CACHE_HOME=str(tmp_path / "cache"))
+        proc = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(lib)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert proc.stdout.split() == ["ok"]
 
 
 @pytest.fixture()
