@@ -14,16 +14,18 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
 
-from .corpus import Corpus, CorpusStats, TokenCSR, Vocabulary
+from .corpus import Corpus, TokenCSR, Vocabulary
 from .errors import ConfigError, MalformedRecord
 from .model import check_token_total
 
-__all__ = ["MISSING_LABEL", "check_comma_free", "read_archive", "write_archive"]
+__all__ = ["MISSING_LABEL", "check_comma_free", "line_naming", "read_archive",
+           "read_json_object", "write_archive"]
 
 MISSING_LABEL = "-"
 
@@ -50,13 +52,7 @@ def write_archive(corpus: Corpus, outdir: str | Path) -> None:
                              vocab.id_to_word, vocab.doc_freq)))
     with open(out / "documents.txt", "w", encoding="utf-8") as fh:
         fh.write("".join(_document_lines(corpus.token_csr, doc_ids, labels)))
-    stats = {
-        "D": corpus.stats.D,
-        "V": corpus.stats.V,
-        "mean_len": corpus.stats.mean_len,
-        "max_len": corpus.stats.max_len,
-        "dropped_doc_ids": list(corpus.dropped_doc_ids),
-    }
+    stats = {**asdict(corpus.stats), "dropped_doc_ids": list(corpus.dropped_doc_ids)}
     with open(out / "stats.json", "w", encoding="utf-8") as fh:
         json.dump(stats, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -123,12 +119,13 @@ def read_archive(indir: str | Path) -> Corpus:
     word_id:count in ASCII digits, pairs separated by spaces (or other
     ASCII whitespace but tabs). Any other pair, a repeated doc id, an empty
     document, a word id repeated within a document or outside [0, V), a
-    count below 1, or a stats.json whose D or V disagrees with the files
-    raises MalformedRecord naming the first bad line. Each file is parsed
-    in whole-array passes that only accept or refuse it; a refused file is
-    read again line by line to name its first bad line. A count beyond
-    int32, the dtype of the counts array, raises ConfigError once the file
-    is known to be valid (see model.check_token_total).
+    count below 1, or a stats.json that is no JSON object, gives D or V
+    other than the files or dropped_doc_ids other than a list of strings
+    raises MalformedRecord naming the first bad line (the rest of
+    stats.json is derived, not read). Whole-array passes only accept or
+    refuse each file; a refused file is read again line by line. A count
+    beyond int32, the dtype of the counts array, raises ConfigError once
+    the file is known to be valid (see model.check_token_total).
     """
     src = Path(indir)
     for name in ("vocabulary.tsv", "documents.txt", "stats.json"):
@@ -137,28 +134,42 @@ def read_archive(indir: str | Path) -> Corpus:
     id_to_word, doc_freq = _read_vocabulary(src / "vocabulary.tsv")
     v = len(id_to_word)
     doc_ids, labels, csr = _read_documents(src / "documents.txt", v)
-    text = (src / "stats.json").read_text(encoding="utf-8")
-    stats = json.loads(text)
+    stats, text = read_json_object(src / "stats.json")
     for key, actual in (("D", len(doc_ids)), ("V", v)):
-        if stats.get(key) != actual:
-            line = next((i for i, row in enumerate(text.splitlines(), start=1)
-                         if f'"{key}"' in row), 1)
+        # a float or a boolean equal to the count is no count
+        if type(stats.get(key)) is not int or stats[key] != actual:
             raise MalformedRecord(
                 f"stats.json gives {key}={stats.get(key)}, the archive has {actual}",
-                line)
-    vocab = Vocabulary(
-        word_to_id=dict(zip(id_to_word, range(v))),
-        id_to_word=tuple(id_to_word),
-        doc_freq=tuple(doc_freq),
-    )
+                line_naming(text, key))
+    dropped = stats.get("dropped_doc_ids", [])
+    if not (isinstance(dropped, list) and all(isinstance(x, str) for x in dropped)):
+        raise MalformedRecord(f"stats.json gives dropped_doc_ids={dropped!r:.40}, not "
+                              "a list of strings", line_naming(text, "dropped_doc_ids"))
     return Corpus.from_arrays(
-        csr, doc_ids,
-        [None if label == MISSING_LABEL else label for label in labels],
-        vocabulary=vocab,
-        stats=CorpusStats(D=stats["D"], V=stats["V"],
-                          mean_len=stats["mean_len"], max_len=stats["max_len"]),
-        dropped_doc_ids=tuple(stats.get("dropped_doc_ids", [])),
-    )
+        csr, doc_ids, [None if label == MISSING_LABEL else label for label in labels],
+        Vocabulary(tuple(id_to_word), tuple(doc_freq)), dropped)
+
+
+def read_json_object(path: Path) -> tuple[dict, str]:
+    """The JSON object a file holds, and its text; anything else raises
+    MalformedRecord naming the file."""
+    text = path.read_text(encoding="utf-8")
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int too long to read
+        raise MalformedRecord(f"{path.name} is not valid JSON "
+                              f"({getattr(exc, 'msg', exc)})",
+                              getattr(exc, "lineno", 1)) from None
+    if not isinstance(obj, dict):
+        raise MalformedRecord(
+            f"{path.name} holds a JSON {type(obj).__name__}, not an object", 1)
+    return obj, text
+
+
+def line_naming(text: str, key: str) -> int:
+    """The number of the first line of a JSON text that names key, or 1."""
+    return next((i for i, row in enumerate(text.splitlines(), start=1)
+                 if f'"{key}"' in row), 1)
 
 
 def _read_text(path: Path) -> str:
@@ -263,11 +274,8 @@ def _read_documents(path: Path, v: int):
     if len(counts) and counts.max() > _INT32_MAX:
         # past the int32 counts array; the total names the excess
         check_token_total(sum(counts.tolist()))
-    tok_ptr = np.zeros(len(word_ptr), dtype=np.int64)
-    if len(doc_ids):
-        np.cumsum(np.add.reduceat(counts, word_ptr[:-1]), out=tok_ptr[1:])
     csr = TokenCSR(word_ptr, words.astype(np.intp, copy=False),
-                   counts.astype(np.int32), tok_ptr)
+                   counts.astype(np.int32))
     return doc_ids, labels, csr
 
 

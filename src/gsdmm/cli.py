@@ -21,7 +21,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .archive import check_comma_free, read_archive, write_archive
+from .archive import (check_comma_free, line_naming, read_archive, read_json_object,
+                      write_archive)
 from .corpus import (
     TokenRules,
     build_corpus,
@@ -308,7 +309,12 @@ def cmd_topwords(args: argparse.Namespace) -> int:
         print(f"error: missing model artifacts under {run_dir}", file=sys.stderr)
         return EXIT_MISSING_ARTIFACTS
     corpus = read_archive(args.archive)
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    summary, text = read_json_object(summary_path)
+    beta = summary.get("beta", 0.1)  # the one value top_words reads
+    # a bool is no number here; exact comparisons refuse an int past float
+    if type(beta) not in (int, float) or not 0 < beta <= sys.float_info.max:
+        raise MalformedRecord(f"summary.json gives beta={beta!r:.40}, not a "
+                              "finite number > 0", line_naming(text, "beta"))
     rows = _read_assignments(assignments_path)
     by_id = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
     missing = [doc_id for doc_id, _ in rows if doc_id not in by_id]
@@ -321,16 +327,16 @@ def cmd_topwords(args: argparse.Namespace) -> int:
     # depend on how large the ids are
     ids = sorted({z for _, z in rows})
     slot_of = {z: slot for slot, z in enumerate(ids)}
-    state = ModelState.for_corpus(corpus, len(ids), alpha=summary.get("alpha", 0.1))
+    state = ModelState.for_corpus(corpus, len(ids), alpha=0.0)
     state.add_docs(corpus.token_csr, [by_id[doc_id] for doc_id, _ in rows],
                    [slot_of[z] for _, z in rows])
     state.D = len(rows)
 
-    beta = float(summary.get("beta", 0.1))
     lines = ["cluster\trank\tword\tphi"]
     for slot, z in enumerate(ids):
         for rank, (word, phi) in enumerate(
-                top_words(state, corpus.vocabulary, slot, args.n, beta), start=1):
+                top_words(state, corpus.vocabulary, slot, args.n, float(beta)),
+                start=1):
             lines.append(f"{z}\t{rank}\t{word}\t{phi:.6f}")
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
 from itertools import chain, compress, count
@@ -74,9 +74,12 @@ class TokenRules:
 class Vocabulary:
     """Bijective word/id mapping with per-word document frequencies."""
 
-    word_to_id: dict[str, int]
     id_to_word: tuple[str, ...]
     doc_freq: tuple[int, ...]
+
+    @cached_property
+    def word_to_id(self) -> dict[str, int]:
+        return dict(zip(self.id_to_word, range(len(self.id_to_word))))
 
     @property
     def size(self) -> int:
@@ -88,12 +91,15 @@ class Vocabulary:
 
 @dataclass(frozen=True)
 class Document:
-    """One bag-of-words document: sparse word-id counts plus total length."""
+    """One bag-of-words document: sparse word-id counts and a gold label."""
 
     doc_id: str
     counts: dict[int, int]
-    total_len: int
-    gold_label: str | None = None
+    gold_label: str | None = field(default=None, kw_only=True)
+
+    @property
+    def total_len(self) -> int:
+        return sum(self.counts.values())
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,11 @@ class Corpus:
 
     A corpus is its token arrays (token_csr), its doc ids and its gold
     labels (None where a document has none), one entry per document in
-    corpus order, plus the vocabulary, the stats and the ids of documents
-    dropped because filtering emptied them (kept so that gold-label
-    alignment downstream stays correct). ``documents`` and the per-document
-    views present the same facts in other shapes, built on first access;
-    the sampler and the commands read the arrays and build neither.
+    corpus order, plus the vocabulary and the ids of documents dropped
+    because filtering emptied them (kept so that gold-label alignment
+    downstream stays correct). ``stats``, ``documents`` and the
+    per-document views are derived from these on first access; the sampler
+    and the commands read the arrays and build no documents or views.
 
     Corpus.from_arrays takes the arrays as they are (read_archive,
     build_corpus and generate_corpus build them directly).
@@ -121,30 +127,25 @@ class Corpus:
     at construction, keeping each document's word order.
     """
 
-    def __init__(self, documents, vocabulary: Vocabulary, stats: CorpusStats,
-                 dropped_doc_ids=()):
+    def __init__(self, documents, vocabulary: Vocabulary, dropped_doc_ids=()):
         docs = tuple(documents)
         csr = TokenCSR.from_rows([doc.counts for doc in docs],
-                                 [doc.counts.values() for doc in docs],
-                                 [doc.total_len for doc in docs])
+                                 [doc.counts.values() for doc in docs])
         self._set(csr, [doc.doc_id for doc in docs],
-                  [doc.gold_label for doc in docs], vocabulary, stats,
-                  dropped_doc_ids)
+                  [doc.gold_label for doc in docs], vocabulary, dropped_doc_ids)
 
     @classmethod
     def from_arrays(cls, token_csr: "TokenCSR", doc_ids, gold_labels,
-                    vocabulary: Vocabulary, stats: CorpusStats,
-                    dropped_doc_ids=()) -> "Corpus":
+                    vocabulary: Vocabulary, dropped_doc_ids=()) -> "Corpus":
         corpus = cls.__new__(cls)
-        corpus._set(token_csr, doc_ids, gold_labels, vocabulary, stats,
-                    dropped_doc_ids)
+        corpus._set(token_csr, doc_ids, gold_labels, vocabulary, dropped_doc_ids)
         return corpus
 
-    def _set(self, token_csr, doc_ids, gold_labels, vocabulary, stats,
+    def _set(self, token_csr, doc_ids, gold_labels, vocabulary,
              dropped_doc_ids) -> None:
         self.__dict__.update(token_csr=token_csr, doc_ids=tuple(doc_ids),
                              gold_labels=tuple(gold_labels),
-                             vocabulary=vocabulary, stats=stats,
+                             vocabulary=vocabulary,
                              dropped_doc_ids=tuple(dropped_doc_ids))
 
     def __setattr__(self, name, value):
@@ -161,17 +162,21 @@ class Corpus:
                 f"dropped={len(self.dropped_doc_ids)})")
 
     @cached_property
+    def stats(self) -> CorpusStats:
+        lengths = np.diff(self.token_csr.tok_ptr)
+        return CorpusStats(len(self), self.vocabulary.size,
+                           float(np.mean(lengths)) if len(lengths) else 0.0,
+                           int(lengths.max(initial=0)))
+
+    @cached_property
     def documents(self) -> tuple[Document, ...]:
         """One Document per document, built from the arrays."""
         csr = self.token_csr
         wp = csr.word_ptr.tolist()
         words, counts = csr.words.tolist(), csr.counts.tolist()
-        totals = np.diff(csr.tok_ptr).tolist()
         return tuple(
-            Document(doc_id=doc_id, counts=dict(zip(words[a:b], counts[a:b])),
-                     total_len=total, gold_label=label)
-            for doc_id, label, a, b, total in zip(
-                self.doc_ids, self.gold_labels, wp, wp[1:], totals)
+            Document(doc_id, dict(zip(words[a:b], counts[a:b])), gold_label=label)
+            for doc_id, label, a, b in zip(self.doc_ids, self.gold_labels, wp, wp[1:])
         )
 
     @cached_property
@@ -203,36 +208,37 @@ class TokenCSR:
 
     Document d's distinct words and their int32 counts are
     words[word_ptr[d]:word_ptr[d + 1]] and counts[...] of the same range
-    (int64 word_ptr, intp words); its tokens are
-    word_rep[tok_ptr[d]:tok_ptr[d + 1]] (int64 tok_ptr), each word id
-    repeated once per occurrence, with occ (0, 1, ... within the repeats of
-    one word, float64) at the same positions. word_rep and occ, one entry
-    per token, entry_doc, the document of each (document, word) entry, and
-    by_word, the entries in word-major order, are built on first access.
+    (int64 word_ptr, intp words). All else is derived from these on first
+    access: document d's tokens are word_rep[tok_ptr[d]:tok_ptr[d + 1]]
+    (int64 tok_ptr), each word id repeated once per occurrence, with occ
+    (0, 1, ... within the repeats of one word, float64) at the same
+    positions; entry_doc is the document of each (document, word) entry,
+    and by_word the entries in word-major order.
     """
 
     word_ptr: np.ndarray
     words: np.ndarray
     counts: np.ndarray
-    tok_ptr: np.ndarray
 
     @classmethod
-    def from_rows(cls, words, counts, lengths) -> "TokenCSR":
+    def from_rows(cls, words, counts) -> "TokenCSR":
         """The arrays of per-document rows: document d's distinct word ids
-        words[d], in the order given, their counts counts[d] and its token
-        total lengths[d]."""
-        n = len(lengths)
+        words[d], in the order given, and their counts counts[d]."""
+        n = len(words)
         word_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, words), dtype=np.int64, count=n),
                   out=word_ptr[1:])
-        tok_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(lengths, dtype=np.int64, count=n), out=tok_ptr[1:])
         size = int(word_ptr[-1])
         return cls(word_ptr,
                    np.fromiter(chain.from_iterable(words), dtype=np.intp, count=size),
-                   np.fromiter(chain.from_iterable(counts), dtype=np.int32,
-                               count=size),
-                   tok_ptr)
+                   np.fromiter(chain.from_iterable(counts), dtype=np.int32, count=size))
+
+    @cached_property
+    def tok_ptr(self) -> np.ndarray:
+        # the token total before each row; unlike reduceat, rows may be empty
+        ends = np.zeros(len(self.counts) + 1, dtype=np.int64)
+        np.cumsum(self.counts, dtype=np.int64, out=ends[1:])
+        return ends[self.word_ptr]
 
     @cached_property
     def word_rep(self) -> np.ndarray:
@@ -410,28 +416,17 @@ def build_corpus(
         )
     word_ptr = np.zeros(int(nonempty.sum()) + 1, dtype=np.int64)
     np.cumsum(word_len[nonempty], out=word_ptr[1:])
-    lengths = np.add.reduceat(counts, word_ptr[:-1])
-    tok_ptr = np.zeros_like(word_ptr)
-    np.cumsum(lengths, out=tok_ptr[1:])
     csr = TokenCSR(word_ptr, words.astype(np.intp, copy=False),
-                   counts.astype(np.int32), tok_ptr)
+                   counts.astype(np.int32))
 
     id_to_word = tuple(t for t, k in zip(terms, keep.tolist()) if k)
-    stats = CorpusStats(
-        D=len(word_ptr) - 1,
-        V=len(id_to_word),
-        mean_len=float(np.mean(lengths)),
-        max_len=int(lengths.max()),
-    )
     labels = [label for _, _, label in raw_docs]
     kept_docs = np.flatnonzero(nonempty).tolist()
     return Corpus.from_arrays(
         csr,
         [doc_ids[d] for d in kept_docs],
         [labels[d] for d in kept_docs],
-        vocabulary=Vocabulary(dict(zip(id_to_word, range(len(id_to_word)))),
-                              id_to_word, tuple(df[keep].tolist())),
-        stats=stats,
+        vocabulary=Vocabulary(id_to_word, tuple(df[keep].tolist())),
         dropped_doc_ids=[doc_ids[d] for d in np.flatnonzero(~nonempty).tolist()],
     )
 

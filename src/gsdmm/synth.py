@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, CorpusStats, Document, TokenCSR, Vocabulary
+from .corpus import Corpus, Document, TokenCSR, Vocabulary
 from .errors import InstanceTooLarge, NonPositiveArgument, TooManyClusters
 from .evaluation import LabeledPartitionPair, confusion_matrix
 from .model import ModelState, WeightingScheme
@@ -87,7 +87,7 @@ def generate_corpus(
     width = max(2, math.ceil(math.log(max(spec.v, 2)) / math.log(26)))
     id_to_word = tuple(_word_string(w, width) for w in range(spec.v))
 
-    doc_words, doc_counts, lengths, labels = [], [], [], []
+    doc_words, doc_counts, labels = [], [], []
     for _ in range(spec.d):
         z = int(rng.choice(spec.k, p=theta))
         if spec.length_dist == "fixed":
@@ -100,23 +100,12 @@ def generate_corpus(
                               return_counts=True)
         doc_words.append(uniq)
         doc_counts.append(cnt)
-        lengths.append(length)
         labels.append(f"c{z}")
 
-    csr = TokenCSR.from_rows(doc_words, doc_counts, lengths)
-    stats = CorpusStats(
-        D=spec.d,
-        V=spec.v,
-        mean_len=float(np.mean(lengths)) if lengths else 0.0,
-        max_len=int(max(lengths)) if lengths else 0,
-    )
-    vocab = Vocabulary(
-        word_to_id={w: i for i, w in enumerate(id_to_word)},
-        id_to_word=id_to_word,
-        doc_freq=tuple(np.bincount(csr.words, minlength=spec.v).tolist()),
-    )
-    corpus = Corpus.from_arrays(csr, [f"d{i}" for i in range(spec.d)], labels,
-                                vocabulary=vocab, stats=stats)
+    csr = TokenCSR.from_rows(doc_words, doc_counts)
+    vocab = Vocabulary(id_to_word,
+                       tuple(np.bincount(csr.words, minlength=spec.v).tolist()))
+    corpus = Corpus.from_arrays(csr, [f"d{i}" for i in range(spec.d)], labels, vocab)
     return corpus, labels, theta, phi
 
 

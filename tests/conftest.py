@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gsdmm import _native
-from gsdmm.corpus import Corpus, CorpusStats, Document, Vocabulary
+from gsdmm.corpus import Corpus, Document, Vocabulary
 from gsdmm.model import EntropyTable, ModelState, UniformBeta
 
 
@@ -42,8 +42,7 @@ def make_state(m_counts, nzw, alpha, k_max=None, n_docs=None) -> ModelState:
 
 
 def make_doc(counts: dict[int, int], doc_id: str = "doc") -> Document:
-    return Document(doc_id=doc_id, counts=dict(counts),
-                    total_len=sum(counts.values()), gold_label=None)
+    return Document(doc_id=doc_id, counts=dict(counts), gold_label=None)
 
 
 def corpus_from_counts(doc_counts: list[dict[int, int]], vocab_size: int,
@@ -58,22 +57,13 @@ def corpus_from_counts(doc_counts: list[dict[int, int]], vocab_size: int,
         docs.append(Document(
             doc_id=f"d{i}",
             counts=dict(counts),
-            total_len=sum(counts.values()),
             gold_label=labels[i] if labels else None,
         ))
-    lengths = [d.total_len for d in docs]
     return Corpus(
         documents=tuple(docs),
         vocabulary=Vocabulary(
-            word_to_id={w: i for i, w in enumerate(id_to_word)},
             id_to_word=id_to_word,
             doc_freq=tuple(int(x) for x in df),
-        ),
-        stats=CorpusStats(
-            D=len(docs),
-            V=vocab_size,
-            mean_len=float(np.mean(lengths)) if docs else 0.0,
-            max_len=int(max(lengths)) if docs else 0,
         ),
     )
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gsdmm import _native, archive, cli
 from gsdmm.archive import MISSING_LABEL, read_archive, write_archive
-from gsdmm.corpus import Corpus, CorpusStats, Document, Vocabulary
+from gsdmm.corpus import Corpus, Document, Vocabulary
 from gsdmm.errors import MalformedRecord
 from gsdmm.sampler import RunConfig, run_gsdmm, run_gsdmm_plus
 from gsdmm.synth import GenSpec, generate_corpus
@@ -71,7 +71,6 @@ def reference_read_archive(indir) -> Corpus:
             documents.append(Document(
                 doc_id=doc_id,
                 counts=counts,
-                total_len=sum(counts.values()),
                 gold_label=None if label == MISSING_LABEL else label,
             ))
     text = (src / "stats.json").read_text(encoding="utf-8")
@@ -86,12 +85,9 @@ def reference_read_archive(indir) -> Corpus:
     return Corpus(
         documents=tuple(documents),
         vocabulary=Vocabulary(
-            word_to_id={w: i for i, w in enumerate(id_to_word)},
             id_to_word=tuple(id_to_word),
             doc_freq=tuple(doc_freq),
         ),
-        stats=CorpusStats(D=stats["D"], V=stats["V"],
-                          mean_len=stats["mean_len"], max_len=stats["max_len"]),
         dropped_doc_ids=tuple(stats.get("dropped_doc_ids", [])),
     )
 
@@ -116,13 +112,9 @@ def assert_same_arrays(a: Corpus, b: Corpus, tokens: bool = True) -> None:
 
 
 def _corpus(docs: list[Document], words: list[str]) -> Corpus:
-    lengths = [doc.total_len for doc in docs]
     return Corpus(
         documents=tuple(docs),
-        vocabulary=Vocabulary({w: i for i, w in enumerate(words)}, tuple(words),
-                              tuple(1 for _ in words)),
-        stats=CorpusStats(D=len(docs), V=len(words),
-                          mean_len=float(np.mean(lengths)), max_len=max(lengths)),
+        vocabulary=Vocabulary(tuple(words), tuple(1 for _ in words)),
     )
 
 
@@ -144,7 +136,6 @@ def corpora(draw) -> Corpus:
                             max_size=min(v, 8), unique=True))
         counts = {w: draw(st.integers(1, 10 ** 6)) for w in sorted(ids)}
         docs.append(Document(doc_id=f"d{d}é", counts=counts,
-                             total_len=sum(counts.values()),
                              gold_label=draw(st.sampled_from(_LABELS))))
     return _corpus(docs, words)
 
@@ -406,6 +397,52 @@ def test_fault_names_its_line(tmp_path, case):
     assert str(info.value) == message
 
 
+# stats.json with one fault; each names the file and the line of the fault
+STATS_FAULTS = {
+    "not-json": ('{"D": 4,\n "V": 6,}',
+                 "line 2: stats.json is not valid JSON (Expecting property name "
+                 "enclosed in double quotes)"),
+    "empty": ("", "line 1: stats.json is not valid JSON (Expecting value)"),
+    "list": ("[]", "line 1: stats.json holds a JSON list, not an object"),
+    "D-float": ('{"D": 4.0, "V": 6}', "line 1: stats.json gives D=4.0, the archive has 4"),
+    "dropped-number": ('{"D": 4,\n "V": 6,\n "dropped_doc_ids": 5}',
+                       "line 3: stats.json gives dropped_doc_ids=5, not a list "
+                       "of strings"),
+    "dropped-int-id": ('{"D": 4,\n "V": 6,\n "dropped_doc_ids": ["a", 1]}',
+                       "line 3: stats.json gives dropped_doc_ids=['a', 1], not a "
+                       "list of strings"),
+    "dropped-null": ('{"D": 4, "V": 6, "dropped_doc_ids": null}',
+                     "line 1: stats.json gives dropped_doc_ids=None, not a list "
+                     "of strings"),
+}
+
+
+@pytest.mark.parametrize("text, message", STATS_FAULTS.values(), ids=STATS_FAULTS)
+def test_stats_fault_names_the_file(tmp_path, capsys, text, message):
+    # these used to crash with exit 1, keep a non-string id, or, for
+    # invalid JSON, exit 2 without naming the file
+    _write_lines(tmp_path, VOCABULARY, DOCUMENTS)
+    (tmp_path / "stats.json").write_text(text)
+    with pytest.raises(MalformedRecord) as info:
+        read_archive(tmp_path)
+    assert str(info.value) == message
+    assert cli.main(["cluster", str(tmp_path), str(tmp_path / "r"),
+                     "--kmax", "2", "--iters", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_stats_lengths_are_derived_not_read(tmp_path):
+    # a stats.json without mean_len and max_len used to raise KeyError;
+    # wrong ones are not read either
+    _write_lines(tmp_path, VOCABULARY, DOCUMENTS)
+    want = read_archive(tmp_path).stats
+    assert (want.mean_len, want.max_len) == (2.0, 3)
+    for stats in ({"D": 4, "V": 6}, {"D": 4, "V": 6, "mean_len": "x", "max_len": -1}):
+        (tmp_path / "stats.json").write_text(json.dumps(stats))
+        corpus = read_archive(tmp_path)
+        assert corpus.stats == want and corpus.dropped_doc_ids == ()
+
+
 @contextmanager
 def _counted_line_loops():
     """The names of the line loops called inside the block, in call order."""
@@ -454,7 +491,7 @@ def test_read_matches_documents_built_corpus(tmp_path):
     archive = _archive(tmp_path)
     read = read_archive(archive)
     built = Corpus(documents=read.documents, vocabulary=read.vocabulary,
-                   stats=read.stats, dropped_doc_ids=read.dropped_doc_ids)
+                   dropped_doc_ids=read.dropped_doc_ids)
     fresh = read_archive(archive)
     assert_same_arrays(fresh, built)
     assert fresh.documents == built.documents

@@ -579,6 +579,40 @@ class TestTopwords:
         assert run("topwords", pipeline_dir / "archive",
                    pipeline_dir / "no_such_run") == 5
 
+    @pytest.fixture()
+    def summary_run(self, pipeline_dir):
+        out = pipeline_dir / "run_summary"
+        assert run("cluster", pipeline_dir / "archive", out, "--kmax", 6,
+                   "--iters", 1, "--seed", 0) == 0
+        return out
+
+    @pytest.mark.parametrize("text", [
+        "[]", '"str"', "null", "{", '{"beta": [1]}', '{"beta": true}',
+        '{"beta": "0.1"}', '{"beta": null}', '{"beta": 0}', '{"beta": -0.5}',
+        '{"beta": NaN}', '{"beta": Infinity}', '{"beta": 1e999}',
+        pytest.param('{"beta": 1' + "0" * 400 + "}", id="beta-past-float"),
+    ])
+    def test_bad_summary_exit_2(self, pipeline_dir, summary_run, capsys, text):
+        # these used to crash with exit 1, run with a beta of true as 1.0,
+        # or, for invalid JSON, not name the file
+        (summary_run / "summary.json").write_text(text)
+        capsys.readouterr()
+        assert run("topwords", pipeline_dir / "archive", summary_run) == 2
+        err = capsys.readouterr().err
+        assert "summary.json" in err and len(err) < 200
+
+    @pytest.mark.parametrize("alpha", ['"x"', "null", "[]"])
+    def test_alpha_not_read(self, pipeline_dir, summary_run, capsys, alpha):
+        # top_words uses beta alone; a bad alpha used to exit 1
+        path = summary_run / "summary.json"
+        capsys.readouterr()
+        assert run("topwords", pipeline_dir / "archive", summary_run) == 0
+        want = capsys.readouterr().out
+        beta = json.loads(path.read_text())["beta"]
+        path.write_text(f'{{"alpha": {alpha}, "beta": {beta}}}')
+        assert run("topwords", pipeline_dir / "archive", summary_run) == 0
+        assert capsys.readouterr().out == want
+
     def test_disjoint_topics_topword_from_own_block(self, tmp_path, capsys):
         # two topics with disjoint hand-built vocabularies
         data = tmp_path / "two.jsonl"

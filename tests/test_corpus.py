@@ -1,11 +1,19 @@
+import dataclasses
 import json
+import tempfile
+from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from gsdmm.archive import read_archive, write_archive
 from gsdmm.corpus import (
+    Corpus,
+    Document,
     TokenRules,
+    Vocabulary,
     build_corpus,
     default_stopwords,
     load_stopwords,
@@ -13,6 +21,7 @@ from gsdmm.corpus import (
     tokenize,
 )
 from gsdmm.errors import AllDocumentsEmpty, DuplicateDocId, MalformedRecord
+from gsdmm.synth import GenSpec, generate_corpus
 
 from conftest import corpus_from_counts
 
@@ -199,3 +208,75 @@ class TestTokenViews:
 
     def test_empty_corpus(self):
         assert corpus_from_counts([], 3).token_views == ()
+
+
+# ---------------------------------------------------------------------------
+# the facts derived from the token arrays, whichever way a corpus is built
+
+_WORDS = ["apple", "bank", "cider", "delta", "ember", "fjord", "gale", "harp"]
+
+
+@st.composite
+def _documents_corpus(draw) -> Corpus:
+    """Corpus(documents=...), with documents that hold no words."""
+    v = draw(st.integers(1, 8))
+    docs = []
+    for d in range(draw(st.integers(0, 12))):
+        ids = draw(st.lists(st.integers(0, v - 1), max_size=v, unique=True))
+        docs.append(Document(f"d{d}", {w: draw(st.integers(1, 50)) for w in ids},
+                             gold_label=draw(st.sampled_from(["x", None]))))
+    return Corpus(documents=docs, vocabulary=Vocabulary(tuple(_WORDS[:v]), (1,) * v))
+
+
+@st.composite
+def _generated_corpus(draw) -> Corpus:
+    spec = GenSpec(k=draw(st.integers(1, 4)), v=draw(st.integers(2, 40)),
+                   d=draw(st.integers(0, 30)), doc_len=draw(st.integers(1, 9)),
+                   length_dist=draw(st.sampled_from(["fixed", "poisson"])),
+                   seed=draw(st.integers(0, 2 ** 16)))
+    return generate_corpus(spec)[0]
+
+
+@st.composite
+def _built_corpus(draw) -> Corpus:
+    """build_corpus, with documents that filtering empties."""
+    texts = draw(st.lists(st.lists(st.sampled_from(_WORDS + ["a", "the"]),
+                                   max_size=10).map(" ".join), min_size=1,
+                          max_size=12))
+    texts[0] += " apple"  # one word survives
+    rules = TokenRules(stopword_list=frozenset({"the"}),
+                       min_df=draw(st.integers(1, 2)))
+    if rules.min_df == 2:
+        texts.append("apple")
+    return build_corpus([(f"r{i}", text, None) for i, text in enumerate(texts)],
+                        rules)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(source=st.sampled_from(["documents", "generated", "built", "archive"]),
+       data=st.data())
+def test_derived_facts(source, data):
+    draw = {"documents": _documents_corpus, "built": _built_corpus}.get(
+        source, _generated_corpus)
+    corpus = data.draw(draw())
+    with tempfile.TemporaryDirectory() as tmp:
+        if source == "archive":
+            write_archive(corpus, tmp)
+            corpus = read_archive(tmp)
+        csr = corpus.token_csr
+        wp = csr.word_ptr.tolist()
+        sums = [int(csr.counts[a:b].sum()) for a, b in zip(wp, wp[1:])]
+        assert csr.tok_ptr.dtype == np.int64
+        assert csr.tok_ptr.tolist() == [0, *accumulate(sums)]
+        assert [doc.total_len for doc in corpus.documents] == sums
+        write_archive(corpus, tmp)
+        written = json.loads((Path(tmp) / "stats.json").read_text(encoding="utf-8"))
+    assert written.pop("dropped_doc_ids") == list(corpus.dropped_doc_ids)
+    assert written == dataclasses.asdict(corpus.stats)
+    assert corpus.stats.D == len(sums) and corpus.stats.V == corpus.vocabulary.size
+    assert corpus.stats.max_len == max(sums, default=0)
+    assert corpus.stats.mean_len == (float(np.mean(sums)) if sums else 0.0)
+    vocab = corpus.vocabulary
+    assert [vocab.word_to_id[word] for word in vocab.id_to_word] == \
+        list(range(vocab.size))
+    assert len(vocab.word_to_id) == vocab.size

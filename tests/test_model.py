@@ -343,7 +343,6 @@ class TestPosteriorPhi:
 
 class TestTopWords:
     VOCAB = Vocabulary(
-        word_to_id={"vote": 0, "game": 1, "rain": 2},
         id_to_word=("vote", "game", "rain"),
         doc_freq=(1, 1, 1),
     )
@@ -363,7 +362,6 @@ class TestTopWords:
         phi = np.full(v, 0.5 / (v - 1))
         phi[0] = 0.5
         vocab = Vocabulary(
-            word_to_id={f"w{i}": i for i in range(v)},
             id_to_word=tuple(f"w{i}" for i in range(v)),
             doc_freq=tuple([1] * v),
         )

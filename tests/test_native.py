@@ -552,7 +552,7 @@ class TestCompiledCells:
                       (np.array([0, 3, 1, 4]), docs, counts),  # falls
                       (start, docs + 5, counts),              # no such document
                       (start, docs[:-1], counts[:-1])):       # another corpus
-            stale = TokenCSR(csr.word_ptr, csr.words, csr.counts, csr.tok_ptr)
+            stale = TokenCSR(csr.word_ptr, csr.words, csr.counts)
             stale.__dict__["by_word"] = index
             with pytest.raises(ValueError):
                 kernel.cells(state, stale)

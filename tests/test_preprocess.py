@@ -22,7 +22,6 @@ from gsdmm import cli
 from gsdmm.archive import MISSING_LABEL, read_archive, write_archive
 from gsdmm.corpus import (
     Corpus,
-    CorpusStats,
     Document,
     TokenRules,
     Vocabulary,
@@ -104,19 +103,15 @@ def reference_build_corpus(raw_docs, rules: TokenRules) -> Corpus:
         if not counts:
             dropped.append(doc_id)
             continue
-        documents.append(Document(doc_id=doc_id, counts=counts,
-                                  total_len=sum(counts.values()), gold_label=label))
+        documents.append(Document(doc_id=doc_id, counts=counts, gold_label=label))
 
     if not documents:
         raise AllDocumentsEmpty(
             f"no documents left after filtering ({len(raw_docs)} inputs)")
-    lengths = [d.total_len for d in documents]
     return Corpus(
         documents=tuple(documents),
-        vocabulary=Vocabulary(word_to_id, tuple(id_to_word),
+        vocabulary=Vocabulary(tuple(id_to_word),
                               tuple(df[word] for word in id_to_word)),
-        stats=CorpusStats(D=len(documents), V=len(id_to_word),
-                          mean_len=float(np.mean(lengths)), max_len=int(max(lengths))),
         dropped_doc_ids=tuple(dropped),
     )
 
@@ -413,9 +408,9 @@ def test_writer_matches_reference_on_generated_corpora(spec, seed):
 
 def _corpus_with(doc_id: str, label: str | None) -> Corpus:
     return Corpus(
-        documents=(Document("ok", {0: 1}, 1, "x"), Document(doc_id, {0: 2}, 2, label)),
-        vocabulary=Vocabulary({"w": 0}, ("w",), (2,)),
-        stats=CorpusStats(D=2, V=1, mean_len=1.5, max_len=2),
+        documents=(Document("ok", {0: 1}, gold_label="x"),
+                   Document(doc_id, {0: 2}, gold_label=label)),
+        vocabulary=Vocabulary(("w",), (2,)),
     )
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gsdmm.corpus import Corpus, CorpusStats, Document, Vocabulary
+from gsdmm.corpus import Corpus, Document, Vocabulary
 from gsdmm.errors import ConfigError, KMaxExceedsCorpus
 from gsdmm.evaluation import LabeledPartitionPair, accuracy, nmi
 from gsdmm.model import UniformBeta, conditional_distribution, normalize_log_scores
@@ -50,13 +50,11 @@ class TestRunConfig:
 
 
 def test_token_total_beyond_int32_rejected():
-    # total_len alone exceeds int32; the counts stay tiny so nothing large
-    # is ever allocated
-    doc = Document(doc_id="d0", counts={0: 1}, total_len=2 ** 31)
+    # each count fits int32 but the total of 2**31 does not; the check runs
+    # before any per-token array is built, so nothing large is allocated
     corpus = Corpus(
-        documents=(doc,),
-        vocabulary=Vocabulary({"w": 0}, ("w",), (1,)),
-        stats=CorpusStats(D=1, V=1, mean_len=2.0 ** 31, max_len=2 ** 31),
+        documents=(Document("d0", {0: 2 ** 30}), Document("d1", {0: 2 ** 30})),
+        vocabulary=Vocabulary(("w",), (2,)),
     )
     for run, algorithm in ((run_gsdmm, "gsdmm"), (run_gsdmm_plus, "gsdmm+")):
         with pytest.raises(ConfigError, match="int32"):
