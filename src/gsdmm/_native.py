@@ -266,9 +266,7 @@ class Kernel:
 
 
 def _check_state(state) -> None:
-    if state.wz.shape != (state.V, state.k_max) or \
-            state.m.shape != (state.k_max,) or state.n.shape != (state.k_max,) \
-            or state.assignments.shape != (state.D,) \
+    if state.m.shape != (state.k_max,) or state.n.shape != (state.k_max,) \
             or not 0 <= state.k_active <= state.k_max:
         raise ValueError("model state arrays do not match its sizes")
     if state.D and state.assignments.max() >= state.k_active:

@@ -330,7 +330,6 @@ def cmd_topwords(args: argparse.Namespace) -> int:
     state = ModelState.for_corpus(corpus, len(ids), alpha=0.0)
     state.add_docs(corpus.token_csr, [by_id[doc_id] for doc_id, _ in rows],
                    [slot_of[z] for _, z in rows])
-    state.D = len(rows)
 
     lines = ["cluster\trank\tword\tphi"]
     for slot, z in enumerate(ids):

@@ -38,20 +38,17 @@ __all__ = [
 
 _SEP = "\x00"  # joins the texts for one regex pass over all of them
 _LATIN = re.compile(r"[a-z]+|\x00")
-_LATIN_CASED = re.compile(r"[a-zA-Z]+|\x00")
 
 
 @dataclass(frozen=True)
 class TokenRules:
     """Normalization pipeline settings.
 
-    The pipeline order is fixed: lowercase, strip non-latin characters,
-    drop stopwords, stem, filter by token length. Document-frequency
+    The pipeline order is fixed: lowercase, split into runs of Latin
+    letters, drop stopwords, stem, filter by token length. Document-frequency
     filtering (min_df) happens at corpus level, not per call.
     """
 
-    lowercase: bool = True
-    strip_non_latin: bool = True
     stopword_list: frozenset[str] = frozenset()
     stemming: bool = False
     min_word_len: int = 2
@@ -76,6 +73,11 @@ class Vocabulary:
 
     id_to_word: tuple[str, ...]
     doc_freq: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.id_to_word) != len(self.doc_freq):
+            raise ValueError(f"vocabulary has {len(self.id_to_word)} words but "
+                             f"{len(self.doc_freq)} document frequencies")
 
     @cached_property
     def word_to_id(self) -> dict[str, int]:
@@ -124,7 +126,9 @@ class Corpus:
     Corpus.from_arrays takes the arrays as they are (read_archive,
     build_corpus and generate_corpus build them directly).
     Corpus(documents=...) converts the given Document objects to arrays once,
-    at construction, keeping each document's word order.
+    at construction, keeping each document's word order. Both raise
+    ValueError unless there are as many doc ids and gold labels as token
+    rows and every word id lies in [0, V).
     """
 
     def __init__(self, documents, vocabulary: Vocabulary, dropped_doc_ids=()):
@@ -143,8 +147,17 @@ class Corpus:
 
     def _set(self, token_csr, doc_ids, gold_labels, vocabulary,
              dropped_doc_ids) -> None:
-        self.__dict__.update(token_csr=token_csr, doc_ids=tuple(doc_ids),
-                             gold_labels=tuple(gold_labels),
+        doc_ids, gold_labels = tuple(doc_ids), tuple(gold_labels)
+        rows = len(token_csr.word_ptr) - 1
+        if not len(doc_ids) == len(gold_labels) == rows:
+            raise ValueError(f"corpus has {len(doc_ids)} doc ids, "
+                             f"{len(gold_labels)} gold labels and {rows} token rows")
+        words, v = token_csr.words, vocabulary.size
+        lo, hi = (words.min(), words.max()) if len(words) else (0, -1)
+        if lo < 0 or hi >= v:
+            raise ValueError(f"word id {lo if lo < 0 else hi} outside [0, {v})")
+        self.__dict__.update(token_csr=token_csr, doc_ids=doc_ids,
+                             gold_labels=gold_labels,
                              vocabulary=vocabulary,
                              dropped_doc_ids=tuple(dropped_doc_ids))
 
@@ -309,26 +322,16 @@ def _stem(word: str) -> str:
     return word
 
 
-def _split(texts: list[str], rules: TokenRules) -> tuple[list[str], np.ndarray]:
+def _split(texts: list[str]) -> tuple[list[str], np.ndarray]:
     """Every raw part of the texts, in order, and the index of the text
     each part comes from. After lowercasing, a text's raw parts are its
-    runs of Latin letters, or with strip_non_latin off its runs of
-    non-whitespace."""
+    runs of Latin letters."""
     n = len(texts)
-    if not rules.strip_non_latin:
-        per_text = [(text.lower() if rules.lowercase else text).split()
-                    for text in texts]
-        sizes = np.fromiter(map(len, per_text), dtype=np.intp, count=n)
-        return list(chain.from_iterable(per_text)), np.repeat(np.arange(n), sizes)
     # One regex pass over the texts joined by _SEP, which the pattern
     # returns as a part of its own wherever it stands: between two texts,
     # or within a text that holds it. _SEP is neither cased nor
     # case-ignorable, so lowercasing the joined texts lowercases each alone.
-    joined = _SEP.join(texts)
-    if rules.lowercase:
-        joined = joined.lower()
-    parts = (_LATIN if rules.lowercase else _LATIN_CASED).findall(joined)
-    del joined
+    parts = _LATIN.findall(_SEP.join(texts).lower())
     sep = np.fromiter(map(_SEP.__eq__, parts), dtype=bool, count=len(parts))
     held = np.fromiter(map(methodcaller("count", _SEP), texts), dtype=np.intp,
                        count=n)
@@ -353,7 +356,7 @@ def tokenize(text: str, rules: TokenRules) -> list[str]:
     Total function: never raises, any input yields a list. min_df filtering
     is not applied here.
     """
-    tokens = (_normalize(part, rules) for part in _split([text], rules)[0])
+    tokens = (_normalize(part, rules) for part in _split([text])[0])
     return [tok for tok in tokens if tok is not None]
 
 
@@ -380,7 +383,7 @@ def build_corpus(
     check_unique_doc_ids(doc_ids)
     n_docs = len(doc_ids)
 
-    parts, doc = _split([text for _, text, _ in raw_docs], rules)
+    parts, doc = _split([text for _, text, _ in raw_docs])
     # each distinct part is decided once, at the position where it first
     # appears; terms (the distinct tokens) are numbered by first appearance,
     # so the kept ones are already in word id order

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -88,29 +89,27 @@ class UniformBeta:
 class EntropyTable:
     """Per-word pseudo-counts derived from word entropy across clusters.
 
-    h[w] is strictly positive for epsilon > 0 and lies in [0, 1] when
-    normalized (division by log of the cluster count).
+    word_entropy builds h strictly positive (for epsilon > 0) and, when
+    normalized, in [0, 1] (division by log of the cluster count).
     """
 
     h: np.ndarray
-    sum_h: float
-    epsilon: float
-    normalized: bool
 
     def __post_init__(self):
         object.__setattr__(self, "h", np.ascontiguousarray(self.h, dtype=np.float64))
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if len(self.h) and not self.h.min() > 0:
             raise ValueError("entropy table must be strictly positive")
-        if not math.isclose(self.sum_h, float(self.h.sum()), rel_tol=1e-9):
-            raise ValueError("sum_h inconsistent with table")
+
+    @cached_property
+    def sum_h(self) -> float:
+        """The pseudo-counts' total, float(h.sum()), taken on first read."""
+        return float(self.h.sum())
 
     def pseudocounts(self, v: int) -> tuple[np.ndarray, float]:
         """The table h, the pseudo-count of each of v words, and sum_h."""
         if len(self.h) != v:
             raise ValueError(f"entropy table covers {len(self.h)} words, state has {v}")
-        return self.h, float(self.sum_h)
+        return self.h, self.sum_h
 
 
 WeightingScheme = Union[UniformBeta, EntropyTable]
@@ -133,7 +132,8 @@ class ModelState:
     the document count, n[z] the token count, wz[w, z] the per-word token
     count, stored word-major as int32; nzw is its cluster-major (k_max, V)
     view. Cluster membership lives only in the assignment array; pruning
-    and merging relabel a cluster's documents by scanning it.
+    and merging relabel a cluster's documents by scanning it. The sizes D,
+    V and k_max are read from the arrays.
     """
 
     def __init__(self, n_docs: int, vocab_size: int, k_max: int, alpha: float,
@@ -142,9 +142,6 @@ class ModelState:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
-        self.D = n_docs
-        self.V = vocab_size
-        self.k_max = k_max
         self.k_active = k_max if k_active is None else k_active
         self.alpha = float(alpha)
         self.m = np.zeros(k_max, dtype=np.int64)
@@ -159,6 +156,18 @@ class ModelState:
         return cls(len(corpus), corpus.vocabulary.size, k_max, alpha)
 
     @property
+    def D(self) -> int:
+        return len(self.assignments)
+
+    @property
+    def V(self) -> int:
+        return self.wz.shape[0]
+
+    @property
+    def k_max(self) -> int:
+        return self.wz.shape[1]
+
+    @property
     def nzw(self) -> np.ndarray:
         """Cluster-major (k_max, V) view of the word-major counts. The
         package reads wz; perfbench still reads this (ROADMAP item 1)."""
@@ -166,7 +175,6 @@ class ModelState:
 
     def copy(self) -> "ModelState":
         dup = ModelState.__new__(ModelState)
-        dup.D, dup.V, dup.k_max = self.D, self.V, self.k_max
         dup.k_active, dup.alpha = self.k_active, self.alpha
         dup.m = self.m.copy()
         dup.n = self.n.copy()
@@ -481,8 +489,7 @@ def word_entropy(
         if normalized:
             h = h / top
             h[uniform] = 1.0
-    return EntropyTable(h=h, sum_h=float(h.sum()), epsilon=epsilon,
-                        normalized=normalized)
+    return EntropyTable(h)
 
 
 def _occupied_cells(state: ModelState, csr: TokenCSR

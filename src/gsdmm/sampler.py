@@ -220,15 +220,15 @@ def gibbs_sweep(
     weights: WeightingScheme,
     cfg: RunConfig,
     rng: np.random.Generator,
-    prune_empty: bool = False,
 ) -> int:
     """One full pass reseating every document; returns how many moved.
 
     Per document: detach its counts, prune its cluster if that emptied it
-    (compacting indices), refresh the entropy table when the schedule says
-    so, then sample a new cluster from the conditional and re-attach. The
-    entropy refresh positions are the multiples of ceil(D / refreshes), so
-    a sweep refreshes at most cfg.entropy_refreshes_per_sweep times.
+    and cfg.algorithm is gsdmm+ (compacting indices), refresh the entropy
+    table when the schedule says so, then sample a new cluster from the
+    conditional and re-attach. The entropy refresh positions are the
+    multiples of ceil(D / refreshes), so a sweep refreshes at most
+    cfg.entropy_refreshes_per_sweep times.
     """
     d_total = len(corpus)
     if isinstance(weights, EntropyTable) and cfg.entropy_refreshes_per_sweep > 0:
@@ -236,7 +236,8 @@ def gibbs_sweep(
     else:
         refresh_step = 0
     return _steps(
-        state, corpus, np.arange(d_total), rng, weights, prune_empty, refresh_step,
+        state, corpus, np.arange(d_total), rng, weights,
+        cfg.algorithm == GSDMM_PLUS, refresh_step,
         lambda: word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
                              corpus.token_csr))
 
@@ -381,7 +382,7 @@ def _run(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelState, SweepT
     gold = _gold_ids(corpus)
     trace = SweepTrace()
     for it in range(1, cfg.iterations + 1):
-        moved = gibbs_sweep(state, corpus, weights, cfg, sweep_rng, prune_empty=plus)
+        moved = gibbs_sweep(state, corpus, weights, cfg, sweep_rng)
         if cfg.validate_every_sweep:
             state.validate(require_nonempty=plus)
         _record(trace, gold, state, it, state.nonempty_count(), moved)

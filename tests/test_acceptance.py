@@ -124,8 +124,7 @@ def test_criterion_02_exact_enumeration():
         else:
             h = gen.uniform(0.05, 1.0, size=v)
             from gsdmm.model import EntropyTable
-            weights = EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
-                                   normalized=True)
+            weights = EntropyTable(h=h)
         joint = oracle_enumerate_joint(corpus, k, alpha, weights)
         for _ in range(3):
             assign = gen.integers(0, k, size=d)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,8 @@ import pytest
 
 from gsdmm import cli
 from gsdmm.cli import main
+from gsdmm.corpus import TokenRules
+from gsdmm.sampler import RunConfig
 
 
 def run(*argv):
@@ -369,6 +372,17 @@ class TestArchiveBoundary:
                    "--iters", 1) == 2
         err = capsys.readouterr().err
         assert f"{key}={actual + 1}" in err and f"has {actual}" in err
+
+
+def test_every_setting_reaches_the_command_line():
+    # a RunConfig or TokenRules field that no flag or config key sets is a
+    # switch only tests turn, which doubles what the tests must cover;
+    # validate_every_sweep, the exact-count fault detector, is the exception
+    keys = {**cli.RUN_FIELDS, **cli.RULE_FIELDS, "stopwords": "stopword_list"}
+    assert set(keys) <= set(cli.CONFIG_KEYS)
+    fields = {f.name for cls in (RunConfig, TokenRules) for f in dataclasses.fields(cls)}
+    assert fields - set(keys.values()) == {"validate_every_sweep"}
+    assert set(keys.values()) <= fields
 
 
 class TestImportHygiene:

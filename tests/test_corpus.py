@@ -12,6 +12,7 @@ from gsdmm.archive import read_archive, write_archive
 from gsdmm.corpus import (
     Corpus,
     Document,
+    TokenCSR,
     TokenRules,
     Vocabulary,
     build_corpus,
@@ -48,10 +49,6 @@ class TestTokenize:
         rules = TokenRules(stemming=True, min_df=1)
         assert tokenize("running jumped cities glasses", rules) == \
             ["runn", "jump", "city", "glass"]
-
-    def test_no_strip_keeps_whitespace_split(self):
-        rules = TokenRules(strip_non_latin=False, min_df=1)
-        assert tokenize("don't stop", rules) == ["don't", "stop"]
 
     @given(st.text(max_size=200))
     def test_total_function_and_filters(self, text):
@@ -280,3 +277,34 @@ def test_derived_facts(source, data):
     assert [vocab.word_to_id[word] for word in vocab.id_to_word] == \
         list(range(vocab.size))
     assert len(vocab.word_to_id) == vocab.size
+
+
+# ---------------------------------------------------------------------------
+# per-item arrays that disagree are refused when a corpus is built
+
+_VOCAB = Vocabulary(("apple", "bank"), (2, 2))
+
+
+def _three_rows() -> TokenCSR:
+    return TokenCSR.from_rows([[0], [1], [0, 1]], [[1], [2], [1, 1]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Corpus.from_arrays(_three_rows(), ["a", "b"], ["x", "y", "z"], _VOCAB),
+     "2 doc ids, 3 gold labels and 3 token rows"),
+    (lambda: Corpus.from_arrays(_three_rows(), ["a", "b", "c"], ["x"], _VOCAB),
+     "3 doc ids, 1 gold labels and 3 token rows"),
+    (lambda: Corpus.from_arrays(TokenCSR.from_rows([[0], [5]], [[1], [1]]),
+                                ["a", "b"], [None, None], _VOCAB),
+     r"word id 5 outside \[0, 2\)"),
+    (lambda: Corpus([Document("a", {0: 1}), Document("b", {1: 1, 5: 2})], _VOCAB),
+     r"word id 5 outside \[0, 2\)"),
+    (lambda: Corpus([Document("a", {-1: 1})], _VOCAB),
+     r"word id -1 outside \[0, 2\)"),
+    (lambda: Vocabulary(("apple", "bank"), (1,)),
+     "2 words but 1 document frequencies"),
+], ids=["fewer-ids", "fewer-labels", "word-past-v", "document-word-past-v",
+        "negative-word", "vocabulary"])
+def test_disagreeing_arrays_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -103,8 +103,7 @@ class TestDocClusterLogScore:
         with pytest.raises(ValueError):
             UniformBeta(0.0)
         with pytest.raises(ValueError):
-            EntropyTable(h=np.array([0.0, 0.5]), sum_h=0.5, epsilon=1e-9,
-                         normalized=True)
+            EntropyTable(h=np.array([0.0, 0.5]))
 
 
 def _sparse_state(gen, alpha, k_max=60, v=30, n_docs=25, max_count=3):
@@ -133,8 +132,7 @@ def _sparse_state(gen, alpha, k_max=60, v=30, n_docs=25, max_count=3):
 def _random_weights(gen, state, entropy):
     if entropy:
         h = gen.uniform(1e-3, 1.0, size=state.V)
-        return EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
-                            normalized=True)
+        return EntropyTable(h=h)
     return UniformBeta(float(gen.choice([0.01, 0.1])))
 
 
@@ -184,8 +182,7 @@ class TestEmptySlotScoring:
             nzw = np.ascontiguousarray(state.nzw[:k], dtype=np.int64)
             for weights, cw, ctot in [
                     (UniformBeta(0.1), 0.1, state.V * 0.1),
-                    (EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
-                                  normalized=True), h[word_rep], float(h.sum()))]:
+                    (EntropyTable(h=h), h[word_rep], float(h.sum()))]:
                 with np.errstate(divide="ignore"):
                     dense = np.log(state.m[:k] + alpha)
                     dense = dense + np.log(nzw[:, word_rep] + (cw + occ)[None, :]).sum(axis=1)
@@ -231,6 +228,20 @@ class TestWordEntropy:
         table = word_entropy(state, epsilon=1e-9, normalized=True)
         assert table.h.tolist() == [1.0, 1.0]
         assert table.sum_h == 2.0
+
+    def test_total_is_the_table_sum(self, rng):
+        # the denominator's total is h's own sum, bit for bit; it is no
+        # argument, and neither are the settings word_entropy computed with
+        h = rng.uniform(1e-3, 1.0, size=50)
+        for table in (EntropyTable(h), word_entropy(
+                make_state([2, 1, 3], rng.integers(0, 4, size=(3, 50)), alpha=0.1))):
+            total = float(table.h.sum())
+            assert table.sum_h.hex() == total.hex()
+            assert table.pseudocounts(50)[1].hex() == total.hex()
+        for key, value in (("sum_h", float(h.sum()) + 9e-10), ("epsilon", 5.0),
+                           ("normalized", False)):
+            with pytest.raises(TypeError):
+                EntropyTable(h=h, **{key: value})
 
     def test_degenerate_word_entropy_tends_to_zero(self):
         state = make_state([1, 1], [[6, 0], [0, 3]], alpha=0.1)
@@ -427,6 +438,13 @@ class TestModelState:
         state.n[0] += 1
         with pytest.raises(AssertionError):
             state.validate()
+
+    def test_sizes_are_read_only(self):
+        state = make_state([2, 1], [[1, 0, 2], [0, 2, 0]], alpha=0.1, k_max=4)
+        assert (state.D, state.V, state.k_max) == (3, 3, 4)
+        for name in ("D", "V", "k_max"):
+            with pytest.raises(AttributeError):
+                setattr(state, name, 2)
 
     def test_deactivate_requires_empty(self):
         state = make_state([1, 1], [[1, 0], [0, 1]], alpha=0.1)

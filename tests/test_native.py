@@ -89,7 +89,8 @@ class TestSweepMatchesNumpy:
     def test_identical_sweeps(self, kernel, monkeypatch, alpha, prune_empty,
                               entropy):
         corpus = _noisy_topics(int(alpha * 10) + 7)
-        cfg = RunConfig(k_max=40, alpha=alpha, beta=0.05,
+        cfg = RunConfig(algorithm="gsdmm+" if prune_empty else "gsdmm",
+                        k_max=40, alpha=alpha, beta=0.05,
                         entropy_refreshes_per_sweep=7)
         init = adaptive_init if prune_empty else random_init
         compiled = init(corpus, cfg, np.random.default_rng(3))
@@ -98,10 +99,9 @@ class TestSweepMatchesNumpy:
         weights = word_entropy(compiled, cfg.entropy_epsilon) if entropy \
             else UniformBeta(cfg.beta)
         for _ in range(5):
-            moved = gibbs_sweep(compiled, corpus, weights, cfg, rngs[0],
-                                prune_empty)
+            moved = gibbs_sweep(compiled, corpus, weights, cfg, rngs[0])
             moved_ref = _numpy(monkeypatch, lambda: gibbs_sweep(
-                reference, corpus, weights, cfg, rngs[1], prune_empty))
+                reference, corpus, weights, cfg, rngs[1]))
             assert moved == moved_ref
             _assert_same_state(compiled, reference)
             compiled.validate(require_nonempty=prune_empty)
@@ -202,7 +202,8 @@ class TestSparseScoring:
         corpus, _, _, _ = generate_corpus(GenSpec(
             k=5, v=400, d=300, doc_len=6, length_dist=length_dist,
             beta_gen=0.05, seed=12))
-        cfg = RunConfig(k_max=200, alpha=alpha, beta=0.05)
+        cfg = RunConfig(algorithm="gsdmm+" if prune_empty else "gsdmm",
+                        k_max=200, alpha=alpha, beta=0.05)
         init = random_init(corpus, cfg, np.random.default_rng(5))
         assert np.count_nonzero(init.m) > _native._CROSSOVER
         runs = []
@@ -215,7 +216,7 @@ class TestSparseScoring:
                     mp.setattr(_native, "_CROSSOVER", crossover)
                 for _ in range(3):
                     moved.append(gibbs_sweep(state, corpus, UniformBeta(cfg.beta),
-                                             cfg, rng, prune_empty))
+                                             cfg, rng))
             state.validate()
             runs.append((state, moved))
         for state, moved in runs[1:]:
@@ -436,8 +437,7 @@ class TestCompiledScoresSparse(TestCompiledScores):
 def _bad_weights(kind, v):
     if kind == "zero_entropy":
         h = np.full(v, 0.5)
-        table = EntropyTable(h=h, sum_h=float(h.sum()), epsilon=1e-9,
-                             normalized=True)
+        table = EntropyTable(h=h)
         table.h[0] = 0.0  # bypasses the constructor's positivity check
         return table
     weights = UniformBeta(0.1)

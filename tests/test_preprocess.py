@@ -48,19 +48,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # the references: the code as it was, one document and one token at a time
 
 _REF_NON_ALPHA = re.compile(r"[^a-z]+")
-_REF_NON_ALPHA_CASED = re.compile(r"[^a-zA-Z]+")
 
 
 def reference_tokenize(text: str, rules: TokenRules) -> list[str]:
-    if rules.lowercase:
-        text = text.lower()
-    if rules.strip_non_latin:
-        splitter = _REF_NON_ALPHA if rules.lowercase else _REF_NON_ALPHA_CASED
-        parts = splitter.split(text)
-    else:
-        parts = text.split()
     tokens = []
-    for tok in parts:
+    for tok in _REF_NON_ALPHA.split(text.lower()):
         if not tok or tok in rules.stopword_list:
             continue
         if rules.stemming:
@@ -204,8 +196,6 @@ def texts(draw) -> str:
 def token_rules(draw) -> TokenRules:
     lo = draw(st.integers(1, 4))
     return TokenRules(
-        lowercase=draw(st.booleans()),
-        strip_non_latin=draw(st.booleans()),
         stopword_list=draw(st.sampled_from(
             [frozenset(), frozenset({"the", "of", "a"}), default_stopwords()])),
         stemming=draw(st.booleans()),
@@ -260,7 +250,7 @@ def assert_same_corpus(got: Corpus, want: Corpus) -> None:
                   ("b", "budget kelvin i\u0307stanbul", None)],
          rules=TokenRules(min_df=2))
 @example(records=[("a", "the of", "x"), ("b", "ΑΣ\x00ΒΑΣ σ\x00", "y")],
-         rules=TokenRules(strip_non_latin=False, min_df=1))
+         rules=TokenRules(min_df=1))
 @example(records=[("a", "ab\x00cd\x00", None), ("b", "\x00ab", None),
                   ("c", "", None), ("d", "cd\nab", None)],
          rules=TokenRules(min_df=1))

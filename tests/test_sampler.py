@@ -6,6 +6,7 @@ import pytest
 from gsdmm.corpus import Corpus, Document, Vocabulary
 from gsdmm.errors import ConfigError, KMaxExceedsCorpus
 from gsdmm.evaluation import LabeledPartitionPair, accuracy, nmi
+from gsdmm.merge import merge_to_k
 from gsdmm.model import UniformBeta, conditional_distribution, normalize_log_scores
 from gsdmm.sampler import (
     RunConfig,
@@ -173,7 +174,7 @@ class TestGibbsSweep:
     def test_prune_contract(self):
         # doc 0 sits alone in cluster 1 and is strongly pulled to cluster 0
         corpus = corpus_from_counts([{0: 3}] + [{0: 3}] * 5, 1)
-        cfg = RunConfig(k_max=2, alpha=0.1, beta=0.01)
+        cfg = RunConfig(algorithm="gsdmm+", k_max=2, alpha=0.1, beta=0.01)
         state = random_init(corpus, cfg, np.random.default_rng(0))
         for d in range(6):
             words = np.array([0], dtype=np.int64)
@@ -182,10 +183,29 @@ class TestGibbsSweep:
             state.add_doc(d, words, counts, 3, 1 if d == 0 else 0)
         k_before = state.k_active
         gibbs_sweep(state, corpus, UniformBeta(cfg.beta), cfg,
-                    np.random.default_rng(1), prune_empty=True)
+                    np.random.default_rng(1))
         assert state.k_active == k_before - 1
         assert (state.n[: state.k_active] > 0).all()
         state.validate(require_nonempty=True)
+
+    def test_gsdmm_plus_config_prunes(self):
+        # the configuration alone sets pruning: a gsdmm+ sweep leaves no
+        # active cluster empty, so the merge after it can run; the state's
+        # sizes follow its arrays through the copy, the prunes and the merge
+        corpus, _, _, _ = generate_corpus(GenSpec(k=4, v=300, d=200, seed=3))
+        cfg = RunConfig(algorithm="gsdmm+", k_max=60)
+        state = adaptive_init(corpus, cfg, np.random.default_rng(0))
+        start = state.copy()
+        gibbs_sweep(state, corpus, UniformBeta(cfg.beta), cfg,
+                    np.random.default_rng(1))
+        assert state.k_active < cfg.k_max
+        state.validate(require_nonempty=True)
+        pruned = state.copy()
+        merge_to_k(state, 4)
+        assert state.k_active == 4
+        for s in (start, pruned, state):
+            assert (s.D, s.V, s.k_max) == (len(s.assignments), *s.wz.shape) \
+                == (len(corpus), corpus.vocabulary.size, cfg.k_max)
 
 
 def _dense_reference_sweep(state, corpus, weights, rng, prune_empty):
@@ -234,7 +254,8 @@ class TestSweepMatchesDenseReference:
                 uniq, cnt = np.unique(words, return_counts=True)
                 docs.append({int(w): int(c) for w, c in zip(uniq, cnt)})
         corpus = corpus_from_counts(docs, 32)
-        cfg = RunConfig(k_max=40, alpha=alpha, beta=0.05)
+        cfg = RunConfig(algorithm="gsdmm+" if prune_empty else "gsdmm",
+                        k_max=40, alpha=alpha, beta=0.05)
         weights = UniformBeta(cfg.beta)
         init = adaptive_init if prune_empty else random_init
         fast = init(corpus, cfg, np.random.default_rng(3))
@@ -242,7 +263,7 @@ class TestSweepMatchesDenseReference:
         rng_fast, rng_ref = np.random.default_rng(4), np.random.default_rng(4)
         fills = 0
         for _ in range(5):
-            moved = gibbs_sweep(fast, corpus, weights, cfg, rng_fast, prune_empty)
+            moved = gibbs_sweep(fast, corpus, weights, cfg, rng_fast)
             moved_ref, fills_ref = _dense_reference_sweep(ref, corpus, weights,
                                                           rng_ref, prune_empty)
             assert moved == moved_ref

@@ -115,8 +115,7 @@ class TestOracleDeltaRatio:
     def test_nonpositive_pseudocounts_rejected(self):
         state = make_state([1], [[1, 1]], alpha=0.1)
         table = UniformBeta(1.0)
-        bad = EntropyTable(h=np.array([1.0, 0.5]), sum_h=1.5, epsilon=1e-9,
-                           normalized=True)
+        bad = EntropyTable(h=np.array([1.0, 0.5]))
         bad.h[1] = -0.5  # bypasses the constructor's positivity check
         with pytest.raises(NonPositiveArgument):
             oracle_delta_ratio(make_doc({0: 1}), 0, state, bad)
