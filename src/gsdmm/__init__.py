@@ -52,7 +52,6 @@ from .merge import (
     tficf_vector,
 )
 from .model import (
-    ClusterStats,
     EntropyTable,
     ModelState,
     UniformBeta,

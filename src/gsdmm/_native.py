@@ -137,7 +137,7 @@ def _arr(dtype, ndim=1):
 
 
 _I64, _F64 = ctypes.c_int64, ctypes.c_double
-_STATE = [_arr(np.int32, 2), _I64, _I64, _arr(np.int64), _arr(np.int64)]
+_STATE = [_arr(np.int32, 2), _I64, _arr(np.int64), _arr(np.int64)]  # wz, k_max, m, n
 _SPARSE = [_arr(np.uint64, 2), _I64, _I64]  # bitmaps, their width, crossover
 _LOGM = [_arr(np.float64), _I64]  # the log(m + alpha) table and its length
 
@@ -201,7 +201,7 @@ class Kernel:
         io[IO_K] = state.k_active
         while True:
             h, ctot = weights.pseudocounts(state.V)
-            code = self._sweep(state.wz, state.V, state.k_max, state.m, state.n,
+            code = self._sweep(state.wz, state.k_max, state.m, state.n,
                                state.assignments, state.D, word_ptr, words,
                                counts, order, uniforms, len(order), h, ctot,
                                state.alpha, logm, len(logm), int(prune),
@@ -230,7 +230,7 @@ class Kernel:
         logm = np.empty(int(state.m[:state.k_active].max(initial=0)) + 1)
         out = np.empty(state.k_active, dtype=np.float64)
         bad = _I64(-1)
-        code = self._scores(state.wz, state.V, state.k_max, state.m, state.n,
+        code = self._scores(state.wz, state.k_max, state.m, state.n,
                             state.k_active, words, counts, len(words), h, ctot,
                             state.alpha, logm, len(logm), bits, bits.shape[1],
                             _CROSSOVER, *_work(state.k_max, bits.shape[1]), out,

@@ -95,7 +95,7 @@ typedef struct {
 
 typedef struct {
     int32_t *wz;      /* (V, kmax) word-major counts */
-    int64_t v, kmax;
+    int64_t kmax;
     int64_t *m, *n;   /* (kmax,) document and token counts */
     int64_t *assign;  /* (n_docs,) cluster per document, -1 when detached */
     int64_t n_docs;
@@ -572,14 +572,14 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
  * given (nb > 0; zeroed, V rows, of which the document's words' are filled
  * here). logm (nlog,) is filled here. Work space as for dmm_sweep. Returns
  * DONE, or NONFINITE with the cluster in *bad. */
-int64_t dmm_scores(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
-                   int64_t *n, int64_t k, const int64_t *words,
+int64_t dmm_scores(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
+                   int64_t k, const int64_t *words,
                    const int32_t *counts, int64_t nw, const double *h,
                    double ctot, double alpha, double *logm, int64_t nlog,
                    uint64_t *bits, int64_t nb, int64_t crossover,
                    double *work, int64_t *iwork, double *out, int64_t *bad)
 {
-    Model s = {.wz = wz, .v = v, .kmax = kmax, .m = m, .n = n,
+    Model s = {.wz = wz, .kmax = kmax, .m = m, .n = n,
                .bits = nb ? bits : 0, .nb = nb};
     const Weights wt = {h, ctot, alpha, logm, nlog};
     Scratch x = carve(&s, work, iwork);
@@ -608,8 +608,8 @@ int64_t dmm_scores(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
  * iwork are sized by _native._work and hold nothing from one entry to the
  * next. Returns DONE, REFRESH or a negative code; io always holds the
  * position and counts reached. */
-int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
-                  int64_t *n, int64_t *assign, int64_t n_docs,
+int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
+                  int64_t *assign, int64_t n_docs,
                   const int64_t *word_ptr, const int64_t *words,
                   const int32_t *counts, const int64_t *order,
                   const double *u, int64_t n_order, const double *h,
@@ -618,7 +618,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t v, int64_t kmax, int64_t *m,
                   int64_t nb, int64_t crossover, double *work, int64_t *iwork,
                   int64_t *io)
 {
-    Model s = {.wz = wz, .v = v, .kmax = kmax, .m = m, .n = n,
+    Model s = {.wz = wz, .kmax = kmax, .m = m, .n = n,
                .assign = assign, .n_docs = n_docs, .bits = nb ? bits : 0,
                .nb = nb};
     const Weights wt = {h, ctot, alpha, logm, nlog};

@@ -20,7 +20,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .corpus import Corpus, TokenCSR, Vocabulary
+from .corpus import Corpus, TokenCSR, Vocabulary, _not_rising, _repeated_row
 from .errors import ConfigError, MalformedRecord
 from .model import check_token_total
 
@@ -89,7 +89,7 @@ def _document_lines(csr: TokenCSR, doc_ids, labels) -> list[str]:
     word_id:count, in rising word id order. The pair strings come from
     tables of the id and count strings in use."""
     words, counts = csr.words, csr.counts
-    if not _rising_within_lines(words, csr.word_ptr):
+    if _not_rising(words, csr.word_ptr).any():
         # a Corpus built from Documents holds each one's dict order
         order = np.lexsort((words, csr.entry_doc))
         words, counts = words[order], counts[order]
@@ -101,15 +101,6 @@ def _document_lines(csr: TokenCSR, doc_ids, labels) -> list[str]:
     wp = csr.word_ptr.tolist()
     return [f"{doc_id}\t{label}\t{' '.join(pairs[a:b])}\n"
             for doc_id, label, a, b in zip(doc_ids, labels, wp, wp[1:])]
-
-
-def _rising_within_lines(words: np.ndarray, word_ptr: np.ndarray) -> bool:
-    """Whether the word ids rise strictly within every line, the lines
-    being the slices word_ptr[i]:word_ptr[i + 1] of words."""
-    rising = np.ones(len(words), dtype=bool)
-    rising[1:] = words[1:] > words[:-1]
-    rising[word_ptr[:-1][word_ptr[:-1] < len(words)]] = True  # line starts
-    return bool(rising.all())
 
 
 def read_archive(indir: str | Path) -> Corpus:
@@ -311,21 +302,12 @@ def _parse_documents(text: str, v: int):
     words = _digit_values(buf, starts, colons)
     counts = _digit_values(buf, colons + 1, ends)
     del buf, starts, ends, colons
-    if (word_ptr[1:] == word_ptr[:-1]).any() or _repeats(words, word_ptr) \
+    # ids past int64, read as int64 max, may look repeated, but they are
+    # outside [0, V) anyway
+    if (word_ptr[1:] == word_ptr[:-1]).any() or _repeated_row(words, word_ptr) >= 0 \
             or (words >= v).any() or (counts < 1).any():
         return None
     return doc_ids, labels, words, counts, word_ptr
-
-
-def _repeats(words: np.ndarray, word_ptr: np.ndarray) -> bool:
-    """Whether a line names a word id twice. write_archive sorts each line,
-    so ids rising within every line settle it without a sort; otherwise the
-    ids sorted within each line must rise. Ids past int64, read as int64
-    max, may look repeated, but they are outside [0, V) anyway."""
-    if _rising_within_lines(words, word_ptr):
-        return False
-    line = np.repeat(np.arange(len(word_ptr) - 1), np.diff(word_ptr))
-    return not _rising_within_lines(words[np.lexsort((words, line))], word_ptr)
 
 
 def _documents_error(text: str, v: int) -> NoReturn:

@@ -128,7 +128,9 @@ class Corpus:
     Corpus(documents=...) converts the given Document objects to arrays once,
     at construction, keeping each document's word order. Both raise
     ValueError unless there are as many doc ids and gold labels as token
-    rows and every word id lies in [0, V).
+    rows, every word id lies in [0, V), every count is at least 1 and no
+    document names a word id twice; the last two messages name the
+    document. A document may be empty.
     """
 
     def __init__(self, documents, vocabulary: Vocabulary, dropped_doc_ids=()):
@@ -152,10 +154,18 @@ class Corpus:
         if not len(doc_ids) == len(gold_labels) == rows:
             raise ValueError(f"corpus has {len(doc_ids)} doc ids, "
                              f"{len(gold_labels)} gold labels and {rows} token rows")
-        words, v = token_csr.words, vocabulary.size
+        words, counts, v = token_csr.words, token_csr.counts, vocabulary.size
         lo, hi = (words.min(), words.max()) if len(words) else (0, -1)
         if lo < 0 or hi >= v:
             raise ValueError(f"word id {lo if lo < 0 else hi} outside [0, {v})")
+        low = np.flatnonzero(counts < 1)
+        if len(low):
+            d = int(np.searchsorted(token_csr.word_ptr, low[0], side="right")) - 1
+            raise ValueError(f"document {doc_ids[d]!r} has count {counts[low[0]]} "
+                             f"for word id {words[low[0]]}; counts must be >= 1")
+        d = _repeated_row(words, token_csr.word_ptr)
+        if d >= 0:
+            raise ValueError(f"document {doc_ids[d]!r} names a word id twice")
         self.__dict__.update(token_csr=token_csr, doc_ids=doc_ids,
                              gold_labels=gold_labels,
                              vocabulary=vocabulary,
@@ -289,6 +299,27 @@ class TokenCSR:
 def _entry_docs(word_ptr: np.ndarray) -> np.ndarray:
     """The document of each (document, word) entry of compressed rows."""
     return np.repeat(np.arange(len(word_ptr) - 1), np.diff(word_ptr))
+
+
+def _not_rising(words: np.ndarray, word_ptr: np.ndarray) -> np.ndarray:
+    """Whether each entry of compressed rows has a word id at or below the
+    one before it in its row."""
+    falls = np.zeros(len(words), dtype=bool)
+    falls[1:] = words[1:] <= words[:-1]
+    falls[word_ptr[:-1][word_ptr[:-1] < len(words)]] = False  # row starts
+    return falls
+
+
+def _repeated_row(words: np.ndarray, word_ptr: np.ndarray) -> int:
+    """The first row of compressed rows that names a word id twice, or -1.
+    Ids rising within every row, as build_corpus and read_archive give
+    them, settle it without a sort; otherwise the ids sorted within each
+    row must rise."""
+    if not _not_rising(words, word_ptr).any():
+        return -1
+    row = _entry_docs(word_ptr)
+    falls = _not_rising(words[np.lexsort((words, row))], word_ptr)
+    return int(row[falls.argmax()]) if falls.any() else -1
 
 
 def occurrences(counts) -> np.ndarray:

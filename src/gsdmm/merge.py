@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCluster, KRealOutOfRange, ZeroNorm
-from .model import ModelState, _distinct_sorted
+from .model import ModelState, _distinct_sorted, _nonzero_cells
 
 __all__ = [
     "TfIcfVector",
@@ -43,8 +43,8 @@ MergeLog = list  # ordered (a, b, similarity) tuples
 def compute_icf(state: ModelState) -> np.ndarray:
     """Inverse cluster frequency per word: 1 + log((1 + K) / (1 + cf)),
     natural log, where cf counts active clusters containing the word."""
-    k = state.k_active
-    return _icf(np.count_nonzero(state.wz[:, :k], axis=1), k)
+    return _icf(np.bincount(_nonzero_cells(state)[0], minlength=state.V),
+                state.k_active)
 
 
 def tficf_vector(state: ModelState, z: int, icf: np.ndarray) -> TfIcfVector:
@@ -55,10 +55,7 @@ def tficf_vector(state: ModelState, z: int, icf: np.ndarray) -> TfIcfVector:
     total = int(state.n[z])
     if total == 0:
         raise EmptyCluster(f"cluster {z} has no tokens")
-    return _tficf_from_counts(state.wz[:, z], total, icf)
-
-
-def _tficf_from_counts(row: np.ndarray, total: int, icf: np.ndarray) -> TfIcfVector:
+    row = state.wz[:, z]
     ids = np.flatnonzero(row)
     x = row[ids] / total * icf[ids]
     return TfIcfVector(weights=dict(zip(ids.tolist(), x.tolist())), norm=_norm(x))
@@ -87,15 +84,16 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
     pre-compaction ids.
 
     The count matrix is scanned once, for the nonzero cells; after that
-    each cluster is its list of words, and a merge moves only the merged
-    cluster's cells. One matrix product approximates every pair's cosine,
-    over the words in two or more clusters (no other word adds to a dot
-    product, and merging never spreads a word to more clusters). Each
-    step then re-scores with cosine, exactly rounded, every pair whose
-    approximation lies within twice the rounding bound of the best one
-    (see _cosine_error), and takes the best of those: no other pair can
-    reach it, so the pair, its similarity and the log are exactly those of
-    scoring every pair with cosine.
+    each cluster is its list of words, and a merge folds only the merged
+    cluster's cells into the survivor (ModelState.fold). One matrix
+    product approximates every pair's cosine, over the words in two or
+    more clusters (no other word adds to a dot product, and merging never
+    spreads a word to more clusters). Each step then re-scores with
+    cosine, exactly rounded, every pair whose approximation lies within
+    twice the rounding bound of the best one (see _cosine_error), and
+    takes the best of those: no other pair can reach it, so the pair, its
+    similarity and the log are exactly those of scoring every pair with
+    cosine.
     """
     if not 1 <= k_real <= state.k_active:
         raise KRealOutOfRange(
@@ -109,14 +107,11 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
     if len(empty):
         raise EmptyCluster(f"cluster {int(empty[0])} has no tokens")
 
-    counts = state.wz[:, :k]
     # the nonzero cells, word-major, so that words ascend in each cluster
-    flat = np.flatnonzero(counts != 0)
-    rows = flat // k
-    cols = flat - rows * k
+    rows, cols, nz = _nonzero_cells(state)
     cf = np.bincount(rows, minlength=state.V)
     icf = _icf(cf, k)
-    x = counts[rows, cols] / state.n[cols] * icf[rows]
+    x = nz / state.n[cols] * icf[rows]
     # each cluster's words, ascending, and their weights
     order = np.argsort(cols, kind="stable")
     bounds = np.searchsorted(cols[order], np.arange(k + 1)).tolist()
@@ -144,7 +139,6 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
                 norm=float(norms[z]))
         return vectors[z]
 
-    label = np.arange(k)
     alive = np.ones(k, dtype=bool)
     for _ in range(k - k_real):
         top = approx.max(axis=1)
@@ -159,16 +153,9 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
         a, b = int(pa[best]), int(pb[best])
         log.append((a, b, float(exact[a, b])))
 
-        state.m[a] += state.m[b]
-        state.n[a] += state.n[b]
-        moved = cells[b]
-        state.wz[moved, a] += state.wz[moved, b]
-        state.wz[moved, b] = 0
-        state.m[b] = 0
-        state.n[b] = 0
-        label[label == b] = a
+        state.fold(b, a, cells[b])
         alive[b] = False
-        cells[a] = words = _distinct_sorted(np.concatenate((cells[a], moved)))
+        cells[a] = words = _distinct_sorted(np.concatenate((cells[a], cells[b])))
         xs[a] = state.wz[words, a] / state.n[a] * icf[words]
         norms[a] = _norm(xs[a])
         vectors.pop(a, None)
@@ -186,7 +173,12 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
         approx[b, :] = approx[:, b] = -np.inf
         exact[a, :] = exact[:, a] = np.nan
 
-    _compact(state, np.flatnonzero(alive).tolist(), cells, label)
+    # compaction, in surviving-id order: each survivor's new slot is one
+    # merged away or one an earlier survivor has left, so it is empty
+    for slot, z in enumerate(np.flatnonzero(alive).tolist()):
+        if slot != z:
+            state.fold(z, slot, cells[z])
+    state.k_active = k_real
     return log
 
 
@@ -215,24 +207,3 @@ def _cosine_error(n: int) -> float:
     """
     u = np.finfo(np.float64).eps / 2
     return n * u / (1 - n * u) + 2 * u / (1 - 2 * u) + 16 * u
-
-
-def _compact(state: ModelState, survivors: list[int], cells: list[np.ndarray],
-             label: np.ndarray) -> None:
-    """Move surviving clusters into slots 0..len-1, preserving id order, and
-    relabel every document: cluster z merged into label[z]. Only a moved
-    cluster's cells are copied; its new slot's column is already zero."""
-    slot_of = np.full(len(label), -1, dtype=np.int64)
-    for slot, z in enumerate(survivors):
-        slot_of[z] = slot
-        if slot == z:
-            continue
-        state.m[slot] = state.m[z]
-        state.n[slot] = state.n[z]
-        state.wz[cells[z], slot] = state.wz[cells[z], z]
-        state.m[z] = 0
-        state.n[z] = 0
-        state.wz[cells[z], z] = 0
-    attached = state.assignments >= 0
-    state.assignments[attached] = slot_of[label[state.assignments[attached]]]
-    state.k_active = len(survivors)

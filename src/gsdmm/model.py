@@ -42,7 +42,6 @@ from .corpus import Corpus, Document, TokenCSR, Vocabulary, occurrences
 from .errors import ConfigError, InactiveCluster, NonFiniteScore
 
 __all__ = [
-    "ClusterStats",
     "ModelState",
     "check_token_total",
     "UniformBeta",
@@ -58,16 +57,6 @@ __all__ = [
     "posterior_phi",
     "top_words",
 ]
-
-
-@dataclass(frozen=True)
-class ClusterStats:
-    """Read-only snapshot of one cluster: document count, token count, and
-    sparse per-word token counts."""
-
-    m: int
-    n: int
-    word_counts: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -131,9 +120,10 @@ class ModelState:
     Clusters live in slots [0, k_active) of fixed-capacity arrays. m[z] is
     the document count, n[z] the token count, wz[w, z] the per-word token
     count, stored word-major as int32; nzw is its cluster-major (k_max, V)
-    view. Cluster membership lives only in the assignment array; pruning
-    and merging relabel a cluster's documents by scanning it. The sizes D,
-    V and k_max are read from the arrays.
+    view. Cluster membership lives only in the assignment array. Pruning
+    and merging move one cluster into another with fold, which relabels
+    the moved cluster's documents by scanning it. The sizes D, V and k_max
+    are read from the arrays.
     """
 
     def __init__(self, n_docs: int, vocab_size: int, k_max: int, alpha: float,
@@ -216,31 +206,30 @@ class ModelState:
         self.assignments[d] = -1
         return z
 
+    def fold(self, src: int, dst: int, words: np.ndarray | None = None) -> None:
+        """Move cluster src into cluster dst and leave src empty: its
+        document, token and word counts add into dst's, and its documents
+        are relabeled dst by one scan of the assignments. words, distinct
+        word ids, must hold every word src has a count for; None means all
+        V words. O(D + len(words)), or O(D + V) for None."""
+        at = slice(None) if words is None else words
+        self.wz[at, dst] += self.wz[at, src]
+        self.wz[at, src] = 0
+        self.m[dst] += self.m[src]
+        self.n[dst] += self.n[src]
+        self.m[src] = 0
+        self.n[src] = 0
+        self.assignments[self.assignments == src] = dst
+
     def deactivate_cluster(self, z: int) -> None:
-        """Remove an emptied cluster and keep indices contiguous by moving
+        """Remove an emptied cluster and keep indices contiguous by folding
         the last active cluster into its slot. O(V + D)."""
-        last = self.k_active - 1
         if self.m[z] != 0 or self.n[z] != 0:
             raise InactiveCluster(f"cluster {z} is not empty")
+        last = self.k_active - 1
         if z != last:
-            self.m[z] = self.m[last]
-            self.n[z] = self.n[last]
-            self.wz[:, z] = self.wz[:, last]
-            self.assignments[np.flatnonzero(self.assignments == last)] = z
-        self.m[last] = 0
-        self.n[last] = 0
-        self.wz[:, last] = 0
+            self.fold(last, z)
         self.k_active = last
-
-    def cluster_stats(self, z: int) -> ClusterStats:
-        self._check_active(z)
-        row = self.wz[:, z]
-        ids = np.flatnonzero(row)
-        return ClusterStats(
-            m=int(self.m[z]),
-            n=int(self.n[z]),
-            word_counts={int(w): int(row[w]) for w in ids},
-        )
 
     def nonempty_count(self) -> int:
         return int(np.count_nonzero(self.m[: self.k_active]))
@@ -460,12 +449,9 @@ def word_entropy(
         # conditional well-defined and is maximally uninformative
         h = np.ones(state.V, dtype=np.float64)
     else:
-        counts = state.wz[:, :k]
         # the nonzero counts, word-major, so words ascend
         if csr is None:
-            flat = np.flatnonzero(counts != 0)
-            words = flat // k
-            nz = counts[words, flat - words * k]
+            words, _, nz = _nonzero_cells(state)
         else:
             kernel = _native.kernel()
             cells = _occupied_cells if kernel is None else kernel.cells
@@ -481,7 +467,7 @@ def word_entropy(
         # smoothing; pin it to the exact maximum instead of 1 +/- ulps
         uniform = nnz == 0
         full = np.flatnonzero(nnz == k)
-        spread = counts[full]
+        spread = state.wz[full, :k]
         uniform[full] = spread.min(axis=1) == spread.max(axis=1)
         uniform = np.flatnonzero(uniform)  # indexes faster than the mask
         h[uniform] = top
@@ -490,6 +476,15 @@ def word_entropy(
             h = h / top
             h[uniform] = 1.0
     return EntropyTable(h)
+
+
+def _nonzero_cells(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero counts of the active clusters, from one scan of the
+    count matrix, as (words, clusters, counts): word-major, with clusters
+    ascending within a word."""
+    counts = state.wz[:, :state.k_active]
+    words, clusters = np.divmod(np.flatnonzero(counts != 0), state.k_active)
+    return words, clusters, counts[words, clusters]
 
 
 def _occupied_cells(state: ModelState, csr: TokenCSR

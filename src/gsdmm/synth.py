@@ -87,6 +87,11 @@ def generate_corpus(
     width = max(2, math.ceil(math.log(max(spec.v, 2)) / math.log(26)))
     id_to_word = tuple(_word_string(w, width) for w in range(spec.v))
 
+    # each topic's CDF, built once; a document's words are the draws
+    # rng.choice(v, length, p=phi[z]) makes, which cumulate and normalize
+    # p the same way, but in O(V) per call
+    cdf = phi.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     doc_words, doc_counts, labels = [], [], []
     for _ in range(spec.d):
         z = int(rng.choice(spec.k, p=theta))
@@ -96,8 +101,8 @@ def generate_corpus(
             length = 0
             while length == 0:
                 length = int(rng.poisson(spec.doc_len))
-        uniq, cnt = np.unique(rng.choice(spec.v, size=length, p=phi[z]),
-                              return_counts=True)
+        draws = cdf[z].searchsorted(rng.random(length), side="right")
+        uniq, cnt = np.unique(draws, return_counts=True)
         doc_words.append(uniq)
         doc_counts.append(cnt)
         labels.append(f"c{z}")

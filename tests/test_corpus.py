@@ -280,7 +280,8 @@ def test_derived_facts(source, data):
 
 
 # ---------------------------------------------------------------------------
-# per-item arrays that disagree are refused when a corpus is built
+# per-item arrays that disagree, or counts no bag of words holds, are
+# refused when a corpus is built
 
 _VOCAB = Vocabulary(("apple", "bank"), (2, 2))
 
@@ -303,8 +304,23 @@ def _three_rows() -> TokenCSR:
      r"word id -1 outside \[0, 2\)"),
     (lambda: Vocabulary(("apple", "bank"), (1,)),
      "2 words but 1 document frequencies"),
+    # counts no bag of words holds, which read_archive refuses too
+    (lambda: Corpus([Document("a", {0: 1}), Document("c", {1: -1, 0: 2})], _VOCAB),
+     "document 'c' has count -1 for word id 1"),
+    (lambda: Corpus.from_arrays(TokenCSR.from_rows([[0], [1, 0]], [[1], [0, 2]]),
+                                ["a", "c"], [None, None], _VOCAB),
+     "document 'c' has count 0 for word id 1"),
+    (lambda: Corpus.from_arrays(TokenCSR.from_rows([[1], [], [0, 0]],
+                                                   [[1], [], [1, 1]]),
+                                ["a", "b", "c"], [None] * 3, _VOCAB),
+     "document 'c' names a word id twice"),
+    (lambda: Corpus.from_arrays(TokenCSR.from_rows([[1, 0], [1, 0, 1]],
+                                                   [[1, 1], [2, 1, 1]]),
+                                ["a", "c"], [None] * 2, _VOCAB),
+     "document 'c' names a word id twice"),
 ], ids=["fewer-ids", "fewer-labels", "word-past-v", "document-word-past-v",
-        "negative-word", "vocabulary"])
+        "negative-word", "vocabulary", "document-negative-count",
+        "zero-count", "repeated-word", "repeated-word-unsorted"])
 def test_disagreeing_arrays_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gsdmm import _native, merge, sampler
+from gsdmm.corpus import TokenCSR
 from gsdmm.merge import (
     compute_icf,
     cosine,
@@ -87,11 +88,11 @@ class TestEntropyFromCells:
     def test_detached_document_and_zero_counts(self, normalized):
         # document 0 holds word 0 and is detached (a key built from its
         # assignment -1 would name the occupied cell of the last word and
-        # cluster); an entry of count 0 occupies no cell
-        docs = [{0: 2, 3: 1}, {0: 1, 1: 2}, {1: 1, 2: 0, 4: 3}, {3: 2}, {4: 1}]
-        corpus = corpus_from_counts(docs, 5)
-        csr = corpus.token_csr
-        state = ModelState(len(docs), 5, k_max=6, alpha=0.1, k_active=3)
+        # cluster); an entry of count 0, which no Corpus holds, occupies no
+        # cell
+        csr = _token_arrays([{0: 2, 3: 1}, {0: 1, 1: 2}, {1: 1, 2: 0, 4: 3},
+                             {3: 2}, {4: 1}])
+        state = ModelState(5, 5, k_max=6, alpha=0.1, k_active=3)
         state.add_docs(csr, np.arange(5), [0, 0, 1, 2, 2])
         d = 0
         lo, hi = csr.word_ptr[d], csr.word_ptr[d + 1]
@@ -109,12 +110,20 @@ class TestEntropyFromCells:
                            word_entropy(state))
 
 
+def _token_arrays(docs: list[dict[int, int]]) -> TokenCSR:
+    """The token arrays of documents given as word id -> count, built
+    directly: unlike a Corpus they may hold entries of count 0."""
+    return TokenCSR.from_rows([list(doc) for doc in docs],
+                              [list(doc.values()) for doc in docs])
+
+
 def _cells_case(seed, n_docs, v, k_max, prunes, detached):
-    """A corpus over v words, some never used (word v - 1 among them when
-    v > 1), with entries of count 0, and a state of it: the documents
-    spread over k_max clusters, then prunes clusters emptied and pruned
-    (their documents moved to others), then up to detached documents
-    detached."""
+    """The token arrays of documents over v words, some never used (word
+    v - 1 among them when v > 1), with entries of count 0, which the
+    kernel must skip though no Corpus holds them, and a state of them: the
+    documents spread over k_max clusters, then prunes clusters emptied and
+    pruned (their documents moved to others), then up to detached
+    documents detached."""
     gen = np.random.default_rng(seed)
     used = gen.choice(max(v - 1, 1), size=max((v - 1) * 2 // 3, 1), replace=False)
     docs = []
@@ -122,8 +131,7 @@ def _cells_case(seed, n_docs, v, k_max, prunes, detached):
         words = gen.choice(used, size=int(gen.integers(1, min(len(used), 5) + 1)),
                            replace=False)
         docs.append({int(w): int(gen.integers(0, 4)) for w in words})
-    corpus = corpus_from_counts(docs, v)
-    csr = corpus.token_csr
+    csr = _token_arrays(docs)
     state = ModelState(n_docs, v, k_max=k_max, alpha=0.1)
     state.add_docs(csr, np.arange(n_docs), gen.integers(0, k_max, size=n_docs))
 
@@ -177,7 +185,7 @@ def test_compiled_cells_match_the_reference(seed, n_docs, v, k_max, prunes,
 @needs_cc
 class TestKernelPrune:
     """The compiled prune moves the last cluster's cells document by
-    document; ModelState.deactivate_cluster, which copies whole columns,
+    document; ModelState.deactivate_cluster, which folds whole columns,
     is the reference."""
 
     # documents 1, 2 and 3 share words 1 and 4; each test puts them in the

@@ -422,15 +422,17 @@ class TestModelState:
             gaps.append(gap)
         assert all(b > a for a, b in zip(gaps, gaps[1:]))
 
-    def test_cluster_stats_snapshot(self):
-        state = make_state([3, 1], [[4, 0, 2], [0, 1, 0]], alpha=0.1)
-        stats = state.cluster_stats(0)
-        assert stats.m == 3
-        assert stats.n == 6
-        assert stats.word_counts == {0: 4, 2: 2}
-        assert stats.n == sum(stats.word_counts.values())
-        with pytest.raises(InactiveCluster):
-            state.cluster_stats(2)
+    @pytest.mark.parametrize("words", [None, [0, 2]])
+    def test_fold_moves_a_cluster(self, words):
+        # cluster 2 (document 3; words 0 and 2) into cluster 0
+        state = make_state([2, 1, 1], [[1, 0, 2], [0, 1, 0], [3, 0, 1]],
+                           alpha=0.1)
+        state.fold(2, 0, None if words is None else np.array(words))
+        assert state.m.tolist() == [3, 1, 0]
+        assert state.n.tolist() == [7, 1, 0]
+        assert state.nzw.tolist() == [[4, 0, 3], [0, 1, 0], [0, 0, 0]]
+        assert state.assignments.tolist() == [0, 0, 1, 0]
+        state.validate()
 
     def test_validate_catches_drift(self):
         state = make_state([2, 1], [[1, 0], [0, 2]], alpha=0.1)
