@@ -49,15 +49,9 @@ FLAGS = ("-O2", "-shared", "-fPIC")
 DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE = 0, 1, -1, -2, -3
 IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
 
-# A document with more scored slots than this takes the kernel's sparse
-# path; with k_max at most this no document can, and no bitmaps are kept.
-# Sparse scoring pays where a word's count row (k_max int32) spans many
-# cache lines of which the document's words occupy a few, and where many
-# slots share an (m, n), as at k_max 300 and 500 in the benchmark. At
-# k_max 128 over a 5k-word vocabulary a document overlaps nearly every
-# cluster, and with this at 64 the run took 23% longer than dense; at
-# k_max 256 and 500, on that corpus and on gsdmm-k500's, 64 and 128 ran
-# alike (README, Performance).
+# A kernel call with k_max above this keeps bitmaps and scores every
+# document sparse; at or below it, every document dense. Sparse pays where a
+# count row spans many cache lines (README, Performance, has the timings).
 _CROSSOVER = 128
 
 
@@ -138,7 +132,7 @@ def _arr(dtype, ndim=1):
 
 _I64, _F64 = ctypes.c_int64, ctypes.c_double
 _STATE = [_arr(np.int32, 2), _I64, _arr(np.int64), _arr(np.int64)]  # wz, k_max, m, n
-_SPARSE = [_arr(np.uint64, 2), _I64, _I64]  # bitmaps, their width, crossover
+_SPARSE = [_arr(np.uint64, 2), _I64]  # bitmaps and their width
 _LOGM = [_arr(np.float64), _I64]  # the log(m + alpha) table and its length
 
 
@@ -205,8 +199,8 @@ class Kernel:
                                state.assignments, state.D, word_ptr, words,
                                counts, order, uniforms, len(order), h, ctot,
                                state.alpha, logm, len(logm), int(prune),
-                               int(refresh_step), bits, bits.shape[1],
-                               _CROSSOVER, work, iwork, io)
+                               int(refresh_step), bits, bits.shape[1], work,
+                               iwork, io)
             state.k_active = int(io[IO_K])
             if code != REFRESH:
                 break
@@ -233,7 +227,7 @@ class Kernel:
         code = self._scores(state.wz, state.k_max, state.m, state.n,
                             state.k_active, words, counts, len(words), h, ctot,
                             state.alpha, logm, len(logm), bits, bits.shape[1],
-                            _CROSSOVER, *_work(state.k_max, bits.shape[1]), out,
+                            *_work(state.k_max, bits.shape[1]), out,
                             ctypes.byref(bad))
         _raise_for(code, bad.value)
         return out
@@ -275,8 +269,8 @@ def _check_state(state) -> None:
 
 def _bitmaps(state) -> np.ndarray:
     """Zeroed per-word occupancy bitmaps, (V, ceil(k_max / 64)) words, for
-    the kernel to fill; (V, 0) when no document can have more scored slots
-    (at most k_max) than the crossover."""
+    the kernel to fill, which make the call score sparse; (V, 0), a dense
+    call, when k_max is at most _CROSSOVER."""
     width = -(-state.k_max // 64) if state.k_max > _CROSSOVER else 0
     return np.zeros((state.V, width), dtype=np.uint64)
 
@@ -287,13 +281,13 @@ def _work(k_max: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
     Float, four k_max arrays: the chunk products (the first then holds the
     exponentiated scores), the scores and the cumulated weights. Integer:
-    four k_max arrays (the dense slots and each cluster's slot, the sparse
-    scored clusters and each cluster's entry), the (m, n) classes' nine
-    k_max arrays and their hash table of the first power of two at or above
-    2 * k_max cells, then the document's overlap set of width words."""
+    two k_max arrays (the plan: the scored clusters and each cluster's
+    entry among them), the (m, n) classes' nine k_max arrays and their hash
+    table of the first power of two at or above 2 * k_max cells, then the
+    document's overlap set of width words."""
     cells = 1 << (2 * k_max - 1).bit_length()
     return (np.empty(4 * k_max, dtype=np.float64),
-            np.empty(13 * k_max + cells + width, dtype=np.int64))
+            np.empty(11 * k_max + cells + width, dtype=np.int64))
 
 
 def _corpus_arrays(state, csr):

@@ -5,12 +5,12 @@
  * step detaches the document, prunes its cluster if that emptied it and
  * pruning is on (the last active cluster moves into the freed slot: a scan
  * of the assignments relabels its documents and moves their cells), scores
- * the occupied clusters plus the lowest empty one, draws from the
- * conditional and re-attaches. The draw follows the numpy reference exactly:
- * cumulate over all k_active clusters in index order, every empty cluster
- * carrying the representative's mass, then take the first cumulated value
- * above u * total (numpy searchsorted, side right), clamp to the last
- * cluster and back off from zero-width entries.
+ * the active clusters, draws from the conditional and re-attaches. The draw
+ * follows the numpy reference exactly: cumulate over all k_active clusters
+ * in index order, every empty cluster carrying the representative's mass,
+ * then take the first cumulated value above u * total (numpy searchsorted,
+ * side right), clamp to the last cluster and back off from zero-width
+ * entries.
  *
  * The word-match term is a product of factors (count + c_w + j) over
  * (n + C + i). Factors are multiplied CHUNK tokens at a time and each chunk
@@ -19,23 +19,25 @@
  * negative factors could look valid), is redone with one log per factor,
  * the reference form, so it fails exactly where that form does.
  *
- * A document scores its slots one of two ways. Dense: every slot, reading
- * each word's count row at every slot. Sparse, when it has more slots than
- * the caller's crossover: per-word occupancy bitmaps (bit z of word w's row
- * is set exactly when its count in cluster z is non-zero) give the clusters
- * it shares a word with, which are scored reading only the cells whose bit
- * is set. Every other cluster has a zero count for each of the document's
- * words, so its score depends on its (m, n) alone. The kernel keeps the
- * active clusters' classes of equal (m, n), with their member lists, and
- * moves a cluster between classes at every count change; a document scores
- * one member of each class that has a member sharing no word with it (the
- * empty clusters form the (0, 0) class). A class whose members all share a
- * word with the document is not scored: no cluster would read that score,
- * and with every score a distinct cluster's there are at most k. The draw
- * cumulates over the clusters in index order, each reading its own score
- * (dense, or sparse sharing a word) or its class's. Each cluster's score
- * takes the same floating-point operations in the same order on both paths,
- * so the chain does not depend on the crossover.
+ * A call scores every document in one of two modes, chosen once: sparse
+ * when the caller passes bitmaps (_native does for k_max past _CROSSOVER),
+ * dense otherwise. Dense: the occupied clusters plus the lowest empty one,
+ * whose score every empty cluster reads, reading each word's count row at
+ * each. Sparse: per-word occupancy bitmaps (bit z of word w's row is set
+ * exactly when its count in cluster z is non-zero) give the clusters the
+ * document shares a word with, which are scored reading only the cells
+ * whose bit is set. Every other cluster has a zero count for each of the
+ * document's words, so its score depends on its (m, n) alone. The kernel
+ * keeps the active clusters' classes of equal (m, n), with their member
+ * lists, and moves a cluster between classes at every count change; a
+ * document scores one member of each class that has a member sharing no
+ * word with it (the empty clusters form the (0, 0) class). A class whose
+ * members all share a word with the document is not scored: no cluster
+ * would read that score, and with every score a distinct cluster's there
+ * are at most k. The draw cumulates over the clusters in index order, each
+ * reading its own score or the one it shares. Each cluster's score takes the same floating-point
+ * operations in the same order in both modes, so the chain does not depend
+ * on the mode.
  *
  * log(m + alpha) is read from a table of the same expression for every m up
  * to the number of documents. It and the bitmaps live across the refresh
@@ -112,37 +114,36 @@ typedef struct {
     int64_t nlog;
 } Weights;
 
-/* Work space of one call, carved from the caller's arrays by carve. */
+/* Work space of one call, carved from the caller's arrays by carve. The
+ * plan (list, ent, nc) is the one set of clusters the current document is
+ * scored against. One plan serves both modes only because a call never
+ * mixes them: dense keeps its plan across documents and rebuilds it when a
+ * cluster empties or fills (plan_dense), sparse rewrites it for every
+ * document (plan_sparse). */
 typedef struct {
-    int64_t *slots;   /* scored slots: occupied clusters and one empty */
-    int64_t *row_of;  /* active cluster -> its slot, empty -> the empty's */
-    int64_t *list;    /* sparse: the clusters scored */
-    int64_t *ent;     /* sparse: active cluster -> its entry in list */
+    int64_t *list;    /* the nc clusters scored */
+    int64_t *ent;     /* active cluster -> the entry in list it reads */
+    int64_t nc;
     uint64_t *seen;   /* nb words: the document's overlap set */
     double *num, *den, *score, *cum;
-    /* the document's nc scored clusters, and each active cluster's entry
-     * among them: slots and row_of (dense) or list and ent (sparse) */
-    const int64_t *scored, *entry;
-    int64_t nc;
 } Scratch;
 
 /* Carve the work space (sizes in _native._work): float num, den, score and
- * cum, kmax each; int slots, row_of, list and ent, the classes' nine
- * arrays, kmax each, then the classes' cells and the overlap set. */
+ * cum, kmax each; int list and ent, the classes' nine arrays, kmax each,
+ * then the classes' cells and the overlap set. */
 static Scratch carve(Model *s, double *work, int64_t *iwork)
 {
     const int64_t kmax = s->kmax;
     int64_t cells = 1;
     while (cells < 2 * kmax)
         cells <<= 1;
-    int64_t *c = iwork + 4 * kmax;
+    int64_t *c = iwork + 2 * kmax;
     s->cl = (Classes){.cls = c, .next = c + kmax, .prev = c + 2 * kmax,
                       .head = c + 3 * kmax, .key_m = c + 4 * kmax,
                       .key_n = c + 5 * kmax, .ent = c + 6 * kmax,
                       .ids = c + 7 * kmax, .pos = c + 8 * kmax,
                       .cells = c + 9 * kmax, .mask = cells - 1};
-    return (Scratch){.slots = iwork, .row_of = iwork + kmax,
-                     .list = iwork + 2 * kmax, .ent = iwork + 3 * kmax,
+    return (Scratch){.list = iwork, .ent = iwork + kmax,
                      .seen = (uint64_t *)(c + 9 * kmax + cells),
                      .num = work, .den = work + kmax,
                      .score = work + 2 * kmax, .cum = work + 3 * kmax};
@@ -271,35 +272,37 @@ static double log_m(const Weights *wt, int64_t m)
                                              : log((double)m + wt->alpha);
 }
 
-/* Occupied clusters (m > 0 or n > 0) plus the lowest empty one, in index
- * order; row_of maps every active cluster to its row, empty clusters to
- * the representative's. Returns the number of scored rows. */
-static int64_t build_slots(const Model *s, int64_t k, int64_t *slots,
-                           int64_t *row_of)
+/* The dense plan of the k active clusters: the occupied ones (m > 0 or
+ * n > 0) plus the lowest empty one, in index order, every empty cluster
+ * reading the representative's entry. Nothing in sparse mode, which plans
+ * each document. */
+static void plan_dense(const Model *s, Scratch *x, int64_t k)
 {
-    int64_t ns = 0, rep = -1;
+    if (s->bits)
+        return;
+    int64_t nc = 0, rep = -1;
     for (int64_t z = 0; z < k; z++) {
         if (s->m[z] || s->n[z] || rep < 0) {
             if (!(s->m[z] || s->n[z]))
-                rep = ns;
-            row_of[z] = ns;
-            slots[ns++] = z;
+                rep = nc;
+            x->ent[z] = nc;
+            x->list[nc++] = z;
         } else {
-            row_of[z] = rep;
+            x->ent[z] = rep;
         }
     }
-    return ns;
+    x->nc = nc;
 }
 
-/* The clusters to score for one document of nw distinct words: those that
- * share a word with it, then one member of each class that has a member
- * sharing none. Fills x->list and the classes' entries (-1 for a class
- * whose members all share a word), sets *overlap to the number of the
- * first kind and returns the number of both, at most k (all distinct).
- * The cells the scoring will read are prefetched here: each is in its own
- * cache line of a row too long to stay cached. */
-static int64_t plan_sparse(Model *s, Scratch *x, const int64_t *words,
-                           int64_t nw, int64_t *overlap)
+/* The sparse plan for one document of nw distinct words: the clusters that
+ * share a word with it, each reading its own entry, then one member of each
+ * class that has a member sharing none, whose entry the class's other
+ * members read (a class whose members all share a word has none). Sets
+ * x->nc, at most k (all distinct), and returns the number of the first
+ * kind. The cells the scoring will read are prefetched here: each is in its
+ * own cache line of a row too long to stay cached. */
+static int64_t plan_sparse(Model *s, Scratch *x, int64_t k,
+                           const int64_t *words, int64_t nw)
 {
     for (int64_t b = 0; b < s->nb; b++)
         x->seen[b] = 0;
@@ -316,7 +319,7 @@ static int64_t plan_sparse(Model *s, Scratch *x, const int64_t *words,
     for (int64_t b = 0; b < s->nb; b++)
         for (uint64_t r = x->seen[b]; r; r &= r - 1)
             x->list[nc++] = 64 * b + LOWEST(r);
-    *overlap = nc;
+    const int64_t overlap = nc;
     Classes *c = &s->cl;
     for (int64_t i = 0; i < c->live; i++) {
         const int64_t id = c->ids[i];
@@ -327,7 +330,12 @@ static int64_t plan_sparse(Model *s, Scratch *x, const int64_t *words,
         if (z >= 0)
             x->list[nc++] = z;
     }
-    return nc;
+    x->nc = nc;
+    for (int64_t z = 0; z < k; z++)
+        x->ent[z] = c->ent[c->cls[z]];
+    for (int64_t j = 0; j < overlap; j++)
+        x->ent[x->list[j]] = j;
+    return overlap;
 }
 
 /* Sum of the per-factor logs of len tokens starting at occurrence c of
@@ -355,36 +363,39 @@ static double factor_logs(const Model *s, const Weights *wt, int64_t z,
 }
 
 /* Add one chunk of len factors, starting at occurrence c0 of distinct word
- * a0 (token index i0), to each slot's score and reset the products. */
-static void flush(const Model *s, const Weights *wt, const int64_t *slots,
-                  int64_t ns, const int64_t *words, const int32_t *counts,
-                  int64_t a0, int64_t c0, int64_t i0, int64_t len,
-                  int suspect, double *num, double *den, double *out)
+ * a0 (token index i0), to each planned cluster's score and reset the
+ * products. */
+static void flush(const Model *s, const Weights *wt, const Scratch *x,
+                  const int64_t *words, const int32_t *counts, int64_t a0,
+                  int64_t c0, int64_t i0, int64_t len, int suspect)
 {
-    for (int64_t j = 0; j < ns; j++) {
+    double *num = x->num, *den = x->den, *out = x->score;
+    for (int64_t j = 0; j < x->nc; j++) {
         const double p = num[j], q = den[j], r = p / q;
         if (!suspect && p >= DBL_MIN && p <= DBL_MAX && q >= DBL_MIN
             && q <= DBL_MAX && r >= DBL_MIN && r <= DBL_MAX)
             out[j] += log(r);
         else
-            out[j] += factor_logs(s, wt, slots[j], words, counts, a0, c0, i0,
-                                  len);
+            out[j] += factor_logs(s, wt, x->list[j], words, counts, a0, c0,
+                                  i0, len);
         num[j] = den[j] = 1.0;
     }
 }
 
 /* Unnormalized log conditional of one document (already detached) for each
- * of the ns clusters in slots, written to out; num and den are work space.
- * The first nr read their counts, from the word's row (sparse: only where
- * its bit is set, 0 elsewhere); the rest have count 0 for every word. The
- * loop is token-outer so each token reads one contiguous row of wz. */
-static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
-                      int64_t ns, int64_t nr, int sparse,
-                      const int64_t *words, const int32_t *counts, int64_t nw,
-                      double *num, double *den, double *out)
+ * of the x->nc planned clusters, written to x->score; x->num and x->den are
+ * work space. The first nr read their counts, from the word's row (sparse:
+ * only where its bit is set, 0 elsewhere); the rest have count 0 for every
+ * word. The loop is token-outer so each token reads one contiguous row of
+ * wz. */
+static void score_doc(const Model *s, const Weights *wt, const Scratch *x,
+                      int64_t nr, const int64_t *words, const int32_t *counts,
+                      int64_t nw)
 {
+    const int64_t *list = x->list, ns = x->nc;
+    double *num = x->num, *den = x->den, *out = x->score;
     for (int64_t j = 0; j < ns; j++) {
-        out[j] = log_m(wt, s->m[slots[j]]);
+        out[j] = log_m(wt, s->m[list[j]]);
         num[j] = den[j] = 1.0;
     }
     /* start of the current chunk: distinct word, occurrence, token index */
@@ -392,31 +403,30 @@ static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
     int suspect = 0;
     for (int64_t a = 0; a < nw; a++) {
         const int32_t *row = s->wz + words[a] * s->kmax;
-        const uint64_t *occupied = sparse ? s->bits + words[a] * s->nb : 0;
+        const uint64_t *occupied = s->bits ? s->bits + words[a] * s->nb : 0;
         const double cw = wt->h[words[a]];
         for (int64_t c = 0; c < counts[a]; c++, i++) {
             const double add = cw + (double)c, tot = wt->ctot + (double)i;
             suspect |= !(add > 0.0) || !(tot > 0.0);
             if (occupied) {
                 for (int64_t j = 0; j < nr; j++) {
-                    const int64_t z = slots[j];
+                    const int64_t z = list[j];
                     num[j] *= (double)(bit(occupied, z) ? row[z] : 0) + add;
                     den[j] *= (double)s->n[z] + tot;
                 }
             } else {
                 for (int64_t j = 0; j < nr; j++) {
-                    num[j] *= (double)row[slots[j]] + add;
-                    den[j] *= (double)s->n[slots[j]] + tot;
+                    num[j] *= (double)row[list[j]] + add;
+                    den[j] *= (double)s->n[list[j]] + tot;
                 }
             }
             const double absent = (double)0 + add;
             for (int64_t j = nr; j < ns; j++) {
                 num[j] *= absent;
-                den[j] *= (double)s->n[slots[j]] + tot;
+                den[j] *= (double)s->n[list[j]] + tot;
             }
             if (++len == CHUNK) {
-                flush(s, wt, slots, ns, words, counts, a0, c0, i0, len,
-                      suspect, num, den, out);
+                flush(s, wt, x, words, counts, a0, c0, i0, len, suspect);
                 a0 = a;
                 c0 = c + 1;
                 i0 = i + 1;
@@ -426,37 +436,18 @@ static void score_doc(const Model *s, const Weights *wt, const int64_t *slots,
         }
     }
     if (len)
-        flush(s, wt, slots, ns, words, counts, a0, c0, i0, len, suspect, num,
-              den, out);
+        flush(s, wt, x, words, counts, a0, c0, i0, len, suspect);
 }
 
-/* Score the document into x->score: every slot (dense), or, past crossover
- * slots with the bitmaps kept, the clusters plan_sparse lists (sparse).
- * Sets x->scored, x->nc and x->entry for the k active clusters; sparse, a
- * cluster reads its class's entry unless it shares a word with the
- * document (a class whose members all do has none), then its own. */
-static void score_slots(Model *s, const Weights *wt, Scratch *x, int64_t ns,
-                        int64_t k, int64_t crossover, const int64_t *words,
-                        const int32_t *counts, int64_t nw)
+/* Score the document into x->score against the plan: dense, the one
+ * plan_dense keeps, every cluster in it reading counts; sparse, the
+ * document's own, in which only those sharing a word do. */
+static void score_slots(Model *s, const Weights *wt, Scratch *x, int64_t k,
+                        const int64_t *words, const int32_t *counts,
+                        int64_t nw)
 {
-    if (!s->bits || ns <= crossover) {
-        x->scored = x->slots;
-        x->entry = x->row_of;
-        x->nc = ns;
-        score_doc(s, wt, x->slots, ns, ns, 0, words, counts, nw, x->num,
-                  x->den, x->score);
-        return;
-    }
-    int64_t overlap;
-    x->scored = x->list;
-    x->entry = x->ent;
-    x->nc = plan_sparse(s, x, words, nw, &overlap);
-    score_doc(s, wt, x->list, x->nc, overlap, 1, words, counts, nw, x->num,
-              x->den, x->score);
-    for (int64_t z = 0; z < k; z++)
-        x->ent[z] = s->cl.ent[s->cl.cls[z]];
-    for (int64_t j = 0; j < overlap; j++)
-        x->ent[x->list[j]] = j;
+    const int64_t nr = s->bits ? plan_sparse(s, x, k, words, nw) : x->nc;
+    score_doc(s, wt, x, nr, words, counts, nw);
 }
 
 /* Whether a score of a cluster with m documents is non-finite other than
@@ -471,12 +462,12 @@ static int bad_score(double score, int64_t m)
 static int64_t bad_cluster(const Model *s, const Scratch *x, int64_t k)
 {
     int64_t j = 0;
-    while (j < x->nc && !bad_score(x->score[j], s->m[x->scored[j]]))
+    while (j < x->nc && !bad_score(x->score[j], s->m[x->list[j]]))
         j++;
     if (j == x->nc)
         return -1;
     for (int64_t z = 0; z < k; z++)
-        if (bad_score(x->score[x->entry[z]], s->m[z]))
+        if (bad_score(x->score[x->ent[z]], s->m[z]))
             return z;
     return -1;
 }
@@ -498,7 +489,7 @@ static int64_t draw(Scratch *x, int64_t k, double u)
         p[j] = exp(scores[j] - top);
     double acc = 0.0;
     for (int64_t z = 0; z < k; z++) {
-        acc += p[x->entry[z]];
+        acc += p[x->ent[z]];
         cum[z] = acc;
     }
     if (!isfinite(acc) || !(acc > 0.0))
@@ -513,7 +504,7 @@ static int64_t draw(Scratch *x, int64_t k, double u)
             hi = mid;
     }
     int64_t z = lo < k - 1 ? lo : k - 1;
-    while (p[x->entry[z]] == 0.0)
+    while (p[x->ent[z]] == 0.0)
         z--;
     return z;
 }
@@ -568,16 +559,16 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
 }
 
 /* Score one detached document against every active cluster, k of them,
- * into out (k,), taking the sparse path past crossover slots when bits is
- * given (nb > 0; zeroed, V rows, of which the document's words' are filled
- * here). logm (nlog,) is filled here. Work space as for dmm_sweep. Returns
- * DONE, or NONFINITE with the cluster in *bad. */
+ * into out (k,), in sparse mode when bits is given (nb > 0; zeroed, V rows,
+ * of which the document's words' are filled here). logm (nlog,) is filled
+ * here. Work space as for dmm_sweep. Returns DONE, or NONFINITE with the
+ * cluster in *bad. */
 int64_t dmm_scores(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
                    int64_t k, const int64_t *words,
                    const int32_t *counts, int64_t nw, const double *h,
                    double ctot, double alpha, double *logm, int64_t nlog,
-                   uint64_t *bits, int64_t nb, int64_t crossover,
-                   double *work, int64_t *iwork, double *out, int64_t *bad)
+                   uint64_t *bits, int64_t nb, double *work, int64_t *iwork,
+                   double *out, int64_t *bad)
 {
     Model s = {.wz = wz, .kmax = kmax, .m = m, .n = n,
                .bits = nb ? bits : 0, .nb = nb};
@@ -590,10 +581,10 @@ int64_t dmm_scores(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
                 track(&s, words[a], z);
         build_classes(&s, k);
     }
-    const int64_t ns = build_slots(&s, k, x.slots, x.row_of);
-    score_slots(&s, &wt, &x, ns, k, crossover, words, counts, nw);
+    plan_dense(&s, &x, k);
+    score_slots(&s, &wt, &x, k, words, counts, nw);
     for (int64_t z = 0; z < k; z++)
-        out[z] = x.score[x.entry[z]];
+        out[z] = x.score[x.ent[z]];
     *bad = bad_cluster(&s, &x, k);
     return *bad < 0 ? DONE : NONFINITE;
 }
@@ -615,8 +606,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
                   const double *u, int64_t n_order, const double *h,
                   double ctot, double alpha, double *logm, int64_t nlog,
                   int64_t prune, int64_t refresh_step, uint64_t *bits,
-                  int64_t nb, int64_t crossover, double *work, int64_t *iwork,
-                  int64_t *io)
+                  int64_t nb, double *work, int64_t *iwork, int64_t *io)
 {
     Model s = {.wz = wz, .kmax = kmax, .m = m, .n = n,
                .assign = assign, .n_docs = n_docs, .bits = nb ? bits : 0,
@@ -624,7 +614,6 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
     const Weights wt = {h, ctot, alpha, logm, nlog};
     Scratch x = carve(&s, work, iwork);
     int64_t k = io[IO_K], moved = io[IO_MOVED], pos = io[IO_POS];
-    int64_t ns = build_slots(&s, k, x.slots, x.row_of);
     int64_t code = DONE;
 
     if (!io[IO_RESUME]) {
@@ -639,6 +628,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
     }
     if (s.bits)
         build_classes(&s, k);
+    plan_dense(&s, &x, k);
 
     for (; pos < n_order; pos++) {
         const int64_t d = order[pos];
@@ -662,7 +652,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
                         deactivate(&s, z_old, &k, word_ptr, words);
                         pruned = 1;
                     }
-                    ns = build_slots(&s, k, x.slots, x.row_of);
+                    plan_dense(&s, &x, k);
                 }
             }
             if (refresh_step > 0 && pos % refresh_step == 0) {
@@ -673,7 +663,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
                 break;
             }
         }
-        score_slots(&s, &wt, &x, ns, k, crossover, w, c, nw);
+        score_slots(&s, &wt, &x, k, w, c, nw);
         io[IO_BAD] = bad_cluster(&s, &x, k);
         if (io[IO_BAD] >= 0) {
             code = NONFINITE;
@@ -688,7 +678,7 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
         move_doc(&s, z_new, w, c, nw, total, 1);
         assign[d] = z_new;
         if (filled)
-            ns = build_slots(&s, k, x.slots, x.row_of);
+            plan_dense(&s, &x, k);
         if (pruned || z_new != z_old)
             moved++;
     }

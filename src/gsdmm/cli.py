@@ -187,14 +187,15 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     cfg = RunConfig(**fields)
     corpus = read_archive(args.archive)
     check_comma_free(corpus.doc_ids)  # an archive written by hand may hold one
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
 
     run = run_gsdmm if cfg.algorithm == GSDMM else run_gsdmm_plus
     t0 = time.perf_counter()
     assignments, state, trace = run(corpus, cfg)
     k_final = state.nonempty_count()
     wall_ms = int(round((time.perf_counter() - t0) * 1000))
+
+    out = Path(args.output)  # made only now, so a failed run leaves none
+    out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "assignments.csv", "w", encoding="utf-8") as fh:
         fh.write("doc_id,cluster\n")

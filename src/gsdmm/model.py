@@ -14,12 +14,12 @@ cluster has the same conditional, so the kernel scores the occupied
 clusters plus one representative empty cluster and spreads that score over
 the rest (the smoothing-only bucket of SparseLDA, Yao, Mimno & McCallum,
 KDD 2009): per document the work scales with the live cluster count, not
-with k_max. The compiled kernel takes that rule one step further when a
-document has many slots: a cluster that shares no word with the document
-has a score that depends on its (m, n) alone, so it scores one cluster per
-distinct (m, n) and reads counts only where per-word occupancy bitmaps say
-they are non-zero; the representative empty cluster is then the (0, 0)
-case of that rule.
+with k_max. For a large k_max the compiled kernel takes that rule one step
+further, for every document of the call: a cluster that shares no word
+with the document has a score that depends on its (m, n) alone, so it
+scores one cluster per distinct (m, n) and reads counts only where
+per-word occupancy bitmaps say they are non-zero; the representative empty
+cluster is then the (0, 0) case of that rule.
 
 The numpy kernels here are the reference; cluster_log_scores takes the
 arguments of the compiled Kernel.log_scores. Sampling runs the compiled
@@ -141,9 +141,18 @@ class ModelState:
 
     @classmethod
     def for_corpus(cls, corpus: Corpus, k_max: int, alpha: float) -> "ModelState":
-        """Empty state sized for a corpus; see check_token_total."""
+        """Empty state sized for a corpus; see check_token_total. A size
+        whose arrays cannot be allocated is a ConfigError naming it."""
         check_token_total(int(corpus.token_csr.tok_ptr[-1]))
-        return cls(len(corpus), corpus.vocabulary.size, k_max, alpha)
+        v = corpus.vocabulary.size
+        need = k_max * (4 * v + 16) + 8 * len(corpus)  # wz, m and n, assignments
+        if need <= np.iinfo(np.intp).max:  # numpy refuses larger outright
+            try:
+                return cls(len(corpus), v, k_max, alpha)
+            except MemoryError:
+                pass
+        raise ConfigError(f"k_max={k_max} over V={v} words needs {need} bytes "
+                          "of counts, more than can be allocated")
 
     @property
     def D(self) -> int:

@@ -137,9 +137,31 @@ class TestCluster:
                    "--algorithm", "gsdmm+", "--kmax", 5, "--kreal", 9) == 3
 
     def test_kmax_beyond_corpus_exit_3(self, pipeline_dir):
-        # adaptive init cannot seed more clusters than there are documents
+        # adaptive init cannot seed more clusters than there are documents;
+        # the failed run leaves no run directory
         assert run("cluster", pipeline_dir / "archive", pipeline_dir / "bad2",
                    "--algorithm", "gsdmm+", "--kmax", 100000, "--iters", 1) == 3
+        assert not (pipeline_dir / "bad2").exists()
+
+    def test_unallocatable_kmax_exit_3(self, pipeline_dir, capsys):
+        # 2**60 clusters: numpy would refuse the arrays before allocating
+        out = pipeline_dir / "huge"
+        assert run("cluster", pipeline_dir / "archive", out,
+                   "--algorithm", "gsdmm", "--kmax", 2 ** 60, "--iters", 1) == 3
+        err = capsys.readouterr().err
+        assert f"k_max={2 ** 60}" in err and "bytes" in err
+        assert not out.exists()
+
+    def test_failed_allocation_exit_3(self, pipeline_dir, capsys, monkeypatch):
+        def no_memory(self, *args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.ModelState, "__init__", no_memory)
+        out = pipeline_dir / "oom"
+        assert run("cluster", pipeline_dir / "archive", out,
+                   "--algorithm", "gsdmm", "--kmax", 50, "--iters", 1) == 3
+        assert "k_max=50 over V=" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, pipeline_dir, tmp_path):
         cfg = tmp_path / "run.conf"

@@ -1,0 +1,171 @@
+"""The cluster command's output files, pinned by SHA-256 digest.
+
+Each case runs cli.main in-process on one small synthetic archive, three
+ways: on the compiled kernel as shipped, on the compiled kernel in its other
+scoring mode (dense where the shipped call scores sparse, and the reverse),
+and on the numpy reference. All three must write the pinned files, so a
+change to the sampler, the kernel or the output formats that moves any
+byte of a run shows here. summary.json is digested with its wall time set
+to 0. The digests also depend on numpy's generator streams and on the
+log and exp of numpy and libm, so a mismatch names the numpy version and
+the C compiler.
+"""
+
+import hashlib
+import re
+import shutil
+import subprocess
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gsdmm import _native
+from gsdmm.archive import write_archive
+from gsdmm.cli import main
+from gsdmm.synth import GenSpec, generate_corpus
+
+CASES = {
+    "gsdmm-alpha0": ["--algorithm", "gsdmm", "--alpha", 0],
+    "gsdmm-alpha0.1": ["--algorithm", "gsdmm", "--alpha", 0.1],
+    "plus-merge": ["--algorithm", "gsdmm+", "--kreal", 3],
+    "plus-raw-entropy": ["--algorithm", "gsdmm+", "--kreal", 3,
+                         "--no-entropy-norm", "--entropy-refreshes", 3],
+}
+K_MAX = (20, 200)
+FILES = ("assignments.csv", "trace.csv", "mergelog.csv", "summary.json")
+
+# (case, k_max) -> file -> digest; the files a case does not write (gsdmm
+# writes no mergelog.csv) are absent
+PINS = {
+    ('gsdmm-alpha0', 20): {
+        'assignments.csv':
+            'b371be1294d5c88f97b5df73f839f9bf8815bca8d9474eb25ba3f336a3a7b84b',
+        'trace.csv':
+            '9e5f25aa0530c8541042bc58e193ab1ca7d6e3b280ee0c3a24e50f7061783bc8',
+        'summary.json':
+            '8ae948d9f53dcdba4da2f941c4b059bda9ef8547da28d9de836076d149f2c141',
+    },
+    ('gsdmm-alpha0', 200): {
+        'assignments.csv':
+            '02d2db8a1c9a984506540d14572c1faa373a0b26c0acf164c0fb7cc240168ac1',
+        'trace.csv':
+            'ceecafbdb585c4c7c2c2a275255f171050fd0dddc9f54d9f9702a20fe85ac4cf',
+        'summary.json':
+            '19bdca62f2b36b3a42e937af0be3df4122fcf0d17af48eb7436dcf8c3bc44936',
+    },
+    ('gsdmm-alpha0.1', 20): {
+        'assignments.csv':
+            'b371be1294d5c88f97b5df73f839f9bf8815bca8d9474eb25ba3f336a3a7b84b',
+        'trace.csv':
+            '9e5f25aa0530c8541042bc58e193ab1ca7d6e3b280ee0c3a24e50f7061783bc8',
+        'summary.json':
+            '42e6140b29619323e65eb5b93870de8450d70c281842a9296a42eb0a3c8488a9',
+    },
+    ('gsdmm-alpha0.1', 200): {
+        'assignments.csv':
+            'd44f76afc9ef04560f7cb216e14846d701cb4c3801c08a1ac65197e9a9f1529e',
+        'trace.csv':
+            '84f3488e7ab95575b731e0db1ba279ea1356e2cb6986cea3d5a6984bb2aebff0',
+        'summary.json':
+            '9a8c4143c71935bde934aec565a67f502f4cc64c8bb0c17cdc97c8bdbc0b6e8c',
+    },
+    ('plus-merge', 20): {
+        'assignments.csv':
+            '00e343f19854ec4bac3e83d60decd70d5ae2eac02c2a3711a9b490b77e6d7f73',
+        'trace.csv':
+            '61b43c83d010e21b125d893cc0a905da90dbc05171db78854957994d5771da36',
+        'mergelog.csv':
+            'da7adb3b4443a1f1ea552b2b5d365ba1d55c788edfe479635da657518f5c53e3',
+        'summary.json':
+            'd3a372b32a2dd83072b9a63078c786197bacf387e4632159dda33d6cc6329a0d',
+    },
+    ('plus-merge', 200): {
+        'assignments.csv':
+            '4b8e5f79979a0553eb867460b85085bd445333e4f7bf32cf10341516e4c4639e',
+        'trace.csv':
+            '7315cf4947fcf6032874926c7ad806e2c3db0c53cdf145aa4a2406e64aeeec87',
+        'mergelog.csv':
+            'e97da2cdd1f2eb083e55ebf40b373732726e8bc8c3b3d410fb8ff11125c63827',
+        'summary.json':
+            '7b67221702409e242d1aef9d237085f357536cbae578a27b1f4be6010d3808cc',
+    },
+    ('plus-raw-entropy', 20): {
+        'assignments.csv':
+            '26984eb419b594f89df9f9e94aa6b6b7e03725e3d7be0b61db38a349d28e6182',
+        'trace.csv':
+            '2bc81097c30f4703cad1b60ba481d4dd89e2c600e5f0fa13182fc51b1a9bba0d',
+        'mergelog.csv':
+            'e7171f51d9ecba5281af9365748267a5cdecf47ad194f9ef7b35225ea260b6e7',
+        'summary.json':
+            'd3a372b32a2dd83072b9a63078c786197bacf387e4632159dda33d6cc6329a0d',
+    },
+    ('plus-raw-entropy', 200): {
+        'assignments.csv':
+            '684a98d48e98318396dd2086315a9d19cde58d84c44d2a05ae8a722183d92f45',
+        'trace.csv':
+            '0cd5163201dc741309c2248a1339035b98c80681c38491e6dd23aa23560ba22b',
+        'mergelog.csv':
+            '43fb3b21fae3ce2b617bfbd838eae6fee1b4c10c6452b228b80470a87ac3e527',
+        'summary.json':
+            '7b67221702409e242d1aef9d237085f357536cbae578a27b1f4be6010d3808cc',
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def archive(tmp_path_factory):
+    corpus, _, _, _ = generate_corpus(GenSpec(
+        k=5, v=400, d=300, doc_len=8, length_dist="poisson", seed=21))
+    path = tmp_path_factory.mktemp("digests") / "archive"
+    write_archive(corpus, path)
+    return path
+
+
+def _digests(run: Path) -> dict[str, str]:
+    out = {}
+    for name in FILES:
+        if not (run / name).exists():
+            continue
+        data = (run / name).read_bytes()
+        if name == "summary.json":
+            data = re.sub(rb'"wall_time_ms": \d+', b'"wall_time_ms": 0', data)
+        out[name] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+def _toolchain() -> str:
+    cc = shutil.which("cc") or shutil.which("gcc")
+    version = "no compiler"
+    if cc:
+        proc = subprocess.run([cc, "--version"], capture_output=True, text=True)
+        version = proc.stdout.splitlines()[0] if proc.stdout else proc.stderr
+    return f"numpy {np.__version__}; {version}"
+
+
+def run_case(archive, out, case, k_max, path, monkeypatch) -> dict[str, str]:
+    """The digests of one cluster run on path: "shipped", "other" (the
+    compiled kernel in the scoring mode the shipped rule does not pick for
+    this k_max) or "numpy"."""
+    with monkeypatch.context() as mp:
+        if path == "numpy":
+            mp.setattr(_native, "kernel", lambda: None)
+        elif path == "other":
+            mp.setattr(_native, "_CROSSOVER",
+                       0 if k_max <= _native._CROSSOVER else 10 ** 6)
+        code = main([str(a) for a in (
+            "cluster", archive, out, "--kmax", k_max, "--iters", 3,
+            "--seed", 5, "--trace", *CASES[case])])
+    assert code == 0
+    return _digests(out)
+
+
+@pytest.mark.parametrize("path", ["shipped", "other", "numpy"])
+@pytest.mark.parametrize("k_max", K_MAX)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_the_pins(archive, tmp_path, monkeypatch, case, k_max,
+                                path):
+    if path != "numpy" and _native.kernel() is None:
+        pytest.skip("no compiled kernel here")
+    got = run_case(archive, tmp_path / "run", case, k_max, path, monkeypatch)
+    assert got == PINS[case, k_max], _toolchain()

@@ -41,9 +41,10 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture()
 def crossover():
-    """The slot count above which the kernel scores sparsely: the production
-    value, which the k <= 40 states here never pass, so they run dense. The
-    *Sparse classes rerun their tests at 0, every document sparse."""
+    """The k_max above which a kernel call scores every document sparse: the
+    production value, which the k_max <= 40 states here never pass, so
+    their calls run dense. The *Sparse classes rerun their tests at 0, every
+    call sparse."""
     return _native._CROSSOVER
 
 
@@ -194,20 +195,20 @@ class TestSparseScoring:
     def test_crossover_keeps_the_chain(self, monkeypatch, alpha, prune_empty,
                                        length_dist):
         # k_max 200 over 300 documents: random_init occupies about 155
-        # clusters, past the production crossover. With fixed lengths n = 6 m,
-        # so most clusters share their (m, n) with many others; with Poisson
-        # lengths clusters share n but not m. The chain is the same with
-        # every document sparse (0), with the production crossover, with no
-        # bitmaps at all (above k_max) and on the numpy reference
+        # clusters. With fixed lengths n = 6 m, so most clusters share their
+        # (m, n) with many others; with Poisson lengths clusters share n but
+        # not m. The chain is the same in sparse mode (the production
+        # crossover is below k_max), in dense mode (crossover above k_max,
+        # no bitmaps) and on the numpy reference
         corpus, _, _, _ = generate_corpus(GenSpec(
             k=5, v=400, d=300, doc_len=6, length_dist=length_dist,
             beta_gen=0.05, seed=12))
         cfg = RunConfig(algorithm="gsdmm+" if prune_empty else "gsdmm",
                         k_max=200, alpha=alpha, beta=0.05)
         init = random_init(corpus, cfg, np.random.default_rng(5))
-        assert np.count_nonzero(init.m) > _native._CROSSOVER
+        assert cfg.k_max > _native._CROSSOVER
         runs = []
-        for crossover in (0, _native._CROSSOVER, cfg.k_max + 1, None):
+        for crossover in (_native._CROSSOVER, cfg.k_max + 1, None):
             state, rng, moved = init.copy(), np.random.default_rng(6), []
             with monkeypatch.context() as mp:
                 if crossover is None:
@@ -236,8 +237,8 @@ def _fixed_length_corpus(d=300, seed=31):
 
 
 def kernel_scores(state, words, counts, weights, crossover):
-    """Kernel.log_scores with the given crossover (None: every document
-    dense, no bitmaps)."""
+    """Kernel.log_scores with the given crossover: 0 scores sparse, None
+    (above k_max, no bitmaps) dense."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_native, "_CROSSOVER",
                    state.k_max + 1 if crossover is None else crossover)
@@ -247,9 +248,9 @@ def kernel_scores(state, words, counts, weights, crossover):
 class TestClassBookkeeping:
     """The sparse path scores one member per (m, n) class, so the classes
     must follow every count change: moves, prunes and the re-entries after
-    an entropy refresh. Each chain here runs on the sparse path (production
-    crossover, k_max 200), with every document dense (crossover above
-    k_max, no bitmaps) and on the numpy reference. A large beta (gsdmm) or
+    an entropy refresh. Each chain here runs in sparse mode (k_max 200, past
+    the production crossover), in dense mode (crossover above k_max, no
+    bitmaps) and on the numpy reference. A large beta (gsdmm) or
     alpha (gsdmm+) gives the clusters that share no word with a document
     enough mass to be drawn, so a stale class shows in the chain."""
 
@@ -560,7 +561,7 @@ class TestCompiledCells:
 
 # Run in a process of its own with the sanitizer runtime preloaded: the
 # kernel built with AddressSanitizer and UndefinedBehaviorSanitizer
-# (argv[1]) against the numpy reference, on dense and sparse documents.
+# (argv[1]) against the numpy reference, in dense and sparse calls.
 _SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
@@ -586,7 +587,7 @@ for dist in ("fixed", "poisson"):
     corpus = generate_corpus(GenSpec(k=4, v=120, d=90, doc_len=6,
                                      length_dist=dist, seed=3))[0]
     csr = corpus.token_csr
-    for crossover in (0, 1000):  # every document sparse, then dense
+    for crossover in (0, 1000):  # every call sparse, then dense
         for cfg in configs:
             run = run_gsdmm_plus if cfg.algorithm == "gsdmm+" else run_gsdmm
             (a, state, trace), (b, _, ref) = (
@@ -613,7 +614,7 @@ print("ok")
 class TestSanitized:
     def test_kernel_under_address_and_undefined_sanitizers(self, tmp_path):
         # gsdmm at alpha 0 and 0.1 and gsdmm+ with prunes, refreshes and a
-        # merge, each with every document sparse and dense, then the cells
+        # merge, each with every call sparse and then dense, then the cells
         # and one document's scores on the final state. An out-of-bounds
         # access, a use after free or undefined behaviour aborts the process
         cc = shutil.which("cc") or shutil.which("gcc")
