@@ -28,16 +28,17 @@ table = word_entropy(state, epsilon=1e-9, normalized=True)
 
 order = np.argsort(table.h)
 vocab = corpus.vocabulary.id_to_word
-used = [w for w in order if state.wz[w, : state.k_active].sum() > 0]
+wz = state.wz[:, : state.k_active]  # a dense copy of the per-word count tables
+used = [w for w in order if wz[w].sum() > 0]
 
 print("most cluster-specific words (lowest entropy):")
 for w in used[:10]:
-    spread = state.wz[w, : state.k_active]
+    spread = wz[w]
     print(f"   {vocab[w]:>8}  h={table.h[w]:.2e}  counts per cluster {spread}")
 
 print("\nleast informative words (highest entropy):")
 for w in used[-10:]:
-    spread = state.wz[w, : state.k_active]
+    spread = wz[w]
     print(f"   {vocab[w]:>8}  h={table.h[w]:.4f}  counts per cluster {spread}")
 
 print(f"\ntable covers {len(table.h)} words, total weight {table.sum_h:.1f} "

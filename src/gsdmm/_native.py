@@ -1,23 +1,26 @@
 """The compiled sweep kernel (_sweep.c): build, cache, load and call.
 
 The library is built on the first kernel call, never at import, with the
-system C compiler (cc -O2 -shared -fPIC, never -ffast-math), and loaded
-through ctypes. The built file is cached in $XDG_CACHE_HOME/gsdmm (default
-~/.cache/gsdmm), a directory only the current user may write, under a key
-hashed from the source, the compiler (its real path and its file's device,
-inode, size and modification time, so that loading a cached build starts no
-process) and the flags; it is written to a temporary name and renamed into
-place, so concurrent processes never load a partial file. When the cache
-directory is not private, or cannot be made, the library is built in a
-private temporary directory for this process only.
+system C compiler (cc -O2 -ftree-vectorize -shared -fPIC, never
+-ffast-math), and loaded through ctypes. The built file is cached in
+$XDG_CACHE_HOME/gsdmm (default ~/.cache/gsdmm), a directory only the
+current user may write, under a key hashed from the source, the compiler
+(its real path and its file's device, inode, size and modification time, so
+that loading a cached build starts no process) and the flags; it is written
+to a temporary name and renamed into place, so concurrent processes never
+load a partial file. When the cache directory is not private, or cannot be
+made, the library is built in a private temporary directory for this
+process only.
 
-The library has three entry points: Kernel.sweep runs document steps,
-Kernel.log_scores scores one document, and Kernel.cells lists the occupied
-count cells that gsdmm+'s entropy refresh reads, from the corpus in
-word-major order (TokenCSR.by_word); the refresh's arithmetic stays in
-numpy. kernel() returns None when no compiler exists or the build fails;
-the sampler and the refresh then run their numpy references, which give
-the same assignments and tables.
+Kernel.sweep runs document steps, Kernel.log_scores scores one document,
+and Kernel.cells lists the occupied count cells that gsdmm+'s entropy
+refresh reads, from the corpus in word-major order (TokenCSR.by_word); the
+refresh's arithmetic stays in numpy. Kernel.add adds to cells one by one,
+for ModelState.add_counts. All of them work on the state's per-word count
+tables (cell_ptr and table; see model.ModelState) in place, with the table
+operations of the numpy reference. kernel() returns None when no compiler
+exists or the build fails; the sampler, the refresh and the state then run
+their numpy references, which give the same assignments and counts.
 Every pointer passed to C is checked first: dtype, contiguity and size.
 """
 
@@ -43,15 +46,17 @@ __all__ = ["Kernel", "kernel", "cache_dir"]
 log = logging.getLogger("gsdmm")
 
 SOURCE = Path(__file__).with_name("_sweep.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
+# -ftree-vectorize: the scoring loops are element-wise, so vector code gives
+# the same bits, and -O2 alone vectorizes only loops with no scalar remainder
+FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 # return codes and io slots, mirrored from _sweep.c
-DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE = 0, 1, -1, -2, -3
+DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE, FULL = 0, 1, -1, -2, -3, -4
 IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
 
-# A kernel call with k_max above this keeps bitmaps and scores every
-# document sparse; at or below it, every document dense. Sparse pays where a
-# count row spans many cache lines (README, Performance, has the timings).
+# A kernel call that starts with more active clusters than this scores every
+# document sparse; one with fewer, every document dense (README, Performance,
+# has the timings).
 _CROSSOVER = 128
 
 
@@ -131,8 +136,8 @@ def _arr(dtype, ndim=1):
 
 
 _I64, _F64 = ctypes.c_int64, ctypes.c_double
-_STATE = [_arr(np.int32, 2), _I64, _arr(np.int64), _arr(np.int64)]  # wz, k_max, m, n
-_SPARSE = [_arr(np.uint64, 2), _I64]  # bitmaps and their width
+_TABLES = [_arr(np.int64), _arr(np.int32, 2)]  # cell_ptr, table
+_STATE = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64)]  # k_max, m, n
 _LOGM = [_arr(np.float64), _I64]  # the log(m + alpha) table and its length
 
 
@@ -146,25 +151,30 @@ class Kernel:
             _arr(np.int64), _arr(np.int64), _arr(np.int32),   # corpus CSR
             _arr(np.int64), _arr(np.float64), _I64,           # order, u, n
             _arr(np.float64), _F64, _F64, *_LOGM,            # weights
-            _I64, _I64, *_SPARSE,                             # flags
+            _I64, _I64, _I64,                     # prune, refresh step, sparse
             _arr(np.float64), _arr(np.int64), _arr(np.int64),  # work space, io
         ]
         self._sweep.restype = _I64
         self._scores = lib.dmm_scores
         self._scores.argtypes = [
             *_STATE, _I64, _arr(np.int64), _arr(np.int32), _I64,
-            _arr(np.float64), _F64, _F64, *_LOGM, *_SPARSE,
+            _arr(np.float64), _F64, _F64, *_LOGM, _I64,
             _arr(np.float64), _arr(np.int64), _arr(np.float64),
             ctypes.POINTER(_I64),
         ]
         self._scores.restype = _I64
         self._cells = lib.dmm_cells
         self._cells.argtypes = [
-            _arr(np.int32, 2), _I64, _arr(np.int64), _I64,    # wz, assignments
+            *_TABLES, _I64, _arr(np.int64), _I64,    # k_active, assignments
             _arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _I64,  # index
-            _arr(np.uint64), _arr(np.int64), _arr(np.int32),  # work space, out
+            _arr(np.uint64), _arr(np.int32),                  # work space
+            _arr(np.int64), _arr(np.int32),                   # out
         ]
         self._cells.restype = _I64
+        self._add = lib.dmm_add
+        self._add.argtypes = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64),
+                              _arr(np.int32), _I64]
+        self._add.restype = _I64
 
     def sweep(self, state, csr, order: np.ndarray, uniforms: np.ndarray,
               weights, prune: bool, refresh_step: int = 0,
@@ -188,19 +198,18 @@ class Kernel:
             raise ValueError("order and uniforms must match, with ids in [0, D)")
         if refresh_step and refresh is None:
             raise ValueError("a refresh step needs a refresh callback")
-        bits = _bitmaps(state)
-        work, iwork = _work(state.k_max, bits.shape[1])
+        sparse = _sparse(state)
+        work, iwork = _work(state.k_max)
         logm = np.empty(state.D + 1)  # filled once, on the first entry
         io = np.zeros(IO_LEN, dtype=np.int64)
         io[IO_K] = state.k_active
         while True:
             h, ctot = weights.pseudocounts(state.V)
-            code = self._sweep(state.wz, state.k_max, state.m, state.n,
-                               state.assignments, state.D, word_ptr, words,
-                               counts, order, uniforms, len(order), h, ctot,
-                               state.alpha, logm, len(logm), int(prune),
-                               int(refresh_step), bits, bits.shape[1], work,
-                               iwork, io)
+            code = self._sweep(*_state_args(state), state.assignments, state.D,
+                               word_ptr, words, counts, order, uniforms,
+                               len(order), h, ctot, state.alpha, logm,
+                               len(logm), int(prune), int(refresh_step),
+                               sparse, work, iwork, io)
             state.k_active = int(io[IO_K])
             if code != REFRESH:
                 break
@@ -220,14 +229,12 @@ class Kernel:
                 (len(words) and not 0 <= words.min() <= words.max() < state.V):
             raise ValueError("words and counts must match, with ids in [0, V)")
         h, ctot = weights.pseudocounts(state.V)
-        bits = _bitmaps(state)
         logm = np.empty(int(state.m[:state.k_active].max(initial=0)) + 1)
         out = np.empty(state.k_active, dtype=np.float64)
         bad = _I64(-1)
-        code = self._scores(state.wz, state.k_max, state.m, state.n,
-                            state.k_active, words, counts, len(words), h, ctot,
-                            state.alpha, logm, len(logm), bits, bits.shape[1],
-                            *_work(state.k_max, bits.shape[1]), out,
+        code = self._scores(*_state_args(state), state.k_active, words, counts,
+                            len(words), h, ctot, state.alpha, logm, len(logm),
+                            _sparse(state), *_work(state.k_max), out,
                             ctypes.byref(bad))
         _raise_for(code, bad.value)
         return out
@@ -235,12 +242,12 @@ class Kernel:
     def cells(self, state, csr) -> tuple[np.ndarray, np.ndarray]:
         """The count cells that csr's attached documents occupy in state,
         as (words, nz): word ids (int64) ascending and, within a word,
-        clusters ascending, with the cells' counts (int32) read from
-        state.wz. Its numpy reference is model._occupied_cells, with these
-        arguments. The cells are found from csr.by_word, the corpus in
-        word-major order, so the state must hold csr's counts. The index's
-        sizes are checked here, its offsets and document ids by the C loop
-        as it reads them."""
+        clusters ascending, with the cells' counts (int32) read from the
+        state's count tables. Its numpy reference is model._occupied_cells,
+        with these arguments. The cells are found from csr.by_word, the
+        corpus in word-major order, so the state must hold csr's counts.
+        The index's sizes are checked here, its offsets and document ids by
+        the C loop as it reads them."""
         _, words, _ = _corpus_arrays(state, csr)
         start, docs, counts = (np.ascontiguousarray(a, dtype=t) for a, t in
                                zip(csr.by_word, (np.int64, np.int64, np.int32)))
@@ -250,44 +257,67 @@ class Kernel:
             raise ValueError("word-major index does not match the corpus")
         out_w = np.empty(len(words), dtype=np.int64)
         out_nz = np.empty(len(words), dtype=np.int32)
-        n = self._cells(state.wz, state.k_max, state.assignments, state.D,
+        n = self._cells(state.cell_ptr, state.table, state.k_active,
+                        state.assignments, state.D,
                         start, len(start) - 1, docs, counts, len(docs),
                         np.zeros(-(-state.k_active // 64), dtype=np.uint64),
-                        out_w, out_nz)
+                        np.zeros(1 + state.k_max, dtype=np.int32), out_w, out_nz)
         if n < 0:
             raise ValueError("word-major index does not match the corpus")
         return out_w[:n], out_nz[:n]
 
+    def add(self, state, words: np.ndarray, clusters: np.ndarray,
+            counts: np.ndarray) -> None:
+        """ModelState.add_counts in C, with its arguments: int64 word ids in
+        [0, V) and clusters in [0, k_max), which add_counts checks, and
+        their counts, of one length. Each pair in turn, so a pair given
+        twice adds twice."""
+        words, clusters = (np.ascontiguousarray(a, dtype=np.int64)
+                           for a in (words, clusters))
+        counts = np.ascontiguousarray(counts, dtype=np.int32)
+        if state.table.shape != (state.cell_ptr[-1], 2) or \
+                not words.shape == clusters.shape == counts.shape:
+            raise ValueError("count tables or cells do not match")
+        _raise_for(self._add(state.cell_ptr, state.table, state.k_max, words,
+                             clusters, counts, len(words)), -1)
+
 
 def _check_state(state) -> None:
-    if state.m.shape != (state.k_max,) or state.n.shape != (state.k_max,) \
-            or not 0 <= state.k_active <= state.k_max:
+    if state.n.shape != state.m.shape or not 0 <= state.k_active <= state.k_max \
+            or state.table.shape != (state.cell_ptr[-1], 2):
         raise ValueError("model state arrays do not match its sizes")
     if state.D and state.assignments.max() >= state.k_active:
         raise ValueError("assignment outside the active clusters")
+    if state.cell_z.max(initial=-1) >= state.k_max:
+        raise ValueError("count cell outside the clusters")
 
 
-def _bitmaps(state) -> np.ndarray:
-    """Zeroed per-word occupancy bitmaps, (V, ceil(k_max / 64)) words, for
-    the kernel to fill, which make the call score sparse; (V, 0), a dense
-    call, when k_max is at most _CROSSOVER."""
-    width = -(-state.k_max // 64) if state.k_max > _CROSSOVER else 0
-    return np.zeros((state.V, width), dtype=np.uint64)
+def _state_args(state) -> tuple:
+    """The count tables, k_max, m and n, as the kernel takes them."""
+    return state.cell_ptr, state.table, state.k_max, state.m, state.n
 
 
-def _work(k_max: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _sparse(state) -> int:
+    """The call's scoring mode, from the active clusters at its start: 1,
+    every document sparse, past _CROSSOVER; else 0, every document dense."""
+    return int(state.k_active > _CROSSOVER)
+
+
+def _work(k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's float and integer work space, which carries nothing
     from one C call to the next (_sweep.c's carve lays it out).
 
-    Float, four k_max arrays: the chunk products (the first then holds the
-    exponentiated scores), the scores and the cumulated weights. Integer:
-    two k_max arrays (the plan: the scored clusters and each cluster's
-    entry among them), the (m, n) classes' nine k_max arrays and their hash
-    table of the first power of two at or above 2 * k_max cells, then the
-    document's overlap set of width words."""
+    Float, five k_max arrays: the chunk products (the first then holds the
+    exponentiated scores), the scores, the cumulated weights and the
+    scored clusters' n; then k_max + 1 for the current word's count in
+    each. Integer: the plan (the scored clusters, k_max + 1, and each
+    cluster's entry among them, 1 + k_max), the clusters the sparse plan
+    has listed (1 + k_max), then the (m, n) classes' nine k_max arrays and
+    their hash table of the first power of two at or above 2 * k_max
+    cells."""
     cells = 1 << (2 * k_max - 1).bit_length()
-    return (np.empty(4 * k_max, dtype=np.float64),
-            np.empty(11 * k_max + cells + width, dtype=np.int64))
+    return (np.empty(6 * k_max + 1, dtype=np.float64),
+            np.empty(12 * k_max + 3 + cells, dtype=np.int64))
 
 
 def _corpus_arrays(state, csr):
@@ -316,5 +346,8 @@ def _raise_for(code: int, bad: int) -> None:
         raise NonFiniteScore("every active cluster has zero probability")
     if code == DEGENERATE:
         raise NonFiniteScore("degenerate normalizer")
+    if code == FULL:
+        raise ValueError("a count table is full: the state was sized for "
+                         "another corpus")
     if code != DONE:
         raise RuntimeError(f"sweep kernel returned {code}")

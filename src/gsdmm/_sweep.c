@@ -1,56 +1,72 @@
 /* Compiled collapsed Gibbs sweep for the Dirichlet multinomial mixture.
  *
- * One call runs a whole run of document steps over the word-major (V, k_max)
- * int32 count matrix and the corpus-wide compressed-row token arrays. Each
- * step detaches the document, prunes its cluster if that emptied it and
- * pruning is on (the last active cluster moves into the freed slot: a scan
- * of the assignments relabels its documents and moves their cells), scores
- * the active clusters, draws from the conditional and re-attaches. The draw
- * follows the numpy reference exactly: cumulate over all k_active clusters
- * in index order, every empty cluster carrying the representative's mass,
- * then take the first cumulated value above u * total (numpy searchsorted,
- * side right), clamp to the last cluster and back off from zero-width
- * entries.
+ * One call runs a whole run of document steps over the per-word count tables
+ * and the corpus-wide compressed-row token arrays. Each step detaches the
+ * document, prunes its cluster if that emptied it and pruning is on (the
+ * last active cluster moves into the freed slot: a scan of the assignments
+ * relabels its documents and moves their cells), scores the active clusters,
+ * draws from the conditional and re-attaches. A detached document's counts
+ * stay in its cluster's cells until the draw, and the scores read that
+ * cluster's counts less the document's, so a document that draws its own
+ * cluster again changes no cell; they leave at once when the document
+ * empties its cluster or a refresh reads the tables. The draw follows the
+ * numpy reference exactly: cumulate over all k_active clusters in index
+ * order, every empty cluster carrying the representative's mass, then take
+ * the first cumulated value above u * total (numpy searchsorted, side
+ * right), clamp to the last cluster and back off from zero-width entries.
+ *
+ * The counts are stored per word, as model.ModelState lays them out: word
+ * w's nonzero counts are (cluster, count) cells of an open-addressing table,
+ * slots ptr[w]:ptr[w + 1] of cell, each a cluster z (-1 for a free slot)
+ * and its count n (0 in a free slot). The capacity is a power of two at
+ * least twice the clusters the word can occupy, so a probe run always ends,
+ * or at least kmax, so every cluster has a slot of its own. A cell sits in
+ * the probe run from its home slot, cluster & (capacity - 1) (linear
+ * probing); one whose count reaches 0 leaves by backward-shift deletion. A
+ * prune moves each cell of the last cluster to the freed one: the cell
+ * leaves its table and comes back under its new cluster, whose home
+ * differs. The tables take O(corpus entries + V) space, not V x k_max.
  *
  * The word-match term is a product of factors (count + c_w + j) over
  * (n + C + i). Factors are multiplied CHUNK tokens at a time and each chunk
  * costs one log, so long documents cannot underflow; a chunk whose products
  * are not normal numbers, or whose offsets are not positive (a product of
  * negative factors could look valid), is redone with one log per factor,
- * the reference form, so it fails exactly where that form does.
+ * the reference form, so it fails exactly where that form does. A word's
+ * table is scattered into its counts in the planned clusters once, before
+ * the product loop over its tokens.
  *
- * A call scores every document in one of two modes, chosen once: sparse
- * when the caller passes bitmaps (_native does for k_max past _CROSSOVER),
- * dense otherwise. Dense: the occupied clusters plus the lowest empty one,
- * whose score every empty cluster reads, reading each word's count row at
- * each. Sparse: per-word occupancy bitmaps (bit z of word w's row is set
- * exactly when its count in cluster z is non-zero) give the clusters the
- * document shares a word with, which are scored reading only the cells
- * whose bit is set. Every other cluster has a zero count for each of the
- * document's words, so its score depends on its (m, n) alone. The kernel
- * keeps the active clusters' classes of equal (m, n), with their member
- * lists, and moves a cluster between classes at every count change; a
+ * A call scores every document in one of two modes, chosen once by the
+ * caller (_native picks sparse when the call starts with more than
+ * _CROSSOVER active clusters). Dense: the occupied clusters plus the lowest
+ * empty one, whose score every empty cluster reads. Sparse: the tables of
+ * the document's words give the clusters it shares a word with, which are
+ * scored reading their counts. Every other cluster has a zero count for each
+ * of the document's words, so its score depends on its (m, n) alone. The
+ * kernel keeps the active clusters' classes of equal (m, n), with their
+ * member lists, and moves a cluster between classes at every count change; a
  * document scores one member of each class that has a member sharing no
  * word with it (the empty clusters form the (0, 0) class). A class whose
  * members all share a word with the document is not scored: no cluster
  * would read that score, and with every score a distinct cluster's there
  * are at most k. The draw cumulates over the clusters in index order, each
- * reading its own score or the one it shares. Each cluster's score takes the same floating-point
- * operations in the same order in both modes, so the chain does not depend
- * on the mode.
+ * reading its own score or the one it shares. Each cluster's score takes the
+ * same floating-point operations in the same order in both modes, so the
+ * chain does not depend on the mode.
  *
  * log(m + alpha) is read from a table of the same expression for every m up
- * to the number of documents. It and the bitmaps live across the refresh
- * re-entries of one sweep: filled on the first entry, the bitmaps then kept
- * by every count change. Everything else is rebuilt on every entry.
+ * to the number of documents, filled on the first entry of a sweep and kept
+ * across its refresh re-entries. Everything else is rebuilt on every entry.
  *
  * One more entry point lists the occupied count cells for gsdmm+'s entropy
  * refresh: it walks the corpus transposed to word-major order (built once per
  * corpus), so finding the cells costs O(entries), not a sort of them or a
- * scan of the count matrix. The entropy arithmetic stays with the caller.
+ * scan of the tables. The entropy arithmetic stays with the caller. One
+ * more adds counts to cells, for ModelState.add_counts.
  *
- * Build: cc -O2 -shared -fPIC (never -ffast-math: the non-finite checks and
- * the exact draw rely on IEEE semantics).
+ * Build: cc -O2 -ftree-vectorize -shared -fPIC (never -ffast-math: the
+ * non-finite checks and the exact draw rely on IEEE semantics; the vector
+ * loops are element-wise, so they give the same bits).
  */
 
 #include <float.h>
@@ -60,10 +76,8 @@
 #define CHUNK 8
 
 #ifdef __GNUC__
-#define PREFETCH(p) __builtin_prefetch(p)
 #define LOWEST(x) __builtin_ctzll(x)
 #else
-#define PREFETCH(p) ((void)(p))
 static int64_t LOWEST(uint64_t x)
 {
     int64_t i = 0;
@@ -74,7 +88,8 @@ static int64_t LOWEST(uint64_t x)
 #endif
 
 /* return codes, mirrored in _native.py */
-enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3 };
+enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3,
+       FULL = -4 };
 
 /* io array slots, mirrored in _native.py: the resume position in the order,
  * k_active, documents moved so far, whether the document at the resume
@@ -82,8 +97,8 @@ enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3 };
  * BAD receives the cluster whose score was non-finite */
 enum { IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN };
 
-/* The active clusters' classes of equal (m, n), built on each entry when
- * the bitmaps are kept. cls[z] is cluster z's class. A class lists its
+/* The active clusters' classes of equal (m, n), built on each entry of a
+ * sparse call. cls[z] is cluster z's class. A class lists its
  * members from head through next and prev (-1 ends a list), and holds its
  * (m, n) and the current document's entry for it. ids[0, live) are the
  * classes in use and ids[live, kmax) the free ones, pos their inverse;
@@ -95,15 +110,22 @@ typedef struct {
     int64_t *cells, mask, live;
 } Classes;
 
+/* A slot of a count table: cluster z (-1 free) and its count n (0 free). */
 typedef struct {
-    int32_t *wz;      /* (V, kmax) word-major counts */
+    int32_t z, n;
+} Cell;
+
+typedef struct {
+    const int64_t *ptr;  /* (V + 1,) word w's table: slots ptr[w]:ptr[w + 1] */
+    Cell *cell;
     int64_t kmax;
-    int64_t *m, *n;   /* (kmax,) document and token counts */
-    int64_t *assign;  /* (n_docs,) cluster per document, -1 when detached */
+    int64_t *m, *n;      /* (kmax,) document and token counts */
+    int64_t *assign;     /* (n_docs,) cluster per document, -1 when detached */
     int64_t n_docs;
-    uint64_t *bits;   /* (V, nb) occupancy bitmaps, NULL when nb == 0 */
-    int64_t nb;
-    Classes cl;       /* kept when bits are */
+    int64_t sparse;      /* the call's scoring mode */
+    int64_t held;        /* the cluster whose cells still hold the counts of
+                          * the detached document being scored, or -1 */
+    Classes cl;          /* kept in sparse mode */
 } Model;
 
 typedef struct {
@@ -124,44 +146,134 @@ typedef struct {
     int64_t *list;    /* the nc clusters scored */
     int64_t *ent;     /* active cluster -> the entry in list it reads */
     int64_t nc;
-    uint64_t *seen;   /* nb words: the document's overlap set */
+    int64_t *mark;    /* per cluster, 0 between documents: listed by the plan */
     double *num, *den, *score, *cum;
+    double *nd;       /* per plan entry: its cluster's n */
+    double *cv;       /* per plan entry: the current word's count there */
 } Scratch;
 
-/* Carve the work space (sizes in _native._work): float num, den, score and
- * cum, kmax each; int list and ent, the classes' nine arrays, kmax each,
- * then the classes' cells and the overlap set. */
+/* Carve the work space (sizes in _native._work): float num, den, score, cum
+ * and nd, kmax each, and cv, kmax + 1; int list, kmax + 1, ent and mark,
+ * 1 + kmax each, then the classes' nine arrays, kmax each, then the
+ * classes' cells. A free slot's key, -1, indexes ent and mark too: ent[-1]
+ * sends its count, 0, to cv[kmax], which nothing reads, and mark[-1] = 1
+ * keeps it out of the plan, so the loops over a table take no branch on
+ * whether a slot is free. mark is zeroed here, and every entry of ent
+ * starts at kmax, so that no key sends a count outside cv. */
 static Scratch carve(Model *s, double *work, int64_t *iwork)
 {
     const int64_t kmax = s->kmax;
     int64_t cells = 1;
     while (cells < 2 * kmax)
         cells <<= 1;
-    int64_t *c = iwork + 2 * kmax;
+    for (int64_t i = kmax + 1; i < 2 * kmax + 2; i++)
+        iwork[i] = kmax;  /* ent: cv[kmax] until a plan is made */
+    iwork[2 * kmax + 2] = 1;  /* mark[-1] */
+    for (int64_t i = 2 * kmax + 3; i < 3 * kmax + 3; i++)
+        iwork[i] = 0;
+    int64_t *c = iwork + 3 * kmax + 3;
     s->cl = (Classes){.cls = c, .next = c + kmax, .prev = c + 2 * kmax,
                       .head = c + 3 * kmax, .key_m = c + 4 * kmax,
                       .key_n = c + 5 * kmax, .ent = c + 6 * kmax,
                       .ids = c + 7 * kmax, .pos = c + 8 * kmax,
                       .cells = c + 9 * kmax, .mask = cells - 1};
-    return (Scratch){.list = iwork, .ent = iwork + kmax,
-                     .seen = (uint64_t *)(c + 9 * kmax + cells),
-                     .num = work, .den = work + kmax,
-                     .score = work + 2 * kmax, .cum = work + 3 * kmax};
+    return (Scratch){.list = iwork, .ent = iwork + kmax + 2,
+                     .mark = iwork + 2 * kmax + 3, .num = work,
+                     .den = work + kmax, .score = work + 2 * kmax,
+                     .cum = work + 3 * kmax, .nd = work + 4 * kmax,
+                     .cv = work + 5 * kmax};
 }
 
-static int bit(const uint64_t *row, int64_t z)
+/* The slot of cell (w, z): the one holding it, or the free slot that ends
+ * its probe run, where it goes; -1 for a full table without it (a state
+ * sized for another corpus). A table with room for kmax cells has a slot
+ * for every cluster, its home, and the cluster is there or nowhere. */
+static int64_t slot_of(const Model *s, int64_t w, int64_t z)
 {
-    return (int)(row[z >> 6] >> (z & 63) & 1);
+    const int64_t lo = s->ptr[w], mask = s->ptr[w + 1] - lo - 1;
+    if (mask >= s->kmax - 1)
+        return lo + z;
+    int64_t i = z & mask;
+    for (int64_t t = 0; t <= mask; t++, i = (i + 1) & mask) {
+        const int32_t key = s->cell[lo + i].z;
+        if (key < 0 || key == z)
+            return lo + i;
+    }
+    return -1;
 }
 
-/* Keep bit z of word w's bitmap equal to whether its count is non-zero. */
-static void track(Model *s, int64_t w, int64_t z)
+/* The count of word w in cluster z; a free slot holds 0. */
+static int32_t count(const Model *s, int64_t w, int64_t z)
 {
-    if (!s->bits)
-        return;
-    uint64_t *word = s->bits + w * s->nb + (z >> 6);
-    const uint64_t b = (uint64_t)1 << (z & 63);
-    *word = s->wz[w * s->kmax + z] ? *word | b : *word & ~b;
+    const int64_t i = slot_of(s, w, z);
+    return i < 0 ? 0 : s->cell[i].n;
+}
+
+/* Free slot i of word w's table by backward-shift deletion: each later cell
+ * of the probe run that may move into the hole (its home is not cyclically
+ * after the hole) does, and the hole moves to where it was, so no slot is
+ * ever marked deleted. The same scheme as leave's for the classes. In a
+ * table with room for kmax cells each cell is at its home and stays. */
+static void drop(Model *s, int64_t w, int64_t i)
+{
+    const int64_t lo = s->ptr[w], mask = s->ptr[w + 1] - lo - 1;
+    int64_t hole = i - lo, j = hole;
+    for (int64_t t = 0; t < mask && mask < s->kmax - 1; t++) {
+        j = (j + 1) & mask;
+        const int32_t key = s->cell[lo + j].z;
+        if (key < 0)
+            break;
+        if (((j - (key & mask)) & mask) >= ((j - hole) & mask)) {
+            s->cell[lo + hole].z = key;
+            s->cell[lo + hole].n = s->cell[lo + j].n;
+            hole = j;
+        }
+    }
+    s->cell[lo + hole].z = -1;
+    s->cell[lo + hole].n = 0;
+}
+
+/* Add delta to the count of word w in cluster z: a new cell takes the free
+ * slot that ends its probe run, and a cell whose count reaches 0 leaves.
+ * Returns DONE, or FULL for a full table. */
+static int64_t add(Model *s, int64_t w, int64_t z, int32_t delta)
+{
+    if (!delta)
+        return DONE;
+    const int64_t i = slot_of(s, w, z);
+    if (i < 0)
+        return FULL;
+    s->cell[i].z = (int32_t)z;
+    s->cell[i].n += delta;
+    if (!s->cell[i].n)
+        drop(s, w, i);
+    return DONE;
+}
+
+/* Move word w's count in cluster src, if it has one, into cluster dst: the
+ * cell leaves its table and its count joins dst's, under dst's home. Returns
+ * DONE or FULL. */
+static int64_t move_cell(Model *s, int64_t w, int64_t src, int64_t dst)
+{
+    const int64_t i = slot_of(s, w, src);
+    if (i < 0 || s->cell[i].z < 0)
+        return DONE;
+    const int32_t c = s->cell[i].n;
+    drop(s, w, i);
+    return add(s, w, dst, c);
+}
+
+/* How many slots from the start of word w's table can hold a cell when
+ * every cell's cluster is below k: all of them, or only the first k when
+ * the capacity reaches k. Then the cells' homes, their clusters, are all
+ * distinct, so each cell sits at its home: linear probing moves a cell off
+ * its home only past another cell of the same home, and backward-shift
+ * deletion leaves a table as if the cells gone had never been inserted.
+ * The first k slots then read as the word's count row, free slots as 0. */
+static int64_t span(const int64_t *ptr, int64_t w, int64_t k)
+{
+    const int64_t cap = ptr[w + 1] - ptr[w];
+    return k < cap ? k : cap;
 }
 
 /* The home cell of (m, n). */
@@ -251,7 +363,7 @@ static void build_classes(Model *s, int64_t k)
 /* Keep cluster z's class that of its (m, n), after they changed. */
 static void reclass(Model *s, int64_t z)
 {
-    if (!s->bits)
+    if (!s->sparse)
         return;
     leave(&s->cl, z);
     join(&s->cl, z, s->m[z], s->n[z]);
@@ -278,7 +390,7 @@ static double log_m(const Weights *wt, int64_t m)
  * each document. */
 static void plan_dense(const Model *s, Scratch *x, int64_t k)
 {
-    if (s->bits)
+    if (s->sparse)
         return;
     int64_t nc = 0, rep = -1;
     for (int64_t z = 0; z < k; z++) {
@@ -295,36 +407,31 @@ static void plan_dense(const Model *s, Scratch *x, int64_t k)
 }
 
 /* The sparse plan for one document of nw distinct words: the clusters that
- * share a word with it, each reading its own entry, then one member of each
- * class that has a member sharing none, whose entry the class's other
- * members read (a class whose members all share a word has none). Sets
- * x->nc, at most k (all distinct), and returns the number of the first
- * kind. The cells the scoring will read are prefetched here: each is in its
- * own cache line of a row too long to stay cached. */
+ * share a word with it (the cells of the words' tables), each reading its
+ * own entry, then one member of each class that has a member sharing none,
+ * whose entry the class's other members read (a class whose members all
+ * share a word has none). Sets x->nc, at most k (all distinct), and returns
+ * the number of the first kind. */
 static int64_t plan_sparse(Model *s, Scratch *x, int64_t k,
                            const int64_t *words, int64_t nw)
 {
-    for (int64_t b = 0; b < s->nb; b++)
-        x->seen[b] = 0;
+    int64_t nc = 0;
     for (int64_t a = 0; a < nw; a++) {
-        const uint64_t *row = s->bits + words[a] * s->nb;
-        const int32_t *cells = s->wz + words[a] * s->kmax;
-        for (int64_t b = 0; b < s->nb; b++) {
-            x->seen[b] |= row[b];
-            for (uint64_t r = row[b]; r; r &= r - 1)
-                PREFETCH(cells + 64 * b + LOWEST(r));
+        const int64_t lo = s->ptr[words[a]];
+        const int64_t end = lo + span(s->ptr, words[a], k);
+        for (int64_t i = lo; i < end; i++) {
+            const int32_t z = s->cell[i].z;
+            x->list[nc] = z;
+            nc += !x->mark[z];
+            x->mark[z] = 1;
         }
     }
-    int64_t nc = 0;
-    for (int64_t b = 0; b < s->nb; b++)
-        for (uint64_t r = x->seen[b]; r; r &= r - 1)
-            x->list[nc++] = 64 * b + LOWEST(r);
     const int64_t overlap = nc;
     Classes *c = &s->cl;
     for (int64_t i = 0; i < c->live; i++) {
         const int64_t id = c->ids[i];
         int64_t z = c->head[id];
-        while (z >= 0 && bit(x->seen, z))
+        while (z >= 0 && x->mark[z])
             z = c->next[z];
         c->ent[id] = z < 0 ? -1 : nc;
         if (z >= 0)
@@ -333,14 +440,16 @@ static int64_t plan_sparse(Model *s, Scratch *x, int64_t k,
     x->nc = nc;
     for (int64_t z = 0; z < k; z++)
         x->ent[z] = c->ent[c->cls[z]];
-    for (int64_t j = 0; j < overlap; j++)
+    for (int64_t j = 0; j < overlap; j++) {
         x->ent[x->list[j]] = j;
+        x->mark[x->list[j]] = 0;
+    }
     return overlap;
 }
 
 /* Sum of the per-factor logs of len tokens starting at occurrence c of
- * distinct word a (token index i), against cluster z: the reference form.
- * It reads cells directly on both paths; a clear bit means a zero cell. */
+ * distinct word a (token index i), against cluster z: the reference form,
+ * reading each count from its table (less the document's own in s->held). */
 static double factor_logs(const Model *s, const Weights *wt, int64_t z,
                           const int64_t *words, const int32_t *counts,
                           int64_t a, int64_t c, int64_t i, int64_t len)
@@ -353,7 +462,8 @@ static double factor_logs(const Model *s, const Weights *wt, int64_t z,
             continue;
         }
         const int64_t w = words[a];
-        num += log((double)s->wz[w * s->kmax + z] + (wt->h[w] + (double)c));
+        const int32_t held = z == s->held ? counts[a] : 0;
+        num += log((double)(count(s, w, z) - held) + (wt->h[w] + (double)c));
         den += log((double)s->n[z] + (wt->ctot + (double)i));
         c++;
         i++;
@@ -384,46 +494,52 @@ static void flush(const Model *s, const Weights *wt, const Scratch *x,
 
 /* Unnormalized log conditional of one document (already detached) for each
  * of the x->nc planned clusters, written to x->score; x->num and x->den are
- * work space. The first nr read their counts, from the word's row (sparse:
- * only where its bit is set, 0 elsewhere); the rest have count 0 for every
- * word. The loop is token-outer so each token reads one contiguous row of
- * wz. */
+ * work space. The first nr read their counts, which each word's table is
+ * scattered into (x->cv, 0 for a cluster without a cell; s->held's less
+ * the document's own, which its cells still hold); the rest have count 0
+ * for every word. Every cell of the table is in the plan's first nr
+ * entries: dense plans every occupied cluster, sparse every one sharing a
+ * word. */
 static void score_doc(const Model *s, const Weights *wt, const Scratch *x,
-                      int64_t nr, const int64_t *words, const int32_t *counts,
-                      int64_t nw)
+                      int64_t k, int64_t nr, const int64_t *words,
+                      const int32_t *counts, int64_t nw)
 {
     const int64_t *list = x->list, ns = x->nc;
-    double *num = x->num, *den = x->den, *out = x->score;
+    double *num = x->num, *den = x->den, *out = x->score, *nd = x->nd;
     for (int64_t j = 0; j < ns; j++) {
         out[j] = log_m(wt, s->m[list[j]]);
         num[j] = den[j] = 1.0;
+        nd[j] = (double)s->n[list[j]];
     }
     /* start of the current chunk: distinct word, occurrence, token index */
     int64_t a0 = 0, c0 = 0, i0 = 0, len = 0, i = 0;
     int suspect = 0;
+    double *cv = x->cv;
     for (int64_t a = 0; a < nw; a++) {
-        const int32_t *row = s->wz + words[a] * s->kmax;
-        const uint64_t *occupied = s->bits ? s->bits + words[a] * s->nb : 0;
+        const int64_t lo = s->ptr[words[a]];
+        if (span(s->ptr, words[a], k) == k) {  /* the count row */
+            for (int64_t j = 0; j < nr; j++)
+                cv[j] = (double)s->cell[lo + list[j]].n;
+        } else {
+            for (int64_t j = 0; j < nr; j++)
+                cv[j] = 0.0;
+            for (int64_t t = lo; t < s->ptr[words[a] + 1]; t++)
+                cv[x->ent[s->cell[t].z]] = (double)s->cell[t].n;
+        }
+        if (s->held >= 0)
+            cv[x->ent[s->held]] -= (double)counts[a];
         const double cw = wt->h[words[a]];
         for (int64_t c = 0; c < counts[a]; c++, i++) {
             const double add = cw + (double)c, tot = wt->ctot + (double)i;
             suspect |= !(add > 0.0) || !(tot > 0.0);
-            if (occupied) {
-                for (int64_t j = 0; j < nr; j++) {
-                    const int64_t z = list[j];
-                    num[j] *= (double)(bit(occupied, z) ? row[z] : 0) + add;
-                    den[j] *= (double)s->n[z] + tot;
-                }
-            } else {
-                for (int64_t j = 0; j < nr; j++) {
-                    num[j] *= (double)row[list[j]] + add;
-                    den[j] *= (double)s->n[list[j]] + tot;
-                }
+            for (int64_t j = 0; j < nr; j++) {
+                num[j] *= cv[j] + add;
+                den[j] *= nd[j] + tot;
             }
             const double absent = (double)0 + add;
             for (int64_t j = nr; j < ns; j++) {
                 num[j] *= absent;
-                den[j] *= (double)s->n[list[j]] + tot;
+                den[j] *= nd[j] + tot;
             }
             if (++len == CHUNK) {
                 flush(s, wt, x, words, counts, a0, c0, i0, len, suspect);
@@ -446,8 +562,8 @@ static void score_slots(Model *s, const Weights *wt, Scratch *x, int64_t k,
                         const int64_t *words, const int32_t *counts,
                         int64_t nw)
 {
-    const int64_t nr = s->bits ? plan_sparse(s, x, k, words, nw) : x->nc;
-    score_doc(s, wt, x, nr, words, counts, nw);
+    const int64_t nr = s->sparse ? plan_sparse(s, x, k, words, nw) : x->nc;
+    score_doc(s, wt, x, k, nr, words, counts, nw);
 }
 
 /* Whether a score of a cluster with m documents is non-finite other than
@@ -509,27 +625,33 @@ static int64_t draw(Scratch *x, int64_t k, double u)
     return z;
 }
 
-static void move_doc(Model *s, int64_t z, const int64_t *words,
-                     const int32_t *counts, int64_t nw, int64_t total,
-                     int64_t sign)
+/* Add (sign 1) or remove (sign -1) a document's m and n in cluster z. */
+static void move_totals(Model *s, int64_t z, int64_t total, int32_t sign)
 {
     s->m[z] += sign;
     s->n[z] += sign * total;
     reclass(s, z);
-    for (int64_t a = 0; a < nw; a++) {
-        s->wz[words[a] * s->kmax + z] += (int32_t)sign * counts[a];
-        track(s, words[a], z);
-    }
+}
+
+/* Add (sign 1) or remove (sign -1) a document's word counts in cluster z.
+ * Returns DONE or FULL. */
+static int64_t move_cells(Model *s, int64_t z, const int64_t *words,
+                          const int32_t *counts, int64_t nw, int32_t sign)
+{
+    for (int64_t a = 0; a < nw; a++)
+        if (add(s, words[a], z, sign * counts[a]) != DONE)
+            return FULL;
+    return DONE;
 }
 
 /* Remove emptied cluster z, moving the last active cluster into its slot.
- * Column z is all zero (its token total n[z] is 0), and the nonzero cells
- * of column last are exactly the words of the documents assigned to last,
- * so one scan of the assignments relabels those documents and moves their
- * cells: O(D + tokens of last), not O(V). A word two of them share is moved
- * once; the second finds its cell in last already zero. */
-static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
-                       const int64_t *words)
+ * Cluster z has no cell (its token total n[z] is 0), and the cells of
+ * cluster last are exactly those of the words of the documents assigned to
+ * last, so one scan of the assignments relabels those documents and moves
+ * their cells: O(D + tokens of last), not O(V). A word two of them share is
+ * moved once; the second finds no cell of last. Returns DONE or FULL. */
+static int64_t deactivate(Model *s, int64_t z, int64_t *k,
+                          const int64_t *word_ptr, const int64_t *words)
 {
     const int64_t last = *k - 1;
     if (z != last) {
@@ -540,47 +662,37 @@ static void deactivate(Model *s, int64_t z, int64_t *k, const int64_t *word_ptr,
             if (s->assign[d] != last)
                 continue;
             s->assign[d] = z;
-            for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++) {
-                int32_t *row = s->wz + words[a] * s->kmax;
-                if (row[last]) {
-                    row[z] = row[last];
-                    row[last] = 0;
-                    track(s, words[a], z);
-                    track(s, words[a], last);
-                }
-            }
+            for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++)
+                if (move_cell(s, words[a], last, z) != DONE)
+                    return FULL;
         }
     }
-    if (s->bits)
+    if (s->sparse)
         leave(&s->cl, last);
     s->m[last] = 0;
     s->n[last] = 0;
     *k = last;
+    return DONE;
 }
 
 /* Score one detached document against every active cluster, k of them,
- * into out (k,), in sparse mode when bits is given (nb > 0; zeroed, V rows,
- * of which the document's words' are filled here). logm (nlog,) is filled
- * here. Work space as for dmm_sweep. Returns DONE, or NONFINITE with the
- * cluster in *bad. */
-int64_t dmm_scores(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
-                   int64_t k, const int64_t *words,
-                   const int32_t *counts, int64_t nw, const double *h,
-                   double ctot, double alpha, double *logm, int64_t nlog,
-                   uint64_t *bits, int64_t nb, double *work, int64_t *iwork,
+ * into out (k,), in sparse mode when sparse is non-zero. The tables are
+ * only read. logm (nlog,) is filled here. Work space as for dmm_sweep.
+ * Returns DONE, or NONFINITE with the cluster in *bad. */
+int64_t dmm_scores(const int64_t *ptr, Cell *cell,
+                   int64_t kmax, int64_t *m, int64_t *n, int64_t k,
+                   const int64_t *words, const int32_t *counts, int64_t nw,
+                   const double *h, double ctot, double alpha, double *logm,
+                   int64_t nlog, int64_t sparse, double *work, int64_t *iwork,
                    double *out, int64_t *bad)
 {
-    Model s = {.wz = wz, .kmax = kmax, .m = m, .n = n,
-               .bits = nb ? bits : 0, .nb = nb};
+    Model s = {.ptr = ptr, .cell = cell, .kmax = kmax, .m = m,
+               .n = n, .sparse = sparse, .held = -1};
     const Weights wt = {h, ctot, alpha, logm, nlog};
     Scratch x = carve(&s, work, iwork);
     fill_logs(logm, nlog, alpha);
-    if (s.bits) {
-        for (int64_t a = 0; a < nw; a++)
-            for (int64_t z = 0; z < k; z++)
-                track(&s, words[a], z);
+    if (s.sparse)
         build_classes(&s, k);
-    }
     plan_dense(&s, &x, k);
     score_slots(&s, &wt, &x, k, words, counts, nw);
     for (int64_t z = 0; z < k; z++)
@@ -594,39 +706,32 @@ int64_t dmm_scores(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
  * one with assignment -1 only joins. With refresh_step > 0 the call returns
  * REFRESH after detaching (and pruning for) each position that is a multiple
  * of refresh_step, so the caller can recompute h and call again to resume.
- * logm (nlog,) and bits (nb > 0, zeroed by the caller) are filled on the
- * first entry; later entries resume after a REFRESH and keep them. work and
- * iwork are sized by _native._work and hold nothing from one entry to the
- * next. Returns DONE, REFRESH or a negative code; io always holds the
- * position and counts reached. */
-int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
+ * Every document scores sparse when sparse is non-zero. logm (nlog,) is
+ * filled on the first entry; later entries resume after a REFRESH and keep
+ * it. work and iwork are sized by _native._work and hold nothing from one
+ * entry to the next. Returns DONE, REFRESH or a negative code; io always
+ * holds the position and counts reached. */
+int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
+                  int64_t kmax, int64_t *m, int64_t *n,
                   int64_t *assign, int64_t n_docs,
                   const int64_t *word_ptr, const int64_t *words,
                   const int32_t *counts, const int64_t *order,
                   const double *u, int64_t n_order, const double *h,
                   double ctot, double alpha, double *logm, int64_t nlog,
-                  int64_t prune, int64_t refresh_step, uint64_t *bits,
-                  int64_t nb, double *work, int64_t *iwork, int64_t *io)
+                  int64_t prune, int64_t refresh_step, int64_t sparse,
+                  double *work, int64_t *iwork, int64_t *io)
 {
-    Model s = {.wz = wz, .kmax = kmax, .m = m, .n = n,
-               .assign = assign, .n_docs = n_docs, .bits = nb ? bits : 0,
-               .nb = nb};
+    Model s = {.ptr = ptr, .cell = cell, .kmax = kmax, .m = m,
+               .n = n, .assign = assign, .n_docs = n_docs, .sparse = sparse,
+               .held = -1};
     const Weights wt = {h, ctot, alpha, logm, nlog};
     Scratch x = carve(&s, work, iwork);
     int64_t k = io[IO_K], moved = io[IO_MOVED], pos = io[IO_POS];
     int64_t code = DONE;
 
-    if (!io[IO_RESUME]) {
+    if (!io[IO_RESUME])
         fill_logs(logm, nlog, alpha);
-        if (s.bits)
-            for (int64_t d = 0; d < n_docs; d++) {
-                if (assign[d] < 0)
-                    continue;
-                for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++)
-                    track(&s, words[a], assign[d]);
-            }
-    }
-    if (s.bits)
+    if (s.sparse)
         build_classes(&s, k);
     plan_dense(&s, &x, k);
 
@@ -644,18 +749,33 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
             pruned = io[IO_PRUNED];
         } else {
             z_old = assign[d];
+            const int refreshing = refresh_step > 0
+                                   && pos % refresh_step == 0;
             if (z_old >= 0) {
-                move_doc(&s, z_old, w, c, nw, total, -1);
+                move_totals(&s, z_old, total, -1);
                 assign[d] = -1;
-                if (!m[z_old] && !n[z_old]) {
+                const int emptied = !m[z_old] && !n[z_old];
+                /* the cells wait for the draw unless a refresh or a prune
+                 * reads the tables first */
+                if (!emptied && !refreshing) {
+                    s.held = z_old;
+                } else if (move_cells(&s, z_old, w, c, nw, -1) != DONE) {
+                    code = FULL;
+                    break;
+                }
+                if (emptied) {
                     if (prune) {
-                        deactivate(&s, z_old, &k, word_ptr, words);
+                        if (deactivate(&s, z_old, &k, word_ptr, words)
+                            != DONE) {
+                            code = FULL;
+                            break;
+                        }
                         pruned = 1;
                     }
                     plan_dense(&s, &x, k);
                 }
             }
-            if (refresh_step > 0 && pos % refresh_step == 0) {
+            if (refreshing) {
                 io[IO_RESUME] = 1;
                 io[IO_ZOLD] = z_old;
                 io[IO_PRUNED] = pruned;
@@ -665,17 +785,25 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
         }
         score_slots(&s, &wt, &x, k, w, c, nw);
         io[IO_BAD] = bad_cluster(&s, &x, k);
-        if (io[IO_BAD] >= 0) {
-            code = NONFINITE;
+        const int64_t z_new = io[IO_BAD] >= 0 ? NONFINITE
+                                              : draw(&x, k, u[pos]);
+        const int64_t held = s.held;
+        s.held = -1;
+        if (held >= 0 && z_new != held
+            && move_cells(&s, held, w, c, nw, -1) != DONE) {
+            code = FULL;
             break;
         }
-        const int64_t z_new = draw(&x, k, u[pos]);
         if (z_new < 0) {
             code = z_new;
             break;
         }
         const int filled = !m[z_new] && !n[z_new];
-        move_doc(&s, z_new, w, c, nw, total, 1);
+        move_totals(&s, z_new, total, 1);
+        if (z_new != held && move_cells(&s, z_new, w, c, nw, 1) != DONE) {
+            code = FULL;
+            break;
+        }
         assign[d] = z_new;
         if (filled)
             plan_dense(&s, &x, k);
@@ -690,20 +818,25 @@ int64_t dmm_sweep(int32_t *wz, int64_t kmax, int64_t *m, int64_t *n,
 
 /* The occupied cells (w, z) of the attached documents, for each word w <
  * n_words in turn and, within a word, for each cluster z ascending, written
- * to out_w (w) and out_nz (the count wz[w][z]). Word w's entries are
+ * to out_w (w) and out_nz (the count, from w's table). Word w's entries are
  * documents col_doc[col_ptr[w]:col_ptr[w + 1]] with their counts col_count
  * at the same positions; an entry of a detached document (assignment -1) or
  * of count 0 occupies no cell, and a cell two entries share is listed once.
- * seen is zeroed work space with a bit for every cluster an assignment
- * names; a call that succeeds leaves it zeroed. Returns the number of cells
- * (at most n_entries), or -1 when the index points outside its entries or
- * the documents. */
-int64_t dmm_cells(const int32_t *wz, int64_t kmax, const int64_t *assign,
-                  int64_t n_docs, const int64_t *col_ptr, int64_t n_words,
+ * Every assignment and every cell's cluster is below k, k_active. seen is
+ * zeroed work space with a bit for every cluster below k, and by_z zeroed
+ * work space of 1 + kmax counts: a word's table is
+ * scattered into by_z + 1 (a free slot into by_z[0]) to read its counts
+ * from, and cleared after. A call that succeeds leaves both zeroed. Returns
+ * the number of cells (at most n_entries), or -1 when the index points
+ * outside its entries or the documents. */
+int64_t dmm_cells(const int64_t *ptr, Cell *cell, int64_t k,
+                  const int64_t *assign, int64_t n_docs,
+                  const int64_t *col_ptr, int64_t n_words,
                   const int64_t *col_doc, const int32_t *col_count,
-                  int64_t n_entries, uint64_t *seen, int64_t *out_w,
-                  int32_t *out_nz)
+                  int64_t n_entries, uint64_t *seen, int32_t *by_z,
+                  int64_t *out_w, int32_t *out_nz)
 {
+    int32_t *count_of = by_z + 1;
     int64_t nc = 0;
     for (int64_t w = 0; w < n_words; w++) {
         const int64_t lo = col_ptr[w], hi = col_ptr[w + 1];
@@ -721,18 +854,35 @@ int64_t dmm_cells(const int32_t *wz, int64_t kmax, const int64_t *assign,
             first = (z >> 6) < first ? z >> 6 : first;
             last = (z >> 6) > last ? z >> 6 : last;
         }
+        if (last < 0)
+            continue;
+        const int64_t end = ptr[w] + span(ptr, w, k);
+        for (int64_t t = ptr[w]; t < end; t++)
+            count_of[cell[t].z] = cell[t].n;
         for (int64_t b = first; b <= last; b++) {
             for (uint64_t r = seen[b]; r; r &= r - 1) {
                 out_w[nc] = w;
-                out_nz[nc++] = (int32_t)(64 * b + LOWEST(r));  /* z, for now */
+                out_nz[nc++] = count_of[64 * b + LOWEST(r)];
             }
             seen[b] = 0;
         }
+        for (int64_t t = ptr[w]; t < end; t++)
+            count_of[cell[t].z] = 0;
     }
-    /* The counts, in a pass of their own: its reads, scattered over wz, do
-     * not wait on each other, where in the loop above every mispredicted
-     * loop exit would throw away the ones in flight. */
-    for (int64_t c = 0; c < nc; c++)
-        out_nz[c] = wz[out_w[c] * kmax + out_nz[c]];
     return nc;
+}
+
+/* Add counts[i] to the count of word words[i] in cluster clusters[i], for
+ * each i < len in turn: model.ModelState.add_counts in C, which checks the
+ * ids. Returns DONE, or FULL at the first full table, with the counts
+ * before it added. */
+int64_t dmm_add(const int64_t *ptr, Cell *cell, int64_t kmax,
+                const int64_t *words, const int64_t *clusters,
+                const int32_t *counts, int64_t len)
+{
+    Model s = {.ptr = ptr, .cell = cell, .kmax = kmax};
+    for (int64_t i = 0; i < len; i++)
+        if (add(&s, words[i], clusters[i], counts[i]) != DONE)
+            return FULL;
+    return DONE;
 }

@@ -209,7 +209,7 @@ class Corpus:
         Each entry is (distinct_words, distinct_counts, word_rep, occ_offset,
         total_len) where word_rep repeats each word id once per occurrence and
         occ_offset is 0, 1, ... within the repeats of one word. Counts are
-        int32, the dtype of the model's count matrix, so adding and removing
+        int32, the dtype of the model's counts, so adding and removing
         a document never casts.
 
         Each document's entry holds slices (views) of token_csr's arrays.
@@ -258,10 +258,18 @@ class TokenCSR:
 
     @cached_property
     def tok_ptr(self) -> np.ndarray:
-        # the token total before each row; unlike reduceat, rows may be empty
-        ends = np.zeros(len(self.counts) + 1, dtype=np.int64)
-        np.cumsum(self.counts, dtype=np.int64, out=ends[1:])
-        return ends[self.word_ptr]
+        # the token total before each row, from the rows' sums. reduceat
+        # over the non-empty rows alone sums each up to the next non-empty
+        # row's start, its own end, so an empty row reads 0
+        sizes = np.diff(self.word_ptr)
+        sums = np.zeros(len(sizes), dtype=np.int64)
+        full = sizes > 0
+        if full.any():
+            sums[full] = np.add.reduceat(self.counts, self.word_ptr[:-1][full],
+                                         dtype=np.int64)
+        ptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sums, out=ptr[1:])
+        return ptr
 
     @cached_property
     def word_rep(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCluster, KRealOutOfRange, ZeroNorm
-from .model import ModelState, _distinct_sorted, _nonzero_cells
+from .model import ModelState, _distinct_sorted
 
 __all__ = [
     "TfIcfVector",
@@ -43,7 +43,7 @@ MergeLog = list  # ordered (a, b, similarity) tuples
 def compute_icf(state: ModelState) -> np.ndarray:
     """Inverse cluster frequency per word: 1 + log((1 + K) / (1 + cf)),
     natural log, where cf counts active clusters containing the word."""
-    return _icf(np.bincount(_nonzero_cells(state)[0], minlength=state.V),
+    return _icf(np.bincount(state._cells()[0], minlength=state.V),
                 state.k_active)
 
 
@@ -55,9 +55,8 @@ def tficf_vector(state: ModelState, z: int, icf: np.ndarray) -> TfIcfVector:
     total = int(state.n[z])
     if total == 0:
         raise EmptyCluster(f"cluster {z} has no tokens")
-    row = state.wz[:, z]
-    ids = np.flatnonzero(row)
-    x = row[ids] / total * icf[ids]
+    ids, counts = state.cluster_cells(z)
+    x = counts / total * icf[ids]
     return TfIcfVector(weights=dict(zip(ids.tolist(), x.tolist())), norm=_norm(x))
 
 
@@ -83,7 +82,7 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
     0..k_real-1 in surviving-id order. Returns the ordered merge log with
     pre-compaction ids.
 
-    The count matrix is scanned once, for the nonzero cells; after that
+    The count tables are scanned once, for the nonzero cells; after that
     each cluster is its list of words, and a merge folds only the merged
     cluster's cells into the survivor (ModelState.fold). One matrix
     product approximates every pair's cosine, over the words in two or
@@ -108,7 +107,7 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
         raise EmptyCluster(f"cluster {int(empty[0])} has no tokens")
 
     # the nonzero cells, word-major, so that words ascend in each cluster
-    rows, cols, nz = _nonzero_cells(state)
+    rows, cols, nz = state._cells()
     cf = np.bincount(rows, minlength=state.V)
     icf = _icf(cf, k)
     x = nz / state.n[cols] * icf[rows]
@@ -156,7 +155,7 @@ def merge_to_k(state: ModelState, k_real: int) -> MergeLog:
         state.fold(b, a, cells[b])
         alive[b] = False
         cells[a] = words = _distinct_sorted(np.concatenate((cells[a], cells[b])))
-        xs[a] = state.wz[words, a] / state.n[a] * icf[words]
+        xs[a] = state.counts_of(words, a) / state.n[a] * icf[words]
         norms[a] = _norm(xs[a])
         vectors.pop(a, None)
         vectors.pop(b, None)

@@ -8,18 +8,21 @@ per-word entropy value, comes from weights.pseudocounts(V) with its total.
 All evaluation is in log space; the z-constant denominator D - 1 + K*alpha
 is omitted from scores and only reappears in the standalone prior factor.
 
-Per-word counts are stored word-major, one (V, k_max) int32 matrix, so the
-counts of one word across all clusters are a contiguous row. Every empty
-cluster has the same conditional, so the kernel scores the occupied
-clusters plus one representative empty cluster and spreads that score over
-the rest (the smoothing-only bucket of SparseLDA, Yao, Mimno & McCallum,
-KDD 2009): per document the work scales with the live cluster count, not
-with k_max. For a large k_max the compiled kernel takes that rule one step
-further, for every document of the call: a cluster that shares no word
-with the document has a score that depends on its (m, n) alone, so it
-scores one cluster per distinct (m, n) and reads counts only where
-per-word occupancy bitmaps say they are non-zero; the representative empty
-cluster is then the (0, 0) case of that rule.
+Per-word counts are stored per word, in space bounded by the corpus: each
+word has one open-addressing table of (cluster, count) cells, sized once
+for the run from the number of documents holding the word (see
+ModelState), so the state takes O(entries + V + k_max) memory, not
+O(V x k_max). Every empty cluster has the same conditional, so the kernel
+scores the occupied clusters plus one representative empty cluster and
+spreads that score over the rest (the smoothing-only bucket of SparseLDA,
+Yao, Mimno & McCallum, KDD 2009): per document the work scales with the
+live cluster count, not with k_max. When a call starts with many active
+clusters the compiled kernel takes that rule one step further, for every
+document of the call: a cluster that shares no word with the document has
+a score that depends on its (m, n) alone, so it scores one cluster per
+distinct (m, n), and finds the clusters that share a word by walking the
+tables of the document's words; the representative empty cluster is then
+the (0, 0) case of that rule.
 
 The numpy kernels here are the reference; cluster_log_scores takes the
 arguments of the compiled Kernel.log_scores. Sampling runs the compiled
@@ -106,49 +109,80 @@ WeightingScheme = Union[UniformBeta, EntropyTable]
 
 def check_token_total(tokens: int) -> None:
     """A per-word count can reach the corpus token total, so a total beyond
-    int32, the dtype of the count matrix, is refused up front."""
+    int32, the dtype of the counts, is refused up front."""
     if tokens > np.iinfo(np.int32).max:
         raise ConfigError(
-            f"corpus has {tokens} tokens; the int32 count matrix holds "
+            f"corpus has {tokens} tokens; the int32 counts hold "
             f"at most {np.iinfo(np.int32).max}"
         )
+
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 class ModelState:
     """Mutable sufficient statistics: the sole object the sampler writes.
 
     Clusters live in slots [0, k_active) of fixed-capacity arrays. m[z] is
-    the document count, n[z] the token count, wz[w, z] the per-word token
-    count, stored word-major as int32; nzw is its cluster-major (k_max, V)
-    view. Cluster membership lives only in the assignment array. Pruning
-    and merging move one cluster into another with fold, which relabels
-    the moved cluster's documents by scanning it. The sizes D, V and k_max
-    are read from the arrays.
+    the document count and n[z] the token count. Cluster membership lives
+    only in the assignment array. Pruning and merging move one cluster into
+    another with fold, which relabels the moved cluster's documents by
+    scanning it. The sizes D, V and k_max are read from the arrays.
+
+    The per-word token counts are stored per word, in space bounded by the
+    corpus: word w's nonzero counts are (cluster, count) cells of an
+    open-addressing table, rows cell_ptr[w]:cell_ptr[w + 1] of table, an
+    (S, 2) int32 array whose columns cell_z and cell_n hold each slot's
+    cluster (-1 for a free slot) and count (0 in a free slot). A word in
+    df_w documents occupies at most min(df_w, k_max) clusters, and its
+    table's capacity is the first power of two at or above
+    min(2 df_w, k_max): at least half of the table stays free, or every
+    cluster has a slot of its own; no table is ever rehashed. A cell lives
+    at the first slot of its probe run from its home slot,
+    cluster & (capacity - 1), that holds it (linear probing); a cell whose
+    count reaches 0 leaves its table by backward-shift deletion, so no slot
+    is ever marked deleted. The compiled kernel (_sweep.c) keeps the same
+    tables with the same operations. wz, the dense (V, k_max) matrix, and
+    nzw, its (k_max, V) transpose, are derived read-only views for tests
+    and oracles; nothing on the run path builds them.
     """
 
     def __init__(self, n_docs: int, vocab_size: int, k_max: int, alpha: float,
-                 k_active: int | None = None):
-        if k_max < 1:
-            raise ValueError(f"k_max must be >= 1, got {k_max}")
+                 k_active: int | None = None, doc_freq=None):
+        """doc_freq, when given, is the number of documents of the counted
+        corpus that hold each word, which bounds the clusters it can
+        occupy; without it every word's table has room for all k_max."""
+        if not 1 <= k_max <= _INT32_MAX:
+            raise ValueError(f"k_max must be in [1, {_INT32_MAX}], got {k_max}")
         if alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {alpha}")
         self.k_active = k_max if k_active is None else k_active
         self.alpha = float(alpha)
         self.m = np.zeros(k_max, dtype=np.int64)
         self.n = np.zeros(k_max, dtype=np.int64)
-        self.wz = np.zeros((vocab_size, k_max), dtype=np.int32)
         self.assignments = np.full(n_docs, -1, dtype=np.int64)
+        self.cell_ptr = _table_offsets(vocab_size, k_max, doc_freq)
+        self.table = np.zeros((int(self.cell_ptr[-1]), 2), dtype=np.int32)
+        self.cell_z[:] = -1
 
     @classmethod
     def for_corpus(cls, corpus: Corpus, k_max: int, alpha: float) -> "ModelState":
         """Empty state sized for a corpus; see check_token_total. A size
         whose arrays cannot be allocated is a ConfigError naming it."""
-        check_token_total(int(corpus.token_csr.tok_ptr[-1]))
+        csr = corpus.token_csr
+        check_token_total(int(csr.tok_ptr[-1]))
         v = corpus.vocabulary.size
-        need = k_max * (4 * v + 16) + 8 * len(corpus)  # wz, m and n, assignments
+        doc_freq = np.bincount(csr.words, minlength=v)
+        slots = int(_table_capacities(doc_freq, k_max).sum())
+        # m and n, assignments, the table offsets, then the table
+        need = 16 * k_max + 8 * len(corpus) + 8 * (v + 1) + 8 * slots
         if need <= np.iinfo(np.intp).max:  # numpy refuses larger outright
+            if k_max > _INT32_MAX:
+                raise ConfigError(f"k_max={k_max} over V={v} words: the int32 "
+                                  f"count tables name at most {_INT32_MAX} "
+                                  "clusters")
             try:
-                return cls(len(corpus), v, k_max, alpha)
+                return cls(len(corpus), v, k_max, alpha, doc_freq=doc_freq)
             except MemoryError:
                 pass
         raise ConfigError(f"k_max={k_max} over V={v} words needs {need} bytes "
@@ -160,16 +194,37 @@ class ModelState:
 
     @property
     def V(self) -> int:
-        return self.wz.shape[0]
+        return len(self.cell_ptr) - 1
 
     @property
     def k_max(self) -> int:
-        return self.wz.shape[1]
+        return len(self.m)
+
+    @property
+    def cell_z(self) -> np.ndarray:
+        """Each slot's cluster, -1 when free: a view of table."""
+        return self.table[:, 0]
+
+    @property
+    def cell_n(self) -> np.ndarray:
+        """Each slot's count, 0 when free: a view of table."""
+        return self.table[:, 1]
+
+    @property
+    def wz(self) -> np.ndarray:
+        """The counts as a dense word-major (V, k_max) int32 matrix, built
+        from the tables on every read and read-only: for tests and
+        oracles, never the run path."""
+        words, clusters, counts = self._cells()
+        wz = np.zeros((self.V, self.k_max), dtype=np.int32)
+        wz[words, clusters] = counts
+        wz.flags.writeable = False
+        return wz
 
     @property
     def nzw(self) -> np.ndarray:
-        """Cluster-major (k_max, V) view of the word-major counts. The
-        package reads wz; perfbench still reads this (ROADMAP item 1)."""
+        """wz's cluster-major (k_max, V) transpose; perfbench reads it
+        (ROADMAP item 1)."""
         return self.wz.T
 
     def copy(self) -> "ModelState":
@@ -177,15 +232,85 @@ class ModelState:
         dup.k_active, dup.alpha = self.k_active, self.alpha
         dup.m = self.m.copy()
         dup.n = self.n.copy()
-        dup.wz = self.wz.copy()
         dup.assignments = self.assignments.copy()
+        dup.cell_ptr = self.cell_ptr  # read-only
+        dup.table = self.table.copy()
         return dup
+
+    def counts_of(self, words, clusters) -> np.ndarray:
+        """The counts (int32) of words in clusters, elementwise (a scalar
+        broadcasts); 0 where a word has no cell."""
+        words, clusters = (a.ravel() for a in np.broadcast_arrays(
+            np.asarray(words, dtype=np.int64), np.asarray(clusters, dtype=np.int64)))
+        slots = self._probe(words, clusters)
+        return np.where(slots >= 0, self.cell_n[slots], 0).astype(np.int32)
+
+    def cluster_cells(self, z: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cluster z's nonzero counts as (words ascending, counts), from one
+        scan of the tables."""
+        slots = np.flatnonzero(self.cell_z == z)
+        return self._slot_words(slots), self.cell_n[slots]
+
+    def add_counts(self, words, clusters, counts) -> None:
+        """Add counts[i] to the count of word words[i] in cluster
+        clusters[i] (a scalar broadcasts); a pair given twice adds twice.
+        Word ids must lie in [0, V) and clusters in [0, k_max). A new cell
+        goes to the free slot that ends its probe run, and a cell whose
+        count reaches 0 leaves its table. In C (Kernel.add) when the kernel
+        can be built, else in numpy (_add_counts)."""
+        words, clusters, counts = (np.ravel(a) for a in np.broadcast_arrays(
+            *(np.asarray(a, dtype=np.int64) for a in (words, clusters)), counts))
+        if len(words) and not (
+                0 <= words.min() <= words.max() < self.V
+                and 0 <= clusters.min() <= clusters.max() < self.k_max):
+            raise ValueError(f"word ids must lie in [0, {self.V}) and "
+                             f"clusters in [0, {self.k_max})")
+        kernel = _native.kernel()
+        if kernel is None:
+            self._add_counts(words, clusters, counts.astype(np.int64))
+        else:
+            kernel.add(self, words, clusters, counts)
+
+    def _add_counts(self, words, clusters, counts) -> None:
+        """The reference for Kernel.add, with add_counts' arguments as int64
+        arrays of one length. All cells step together: a cell already in
+        its word's table takes the count, and a new one goes to the free
+        slot that ends its probe run, one new cell per free slot per round
+        when two of a table's new cells probe the same slot. Cells whose
+        counts ended at 0 then leave their tables. The tables may order a
+        probe run's cells otherwise than Kernel.add's one-by-one changes
+        do, and hold the same counts."""
+        todo = np.flatnonzero(counts)
+        zeroed = []
+        claim = None
+        while len(todo):
+            slots = self._probe(words[todo], clusters[todo])
+            if (slots < 0).any():
+                w = int(words[todo[np.argmax(slots < 0)]])
+                raise ValueError(f"the count table of word {w} is full: the "
+                                 "state was sized for another corpus")
+            hit = self.cell_z[slots] >= 0
+            at = slots[hit]
+            np.add.at(self.cell_n, at, counts[todo[hit]])
+            zeroed.append(at[self.cell_n[at] == 0])
+            new, at = todo[~hit], slots[~hit]
+            if claim is None:
+                claim = np.empty(len(self.table), dtype=np.int64)
+            claim[at] = new  # of new cells probing one free slot, one wins
+            won = claim[at] == new
+            self.cell_z[at[won]] = clusters[new[won]]
+            self.cell_n[at[won]] = counts[new[won]]
+            todo = new[~won]  # the others probe again, past the winner
+        gone = np.unique(np.concatenate(zeroed)) if zeroed else ()
+        if len(gone):
+            gone = gone[self.cell_n[gone] == 0]
+            self._drop(self._slot_words(gone), self.cell_z[gone].astype(np.int64))
 
     def add_doc(self, d: int, words: np.ndarray, counts: np.ndarray,
                 total: int, z: int) -> None:
         self.m[z] += 1
         self.n[z] += total
-        self.wz[:, z][words] += counts
+        self.add_counts(words, z, counts)
         self.assignments[d] = z
 
     def add_docs(self, csr, docs, clusters) -> None:
@@ -198,10 +323,12 @@ class ModelState:
         of_doc = np.full(len(csr.word_ptr) - 1, -1, dtype=np.int64)
         of_doc[docs] = clusters
         word_z = np.repeat(of_doc, np.diff(csr.word_ptr))
-        joined = word_z >= 0
-        np.add.at(self.wz.reshape(-1),
-                  csr.words[joined] * self.k_max + word_z[joined],
-                  csr.counts[joined])
+        if len(docs) == len(of_doc):  # every document joins
+            self.add_counts(csr.words, word_z, csr.counts)
+        else:
+            joined = word_z >= 0
+            self.add_counts(csr.words[joined], word_z[joined],
+                            csr.counts[joined])
         self.assignments[docs] = clusters
 
     def remove_doc(self, d: int, words: np.ndarray, counts: np.ndarray,
@@ -211,7 +338,7 @@ class ModelState:
         z = int(self.assignments[d])
         self.m[z] -= 1
         self.n[z] -= total
-        self.wz[:, z][words] -= counts
+        self.add_counts(words, z, -np.asarray(counts, dtype=np.int64))
         self.assignments[d] = -1
         return z
 
@@ -219,11 +346,16 @@ class ModelState:
         """Move cluster src into cluster dst and leave src empty: its
         document, token and word counts add into dst's, and its documents
         are relabeled dst by one scan of the assignments. words, distinct
-        word ids, must hold every word src has a count for; None means all
-        V words. O(D + len(words)), or O(D + V) for None."""
-        at = slice(None) if words is None else words
-        self.wz[at, dst] += self.wz[at, src]
-        self.wz[at, src] = 0
+        word ids, must hold every word src has a count for; None finds
+        them by a scan of the tables. O(D + len(words)), or O(D + store)
+        for None."""
+        if words is None:
+            words = self.cluster_cells(src)[0]
+        moved = self.counts_of(words, src)
+        words, moved = np.asarray(words)[moved != 0], moved[moved != 0]
+        self.add_counts(np.concatenate((words, words)),
+                        np.repeat([src, dst], len(words)),
+                        np.concatenate((-moved, moved)))
         self.m[dst] += self.m[src]
         self.n[dst] += self.n[src]
         self.m[src] = 0
@@ -232,7 +364,7 @@ class ModelState:
 
     def deactivate_cluster(self, z: int) -> None:
         """Remove an emptied cluster and keep indices contiguous by folding
-        the last active cluster into its slot. O(V + D)."""
+        the last active cluster into its slot. O(store + D)."""
         if self.m[z] != 0 or self.n[z] != 0:
             raise InactiveCluster(f"cluster {z} is not empty")
         last = self.k_active - 1
@@ -244,12 +376,24 @@ class ModelState:
         return int(np.count_nonzero(self.m[: self.k_active]))
 
     def validate(self, require_nonempty: bool = False) -> None:
-        """Exact integer consistency checks; raises AssertionError on drift."""
+        """Exact integer consistency checks, in O(store + D + k_max);
+        raises AssertionError on drift."""
         k = self.k_active
         assert int(self.m[:k].sum()) == self.D, "sum(m) != D"
-        assert (self.wz[:, :k].sum(axis=0) == self.n[:k]).all(), "n != sum(wz)"
         assert (self.m[k:] == 0).all() and (self.n[k:] == 0).all()
-        assert (self.wz >= 0).all() and (self.m >= 0).all()
+        assert (self.m >= 0).all()
+        slots = np.flatnonzero(self.cell_z >= 0)
+        clusters = self.cell_z[slots].astype(np.int64)
+        counts = self.cell_n[slots]
+        assert (clusters < k).all(), "count cell outside the active clusters"
+        assert (counts > 0).all(), "count cell that is not positive"
+        assert not self.cell_n[self.cell_z < 0].any(), "free slot with a count"
+        assert (np.bincount(clusters, weights=counts, minlength=k)
+                == self.n[:k]).all(), "n != sum of counts"
+        # each cell is the first its probe finds: reachable from its home
+        # slot, and the only one of its cluster in its table
+        assert (self._probe(self._slot_words(slots), clusters) == slots).all(), \
+            "count cell off its probe run"
         active = self.assignments[self.assignments >= 0]
         assert (active < k).all(), "assignment outside active range"
         assert (np.bincount(active, minlength=k)[:k] == self.m[:k]).all(), \
@@ -260,6 +404,95 @@ class ModelState:
     def _check_active(self, z: int) -> None:
         if not 0 <= z < self.k_active:
             raise InactiveCluster(f"cluster {z} not in [0, {self.k_active})")
+
+    # -- the tables, in numpy; _sweep.c's slot_of, add and drop ---------
+
+    def _slot_words(self, slots: np.ndarray) -> np.ndarray:
+        """The word whose table holds each slot."""
+        return np.searchsorted(self.cell_ptr, slots, side="right") - 1
+
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every cell as (words, clusters, counts), in slot order: words
+        ascending, clusters in table order within a word."""
+        slots = np.flatnonzero(self.cell_z >= 0)
+        return self._slot_words(slots), self.cell_z[slots], self.cell_n[slots]
+
+    def _probe(self, words: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+        """The slot of each cell (words[i], clusters[i]): the one holding it,
+        or the free slot that ends its probe run, where it would go; -1 for
+        a full table without it. All cells step together, one slot a
+        round."""
+        lo = self.cell_ptr[words]
+        mask = self.cell_ptr[words + 1] - lo - 1
+        at = clusters & mask
+        found = np.full(len(words), -1, dtype=np.int64)
+        todo = np.arange(len(words))
+        for _ in range(int(mask.max(initial=0)) + 1):
+            slots = lo[todo] + at[todo]
+            key = self.cell_z[slots]
+            done = (key < 0) | (key == clusters[todo])
+            found[todo[done]] = slots[done]
+            todo = todo[~done]
+            if not len(todo):
+                break
+            at[todo] = (at[todo] + 1) & mask[todo]
+        return found
+
+    def _drop(self, words: np.ndarray, clusters: np.ndarray) -> None:
+        """Free the cells (words[i], clusters[i]), each in its table, by
+        backward-shift deletion: each later cell of the probe run that may
+        move into the hole (its home is not cyclically after the hole) does,
+        and the hole moves to where it was. One cell per table at a time,
+        so tables holding several go in rounds."""
+        while len(words):
+            first = np.zeros(len(words), dtype=bool)
+            first[np.unique(words, return_index=True)[1]] = True
+            w = words[first]
+            slots = self._probe(w, clusters[first])
+            w, slots = w[slots >= 0], slots[slots >= 0]
+            lo = self.cell_ptr[w]
+            mask = self.cell_ptr[w + 1] - lo - 1
+            hole = slots - lo
+            j = (hole + 1) & mask
+            todo = np.flatnonzero(mask > 0)
+            for step in range(int(mask.max(initial=0))):
+                key = self.cell_z[lo[todo] + j[todo]].astype(np.int64)
+                run = (key >= 0) & (step < mask[todo])  # never past the hole
+                todo, key = todo[run], key[run]
+                if not len(todo):
+                    break
+                jt, mt = j[todo], mask[todo]
+                move = ((jt - (key & mt)) & mt) >= ((jt - hole[todo]) & mt)
+                t = todo[move]
+                self.cell_z[lo[t] + hole[t]] = self.cell_z[lo[t] + j[t]]
+                self.cell_n[lo[t] + hole[t]] = self.cell_n[lo[t] + j[t]]
+                hole[t] = j[t]
+                j[todo] = (j[todo] + 1) & mask[todo]
+            self.cell_z[lo + hole] = -1
+            self.cell_n[lo + hole] = 0
+            words, clusters = words[~first], clusters[~first]
+
+
+def _table_capacities(doc_freq, k_max: int) -> np.ndarray:
+    """Each word's table capacity: the first power of two at or above
+    min(2 * df, k_max), so 1 for a word in no document. Below k_max a table
+    has room for twice the clusters its df documents can occupy; at k_max
+    every cluster has a slot of its own, its home, so no two cells ever
+    compete for one and no more room is needed."""
+    need = np.minimum(2 * np.asarray(doc_freq, dtype=np.int64), k_max)
+    return np.left_shift(1, np.frexp(np.maximum(need - 1, 0))[1].astype(np.int64))
+
+
+def _table_offsets(v: int, k_max: int, doc_freq) -> np.ndarray:
+    """cell_ptr: the read-only offsets of the v words' tables."""
+    caps = _table_capacities(np.full(v, k_max) if doc_freq is None
+                             else doc_freq, k_max)
+    if caps.shape != (v,):
+        raise ValueError(f"doc_freq covers {len(caps)} words, state has {v}")
+    ptr = np.zeros(v + 1, dtype=np.int64)
+    np.cumsum(caps, out=ptr[1:])
+    ptr.flags.writeable = False
+    return ptr
 
 
 def prior_cluster_factor(state: ModelState, z: int, excluding_doc: int) -> float:
@@ -341,7 +574,7 @@ def _slot_log_scores(state, word_rep, offsets, ctot, slots):
         # (slots x words) in column-major order: numpy then sums each row
         # word by word, the order a dense cluster-major gather
         # (nzw[:, word_rep]) sums in, whichever slots are scored
-        counts = state.wz.take(word_rep, axis=0).take(slots, axis=1).T
+        counts = _token_rows(state, word_rep).take(slots, axis=1).T
         scores = scores + np.log(counts + offsets[None, :]).sum(axis=1)
         scores -= np.log(state.n[slots][:, None] + ctot + np.arange(
             len(word_rep), dtype=np.float64)[None, :]).sum(axis=1)
@@ -352,6 +585,22 @@ def _slot_log_scores(state, word_rep, offsets, ctot, slots):
             "check that all pseudo-counts are strictly positive"
         )
     return scores
+
+
+def _token_rows(state: ModelState, word_rep: np.ndarray) -> np.ndarray:
+    """The counts of each token's word in the active clusters, a C-ordered
+    (tokens, k_active) int32 block scattered from the words' tables."""
+    lo = state.cell_ptr[word_rep]
+    caps = state.cell_ptr[word_rep + 1] - lo
+    ends = np.cumsum(caps)
+    slots = np.arange(int(ends[-1]) if len(ends) else 0) \
+        + np.repeat(lo - ends + caps, caps)
+    row = np.repeat(np.arange(len(word_rep)), caps)
+    z = state.cell_z[slots]
+    taken = z >= 0
+    block = np.zeros((len(word_rep), state.k_active), dtype=np.int32)
+    block[row[taken], z[taken]] = state.cell_n[slots[taken]]
+    return block
 
 
 def doc_cluster_log_score(
@@ -371,13 +620,14 @@ def doc_cluster_log_score(
     score = -math.inf if state.m[z] == 0 and state.alpha == 0 else \
         math.log(state.m[z] + state.alpha)
     for w, c in doc.counts.items():
-        base = state.wz[w, z] + cw[w]
+        count = int(state.counts_of(w, z)[0])
+        base = count + cw[w]
         for j in range(c):
             arg = base + j
             if arg <= 0:
                 raise NonFiniteScore(
                     f"word {w}: log argument {arg} <= 0 (pseudo-count "
-                    f"{cw[w]}, count {state.wz[w, z]})"
+                    f"{cw[w]}, count {count})"
                 )
             score += math.log(arg)
     for i in range(doc.total_len):
@@ -440,13 +690,13 @@ def word_entropy(
 
     Given the corpus arrays the state counts (csr, a TokenCSR), the nonzero
     cells are found from the corpus: they are the cells (w, assignments[d])
-    of the attached documents' entries, so finding them costs O(entries),
-    not a scan of the V x k count matrix. A detached document (assignment
-    -1) adds none. The compiled Kernel.cells lists them when the kernel can
-    be built, and _occupied_cells, its numpy reference, otherwise. Without
-    csr the matrix is scanned. All three give the same cells in the same
-    order, and the arithmetic on them is numpy's on every path, so the
-    table is the same to the last bit.
+    of the attached documents' entries, so finding them costs O(entries).
+    A detached document (assignment -1) adds none. The compiled
+    Kernel.cells lists them when the kernel can be built, and
+    _occupied_cells, its numpy reference, otherwise. Without csr the count
+    tables are scanned. All three give the same cells in the same order,
+    and the arithmetic on them is numpy's on every path, so the table is
+    the same to the last bit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -473,11 +723,14 @@ def word_entropy(
         h -= np.bincount(words, weights=p * np.log(p), minlength=state.V)
         top = math.log(k)
         # a word with equal counts everywhere is exactly uniform after
-        # smoothing; pin it to the exact maximum instead of 1 +/- ulps
+        # smoothing; pin it to the exact maximum instead of 1 +/- ulps.
+        # Each word's cells are a run of the listing, a full word's k long
         uniform = nnz == 0
         full = np.flatnonzero(nnz == k)
-        spread = state.wz[full, :k]
-        uniform[full] = spread.min(axis=1) == spread.max(axis=1)
+        if len(full):
+            first = np.searchsorted(words, full)
+            spread = nz[first[:, None] + np.arange(k)]
+            uniform[full] = spread.min(axis=1) == spread.max(axis=1)
         uniform = np.flatnonzero(uniform)  # indexes faster than the mask
         h[uniform] = top
         np.clip(h, None, top, out=h)
@@ -488,12 +741,11 @@ def word_entropy(
 
 
 def _nonzero_cells(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero counts of the active clusters, from one scan of the
-    count matrix, as (words, clusters, counts): word-major, with clusters
-    ascending within a word."""
-    counts = state.wz[:, :state.k_active]
-    words, clusters = np.divmod(np.flatnonzero(counts != 0), state.k_active)
-    return words, clusters, counts[words, clusters]
+    """The nonzero counts, from one scan of the count tables, as (words,
+    clusters, counts): word-major, with clusters ascending within a word."""
+    words, clusters, counts = state._cells()
+    order = np.argsort(words * state.k_max + clusters)
+    return words[order], clusters[order].astype(np.int64), counts[order]
 
 
 def _occupied_cells(state: ModelState, csr: TokenCSR
@@ -506,7 +758,7 @@ def _occupied_cells(state: ModelState, csr: TokenCSR
     attached = z >= 0
     flat = _distinct_sorted(csr.words[attached] * k + z[attached])
     words = flat // k
-    nz = state.wz[words, flat - words * k]
+    nz = state.counts_of(words, flat - words * k)
     occupied = nz != 0  # an entry with count 0 occupies no cell
     return words[occupied], nz[occupied]
 
@@ -527,7 +779,9 @@ def posterior_phi(state: ModelState, z: int, beta: float) -> np.ndarray:
     state._check_active(z)
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    row = state.wz[:, z].astype(np.float64)
+    words, counts = state.cluster_cells(z)
+    row = np.zeros(state.V, dtype=np.float64)
+    row[words] = counts
     return (row + beta) / (state.n[z] + state.V * beta)
 
 

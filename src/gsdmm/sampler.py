@@ -22,7 +22,7 @@ here, which takes the kernel's arguments and which the tests hold the
 kernel to: identical assignments and counts, scores within 1e-9; both draw
 from exp(score - max) with the same arithmetic. A refresh finds the
 occupied count cells from the corpus arrays, not by scanning the count
-matrix, in C when the kernel is built (see word_entropy); its arithmetic
+tables, in C when the kernel is built (see word_entropy); its arithmetic
 and merging stay in numpy on both paths.
 """
 

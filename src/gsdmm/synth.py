@@ -157,7 +157,9 @@ def oracle_delta_ratio(
     c, _ = weights.pseudocounts(state.V)
     if c.min() <= 0:
         raise NonPositiveArgument("pseudo-count vector must be positive")
-    without = state.wz[:, z].astype(np.float64) + c
+    words, counts = state.cluster_cells(z)
+    without = c.astype(np.float64)  # a copy
+    without[words] += counts
     with_doc = without.copy()
     for w, cnt in doc.counts.items():
         with_doc[w] += cnt

@@ -42,7 +42,8 @@ def make_state(m_counts, nzw, alpha, k_max=None, n_docs=None) -> ModelState:
     state = ModelState(d_total, nzw.shape[1], k_max or k, alpha, k_active=k)
     state.m[:k] = m
     state.n[:k] = nzw.sum(axis=1)
-    state.nzw[:k] = nzw
+    clusters, words = np.nonzero(nzw)
+    state.add_counts(words, clusters, nzw[clusters, words])
     assignments = np.repeat(np.arange(k), m)
     state.assignments[: len(assignments)] = assignments
     return state

@@ -1,14 +1,17 @@
-"""The cluster command's output files, pinned by SHA-256 digest.
+"""The cluster command's output files, and the eval and topwords output
+of each run, pinned by SHA-256 digest.
 
 Each case runs cli.main in-process on one small synthetic archive, three
 ways: on the compiled kernel as shipped, on the compiled kernel in its other
 scoring mode (dense where the shipped call scores sparse, and the reverse),
 and on the numpy reference. All three must write the pinned files, so a
 change to the sampler, the kernel or the output formats that moves any
-byte of a run shows here. summary.json is digested with its wall time set
-to 0. The digests also depend on numpy's generator streams and on the
-log and exp of numpy and libm, so a mismatch names the numpy version and
-the C compiler.
+byte of a run shows here. eval scores the run's assignments against the
+archive's gold labels and topwords lists each cluster's 5 top words, so
+the pins also cover the evaluation and the word counts top_words reads.
+summary.json is digested with its wall time set to 0. The digests also
+depend on numpy's generator streams and on the log and exp of numpy and
+libm, so a mismatch names the numpy version and the C compiler.
 """
 
 import hashlib
@@ -33,10 +36,13 @@ CASES = {
                          "--no-entropy-norm", "--entropy-refreshes", 3],
 }
 K_MAX = (20, 200)
-FILES = ("assignments.csv", "trace.csv", "mergelog.csv", "summary.json")
+FILES = ("assignments.csv", "trace.csv", "mergelog.csv", "summary.json",
+         "eval.json", "topwords.tsv")
 
 # (case, k_max) -> file -> digest; the files a case does not write (gsdmm
-# writes no mergelog.csv) are absent
+# writes no mergelog.csv) are absent. The eval.json and topwords.tsv pins
+# were taken before the count store moved from a dense matrix to per-word
+# tables, which gave top_words a new source
 PINS = {
     ('gsdmm-alpha0', 20): {
         'assignments.csv':
@@ -45,6 +51,10 @@ PINS = {
             '9e5f25aa0530c8541042bc58e193ab1ca7d6e3b280ee0c3a24e50f7061783bc8',
         'summary.json':
             '8ae948d9f53dcdba4da2f941c4b059bda9ef8547da28d9de836076d149f2c141',
+        'eval.json':
+            '83b8ef172e31730cd61a0ddcf369d2376c070074e55340629693941c246e8383',
+        'topwords.tsv':
+            'aa99b941890a908e4c8c57375d2f4c71022eb362797a9231f14fe0cd1ddb1b70',
     },
     ('gsdmm-alpha0', 200): {
         'assignments.csv':
@@ -53,6 +63,10 @@ PINS = {
             'ceecafbdb585c4c7c2c2a275255f171050fd0dddc9f54d9f9702a20fe85ac4cf',
         'summary.json':
             '19bdca62f2b36b3a42e937af0be3df4122fcf0d17af48eb7436dcf8c3bc44936',
+        'eval.json':
+            '49931248e5ebc6c0e36c8c581f0039b34794aecdbcb43582a627c31d47cf0227',
+        'topwords.tsv':
+            'aa92af3f4f57494b4779e7282244eca05b6b292532a27d6e4ef33cbadfb405ca',
     },
     ('gsdmm-alpha0.1', 20): {
         'assignments.csv':
@@ -61,6 +75,10 @@ PINS = {
             '9e5f25aa0530c8541042bc58e193ab1ca7d6e3b280ee0c3a24e50f7061783bc8',
         'summary.json':
             '42e6140b29619323e65eb5b93870de8450d70c281842a9296a42eb0a3c8488a9',
+        'eval.json':
+            '83b8ef172e31730cd61a0ddcf369d2376c070074e55340629693941c246e8383',
+        'topwords.tsv':
+            'aa99b941890a908e4c8c57375d2f4c71022eb362797a9231f14fe0cd1ddb1b70',
     },
     ('gsdmm-alpha0.1', 200): {
         'assignments.csv':
@@ -69,6 +87,10 @@ PINS = {
             '84f3488e7ab95575b731e0db1ba279ea1356e2cb6986cea3d5a6984bb2aebff0',
         'summary.json':
             '9a8c4143c71935bde934aec565a67f502f4cc64c8bb0c17cdc97c8bdbc0b6e8c',
+        'eval.json':
+            'b6f237cb4357d76db122d79a404edeb6296bdd52ae20613da4e8c7c2cec6e5ac',
+        'topwords.tsv':
+            '527ec43754da238ac4bedb0d5199ec43ac47506eceb45f0c19e8b119050bc210',
     },
     ('plus-merge', 20): {
         'assignments.csv':
@@ -79,6 +101,10 @@ PINS = {
             'da7adb3b4443a1f1ea552b2b5d365ba1d55c788edfe479635da657518f5c53e3',
         'summary.json':
             'd3a372b32a2dd83072b9a63078c786197bacf387e4632159dda33d6cc6329a0d',
+        'eval.json':
+            '8f877e619c6bdc5f7f2d8e7d116ea9dd1729eb0421bab73276f82186d82beea4',
+        'topwords.tsv':
+            'acdd18c5e1bd571ac72e207c6a66df2edebae6a384c2781279d06fbbb884e9e3',
     },
     ('plus-merge', 200): {
         'assignments.csv':
@@ -89,6 +115,10 @@ PINS = {
             'e97da2cdd1f2eb083e55ebf40b373732726e8bc8c3b3d410fb8ff11125c63827',
         'summary.json':
             '7b67221702409e242d1aef9d237085f357536cbae578a27b1f4be6010d3808cc',
+        'eval.json':
+            '9c63888f20f67fcecda61615419cf2d70bcac283ffc8d757b15d84913c0b4386',
+        'topwords.tsv':
+            '7c1a90974051726c77c9153ed3ce494128011cd49a0fca26200ba5ba105916ff',
     },
     ('plus-raw-entropy', 20): {
         'assignments.csv':
@@ -99,6 +129,10 @@ PINS = {
             'e7171f51d9ecba5281af9365748267a5cdecf47ad194f9ef7b35225ea260b6e7',
         'summary.json':
             'd3a372b32a2dd83072b9a63078c786197bacf387e4632159dda33d6cc6329a0d',
+        'eval.json':
+            '9c63888f20f67fcecda61615419cf2d70bcac283ffc8d757b15d84913c0b4386',
+        'topwords.tsv':
+            '98aa676e3df9071f493311b55daf5c8458f993efaa425665445cb74996ffb564',
     },
     ('plus-raw-entropy', 200): {
         'assignments.csv':
@@ -109,6 +143,10 @@ PINS = {
             '43fb3b21fae3ce2b617bfbd838eae6fee1b4c10c6452b228b80470a87ac3e527',
         'summary.json':
             '7b67221702409e242d1aef9d237085f357536cbae578a27b1f4be6010d3808cc',
+        'eval.json':
+            '9c63888f20f67fcecda61615419cf2d70bcac283ffc8d757b15d84913c0b4386',
+        'topwords.tsv':
+            '923ad0ebdcde99d1dd51235646d1589d16b00bc1a94baebca7e98b618819944c',
     },
 }
 
@@ -146,7 +184,7 @@ def _toolchain() -> str:
 def run_case(archive, out, case, k_max, path, monkeypatch) -> dict[str, str]:
     """The digests of one cluster run on path: "shipped", "other" (the
     compiled kernel in the scoring mode the shipped rule does not pick for
-    this k_max) or "numpy"."""
+    this k_max) or "numpy", then of eval and topwords on its output."""
     with monkeypatch.context() as mp:
         if path == "numpy":
             mp.setattr(_native, "kernel", lambda: None)
@@ -156,7 +194,13 @@ def run_case(archive, out, case, k_max, path, monkeypatch) -> dict[str, str]:
         code = main([str(a) for a in (
             "cluster", archive, out, "--kmax", k_max, "--iters", 3,
             "--seed", 5, "--trace", *CASES[case])])
-    assert code == 0
+        assert code == 0
+        assert main([str(a) for a in (
+            "eval", out / "assignments.csv", archive, "--out",
+            out / "eval.json")]) == 0
+        assert main([str(a) for a in (
+            "topwords", archive, out, "-n", 5, "--out",
+            out / "topwords.tsv")]) == 0
     return _digests(out)
 
 

@@ -261,6 +261,13 @@ def reference_merge_to_k(state, k_real):
     max-heap keyed (-similarity, a, b), version stamps invalidating the
     pairs of a merged cluster, whole count columns moved on merge and
     compaction."""
+
+    def move_column(src, dst):
+        column = state.nzw[src].astype(np.int64)
+        words = np.flatnonzero(column)
+        state.add_counts(words, dst, column[words])
+        state.add_counts(words, src, -column[words])
+
     log = []
     if k_real == state.k_active:
         return log
@@ -278,10 +285,9 @@ def reference_merge_to_k(state, k_real):
             continue
         state.m[a] += state.m[b]
         state.n[a] += state.n[b]
-        state.nzw[a] += state.nzw[b]
+        move_column(b, a)
         state.assignments[np.flatnonzero(state.assignments == b)] = a
         state.m[b] = state.n[b] = 0
-        state.nzw[b] = 0
         alive_set.discard(b)
         del vectors[b], stamps[b]
         stamps[a] += 1
@@ -295,10 +301,9 @@ def reference_merge_to_k(state, k_real):
     for slot, z in enumerate(sorted(alive_set)):
         if slot != z:
             state.m[slot], state.n[slot] = state.m[z], state.n[z]
-            state.nzw[slot] = state.nzw[z]
+            move_column(z, slot)
             state.assignments[np.flatnonzero(state.assignments == z)] = slot
             state.m[z] = state.n[z] = 0
-            state.nzw[z] = 0
     state.k_active = len(alive_set)
     return log
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gsdmm import _native
+from gsdmm.corpus import Corpus, TokenCSR, Vocabulary
 from gsdmm.errors import InactiveCluster, NonFiniteScore
 from gsdmm.model import (
     EntropyTable,
@@ -21,7 +23,6 @@ from gsdmm.model import (
     word_entropy,
 )
 from gsdmm.synth import oracle_delta_ratio
-from gsdmm.corpus import Vocabulary
 
 from conftest import corpus_from_counts, make_doc, make_state, random_triple
 
@@ -94,7 +95,7 @@ class TestDocClusterLogScore:
 
     def test_nonfinite_score_diagnostics(self):
         state = make_state([2], [[3, 1]], alpha=0.1)
-        state.nzw[0, 0] = -5  # corrupted count drives a log argument <= 0
+        state.add_counts(0, 0, -8)  # 3 -> -5: drives a log argument <= 0
         state.n[0] = -4
         with pytest.raises(NonFiniteScore):
             doc_cluster_log_score(make_doc({0: 1}), 0, state, UniformBeta(0.1))
@@ -398,7 +399,7 @@ class TestModelState:
         words = np.fromiter(doc.counts.keys(), dtype=np.int64)
         counts = np.fromiter(doc.counts.values(), dtype=np.int64)
         # simulate the doc's counts being part of cluster z first
-        state.nzw[z, words] += counts
+        state.add_counts(words, z, counts)
         state.n[z] += doc.total_len
         before = state.copy()
         got = state.remove_doc(d, words, counts, doc.total_len)
@@ -452,3 +453,139 @@ class TestModelState:
         state = make_state([1, 1], [[1, 0], [0, 1]], alpha=0.1)
         with pytest.raises(InactiveCluster):
             state.deactivate_cluster(0)
+
+
+def _on_path(path, monkeypatch):
+    """Run the count tables' operations in numpy or, if it builds, in C."""
+    if path == "numpy":
+        monkeypatch.setattr(_native, "kernel", lambda: None)
+    elif _native.kernel() is None:
+        pytest.skip("no compiled kernel here")
+
+
+class TestCountTables:
+    """The per-word count tables against a dense matrix of the same counts,
+    on both the numpy transcription and the compiled Kernel.add."""
+
+    @pytest.mark.parametrize("path", ["numpy", "compiled"])
+    @given(seed=st.integers(0, 2 ** 32 - 1), v=st.integers(1, 12),
+           k_max=st.integers(1, 40), batches=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_adds_match_a_dense_matrix(self, path, seed, v, k_max, batches):
+        # small tables over many clusters: long probe runs, runs that wrap
+        # past the table's end, and backward shifts across the wrap
+        with pytest.MonkeyPatch.context() as mp:
+            _on_path(path, mp)
+            gen = np.random.default_rng(seed)
+            doc_freq = gen.integers(0, 6, size=v)
+            state = ModelState(10, v, k_max, 0.1, doc_freq=doc_freq)
+            dense = np.zeros((v, k_max), dtype=np.int64)
+            # each word's clusters: as many as its bound, from all k_max
+            allowed = [gen.permutation(k_max)[:min(f, k_max)] for f in doc_freq]
+            for _ in range(batches):
+                # pairs within each word's bound, repeated at times; removals
+                # take back what is there, so every count stays >= 0
+                words = gen.integers(0, v, size=int(gen.integers(0, 12)))
+                words = words[doc_freq[words] > 0]
+                clusters = np.array([gen.choice(allowed[w]) for w in words],
+                                    dtype=np.int64)
+                counts = gen.integers(1, 4, size=len(words))
+                take = gen.random(len(words)) < 0.4
+                counts[take] = -dense[words[take], clusters[take]]
+                np.add.at(dense, (words, clusters), counts)
+                if (dense < 0).any():  # a pair repeated within a removal
+                    np.add.at(dense, (words, clusters), -counts)
+                    continue
+                state.add_counts(words, clusters, counts)
+                assert np.array_equal(state.wz, dense)
+            state.n[:] = dense.sum(axis=0)
+            state.m[0] = state.D
+            state.assignments[:] = 0
+            state.validate()
+            assert (state.cell_n[state.cell_z < 0] == 0).all()
+            for w in range(v):  # half free, or a slot for every cluster
+                lo, hi = state.cell_ptr[w], state.cell_ptr[w + 1]
+                cells = np.count_nonzero(state.cell_z[lo:hi] >= 0)
+                assert 2 * cells <= hi - lo or hi - lo >= k_max
+
+    @pytest.mark.parametrize("path", ["numpy", "compiled"])
+    def test_full_table_refused(self, path, monkeypatch):
+        # word 0 is in one document, so its table has room for one cluster
+        _on_path(path, monkeypatch)
+        state = ModelState(3, 2, 4, 0.1, doc_freq=[1, 3])
+        state.add_counts([0, 0], [0, 1], [1, 1])
+        with pytest.raises(ValueError, match="full"):
+            state.add_counts(0, 2, 1)
+
+    @pytest.mark.parametrize("path", ["numpy", "compiled"])
+    @pytest.mark.parametrize("word, cluster", [(0, -1), (0, 4), (-1, 0), (2, 0)])
+    def test_cells_outside_the_state_refused(self, path, word, cluster,
+                                             monkeypatch):
+        # cluster -1 is the free slots' key and a cluster past k_max would be
+        # hashed into a table that has no room kept for it
+        _on_path(path, monkeypatch)
+        state = ModelState(3, 2, 4, 0.1, doc_freq=[3, 3])
+        state.add_counts([0, 1], [1, 2], [2, 1])
+        before = state.table.copy()
+        with pytest.raises(ValueError, match="must lie in"):
+            state.add_counts([1, word], [2, cluster], [1, 1])
+        assert np.array_equal(state.table, before)
+
+    def test_memory_is_bounded_by_the_corpus(self):
+        # V 100k and k_max 1000, about 200k (document, word) entries: a
+        # dense matrix would take 400 MB, the tables a few MB
+        gen = np.random.default_rng(3)
+        d, v, k_max = 20_000, 100_000, 1000
+        sizes = gen.integers(5, 16, size=d)
+        word_ptr = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum(sizes, out=word_ptr[1:])
+        rank = np.arange(word_ptr[-1]) - np.repeat(word_ptr[:-1], sizes)
+        # distinct within a row: a stride coprime to V from a random start
+        words = (np.repeat(gen.integers(0, v, size=d), sizes) + 7919 * rank) % v
+        csr = TokenCSR(word_ptr, words.astype(np.intp),
+                       gen.integers(1, 4, size=len(words)).astype(np.int32))
+        corpus = Corpus.from_arrays(csr, [f"d{i}" for i in range(d)],
+                                    [None] * d, Vocabulary(
+                                        tuple(f"w{i}" for i in range(v)),
+                                        (1,) * v))
+        state = ModelState.for_corpus(corpus, k_max, 0.1)
+        state.add_docs(csr, np.arange(d), gen.integers(0, k_max, size=d))
+        state.validate()
+        arrays = [a for a in vars(state).values() if isinstance(a, np.ndarray)]
+        e = len(words)
+        assert 190_000 <= e <= 210_000
+        assert len(state.table) <= 4 * e + v  # slots
+        used = sum(a.nbytes for a in arrays)
+        assert used <= 32 * e + 16 * v + 16 * k_max + 8 * d + 8
+        assert used < 20 * 2 ** 20, used
+
+    def test_validate_catches_table_faults(self):
+        def faulty(fault):
+            state = make_state([2, 1], [[1, 0, 2], [0, 3, 1]], alpha=0.1,
+                               k_max=3)
+            state.validate()
+            taken = np.flatnonzero(state.cell_z >= 0)
+            fault(state, taken)
+            return state
+
+        def zero_cell(state, taken):  # a cell left at count 0
+            state.cell_n[taken[0]] = 0
+            state.n[state.cell_z[taken[0]]] -= 1
+
+        def off_its_run(state, taken):  # a cell moved past a free slot
+            lo, hi = state.cell_ptr[2], state.cell_ptr[3]
+            slots = np.arange(lo, hi)
+            cell = slots[state.cell_z[lo:hi] >= 0][0]
+            free = slots[state.cell_z[lo:hi] < 0][-1]
+            for a in (state.cell_z, state.cell_n):
+                a[free], a[cell] = a[cell], a[free]
+
+        def stale_key(state, taken):  # a cell of a cluster past k_active
+            state.cell_z[taken[0]] = 2
+
+        def free_with_count(state, taken):
+            state.cell_n[np.flatnonzero(state.cell_z < 0)[0]] = 1
+
+        for fault in (zero_cell, off_its_run, stale_key, free_with_count):
+            with pytest.raises(AssertionError):
+                faulty(fault).validate()

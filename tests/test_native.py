@@ -181,6 +181,20 @@ class TestSweepMatchesNumpy:
         assert detached == [[d] for d in range(0, len(corpus), 9)]
         state.validate(require_nonempty=True)
 
+    def test_full_table_refused(self, kernel, monkeypatch):
+        # sized as if word 0 were in one document: its table holds 2 cells,
+        # both taken, and document 0's move to the empty cluster 2 (the
+        # draw at u near 1 takes the last cluster) needs a third
+        csr = corpus_from_counts([{0: 1}, {0: 1}, {0: 1}], 1).token_csr
+        for step in (kernel.sweep, sampler._numpy_steps):
+            if step is sampler._numpy_steps:
+                monkeypatch.setattr(_native, "kernel", lambda: None)
+            state = ModelState(3, 1, k_max=3, alpha=10.0, doc_freq=[1])
+            state.add_docs(csr, np.arange(3), [0, 0, 1])
+            with pytest.raises(ValueError, match="full"):
+                step(state, csr, np.array([0]), np.array([1 - 1e-9]),
+                     UniformBeta(0.1), prune=False)
+
 
 class TestSweepMatchesNumpySparse(TestSweepMatchesNumpy):
     @pytest.fixture()
@@ -375,8 +389,8 @@ class TestClassBookkeeping:
         state, words, counts = self._overlapped_class_state()
         spaces = []
 
-        def work(k_max, width):
-            work, iwork = real_work(k_max, width)
+        def work(k_max):
+            work, iwork = real_work(k_max)
             work[:] = np.nan
             spaces.append(work)
             return work, iwork
@@ -483,11 +497,16 @@ class TestNonFinite:
             # no refresh, which would replace the broken table
             cfg = RunConfig(k_max=2, alpha=0.1, entropy_refreshes_per_sweep=0)
             weights = _bad_weights(kind, 2)
+        states = []
         for run in (lambda f: f(), lambda f: _numpy(monkeypatch, f)):
             state = random_init(corpus, cfg, np.random.default_rng(0))
             with pytest.raises(NonFiniteScore):
                 run(lambda: gibbs_sweep(state, corpus, weights, cfg,
                                         np.random.default_rng(1)))
+            states.append(state)
+        # both stop with the scored document detached, its counts removed
+        _assert_same_state(*states)
+        assert (states[0].assignments < 0).sum() == 1
 
     def test_rejects_mismatched_arrays(self, kernel):
         state = make_state([1, 1], [[1, 0], [0, 1]], alpha=0.1)
@@ -561,7 +580,13 @@ class TestCompiledCells:
 
 # Run in a process of its own with the sanitizer runtime preloaded: the
 # kernel built with AddressSanitizer and UndefinedBehaviorSanitizer
-# (argv[1]) against the numpy reference, in dense and sparse calls.
+# (argv[1]) against the numpy reference, in dense and sparse calls. The
+# runs insert cells into the count tables and delete them by backward
+# shifts, in the sweeps and in Kernel.add (the initial states, the merge's
+# folds); gsdmm+ moves the cells of pruned clusters under new keys, in
+# sparse calls (k_active 40 past crossover 0) and dense ones, and lists
+# cells for its refreshes. Most used words' tables hold 2 to 32 slots for
+# 40 clusters, so probe runs and backward shifts wrap past a table's end.
 _SANITIZED_RUN = """
 import ctypes, sys
 import numpy as np
@@ -596,6 +621,9 @@ for dist in ("fixed", "poisson"):
             assert [r.moved_docs for r in trace.records] == \\
                 [r.moved_docs for r in ref.records]
             assert trace.merge_log == ref.merge_log
+            if cfg.algorithm == "gsdmm+":  # pruned in the first sweep
+                assert trace.records[0].active_clusters < cfg.k_max
+            state.validate(require_nonempty=cfg.algorithm == "gsdmm+")
             for got, want in zip(built.cells(state, csr),
                                  model._occupied_cells(state, csr)):
                 assert np.array_equal(got, want)
