@@ -12,16 +12,29 @@ load a partial file. When the cache directory is not private, or cannot be
 made, the library is built in a private temporary directory for this
 process only.
 
-Kernel.sweep runs document steps, Kernel.log_scores scores one document,
-and Kernel.cells lists the occupied count cells that gsdmm+'s entropy
-refresh reads, from the corpus in word-major order (TokenCSR.by_word); the
-refresh's arithmetic stays in numpy. Kernel.add adds to cells one by one,
-for ModelState.add_counts. All of them work on the state's per-word count
-tables (cell_ptr and table; see model.ModelState) in place, with the table
-operations of the numpy reference. kernel() returns None when no compiler
-exists or the build fails; the sampler, the refresh and the state then run
-their numpy references, which give the same assignments and counts.
-Every pointer passed to C is checked first: dtype, contiguity and size.
+The entry points, each with the numpy (or regex) reference that runs in
+its place when the kernel cannot be built:
+
+- Kernel.sweep runs document steps (sampler's numpy steps) and
+  Kernel.log_scores scores one document (model.cluster_log_scores).
+- Kernel.cells lists the occupied count cells that gsdmm+'s entropy
+  refresh reads, from the corpus in word-major order (TokenCSR.by_word;
+  model._occupied_cells); the refresh's arithmetic stays in numpy.
+- Kernel.add adds to cells one by one (ModelState.add_counts, reference
+  ModelState._add_counts), and Kernel.counts reads them, one probe each
+  (ModelState.counts_of, reference ModelState._probe).
+- Kernel.runs finds the runs of a..z bytes of build_corpus's joined texts
+  and numbers the distinct ones (corpus._split's regex and a dict).
+- Kernel.pairs parses documents.txt's word_id:count pairs, and
+  Kernel.digits a column of numbers of vocabulary.tsv (archive's numpy
+  passes, which also read any value of more than 18 digits).
+
+The table operations work on the state's per-word count tables (cell_ptr
+and table; see model.ModelState) in place, as the numpy reference does.
+kernel() returns None when no compiler exists or the build fails; the
+callers then run the references, which give the same assignments, counts,
+corpora and archive errors. Every array passed to C is checked first:
+dtype, contiguity and size.
 """
 
 from __future__ import annotations
@@ -53,6 +66,7 @@ FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 # return codes and io slots, mirrored from _sweep.c
 DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE, FULL = 0, 1, -1, -2, -3, -4
 IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
+_LONG = -2  # the byte scans' code for a value of more than 18 digits
 
 # A kernel call that starts with more active clusters than this scores every
 # document sparse; one with fewer, every document dense (README, Performance,
@@ -175,6 +189,28 @@ class Kernel:
         self._add.argtypes = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64),
                               _arr(np.int32), _I64]
         self._add.restype = _I64
+        self._counts = lib.dmm_counts
+        self._counts.argtypes = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64),
+                                 _I64, _arr(np.int32)]
+        self._counts.restype = None
+        self._count_runs = lib.dmm_count_runs
+        self._count_runs.argtypes = [ctypes.c_char_p, _I64]
+        self._count_runs.restype = _I64
+        self._runs = lib.dmm_runs
+        self._runs.argtypes = [ctypes.c_char_p, _I64, _I64, _arr(np.int64),
+                               _arr(np.int64), _arr(np.int64), _arr(np.int64),
+                               _arr(np.int64), _I64]
+        self._runs.restype = _I64
+        self._count_bytes = lib.dmm_count_bytes
+        self._count_bytes.argtypes = [ctypes.c_char_p, _I64, _I64]
+        self._count_bytes.restype = _I64
+        self._pairs = lib.dmm_pairs
+        self._pairs.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64),
+                                _arr(np.int64), _I64, _arr(np.int64), _I64]
+        self._pairs.restype = _I64
+        self._digits = lib.dmm_digits
+        self._digits.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64), _I64]
+        self._digits.restype = _I64
 
     def sweep(self, state, csr, order: np.ndarray, uniforms: np.ndarray,
               weights, prune: bool, refresh_step: int = 0,
@@ -280,6 +316,66 @@ class Kernel:
             raise ValueError("count tables or cells do not match")
         _raise_for(self._add(state.cell_ptr, state.table, state.k_max, words,
                              clusters, counts, len(words)), -1)
+
+    def counts(self, state, words: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+        """ModelState.counts_of in C, with its arguments: int64 word ids in
+        [0, V) and clusters in [0, k_max), which counts_of checks, of one
+        length. Returns their counts (int32), one probe each."""
+        words, clusters = (np.ascontiguousarray(a, dtype=np.int64)
+                           for a in (words, clusters))
+        if state.table.shape != (state.cell_ptr[-1], 2) or \
+                words.shape != clusters.shape:
+            raise ValueError("count tables or cells do not match")
+        out = np.empty(len(words), dtype=np.int32)
+        self._counts(state.cell_ptr, state.table, state.k_max, words, clusters,
+                     len(words), out)
+        return out
+
+    def runs(self, raw: bytes) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """The runs of a..z bytes in raw, as corpus.build_corpus reads its
+        texts: each run's segment (the NUL bytes before it) and its part id
+        (int64 both), the parts (the distinct runs) numbered by first
+        appearance, and the parts' text in that order."""
+        n = self._count_runs(raw, len(raw))
+        seg, part = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        first, first_len = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        table = np.empty(1 << (2 * n).bit_length(), dtype=np.int64)
+        parts = self._runs(raw, len(raw), n, seg, part, first, first_len,
+                           table, len(table) - 1)
+        if parts < 0:
+            raise RuntimeError("the run count changed between the passes")
+        return seg, part, [raw[a:a + b].decode("ascii") for a, b in
+                           zip(first[:parts].tolist(), first_len[:parts].tolist())]
+
+    def pairs(self, raw: bytes
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(words, counts, word_ptr) of the bytes of documents.txt, every
+        line ended by a line feed: each pair's word id and count (int64)
+        in line order, and the pairs before each line (int64, one more
+        than the lines); None for a line without exactly three columns
+        or with a pair other than word_id:count in ASCII digits. A value
+        of more than 18 digits raises OverflowError."""
+        cap = self._count_bytes(raw, len(raw), ord(":"))  # one in each pair
+        word_ptr = np.empty(self._count_bytes(raw, len(raw), ord("\n")) + 1,
+                            dtype=np.int64)
+        words, counts = np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64)
+        n = self._pairs(raw, len(raw), words, counts, cap, word_ptr,
+                        len(word_ptr) - 1)
+        if n == _LONG:
+            raise OverflowError("a value of more than 18 digits")
+        if n < 0:
+            return None
+        return words[:n], counts[:n], word_ptr
+
+    def digits(self, raw: bytes) -> np.ndarray | None:
+        """The int64 values of a column of ASCII-digit numbers, each ended
+        by a line feed, or None if a value is not one or more ASCII digits.
+        A value of more than 18 digits raises OverflowError."""
+        out = np.empty(self._count_bytes(raw, len(raw), ord("\n")), dtype=np.int64)
+        code = self._digits(raw, len(raw), out, len(out))
+        if code == _LONG:
+            raise OverflowError("a value of more than 18 digits")
+        return out if code == DONE else None
 
 
 def _check_state(state) -> None:

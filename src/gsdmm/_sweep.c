@@ -58,11 +58,21 @@
  * to the number of documents, filled on the first entry of a sweep and kept
  * across its refresh re-entries. Everything else is rebuilt on every entry.
  *
- * One more entry point lists the occupied count cells for gsdmm+'s entropy
- * refresh: it walks the corpus transposed to word-major order (built once per
- * corpus), so finding the cells costs O(entries), not a sort of them or a
- * scan of the tables. The entropy arithmetic stays with the caller. One
- * more adds counts to cells, for ModelState.add_counts.
+ * The entry points: dmm_sweep runs document steps and dmm_scores scores one
+ * document. dmm_cells lists the occupied count cells for gsdmm+'s entropy
+ * refresh: it walks the corpus transposed to word-major order (built once
+ * per corpus), so finding the cells costs O(entries), not a sort of them or
+ * a scan of the tables; the entropy arithmetic stays with the caller.
+ * dmm_add adds counts to cells (ModelState.add_counts) and dmm_counts reads
+ * them (ModelState.counts_of).
+ *
+ * The byte scans serve ingestion and the archive reader, with no Python
+ * object per token or per pair: dmm_count_runs and dmm_runs find and number
+ * the runs of a..z bytes of the texts build_corpus joins; dmm_count_bytes
+ * sizes the archive scans' outputs, dmm_pairs parses documents.txt and
+ * dmm_digits a column of vocabulary.tsv. Every output is sized by the
+ * caller from a count (of runs, of colons, of line feeds), never from the
+ * byte length.
  *
  * Build: cc -O2 -ftree-vectorize -shared -fPIC (never -ffast-math: the
  * non-finite checks and the exact draw rely on IEEE semantics; the vector
@@ -72,6 +82,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define CHUNK 8
 
@@ -885,4 +896,224 @@ int64_t dmm_add(const int64_t *ptr, Cell *cell, int64_t kmax,
         if (add(&s, words[i], clusters[i], counts[i]) != DONE)
             return FULL;
     return DONE;
+}
+
+/* The count of word words[i] in cluster clusters[i] into out[i], for each
+ * i < len, 0 where the word has no cell: model.ModelState.counts_of in C,
+ * which checks the ids. One probe per pair. */
+void dmm_counts(const int64_t *ptr, Cell *cell, int64_t kmax,
+                const int64_t *words, const int64_t *clusters, int64_t len,
+                int32_t *out)
+{
+    const Model s = {.ptr = ptr, .cell = cell, .kmax = kmax};
+    for (int64_t i = 0; i < len; i++)
+        out[i] = count(&s, words[i], clusters[i]);
+}
+
+/* ---- Byte scans for ingestion and the archive reader ----
+ *
+ * The tokenizer's runs: corpus.build_corpus passes the UTF-8 bytes of its
+ * lowercased texts joined by NUL. A byte in a..z is always that ASCII
+ * letter in UTF-8 (every byte of a multi-byte sequence is 0x80 or above),
+ * so the runs of such bytes are the runs the regex [a-z]+ finds in the
+ * text. */
+
+static int is_lower(uint8_t b)
+{
+    return (uint8_t)(b - 'a') < 26;
+}
+
+/* The number of runs of a..z bytes in buf[0:len]: the letters not after a
+ * letter, counted without a branch. */
+int64_t dmm_count_runs(const uint8_t *buf, int64_t len)
+{
+    if (len <= 0)
+        return 0;
+    int64_t n = is_lower(buf[0]);
+    for (int64_t i = 1; i < len; i++)
+        n += is_lower(buf[i]) & !is_lower(buf[i - 1]);
+    return n;
+}
+
+/* FNV-1a of buf[0:n], its high half folded into the low one (dmm_runs
+ * computes the same as it scans a run). */
+static uint64_t hash_bytes(const uint8_t *buf, int64_t n)
+{
+    uint64_t h = 0xCBF29CE484222325u;
+    for (int64_t i = 0; i < n; i++)
+        h = (h ^ buf[i]) * 0x100000001B3u;
+    return h ^ h >> 32;
+}
+
+/* The n_runs runs of a..z bytes in buf[0:len]: run r is in segment seg[r],
+ * the number of NUL bytes before it, and is part part[r], the parts (the
+ * distinct runs) numbered by first appearance. Part p's first run is
+ * buf[first[p]:first[p] + first_len[p]]; first and first_len have room for
+ * n_runs parts. A hash table maps a run's bytes to its part by linear
+ * probing. It starts small, so that it stays in cache, and doubles when
+ * half full, up to all of table, whose size (mask + 1, a power of two
+ * above 2 * n_runs) it never needs to pass; only its first mask + 1 slots
+ * are ever written. Returns the number of parts, or -1 when buf holds more
+ * runs than n_runs. */
+int64_t dmm_runs(const uint8_t *buf, int64_t len, int64_t n_runs,
+                 int64_t *seg, int64_t *part, int64_t *first,
+                 int64_t *first_len, int64_t *table, int64_t mask)
+{
+    int64_t r = 0, parts = 0, s = 0, m = mask < 1023 ? mask : 1023;
+    for (int64_t t = 0; t <= m; t++)
+        table[t] = -1;
+    for (int64_t i = 0; i < len;) {
+        uint8_t b = buf[i];
+        if (!is_lower(b)) {
+            s += !b;
+            i++;
+            continue;
+        }
+        if (r == n_runs)
+            return -1;
+        const int64_t lo = i;
+        uint64_t h = 0xCBF29CE484222325u;
+        do {
+            h = (h ^ b) * 0x100000001B3u;
+            b = ++i < len ? buf[i] : 0;
+        } while (is_lower(b));
+        h ^= h >> 32;
+        const int64_t n = i - lo;
+        int64_t t = (int64_t)(h & (uint64_t)m), p;
+        for (;; t = (t + 1) & m) {
+            p = table[t];
+            if (p < 0 || (first_len[p] == n
+                          && !memcmp(buf + first[p], buf + lo, (size_t)n)))
+                break;
+        }
+        if (p < 0) {
+            p = parts++;
+            table[t] = p;
+            first[p] = lo;
+            first_len[p] = n;
+            if (2 * parts > m && m < mask) {  /* double, and insert anew */
+                m = 2 * m + 1;
+                for (t = 0; t <= m; t++)
+                    table[t] = -1;
+                for (int64_t q = 0; q < parts; q++) {
+                    t = (int64_t)(hash_bytes(buf + first[q], first_len[q])
+                                  & (uint64_t)m);
+                    while (table[t] >= 0)
+                        t = (t + 1) & m;
+                    table[t] = q;
+                }
+            }
+        }
+        seg[r] = s;
+        part[r++] = p;
+    }
+    return parts;
+}
+
+/* The archive's digit columns: archive.read_archive passes the bytes of
+ * documents.txt and of vocabulary.tsv's id and df columns, every line ended
+ * by a line feed. Both scans accept or refuse exactly where the numpy
+ * passes do; a refused file goes to the line loop that names its first bad
+ * line. A value of more than MAX_DIGITS digits, which might not fit int64,
+ * returns LONG, and the numpy pass reads the file. */
+
+#define MAX_DIGITS 18  /* every number of 18 digits fits int64 */
+
+enum { BAD = -1, LONG = -2 };
+
+/* Read the ASCII digits at buf[*i], at most up to end, into *value and
+ * advance *i past them. Returns how many there were, or LONG past
+ * MAX_DIGITS. */
+static int64_t digits(const uint8_t *buf, int64_t *i, int64_t end,
+                      int64_t *value)
+{
+    const int64_t lo = *i;
+    int64_t v = 0;
+    for (; *i < end && (uint8_t)(buf[*i] - '0') < 10; (*i)++) {
+        if (*i - lo == MAX_DIGITS)
+            return LONG;
+        v = 10 * v + (buf[*i] - '0');
+    }
+    *value = v;
+    return *i - lo;
+}
+
+/* Whether a byte separates pairs: the ASCII whitespace str.split() splits
+ * on, less the tab and the line feed that delimit the columns
+ * (archive._SEPARATORS). */
+static int separator(uint8_t b)
+{
+    return b == ' ' || b == 0x0b || b == 0x0c || (b >= 0x1c && b <= 0x1f);
+}
+
+/* The number of bytes equal to b in buf[0:len], counted without a branch:
+ * the sizes of the scans' outputs. */
+int64_t dmm_count_bytes(const uint8_t *buf, int64_t len, int64_t b)
+{
+    const uint8_t c = (uint8_t)b;
+    int64_t n = 0;
+    for (int64_t i = 0; i < len; i++)
+        n += buf[i] == c;
+    return n;
+}
+
+/* Parse documents.txt, buf[0:len]: n_lines lines, each
+ * doc_id<TAB>label<TAB>pairs and ended by a line feed, the pairs
+ * word_id:count in ASCII digits separated by runs of separator bytes.
+ * Writes each pair's word id and count to words and counts (room for cap
+ * pairs) and word_ptr[d + 1], the pairs up to the end of line d. Returns
+ * the number of pairs; BAD for a line with other than two tabs, a byte
+ * outside the pair syntax in its third column, or more pairs or lines
+ * than given room for; LONG as above. */
+int64_t dmm_pairs(const uint8_t *buf, int64_t len, int64_t *words,
+                  int64_t *counts, int64_t cap, int64_t *word_ptr,
+                  int64_t n_lines)
+{
+    int64_t np = 0, line = 0, i = 0;
+    word_ptr[0] = 0;
+    while (i < len) {
+        if (line == n_lines)
+            return BAD;
+        for (int tabs = 0; tabs < 2; i++) {  /* the doc id and label */
+            if (i == len || buf[i] == '\n')
+                return BAD;
+            tabs += buf[i] == '\t';
+        }
+        for (;;) {
+            while (i < len && separator(buf[i]))
+                i++;
+            if (i == len)
+                return BAD;
+            if (buf[i] == '\n')
+                break;
+            if (np == cap)
+                return BAD;
+            int64_t w, c, nd = digits(buf, &i, len, &w);
+            if (nd <= 0 || i == len || buf[i++] != ':')
+                return nd == LONG ? LONG : BAD;
+            nd = digits(buf, &i, len, &c);
+            if (nd <= 0 || (i < len && buf[i] != '\n' && !separator(buf[i])))
+                return nd == LONG ? LONG : BAD;
+            words[np] = w;
+            counts[np++] = c;
+        }
+        word_ptr[++line] = np;
+        i++;
+    }
+    return line == n_lines ? np : BAD;
+}
+
+/* Parse a column of n values, buf[0:len], each one or more ASCII digits
+ * ended by a line feed, into out. Returns DONE, BAD or LONG. */
+int64_t dmm_digits(const uint8_t *buf, int64_t len, int64_t *out, int64_t n)
+{
+    int64_t i = 0, d = 0;
+    for (; i < len && d < n; d++) {
+        const int64_t nd = digits(buf, &i, len, out + d);
+        if (nd == LONG)
+            return LONG;
+        if (!nd || i == len || buf[i++] != '\n')
+            return BAD;
+    }
+    return i == len && d == n ? DONE : BAD;
 }

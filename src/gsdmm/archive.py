@@ -1,13 +1,16 @@
 """The corpus archive: a directory of vocabulary.tsv, documents.txt and
 stats.json, written from a Corpus and read back into its token arrays.
 
-read_archive parses each file in whole-array passes: the lines are split
+read_archive parses each file in whole-file passes: the lines are split
 into their columns once, and the word_id:count pairs of all lines are
 checked and converted together from their bytes, with no Python object
-per pair or per document. The passes only decide whether a file is valid.
-When one is not, a plain loop over the lines already read finds the first
-bad line and raises its error, checking each line in the order a
-line-by-line reader would.
+per pair or per document. The compiled kernel scans documents.txt and the
+vocabulary's number columns in one C pass each (Kernel.pairs,
+Kernel.digits); the numpy passes are their reference, and read the file
+where the kernel cannot be built or a value has more than 18 digits. The
+passes only decide whether a file is valid. When one is not, a plain loop
+over the lines already read finds the first bad line and raises its
+error, checking each line in the order a line-by-line reader would.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from . import _native
 from .corpus import Corpus, TokenCSR, Vocabulary, _not_rising, _repeated_row
 from .errors import ConfigError, MalformedRecord
 from .model import check_token_total
@@ -36,15 +40,17 @@ def write_archive(corpus: Corpus, outdir: str | Path) -> None:
 
     The lines are formatted from the corpus arrays. A doc id or label
     holding whitespace (any character str.isspace accepts), which would
-    break the line and column structure of documents.txt, or a doc id
+    break the line and column structure of documents.txt, a doc id
     holding a comma, which would break the assignments.csv of every run,
-    raises ConfigError before any file is written.
+    or a vocabulary word holding a tab or a line break, which would break
+    vocabulary.tsv's, raises ConfigError before any file is written.
     """
     doc_ids = corpus.doc_ids
     labels = [MISSING_LABEL if label is None else label
               for label in corpus.gold_labels]
     _check_fields(doc_ids, labels)
     vocab = corpus.vocabulary
+    _check_words(vocab.id_to_word)
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "vocabulary.tsv", "w", encoding="utf-8") as fh:
@@ -73,6 +79,20 @@ def _check_fields(doc_ids, labels) -> None:
                         "archives need whitespace-free fields"
                     )
     check_comma_free(doc_ids)
+
+
+# what read_archive takes as a column or line end: a tab, and the line ends
+# of text mode
+_BREAKS = re.compile("[\t\n\r]")
+
+
+def _check_words(words) -> None:
+    """Raise ConfigError naming the first vocabulary word that holds a tab,
+    a line feed or a carriage return."""
+    if _BREAKS.search("".join(words)):
+        word = next(word for word in words if _BREAKS.search(word))
+        raise ConfigError(f"vocabulary word {word!r} contains a tab or a line "
+                          "break; vocabulary.tsv needs one word per line")
 
 
 def check_comma_free(doc_ids) -> None:
@@ -171,29 +191,37 @@ def _read_text(path: Path) -> str:
     return text + "\n" if text and not text.endswith("\n") else text
 
 
-def _columns(text: str, n: int) -> list[list[str]] | None:
-    """The n tab-separated columns of the lines of text, as n lists, or
-    None if a line has another number of columns."""
+def _has_columns(text: str, n: int) -> bool:
+    """Whether every line of text has n tab-separated columns."""
     raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     # counted per line: a line with a tab too many and a later one with a
     # tab too few would balance out in the file's total
     tabs = np.diff(np.searchsorted(np.flatnonzero(raw == ord("\t")),
                                    np.flatnonzero(raw == ord("\n"))), prepend=0)
-    del raw
-    if (tabs != n - 1).any():
-        return None
+    return not (tabs != n - 1).any()
+
+
+def _fields(text: str, n: int) -> list[list[str]]:
+    """The n tab-separated columns of the lines of text, as n lists, for a
+    text whose every line has n columns."""
     fields = text.replace("\n", "\t").split("\t")
     fields.pop()  # after the last line end
     return [fields[i::n] for i in range(n)]
 
 
 def _digit_column(values: list[str]) -> np.ndarray | None:
-    """int64 values of a column of ASCII-digit numbers, parsed in one
-    whole-array pass, or None if a value is not one or more ASCII digits.
-    A value past int64 reads as int64 max."""
-    text = "\n".join(values) + "\n" if values else ""
-    buf = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    del text
+    """int64 values of a column of ASCII-digit numbers, or None if a value
+    is not one or more ASCII digits. A value past int64 reads as int64
+    max. Parsed in C (Kernel.digits) when the kernel builds; otherwise, or
+    for a value of more than 18 digits, in one whole-array numpy pass."""
+    raw = ("\n".join(values) + "\n" if values else "").encode("utf-8")
+    kernel = _native.kernel()
+    if kernel is not None:
+        try:
+            return kernel.digits(raw)
+        except OverflowError:
+            pass  # read by the numpy pass, which caps it
+    buf = np.frombuffer(raw, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
@@ -207,9 +235,8 @@ def _read_vocabulary(path: Path) -> tuple[list[str], list[int]]:
     """Words by id and their document frequencies; ids must run 0, 1, ...
     in line order. Ids and document frequencies are ASCII digits."""
     text = _read_text(path)
-    columns = _columns(text, 3)
-    if columns is not None:
-        ids, words, dfs = columns
+    if _has_columns(text, 3):
+        ids, words, dfs = _fields(text, 3)
         ids, doc_freq = _digit_column(ids), _digit_column(dfs)
         if ids is not None and doc_freq is not None \
                 and (ids == np.arange(len(ids))).all():
@@ -274,11 +301,33 @@ def _parse_documents(text: str, v: int):
     """The whole-array pass over documents.txt: (doc ids, labels, word ids,
     counts, word_ptr) as read, or None if a line is bad in any way
     _documents_error checks."""
-    columns = _columns(text, 3)
-    if columns is None:
+    doc_ids, labels, blobs = _fields(text, 3)
+    pairs = _pairs(text, blobs)
+    if pairs is None or len(set(doc_ids)) < len(doc_ids):
         return None
-    doc_ids, labels, blobs = columns
-    if len(set(doc_ids)) < len(doc_ids):
+    words, counts, word_ptr = pairs
+    # ids past int64, read as int64 max, may look repeated, but they are
+    # outside [0, V) anyway
+    if (word_ptr[1:] == word_ptr[:-1]).any() or _repeated_row(words, word_ptr) >= 0 \
+            or (words >= v).any() or (counts < 1).any():
+        return None
+    return doc_ids, labels, words, counts, word_ptr
+
+
+def _pairs(text: str, blobs: list[str]):
+    """(word ids, counts, word_ptr) of the pairs columns, blobs, of the
+    lines of documents.txt, text; None if a line has other than three
+    columns or a pair is other than word_id:count in ASCII digits. The
+    compiled kernel scans text's bytes once (Kernel.pairs); without it, or
+    for a value of more than 18 digits, which it leaves to numpy, the
+    numpy pass reads blobs."""
+    kernel = _native.kernel()
+    if kernel is not None:
+        try:
+            return kernel.pairs(text.encode("utf-8"))
+        except OverflowError:
+            pass  # read by the numpy pass, which caps it
+    if not _has_columns(text, 3):
         return None
     # every line's pairs column, each ended by a newline
     pairs_text = "\n".join(blobs) + "\n" if blobs else ""
@@ -299,15 +348,8 @@ def _parse_documents(text: str, v: int):
     word_ptr = np.zeros(len(blobs) + 1, dtype=np.int64)
     word_ptr[1:] = np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE))
     del cls
-    words = _digit_values(buf, starts, colons)
-    counts = _digit_values(buf, colons + 1, ends)
-    del buf, starts, ends, colons
-    # ids past int64, read as int64 max, may look repeated, but they are
-    # outside [0, V) anyway
-    if (word_ptr[1:] == word_ptr[:-1]).any() or _repeated_row(words, word_ptr) >= 0 \
-            or (words >= v).any() or (counts < 1).any():
-        return None
-    return doc_ids, labels, words, counts, word_ptr
+    return (_digit_values(buf, starts, colons), _digit_values(buf, colons + 1, ends),
+            word_ptr)
 
 
 def _documents_error(text: str, v: int) -> NoReturn:

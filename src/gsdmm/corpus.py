@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import AllDocumentsEmpty, DuplicateDocId, MalformedRecord
 
 __all__ = [
@@ -365,17 +366,47 @@ def _split(texts: list[str]) -> tuple[list[str], np.ndarray]:
     """Every raw part of the texts, in order, and the index of the text
     each part comes from. After lowercasing, a text's raw parts are its
     runs of Latin letters."""
-    n = len(texts)
     # One regex pass over the texts joined by _SEP, which the pattern
     # returns as a part of its own wherever it stands: between two texts,
     # or within a text that holds it. _SEP is neither cased nor
     # case-ignorable, so lowercasing the joined texts lowercases each alone.
-    parts = _LATIN.findall(_SEP.join(texts).lower())
+    joined = _SEP.join(texts)
+    parts = _LATIN.findall(joined.lower())
     sep = np.fromiter(map(_SEP.__eq__, parts), dtype=bool, count=len(parts))
-    held = np.fromiter(map(methodcaller("count", _SEP), texts), dtype=np.intp,
-                       count=n)
-    doc = np.repeat(np.arange(n), held + 1)[np.cumsum(sep)]
+    doc = _segment_docs(texts, joined)[np.cumsum(sep)]
     return list(compress(parts, ~sep)), doc[~sep]
+
+
+def _segment_docs(texts: list[str], joined: str) -> np.ndarray:
+    """The text of each segment of joined, the texts joined by _SEP, the
+    segments being what its _SEP characters separate: text i holds one
+    more segment than it holds _SEP characters."""
+    if joined.count(_SEP) == len(texts) - 1:  # no text holds one
+        return np.arange(len(texts))
+    held = np.fromiter(map(methodcaller("count", _SEP), texts), dtype=np.intp,
+                       count=len(texts))
+    return np.repeat(np.arange(len(texts)), held + 1)
+
+
+def _parts(texts: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct raw parts of the texts, by first appearance, and for
+    every raw part in order its index among them and the index of its text:
+    _split's parts, numbered. The compiled kernel scans the UTF-8 bytes of
+    the lowercased joined texts (a byte in a..z is always that ASCII
+    letter, and surrogatepass keeps lone surrogates, which JSON may hold);
+    without it, _split's regex pass and a dict number the parts."""
+    kernel = _native.kernel()
+    if kernel is not None:
+        joined = _SEP.join(texts)
+        raw = joined.lower().encode("utf-8", errors="surrogatepass")
+        seg, part, distinct = kernel.runs(raw)
+        return distinct, part, _segment_docs(texts, joined)[seg]
+    parts, doc = _split(texts)
+    first: dict[str, int] = {}
+    at_first = np.fromiter(map(first.setdefault, parts, count()), dtype=np.intp,
+                           count=len(parts))
+    number = np.cumsum(at_first == np.arange(len(at_first))) - 1
+    return list(first), number[at_first], doc
 
 
 def _normalize(part: str, rules: TokenRules) -> str | None:
@@ -422,21 +453,17 @@ def build_corpus(
     check_unique_doc_ids(doc_ids)
     n_docs = len(doc_ids)
 
-    parts, doc = _split([text for _, text, _ in raw_docs])
-    # each distinct part is decided once, at the position where it first
-    # appears; terms (the distinct tokens) are numbered by first appearance,
-    # so the kept ones are already in word id order
-    first: dict[str, int] = {}
-    at_first = np.fromiter(map(first.setdefault, parts, count()), dtype=np.intp,
-                           count=len(parts))
-    del parts
+    # each distinct part is decided once; terms (the distinct tokens) are
+    # numbered by first appearance, so the kept ones are already in word id
+    # order
+    parts, part, doc = _parts([text for _, text, _ in raw_docs])
     terms: dict[str, int] = {}
-    term_of = np.empty(len(at_first), dtype=np.intp)
-    for part, pos in first.items():
-        tok = _normalize(part, rules)
-        term_of[pos] = -1 if tok is None else terms.setdefault(tok, len(terms))
-    term = term_of[at_first]
-    del first, at_first, term_of
+    term_of = np.empty(len(parts), dtype=np.intp)
+    for p, text in enumerate(parts):
+        tok = _normalize(text, rules)
+        term_of[p] = -1 if tok is None else terms.setdefault(tok, len(terms))
+    term = term_of[part]
+    del parts, part, term_of
     kept = term >= 0
     n_terms = max(len(terms), 1)
     # one entry per (document, term), sorted by document then term

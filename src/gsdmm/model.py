@@ -239,9 +239,16 @@ class ModelState:
 
     def counts_of(self, words, clusters) -> np.ndarray:
         """The counts (int32) of words in clusters, elementwise (a scalar
-        broadcasts); 0 where a word has no cell."""
+        broadcasts); 0 where a word has no cell. Word ids must lie in
+        [0, V) and clusters in [0, k_max). In C (Kernel.counts, one probe
+        per cell) when the kernel can be built, else through the numpy
+        probe (_probe)."""
         words, clusters = (a.ravel() for a in np.broadcast_arrays(
             np.asarray(words, dtype=np.int64), np.asarray(clusters, dtype=np.int64)))
+        self._check_ids(words, clusters)
+        kernel = _native.kernel()
+        if kernel is not None:
+            return kernel.counts(self, words, clusters)
         slots = self._probe(words, clusters)
         return np.where(slots >= 0, self.cell_n[slots], 0).astype(np.int32)
 
@@ -260,11 +267,7 @@ class ModelState:
         can be built, else in numpy (_add_counts)."""
         words, clusters, counts = (np.ravel(a) for a in np.broadcast_arrays(
             *(np.asarray(a, dtype=np.int64) for a in (words, clusters)), counts))
-        if len(words) and not (
-                0 <= words.min() <= words.max() < self.V
-                and 0 <= clusters.min() <= clusters.max() < self.k_max):
-            raise ValueError(f"word ids must lie in [0, {self.V}) and "
-                             f"clusters in [0, {self.k_max})")
+        self._check_ids(words, clusters)
         kernel = _native.kernel()
         if kernel is None:
             self._add_counts(words, clusters, counts.astype(np.int64))
@@ -400,6 +403,15 @@ class ModelState:
             "m != documents assigned"
         if require_nonempty:
             assert (self.n[:k] > 0).all(), "active cluster with zero tokens"
+
+    def _check_ids(self, words: np.ndarray, clusters: np.ndarray) -> None:
+        """Refuse a word id outside [0, V) or a cluster outside [0, k_max),
+        which the tables have no slot for."""
+        if len(words) and not (
+                0 <= words.min() <= words.max() < self.V
+                and 0 <= clusters.min() <= clusters.max() < self.k_max):
+            raise ValueError(f"word ids must lie in [0, {self.V}) and "
+                             f"clusters in [0, {self.k_max})")
 
     def _check_active(self, z: int) -> None:
         if not 0 <= z < self.k_active:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -26,6 +28,24 @@ def _kernel_cache(tmp_path_factory):
         _native.kernel.cache_clear()
         yield
     _native.kernel.cache_clear()
+
+
+# the two paths of every compiled entry point: the kernel where it builds,
+# and the numpy reference that runs where it does not
+PATHS = ("compiled", "numpy")
+
+
+@contextmanager
+def kernel_path(path: str):
+    """Within the block, the package runs the compiled kernel ("compiled")
+    or, as where no compiler exists, its numpy references ("numpy"). Not a
+    fixture, so that a property test can run each example on both."""
+    if path == "compiled":
+        yield
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "kernel", lambda: None)
+        yield
 
 
 def make_state(m_counts, nzw, alpha, k_max=None, n_docs=None) -> ModelState:

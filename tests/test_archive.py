@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 from gsdmm import _native, archive, cli
 from gsdmm.archive import MISSING_LABEL, read_archive, write_archive
 from gsdmm.corpus import Corpus, Document, Vocabulary
-from gsdmm.errors import MalformedRecord
+from gsdmm.errors import ConfigError, MalformedRecord
 from gsdmm.sampler import RunConfig, run_gsdmm, run_gsdmm_plus
 from gsdmm.synth import GenSpec, generate_corpus
+
+from conftest import PATHS, kernel_path
 
 
 def reference_read_archive(indir) -> Corpus:
@@ -145,16 +147,18 @@ def corpora(draw) -> Corpus:
 def test_round_trip(corpus):
     with tempfile.TemporaryDirectory() as tmp:
         write_archive(corpus, tmp)
-        back = read_archive(tmp)
-        assert back.documents == corpus.documents
-        assert back.doc_ids == corpus.doc_ids
-        assert back.gold_labels == corpus.gold_labels
-        assert back.vocabulary == corpus.vocabulary
-        assert back.stats == corpus.stats
-        # counts up to 10**6 would make the per-token arrays large
-        assert_same_arrays(back, corpus, tokens=False)
         reference = reference_read_archive(tmp)
-        assert reference.documents == back.documents
+        for path in PATHS:
+            with kernel_path(path):
+                back = read_archive(tmp)
+            assert back.documents == corpus.documents
+            assert back.doc_ids == corpus.doc_ids
+            assert back.gold_labels == corpus.gold_labels
+            assert back.vocabulary == corpus.vocabulary
+            assert back.stats == corpus.stats
+            # counts up to 10**6 would make the per-token arrays large
+            assert_same_arrays(back, corpus, tokens=False)
+            assert reference.documents == back.documents
 
 
 # forms int() accepted but an archive pair no longer may
@@ -231,16 +235,18 @@ def test_corruption_matches_reference(base_archive, line, pair, kind):
         with open(Path(tmp) / "documents.txt", "w", encoding="utf-8",
                   newline="") as fh:
             fh.writelines(_edit(lines, line, pair, kind, v))
-        got = _outcome(read_archive, tmp)
         want = _outcome(reference_read_archive, tmp)
-    if kind in LENIENT:
-        assert got == ("error", line + 1)
-    elif want[0] == "ok":
-        assert got == want
-    else:
-        assert got[0] == "error"
-        if want[1] is not None:
-            assert got[1] == want[1]
+        for path in PATHS:
+            with kernel_path(path):
+                got = _outcome(read_archive, tmp)
+            if kind in LENIENT:
+                assert got == ("error", line + 1)
+            elif want[0] == "ok":
+                assert got == want
+            else:
+                assert got[0] == "error"
+                if want[1] is not None:
+                    assert got[1] == want[1]
 
 
 class TestReader:
@@ -316,6 +322,33 @@ class TestReader:
                          "--kmax", "2", "--iters", "1"]) == code
         if message:
             assert message in capsys.readouterr().err
+
+    # the compiled scan hands a value of more than 18 digits to the numpy
+    # pass, and reads text-mode line ends as the numpy pass does
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("text, want", [
+        ("a\tx\t0000000000000000003:2\n", {3: 2}),
+        ("a\tx\t0:1 1234567890123456789:1\n", "line 1: word id 1234567890123456789 "
+                                              "outside [0, 6)"),
+        ("a\tx\t0:1000000000000000000\n", ConfigError),
+        ("a\tx\t0:999999999999999999\n", ConfigError),
+        ("a\tx\t0:1 3:2\r\nb\t-\t5:1\r\n", {0: 1, 3: 2}),
+    ], ids=["19-digit-id", "19-digit-id-outside", "19-digit-count",
+            "18-digit-count", "crlf"])
+    def test_long_values_and_line_ends(self, tmp_path, path, text, want):
+        self._write(tmp_path, text)
+        vocabulary = tmp_path / "vocabulary.tsv"
+        vocabulary.write_bytes(vocabulary.read_bytes().replace(b"\n", b"\r\n"))
+        with kernel_path(path):
+            if isinstance(want, dict):
+                assert read_archive(tmp_path).documents[0].counts == want
+            elif isinstance(want, str):
+                with pytest.raises(MalformedRecord) as info:
+                    read_archive(tmp_path)
+                assert str(info.value) == want
+            else:
+                with pytest.raises(want, match="int32"):
+                    read_archive(tmp_path)
 
 
 VOCABULARY = [f"{i}\tw{i}\t1" for i in range(6)]

@@ -508,6 +508,38 @@ class TestCountTables:
                 cells = np.count_nonzero(state.cell_z[lo:hi] >= 0)
                 assert 2 * cells <= hi - lo or hi - lo >= k_max
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), v=st.integers(1, 12),
+           k_max=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_compiled_counts_match_the_probe(self, seed, v, k_max):
+        # Kernel.counts against the numpy probe it replaces in counts_of,
+        # for every (word, cluster), on small tables over many clusters
+        # whose probe runs wrap past their ends
+        kernel = _native.kernel()
+        if kernel is None:
+            pytest.skip("no compiled kernel here")
+        gen = np.random.default_rng(seed)
+        doc_freq = gen.integers(0, 6, size=v)
+        state = ModelState(10, v, k_max, 0.1, doc_freq=doc_freq)
+        dense = np.zeros((v, k_max), dtype=np.int32)
+        for w in np.flatnonzero(doc_freq):
+            clusters = gen.permutation(k_max)[:min(doc_freq[w], k_max)]
+            dense[w, clusters] = gen.integers(1, 5, size=len(clusters))
+        words, clusters = np.nonzero(dense)
+        state.add_counts(words, clusters, dense[words, clusters])
+        # take some cells out again: backward shifts leave other layouts
+        gone = gen.random(len(words)) < 0.3
+        state.add_counts(words[gone], clusters[gone], -dense[words[gone], clusters[gone]])
+        dense[words[gone], clusters[gone]] = 0
+        words, clusters = (a.ravel() for a in np.meshgrid(
+            np.arange(v), np.arange(k_max), indexing="ij"))
+        slots = state._probe(words, clusters)
+        probed = np.where(slots >= 0, state.cell_n[slots], 0)
+        got = kernel.counts(state, words, clusters)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, probed)
+        assert np.array_equal(got, dense.ravel())
+
     @pytest.mark.parametrize("path", ["numpy", "compiled"])
     def test_full_table_refused(self, path, monkeypatch):
         # word 0 is in one document, so its table has room for one cluster
@@ -530,6 +562,8 @@ class TestCountTables:
         with pytest.raises(ValueError, match="must lie in"):
             state.add_counts([1, word], [2, cluster], [1, 1])
         assert np.array_equal(state.table, before)
+        with pytest.raises(ValueError, match="must lie in"):
+            state.counts_of([1, word], [2, cluster])
 
     def test_memory_is_bounded_by_the_corpus(self):
         # V 100k and k_max 1000, about 200k (document, word) entries: a

@@ -2,6 +2,7 @@
 cache, and the fallback to numpy when it cannot be built."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsdmm import _native, model, sampler
+from gsdmm import _native, archive, model, sampler
 from gsdmm.corpus import TokenCSR
 from gsdmm.errors import NonFiniteScore
 from gsdmm.model import (
@@ -31,7 +34,7 @@ from gsdmm.sampler import (
 )
 from gsdmm.synth import GenSpec, generate_corpus
 
-from conftest import corpus_from_counts, make_doc, make_state
+from conftest import corpus_from_counts, kernel_path, make_doc, make_state
 from test_model import _random_weights, _sparse_state
 
 pytestmark = pytest.mark.skipif(
@@ -578,6 +581,121 @@ class TestCompiledCells:
                 kernel.cells(state, stale)
 
 
+def reference_runs(raw: bytes) -> tuple[list[int], list[int], list[str]]:
+    """Kernel.runs by the regex of corpus._split: each [a-z]+ run's
+    segment (the NUL bytes before it) and part id, the parts numbered by
+    first appearance, and the parts."""
+    seg, part, index, s = [], [], {}, 0
+    for match in re.finditer(rb"[a-z]+|\x00", raw):
+        if match.group() == b"\x00":
+            s += 1
+        else:
+            seg.append(s)
+            part.append(index.setdefault(match.group(), len(index)))
+    return seg, part, [p.decode() for p in index]
+
+
+def numpy_pairs(text: str):
+    """archive._pairs on its numpy pass: (words, counts, word_ptr) or None."""
+    with kernel_path("numpy"):
+        return archive._pairs(text, archive._fields(text, 3)[2])
+
+
+def numpy_digits(values: list[str]):
+    """archive._digit_column on its numpy pass: the values or None."""
+    with kernel_path("numpy"):
+        return archive._digit_column(values)
+
+
+# byte strings built to hit the scans' edges: run starts and ends at the
+# letters' neighbours (` and {), NUL, bytes of multi-byte UTF-8, a
+# surrogate's UTF-8 form, line ends and tabs
+_RUN_PIECES = [b"a", b"z", b"`", b"{", b"A", b"Z", b"\x00", b"\xff", b"\x80",
+               b"\xed\xa0\x80", b"\xc3\xa9", b"\n", b"\t", b" ", b"ab", b"abc",
+               b"ba", b"abcabc", b"zz", b"0"]
+_run_bytes = st.lists(st.one_of(st.sampled_from(_RUN_PIECES), st.binary(max_size=3)),
+                      max_size=40).map(b"".join)
+# documents.txt lines: the pair syntax and its separators, and now and then
+# what breaks it; one line in ten lacks the doc id and label columns
+_PAIR_GOOD = ["0", "1", "9", "007", " ", "\x0b", "\x0c", "\x1c", "\x1f", "1:2 ",
+              "3:45 ", " 5:6\x1f", "1" * 18 + ":1 ", "2:" + "9" * 18]
+_PAIR_BAD = [":", "\t", "\n", "\r", "a", "\u0665", "-", "+", "_", "é", "9" * 19,
+             "0" * 20 + "5"]
+_pair_lines = st.lists(st.tuples(
+    st.integers(0, 9),
+    st.lists(st.sampled_from(_PAIR_GOOD * 30 + _PAIR_BAD), max_size=10).map("".join)),
+    max_size=5).map(lambda lines: "".join(
+        (f"d{i}\tx\t" if n else "") + line + "\n"
+        for i, (n, line) in enumerate(lines)))
+# a number column's values: digits, what is no digit, and 18 and 19 digits
+_DIGIT_PIECES = ["0", "1", "9", "123", "a", " ", ":", "\u0663", "é", "\x00",
+                 "9" * 18, "9" * 19]
+
+
+def _built() -> _native.Kernel:
+    """The compiled kernel, for property tests, which take no
+    function-scoped fixture."""
+    k = _native.kernel()
+    assert k is not None, "a compiler exists but the kernel did not build"
+    return k
+
+
+class TestByteScans:
+    """The compiled scans of ingestion and the archive reader against the
+    regex and numpy passes they stand in for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_run_bytes)
+    def test_runs_match_the_regex(self, raw):
+        kernel = _built()
+        seg, part, parts = kernel.runs(raw)
+        assert seg.dtype == part.dtype == np.int64
+        assert (seg.tolist(), part.tolist(), parts) == reference_runs(raw)
+
+    def test_runs_of_many_parts(self, kernel):
+        # past the hash table's first size, 1024 slots, so it doubles twice
+        # and inserts the parts anew each time
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        raw = " ".join(a + b + c for a in letters for b in letters
+                       for c in "xyz").encode()
+        raw = raw + b"\x00" + raw + b"q" * 100_000
+        seg, part, parts = kernel.runs(raw)
+        assert (seg.tolist(), part.tolist(), parts) == reference_runs(raw)
+        assert len(parts) == 26 * 26 * 3 + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_pair_lines)
+    def test_pairs_match_the_numpy_pass(self, text):
+        kernel = _built()
+        want = numpy_pairs(text)
+        try:
+            got = kernel.pairs(text.encode("utf-8"))
+        except OverflowError:  # handed to the numpy pass
+            assert re.search("[0-9]{19}", text)
+            return
+        assert (got is None) == (want is None)
+        if got is not None:
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.lists(st.sampled_from(_DIGIT_PIECES), max_size=3)
+                           .map("".join), max_size=12))
+    def test_digits_match_the_numpy_pass(self, values):
+        kernel = _built()
+        want = numpy_digits(values)
+        raw = ("\n".join(values) + "\n" if values else "").encode("utf-8")
+        try:
+            got = kernel.digits(raw)
+        except OverflowError:  # handed to the numpy pass
+            assert any(len(v) > 18 for v in values)
+            return
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 # Run in a process of its own with the sanitizer runtime preloaded: the
 # kernel built with AddressSanitizer and UndefinedBehaviorSanitizer
 # (argv[1]) against the numpy reference, in dense and sparse calls. The
@@ -587,10 +705,12 @@ class TestCompiledCells:
 # sparse calls (k_active 40 past crossover 0) and dense ones, and lists
 # cells for its refreshes. Most used words' tables hold 2 to 32 slots for
 # 40 clusters, so probe runs and backward shifts wrap past a table's end.
+# Then Kernel.counts reads every cell of the last state, and the byte scans
+# of ingestion and the archive reader run on drawn adversarial inputs.
 _SANITIZED_RUN = """
-import ctypes, sys
+import ctypes, re, sys
 import numpy as np
-from gsdmm import _native, model
+from gsdmm import _native, archive, model
 from gsdmm.model import UniformBeta, cluster_log_scores, word_entropy
 from gsdmm.sampler import RunConfig, run_gsdmm, run_gsdmm_plus
 from gsdmm.synth import GenSpec, generate_corpus
@@ -635,6 +755,79 @@ for dist in ("fixed", "poisson"):
                     state, words, counts, weights))
                 assert np.allclose(got, cluster_log_scores(
                     state, words, counts, weights), rtol=1e-12, atol=1e-9)
+
+# the count reads of folds and merges: every (word, cluster) of the last
+# state against the numpy probe
+words, clusters = (a.ravel() for a in np.meshgrid(
+    np.arange(state.V), np.arange(state.k_max), indexing="ij"))
+slots = state._probe(words, clusters)
+assert np.array_equal(built.counts(state, words, clusters),
+                      np.where(slots >= 0, state.cell_n[slots], 0))
+
+# The byte scans read copies of their input in buffers of its exact size
+# (a bytes object holds a NUL past its end), against the regex and the
+# numpy passes on adversarial bytes.
+for name in ("_count_runs", "_runs", "_count_bytes", "_pairs", "_digits"):
+    def exact(raw, *args, fn=getattr(built, name)):
+        buf = np.frombuffer(raw, dtype=np.uint8).copy()
+        return fn(ctypes.cast(buf.ctypes.data, ctypes.c_char_p), *args)
+    setattr(built, name, exact)
+_native.kernel = lambda: None
+gen = np.random.default_rng(5)
+
+
+def draw(pieces, most):
+    return type(pieces[0])().join(pieces[i] for i in gen.integers(
+        0, len(pieces), int(gen.integers(0, most + 1))))
+
+
+def reference_runs(raw):
+    seg, part, index, s = [], [], {}, 0
+    for match in re.finditer(rb"[a-z]+|\\x00", raw):
+        if match.group() == b"\\x00":
+            s += 1
+        else:
+            seg.append(s)
+            part.append(index.setdefault(match.group(), len(index)))
+    return seg, part, [p.decode() for p in index]
+
+
+run_pieces = [b"a", b"z", b"`", b"{", b"\\x00", b"\\xff", b"\\xed\\xa0\\x80", b"\\n",
+              b" ", b"ab", b"abcabc", b"0"]
+many = b" ".join(bytes([97 + a, 97 + b, 97 + c]) for a in range(26)
+                 for b in range(26) for c in range(3))
+many += b"\\x00" + many  # 2028 parts: the table doubles twice
+for raw in [b"", b"a", b"\\x00", b"q" * 100_000, many,
+            *(draw(run_pieces, 60) for _ in range(300))]:
+    seg, part, parts = built.runs(raw)
+    assert (seg.tolist(), part.tolist(), parts) == reference_runs(raw), raw
+
+pair_pieces = ["0", "12", ":", " ", "\\x0b", "\\x1f", "\\t", "\\r", "a", "\\u0665",
+               "1:2 ", "3:45 ", "1:2 ", "3:45 ", "9" * 19, "1" * 18 + ":1 "]
+for _ in range(300):
+    text = "".join(("d%d\\tx\\t" % i if gen.random() < 0.9 else "")
+                   + draw(pair_pieces, 8) + "\\n" for i in range(int(gen.integers(0, 5))))
+    want = archive._pairs(text, archive._fields(text, 3)[2])
+    try:
+        got = built.pairs(text.encode())
+    except OverflowError:
+        continue
+    assert (got is None) == (want is None), text
+    if got is not None:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), text
+assert built.pairs(b"d\\tx\\t1:2") is None  # no line feed at its end
+
+digit_pieces = ["0", "7", "123", "9" * 18, "9" * 19, "a", " ", "\\u0663"]
+for _ in range(300):
+    values = [draw(digit_pieces, 3) for _ in range(int(gen.integers(0, 6)))]
+    want = archive._digit_column(values)
+    try:
+        got = built.digits(("\\n".join(values) + "\\n" if values else "").encode())
+    except OverflowError:
+        continue
+    assert (got is None) == (want is None), values
+    assert got is None or np.array_equal(got, want), values
+assert built.digits(b"12") is None  # no line feed at its end
 print("ok")
 """
 

@@ -40,7 +40,7 @@ from gsdmm.errors import (
 from gsdmm.sampler import RunConfig, run_gsdmm
 from gsdmm.synth import GenSpec, generate_corpus
 
-from conftest import corpus_from_counts
+from conftest import PATHS, corpus_from_counts, kernel_path
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -258,14 +258,23 @@ def assert_same_corpus(got: Corpus, want: Corpus) -> None:
                   ("b", "q", None)], rules=TokenRules(min_df=1))
 @example(records=[("a", "123 !!", None)], rules=TokenRules(min_df=1))
 @example(records=[], rules=TokenRules())
+# a lone surrogate, as JSON's \ud800 gives one, and a 100k-letter run
+@example(records=[("a", json.loads('"ab\\ud800cd \\udfffef"'), None),
+                  ("b", "ab cd ef", None)], rules=TokenRules(min_df=1))
+@example(records=[("a", "q" * 100_000 + " beta", None),
+                  ("b", "beta " + "q" * 100_000, None)],
+         rules=TokenRules(min_df=1, max_word_len=100_000))
 def test_build_corpus_matches_reference(records, rules):
-    got = _built(build_corpus, records, rules)
+    # on the compiled byte scan and on the regex pass it replaces
     want = _built(reference_build_corpus, records, rules)
-    assert got[0] == want[0]
-    if want[0] == "ok":
-        assert_same_corpus(got[1], want[1])
-    else:
-        assert got == want
+    for path in PATHS:
+        with kernel_path(path):
+            got = _built(build_corpus, records, rules)
+        assert got[0] == want[0], path
+        if want[0] == "ok":
+            assert_same_corpus(got[1], want[1])
+        else:
+            assert got == want
     for _, text, _ in records:
         assert tokenize(text, rules) == reference_tokenize(text, rules)
 
@@ -416,6 +425,25 @@ def test_whitespace_refused_before_any_file(tmp_path, space, field):
         write_archive(corpus, out)
     assert repr(value) in str(exc.value)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("brk", ["\t", "\n", "\r", "\r\n"])
+def test_vocabulary_word_with_a_break_refused_before_any_file(tmp_path, brk):
+    # the word would split its vocabulary.tsv line, which read_archive
+    # then refused as "expected id<TAB>word<TAB>df"
+    word = f"b{brk}c"
+    corpus = Corpus(documents=(Document("a", {0: 1, 1: 2}),),
+                    vocabulary=Vocabulary(("w", word), (1, 1)))
+    out = tmp_path / "archive"
+    with pytest.raises(ConfigError, match="vocabulary word") as exc:
+        write_archive(corpus, out)
+    assert repr(word) in str(exc.value)
+    assert not out.exists()
+    # other whitespace in a word round-trips
+    corpus = Corpus(documents=(Document("a", {0: 1, 1: 2}),),
+                    vocabulary=Vocabulary(("w", "b c\x0b\x85"), (1, 1)))
+    write_archive(corpus, out)
+    assert read_archive(out).vocabulary == corpus.vocabulary
 
 
 def test_comma_in_doc_id_refused_before_any_file(tmp_path):
