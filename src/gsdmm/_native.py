@@ -16,10 +16,13 @@ The entry points, each with the numpy (or regex) reference that runs in
 its place when the kernel cannot be built:
 
 - Kernel.sweep runs document steps (sampler's numpy steps) and
-  Kernel.log_scores scores one document (model.cluster_log_scores).
+  Kernel.log_scores scores one document (model.cluster_log_scores). A
+  document is scored sparse while more than _CROSSOVER clusters are
+  occupied, so the mode can change within a call as clusters empty and
+  fill.
 - Kernel.cells lists the occupied count cells that gsdmm+'s entropy
-  refresh reads, from the corpus in word-major order (TokenCSR.by_word;
-  model._occupied_cells); the refresh's arithmetic stays in numpy.
+  refresh reads, in one pass over the count tables
+  (model._nonzero_cells); the refresh's arithmetic stays in numpy.
 - Kernel.add adds to cells one by one (ModelState.add_counts, reference
   ModelState._add_counts), and Kernel.counts reads them, one probe each
   (ModelState.counts_of, reference ModelState._probe).
@@ -68,9 +71,9 @@ DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE, FULL = 0, 1, -1, -2, -3, -4
 IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
 _LONG = -2  # the byte scans' code for a value of more than 18 digits
 
-# A kernel call that starts with more active clusters than this scores every
-# document sparse; one with fewer, every document dense (README, Performance,
-# has the timings).
+# A document is scored sparse while more clusters than this are occupied and
+# dense otherwise; the kernel checks as clusters empty and fill, so one call
+# can change mode (README, Performance, has the timings).
 _CROSSOVER = 128
 
 
@@ -165,7 +168,7 @@ class Kernel:
             _arr(np.int64), _arr(np.int64), _arr(np.int32),   # corpus CSR
             _arr(np.int64), _arr(np.float64), _I64,           # order, u, n
             _arr(np.float64), _F64, _F64, *_LOGM,            # weights
-            _I64, _I64, _I64,                     # prune, refresh step, sparse
+            _I64, _I64, _I64,                  # prune, refresh step, crossover
             _arr(np.float64), _arr(np.int64), _arr(np.int64),  # work space, io
         ]
         self._sweep.restype = _I64
@@ -178,12 +181,8 @@ class Kernel:
         ]
         self._scores.restype = _I64
         self._cells = lib.dmm_cells
-        self._cells.argtypes = [
-            *_TABLES, _I64, _arr(np.int64), _I64,    # k_active, assignments
-            _arr(np.int64), _I64, _arr(np.int64), _arr(np.int32), _I64,  # index
-            _arr(np.uint64), _arr(np.int32),                  # work space
-            _arr(np.int64), _arr(np.int32),                   # out
-        ]
+        self._cells.argtypes = [*_TABLES, _I64, _I64,  # V, k_active
+                                _arr(np.int64), _arr(np.int64), _arr(np.int32)]
         self._cells.restype = _I64
         self._add = lib.dmm_add
         self._add.argtypes = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64),
@@ -234,7 +233,6 @@ class Kernel:
             raise ValueError("order and uniforms must match, with ids in [0, D)")
         if refresh_step and refresh is None:
             raise ValueError("a refresh step needs a refresh callback")
-        sparse = _sparse(state)
         work, iwork = _work(state.k_max)
         logm = np.empty(state.D + 1)  # filled once, on the first entry
         io = np.zeros(IO_LEN, dtype=np.int64)
@@ -245,7 +243,7 @@ class Kernel:
                                word_ptr, words, counts, order, uniforms,
                                len(order), h, ctot, state.alpha, logm,
                                len(logm), int(prune), int(refresh_step),
-                               sparse, work, iwork, io)
+                               _CROSSOVER, work, iwork, io)
             state.k_active = int(io[IO_K])
             if code != REFRESH:
                 break
@@ -270,37 +268,24 @@ class Kernel:
         bad = _I64(-1)
         code = self._scores(*_state_args(state), state.k_active, words, counts,
                             len(words), h, ctot, state.alpha, logm, len(logm),
-                            _sparse(state), *_work(state.k_max), out,
+                            _CROSSOVER, *_work(state.k_max), out,
                             ctypes.byref(bad))
         _raise_for(code, bad.value)
         return out
 
-    def cells(self, state, csr) -> tuple[np.ndarray, np.ndarray]:
-        """The count cells that csr's attached documents occupy in state,
-        as (words, nz): word ids (int64) ascending and, within a word,
-        clusters ascending, with the cells' counts (int32) read from the
-        state's count tables. Its numpy reference is model._occupied_cells,
-        with these arguments. The cells are found from csr.by_word, the
-        corpus in word-major order, so the state must hold csr's counts.
-        The index's sizes are checked here, its offsets and document ids by
-        the C loop as it reads them."""
-        _, words, _ = _corpus_arrays(state, csr)
-        start, docs, counts = (np.ascontiguousarray(a, dtype=t) for a, t in
-                               zip(csr.by_word, (np.int64, np.int64, np.int32)))
-        if not 1 <= len(start) <= state.V + 1 or start[0] != 0 \
-                or start[-1] != len(words) or docs.shape != words.shape \
-                or counts.shape != words.shape:
-            raise ValueError("word-major index does not match the corpus")
-        out_w = np.empty(len(words), dtype=np.int64)
-        out_nz = np.empty(len(words), dtype=np.int32)
-        n = self._cells(state.cell_ptr, state.table, state.k_active,
-                        state.assignments, state.D,
-                        start, len(start) - 1, docs, counts, len(docs),
-                        np.zeros(-(-state.k_active // 64), dtype=np.uint64),
-                        np.zeros(1 + state.k_max, dtype=np.int32), out_w, out_nz)
-        if n < 0:
-            raise ValueError("word-major index does not match the corpus")
-        return out_w[:n], out_nz[:n]
+    def cells(self, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The occupied count cells of state's tables as (words, clusters,
+        counts): word ids (int64) ascending and, within a word, clusters
+        (int64) ascending, with their counts (int32). Its numpy reference
+        is model._nonzero_cells, with the same argument and result. A table
+        with a slot for every active cluster is read up to k_active."""
+        _check_state(state)
+        out_w, out_z = (np.empty(len(state.table), dtype=np.int64)
+                        for _ in range(2))
+        out_n = np.empty(len(state.table), dtype=np.int32)
+        n = self._cells(state.cell_ptr, state.table, state.V, state.k_active,
+                        out_w, out_z, out_n)
+        return out_w[:n], out_z[:n], out_n[:n]
 
     def add(self, state, words: np.ndarray, clusters: np.ndarray,
             counts: np.ndarray) -> None:
@@ -391,12 +376,6 @@ def _check_state(state) -> None:
 def _state_args(state) -> tuple:
     """The count tables, k_max, m and n, as the kernel takes them."""
     return state.cell_ptr, state.table, state.k_max, state.m, state.n
-
-
-def _sparse(state) -> int:
-    """The call's scoring mode, from the active clusters at its start: 1,
-    every document sparse, past _CROSSOVER; else 0, every document dense."""
-    return int(state.k_active > _CROSSOVER)
 
 
 def _work(k_max: int) -> tuple[np.ndarray, np.ndarray]:

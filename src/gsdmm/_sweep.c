@@ -36,23 +36,27 @@
  * table is scattered into its counts in the planned clusters once, before
  * the product loop over its tokens.
  *
- * A call scores every document in one of two modes, chosen once by the
- * caller (_native picks sparse when the call starts with more than
- * _CROSSOVER active clusters). Dense: the occupied clusters plus the lowest
- * empty one, whose score every empty cluster reads. Sparse: the tables of
- * the document's words give the clusters it shares a word with, which are
- * scored reading their counts. Every other cluster has a zero count for each
- * of the document's words, so its score depends on its (m, n) alone. The
- * kernel keeps the active clusters' classes of equal (m, n), with their
- * member lists, and moves a cluster between classes at every count change; a
- * document scores one member of each class that has a member sharing no
- * word with it (the empty clusters form the (0, 0) class). A class whose
- * members all share a word with the document is not scored: no cluster
- * would read that score, and with every score a distinct cluster's there
- * are at most k. The draw cumulates over the clusters in index order, each
- * reading its own score or the one it shares. Each cluster's score takes the
- * same floating-point operations in the same order in both modes, so the
- * chain does not depend on the mode.
+ * A document is scored in one of two modes, set by how many of the active
+ * clusters are occupied (m > 0 or n > 0): sparse exactly while more than
+ * the caller's crossover (_native._CROSSOVER) are. The count is taken on
+ * entry and kept as clusters empty and fill, the events that already
+ * rebuild the dense plan, so a call changes mode as it goes: most clusters
+ * of a large k_max empty within the first sweeps. Dense: the occupied
+ * clusters plus the lowest empty one, whose score every empty cluster
+ * reads. Sparse: the tables of the document's words give the clusters it
+ * shares a word with, which are scored reading their counts. Every other
+ * cluster has a zero count for each of the document's words, so its score
+ * depends on its (m, n) alone. In sparse mode the kernel keeps the active
+ * clusters' classes of equal (m, n), with their member lists, built on
+ * entering the mode, and moves a cluster between classes at every count
+ * change; a document scores one member of each class that has a member
+ * sharing no word with it (the empty clusters form the (0, 0) class). A
+ * class whose members all share a word with the document is not scored: no
+ * cluster would read that score, and with every score a distinct cluster's
+ * there are at most k. The draw cumulates over the clusters in index order,
+ * each reading its own score or the one it shares. Each cluster's score
+ * takes the same floating-point operations in the same order in both
+ * modes, so the chain does not depend on the mode.
  *
  * log(m + alpha) is read from a table of the same expression for every m up
  * to the number of documents, filled on the first entry of a sweep and kept
@@ -60,11 +64,10 @@
  *
  * The entry points: dmm_sweep runs document steps and dmm_scores scores one
  * document. dmm_cells lists the occupied count cells for gsdmm+'s entropy
- * refresh: it walks the corpus transposed to word-major order (built once
- * per corpus), so finding the cells costs O(entries), not a sort of them or
- * a scan of the tables; the entropy arithmetic stays with the caller.
- * dmm_add adds counts to cells (ModelState.add_counts) and dmm_counts reads
- * them (ModelState.counts_of).
+ * refresh, word-major with clusters ascending, in one pass over the tables;
+ * the entropy arithmetic stays with the caller. dmm_add adds counts to
+ * cells (ModelState.add_counts) and dmm_counts reads them
+ * (ModelState.counts_of).
  *
  * The byte scans serve ingestion and the archive reader, with no Python
  * object per token or per pair: dmm_count_runs and dmm_runs find and number
@@ -86,18 +89,6 @@
 
 #define CHUNK 8
 
-#ifdef __GNUC__
-#define LOWEST(x) __builtin_ctzll(x)
-#else
-static int64_t LOWEST(uint64_t x)
-{
-    int64_t i = 0;
-    while (!(x >> i & 1))
-        i++;
-    return i;
-}
-#endif
-
 /* return codes, mirrored in _native.py */
 enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3,
        FULL = -4 };
@@ -108,8 +99,8 @@ enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3,
  * BAD receives the cluster whose score was non-finite */
 enum { IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN };
 
-/* The active clusters' classes of equal (m, n), built on each entry of a
- * sparse call. cls[z] is cluster z's class. A class lists its
+/* The active clusters' classes of equal (m, n), built on each entry into
+ * sparse mode. cls[z] is cluster z's class. A class lists its
  * members from head through next and prev (-1 ends a list), and holds its
  * (m, n) and the current document's entry for it. ids[0, live) are the
  * classes in use and ids[live, kmax) the free ones, pos their inverse;
@@ -133,7 +124,9 @@ typedef struct {
     int64_t *m, *n;      /* (kmax,) document and token counts */
     int64_t *assign;     /* (n_docs,) cluster per document, -1 when detached */
     int64_t n_docs;
-    int64_t sparse;      /* the call's scoring mode */
+    int64_t crossover;   /* sparse while more are occupied than this */
+    int64_t occupied;    /* active clusters with m > 0 or n > 0 */
+    int64_t sparse;      /* the current scoring mode */
     int64_t held;        /* the cluster whose cells still hold the counts of
                           * the detached document being scored, or -1 */
     Classes cl;          /* kept in sparse mode */
@@ -149,10 +142,10 @@ typedef struct {
 
 /* Work space of one call, carved from the caller's arrays by carve. The
  * plan (list, ent, nc) is the one set of clusters the current document is
- * scored against. One plan serves both modes only because a call never
- * mixes them: dense keeps its plan across documents and rebuilds it when a
- * cluster empties or fills (plan_dense), sparse rewrites it for every
- * document (plan_sparse). */
+ * scored against. Dense keeps its plan across documents and rebuilds it
+ * when a cluster empties or fills (plan_dense), sparse rewrites it for
+ * every document (plan_sparse); a change of mode happens only at those
+ * events, and replan makes the plan of the new mode. */
 typedef struct {
     int64_t *list;    /* the nc clusters scored */
     int64_t *ent;     /* active cluster -> the entry in list it reads */
@@ -397,12 +390,9 @@ static double log_m(const Weights *wt, int64_t m)
 
 /* The dense plan of the k active clusters: the occupied ones (m > 0 or
  * n > 0) plus the lowest empty one, in index order, every empty cluster
- * reading the representative's entry. Nothing in sparse mode, which plans
- * each document. */
+ * reading the representative's entry. */
 static void plan_dense(const Model *s, Scratch *x, int64_t k)
 {
-    if (s->sparse)
-        return;
     int64_t nc = 0, rep = -1;
     for (int64_t z = 0; z < k; z++) {
         if (s->m[z] || s->n[z] || rep < 0) {
@@ -415,6 +405,29 @@ static void plan_dense(const Model *s, Scratch *x, int64_t k)
         }
     }
     x->nc = nc;
+}
+
+/* The number of occupied clusters (m > 0 or n > 0) among the k active. */
+static int64_t count_occupied(const Model *s, int64_t k)
+{
+    int64_t occ = 0;
+    for (int64_t z = 0; z < k; z++)
+        occ += s->m[z] || s->n[z];
+    return occ;
+}
+
+/* Set the mode from s->occupied, on entry and after a cluster emptied or
+ * filled: sparse exactly while more than s->crossover clusters are
+ * occupied. Entering sparse mode builds the classes, which dense mode does
+ * not keep; dense mode rebuilds its plan, which sparse makes per document. */
+static void replan(Model *s, Scratch *x, int64_t k)
+{
+    const int64_t sparse = s->occupied > s->crossover;
+    if (sparse && !s->sparse)
+        build_classes(s, k);
+    s->sparse = sparse;
+    if (!sparse)
+        plan_dense(s, x, k);
 }
 
 /* The sparse plan for one document of nw distinct words: the clusters that
@@ -687,24 +700,24 @@ static int64_t deactivate(Model *s, int64_t z, int64_t *k,
 }
 
 /* Score one detached document against every active cluster, k of them,
- * into out (k,), in sparse mode when sparse is non-zero. The tables are
- * only read. logm (nlog,) is filled here. Work space as for dmm_sweep.
+ * into out (k,), sparse when more than crossover clusters are occupied.
+ * The tables are only read. logm (nlog,) is filled here. Work space as for
+ * dmm_sweep.
  * Returns DONE, or NONFINITE with the cluster in *bad. */
 int64_t dmm_scores(const int64_t *ptr, Cell *cell,
                    int64_t kmax, int64_t *m, int64_t *n, int64_t k,
                    const int64_t *words, const int32_t *counts, int64_t nw,
                    const double *h, double ctot, double alpha, double *logm,
-                   int64_t nlog, int64_t sparse, double *work, int64_t *iwork,
-                   double *out, int64_t *bad)
+                   int64_t nlog, int64_t crossover, double *work,
+                   int64_t *iwork, double *out, int64_t *bad)
 {
     Model s = {.ptr = ptr, .cell = cell, .kmax = kmax, .m = m,
-               .n = n, .sparse = sparse, .held = -1};
+               .n = n, .crossover = crossover, .held = -1};
     const Weights wt = {h, ctot, alpha, logm, nlog};
     Scratch x = carve(&s, work, iwork);
     fill_logs(logm, nlog, alpha);
-    if (s.sparse)
-        build_classes(&s, k);
-    plan_dense(&s, &x, k);
+    s.occupied = count_occupied(&s, k);
+    replan(&s, &x, k);
     score_slots(&s, &wt, &x, k, words, counts, nw);
     for (int64_t z = 0; z < k; z++)
         out[z] = x.score[x.ent[z]];
@@ -717,11 +730,12 @@ int64_t dmm_scores(const int64_t *ptr, Cell *cell,
  * one with assignment -1 only joins. With refresh_step > 0 the call returns
  * REFRESH after detaching (and pruning for) each position that is a multiple
  * of refresh_step, so the caller can recompute h and call again to resume.
- * Every document scores sparse when sparse is non-zero. logm (nlog,) is
- * filled on the first entry; later entries resume after a REFRESH and keep
- * it. work and iwork are sized by _native._work and hold nothing from one
- * entry to the next. Returns DONE, REFRESH or a negative code; io always
- * holds the position and counts reached. */
+ * A document scores sparse when more than crossover clusters are occupied
+ * as it is scored. logm (nlog,) is filled on the first entry; later
+ * entries resume after a REFRESH and keep it. work and iwork are sized by
+ * _native._work and hold nothing from one entry to the next. Returns DONE,
+ * REFRESH or a negative code; io always holds the position and counts
+ * reached. */
 int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
                   int64_t kmax, int64_t *m, int64_t *n,
                   int64_t *assign, int64_t n_docs,
@@ -729,12 +743,12 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
                   const int32_t *counts, const int64_t *order,
                   const double *u, int64_t n_order, const double *h,
                   double ctot, double alpha, double *logm, int64_t nlog,
-                  int64_t prune, int64_t refresh_step, int64_t sparse,
+                  int64_t prune, int64_t refresh_step, int64_t crossover,
                   double *work, int64_t *iwork, int64_t *io)
 {
     Model s = {.ptr = ptr, .cell = cell, .kmax = kmax, .m = m,
-               .n = n, .assign = assign, .n_docs = n_docs, .sparse = sparse,
-               .held = -1};
+               .n = n, .assign = assign, .n_docs = n_docs,
+               .crossover = crossover, .held = -1};
     const Weights wt = {h, ctot, alpha, logm, nlog};
     Scratch x = carve(&s, work, iwork);
     int64_t k = io[IO_K], moved = io[IO_MOVED], pos = io[IO_POS];
@@ -742,9 +756,8 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
 
     if (!io[IO_RESUME])
         fill_logs(logm, nlog, alpha);
-    if (s.sparse)
-        build_classes(&s, k);
-    plan_dense(&s, &x, k);
+    s.occupied = count_occupied(&s, k);
+    replan(&s, &x, k);
 
     for (; pos < n_order; pos++) {
         const int64_t d = order[pos];
@@ -783,7 +796,8 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
                         }
                         pruned = 1;
                     }
-                    plan_dense(&s, &x, k);
+                    s.occupied--;
+                    replan(&s, &x, k);
                 }
             }
             if (refreshing) {
@@ -816,8 +830,10 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
             break;
         }
         assign[d] = z_new;
-        if (filled)
-            plan_dense(&s, &x, k);
+        if (filled) {
+            s.occupied++;
+            replan(&s, &x, k);
+        }
         if (pruned || z_new != z_old)
             moved++;
     }
@@ -827,58 +843,38 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
     return code;
 }
 
-/* The occupied cells (w, z) of the attached documents, for each word w <
- * n_words in turn and, within a word, for each cluster z ascending, written
- * to out_w (w) and out_nz (the count, from w's table). Word w's entries are
- * documents col_doc[col_ptr[w]:col_ptr[w + 1]] with their counts col_count
- * at the same positions; an entry of a detached document (assignment -1) or
- * of count 0 occupies no cell, and a cell two entries share is listed once.
- * Every assignment and every cell's cluster is below k, k_active. seen is
- * zeroed work space with a bit for every cluster below k, and by_z zeroed
- * work space of 1 + kmax counts: a word's table is
- * scattered into by_z + 1 (a free slot into by_z[0]) to read its counts
- * from, and cleared after. A call that succeeds leaves both zeroed. Returns
- * the number of cells (at most n_entries), or -1 when the index points
- * outside its entries or the documents. */
-int64_t dmm_cells(const int64_t *ptr, Cell *cell, int64_t k,
-                  const int64_t *assign, int64_t n_docs,
-                  const int64_t *col_ptr, int64_t n_words,
-                  const int64_t *col_doc, const int32_t *col_count,
-                  int64_t n_entries, uint64_t *seen, int32_t *by_z,
-                  int64_t *out_w, int32_t *out_nz)
+/* The occupied cells of the tables of words 0 to n_words - 1, word by word
+ * and, within a word, clusters ascending: each cell's word, cluster and
+ * count go to out_w, out_z and out_n, which have room for every slot. A
+ * word's first span(k) slots are copied out, each slot written and only
+ * the occupied ones kept (no branch on a free slot), and the kept cells
+ * are sorted by cluster by insertion. A table with a slot for each of the
+ * k active clusters holds each cell at its home (span), so its run is
+ * sorted already; a smaller table is read whole and is at most half full.
+ * Returns the number of cells. */
+int64_t dmm_cells(const int64_t *ptr, const Cell *cell, int64_t n_words,
+                  int64_t k, int64_t *out_w, int64_t *out_z, int32_t *out_n)
 {
-    int32_t *count_of = by_z + 1;
     int64_t nc = 0;
     for (int64_t w = 0; w < n_words; w++) {
-        const int64_t lo = col_ptr[w], hi = col_ptr[w + 1];
-        if (lo < 0 || hi < lo || hi > n_entries)
-            return -1;
-        int64_t first = INT64_MAX, last = -1;  /* seen's words in use */
-        for (int64_t e = lo; e < hi; e++) {
-            const int64_t d = col_doc[e];
-            if (d < 0 || d >= n_docs)
-                return -1;
-            const int64_t z = assign[d];
-            if (z < 0 || !col_count[e])
-                continue;
-            seen[z >> 6] |= (uint64_t)1 << (z & 63);
-            first = (z >> 6) < first ? z >> 6 : first;
-            last = (z >> 6) > last ? z >> 6 : last;
+        const int64_t first = nc, lo = ptr[w], end = lo + span(ptr, w, k);
+        for (int64_t t = lo; t < end; t++) {
+            out_w[nc] = w;
+            out_z[nc] = cell[t].z;
+            out_n[nc] = cell[t].n;
+            nc += cell[t].z >= 0;
         }
-        if (last < 0)
-            continue;
-        const int64_t end = ptr[w] + span(ptr, w, k);
-        for (int64_t t = ptr[w]; t < end; t++)
-            count_of[cell[t].z] = cell[t].n;
-        for (int64_t b = first; b <= last; b++) {
-            for (uint64_t r = seen[b]; r; r &= r - 1) {
-                out_w[nc] = w;
-                out_nz[nc++] = count_of[64 * b + LOWEST(r)];
+        for (int64_t i = first + 1; i < nc; i++) {
+            const int64_t z = out_z[i];
+            const int32_t n = out_n[i];
+            int64_t j = i;
+            for (; j > first && out_z[j - 1] > z; j--) {
+                out_z[j] = out_z[j - 1];
+                out_n[j] = out_n[j - 1];
             }
-            seen[b] = 0;
+            out_z[j] = z;
+            out_n[j] = n;
         }
-        for (int64_t t = ptr[w]; t < end; t++)
-            count_of[cell[t].z] = 0;
     }
     return nc;
 }

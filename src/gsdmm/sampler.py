@@ -20,10 +20,10 @@ interface, _steps. They run in one compiled C kernel (see _native) when the
 system compiler can build it, and otherwise in the numpy reference kept
 here, which takes the kernel's arguments and which the tests hold the
 kernel to: identical assignments and counts, scores within 1e-9; both draw
-from exp(score - max) with the same arithmetic. A refresh finds the
-occupied count cells from the corpus arrays, not by scanning the count
-tables, in C when the kernel is built (see word_entropy); its arithmetic
-and merging stay in numpy on both paths.
+from exp(score - max) with the same arithmetic. A refresh reads the
+occupied count cells from the count tables, in C when the kernel is built
+(see word_entropy); its arithmetic and merging stay in numpy on both
+paths.
 """
 
 from __future__ import annotations
@@ -238,8 +238,7 @@ def gibbs_sweep(
     return _steps(
         state, corpus, np.arange(d_total), rng, weights,
         cfg.algorithm == GSDMM_PLUS, refresh_step,
-        lambda: word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
-                             corpus.token_csr))
+        lambda: word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized))
 
 
 def _steps(state: ModelState, corpus: Corpus, order: np.ndarray,
@@ -375,8 +374,7 @@ def _run(corpus: Corpus, cfg: RunConfig) -> tuple[np.ndarray, ModelState, SweepT
     init_rng, sweep_rng = _streams(cfg.seed)
     state = (adaptive_init if plus else random_init)(corpus, cfg, init_rng)
     if plus:
-        weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized,
-                               corpus.token_csr)
+        weights = word_entropy(state, cfg.entropy_epsilon, cfg.entropy_normalized)
     else:
         weights = UniformBeta(cfg.beta)
     gold = _gold_ids(corpus)

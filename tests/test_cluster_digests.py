@@ -2,11 +2,13 @@
 of each run, pinned by SHA-256 digest.
 
 Each case runs cli.main in-process on one small synthetic archive, three
-ways: on the compiled kernel as shipped, on the compiled kernel in its other
-scoring mode (dense where the shipped call scores sparse, and the reverse),
-and on the numpy reference. All three must write the pinned files, so a
-change to the sampler, the kernel or the output formats that moves any
-byte of a run shows here. eval scores the run's assignments against the
+ways: on the compiled kernel as shipped, on the compiled kernel with every
+document in one scoring mode ("other": sparse at k_max 20, where the
+shipped rule scores dense throughout, dense at k_max 200, where it scores
+sparse until the occupied clusters fall to _CROSSOVER), and on the numpy
+reference; at k_max 200 a fourth run scores every document sparse. All
+must write the pinned files, so a change to the sampler, the kernel or the
+output formats that moves any byte of a run shows here. eval scores the run's assignments against the
 archive's gold labels and topwords lists each cluster's 5 top words, so
 the pins also cover the evaluation and the word counts top_words reads.
 summary.json is digested with its wall time set to 0. The digests also
@@ -181,16 +183,24 @@ def _toolchain() -> str:
     return f"numpy {np.__version__}; {version}"
 
 
+# _CROSSOVER values that force a mode on every document: no count of
+# occupied clusters is at or below -1, and none passes 10 ** 6
+EVERY_SPARSE, EVERY_DENSE = -1, 10 ** 6
+
+
 def run_case(archive, out, case, k_max, path, monkeypatch) -> dict[str, str]:
     """The digests of one cluster run on path: "shipped", "other" (the
-    compiled kernel in the scoring mode the shipped rule does not pick for
-    this k_max) or "numpy", then of eval and topwords on its output."""
+    compiled kernel with every document sparse for a k_max the shipped rule
+    scores dense throughout, else every document dense), "sparse" (every
+    document sparse) or "numpy", then of eval and topwords on its output."""
     with monkeypatch.context() as mp:
         if path == "numpy":
             mp.setattr(_native, "kernel", lambda: None)
+        elif path == "sparse" or (path == "other"
+                                  and k_max <= _native._CROSSOVER):
+            mp.setattr(_native, "_CROSSOVER", EVERY_SPARSE)
         elif path == "other":
-            mp.setattr(_native, "_CROSSOVER",
-                       0 if k_max <= _native._CROSSOVER else 10 ** 6)
+            mp.setattr(_native, "_CROSSOVER", EVERY_DENSE)
         code = main([str(a) for a in (
             "cluster", archive, out, "--kmax", k_max, "--iters", 3,
             "--seed", 5, "--trace", *CASES[case])])
@@ -213,3 +223,12 @@ def test_outputs_match_the_pins(archive, tmp_path, monkeypatch, case, k_max,
         pytest.skip("no compiled kernel here")
     got = run_case(archive, tmp_path / "run", case, k_max, path, monkeypatch)
     assert got == PINS[case, k_max], _toolchain()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_document_sparse_at_k_max_200(archive, tmp_path, monkeypatch,
+                                            case):
+    if _native.kernel() is None:
+        pytest.skip("no compiled kernel here")
+    got = run_case(archive, tmp_path / "run", case, 200, "sparse", monkeypatch)
+    assert got == PINS[case, 200], _toolchain()

@@ -1,7 +1,7 @@
 """The exact replacements of gsdmm+'s bookkeeping: the entropy table from
-the corpus's occupied cells, the kernel's prune from the documents of the
-moved cluster, and the merge over cell arrays with exact re-checks. Each is
-held to the reference it replaced, bit for bit."""
+the count tables' occupied cells, the kernel's prune from the documents of
+the moved cluster, and the merge over cell arrays with exact re-checks.
+Each is held to the reference it replaced, bit for bit."""
 
 import heapq
 import shutil
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gsdmm import _native, merge, sampler
+from gsdmm import _native, merge, model, sampler
 from gsdmm.corpus import TokenCSR
 from gsdmm.merge import (
     compute_icf,
@@ -19,7 +19,7 @@ from gsdmm.merge import (
     merge_to_k,
     tficf_vector,
 )
-from gsdmm.model import ModelState, UniformBeta, _occupied_cells, word_entropy
+from gsdmm.model import ModelState, UniformBeta, _nonzero_cells, word_entropy
 from gsdmm.sampler import RunConfig, adaptive_init, run_gsdmm_plus
 
 from conftest import corpus_from_counts, make_state
@@ -48,6 +48,23 @@ def _assert_same_table(got, want):
     assert got.sum_h == want.sum_h
 
 
+def _matrix_cells(state):
+    """The nonzero counts of the active clusters as the scan of the dense
+    matrix finds them: (words, clusters, counts), word-major with clusters
+    ascending."""
+    k = state.k_active
+    words, clusters = np.nonzero(state.wz[:, :k])
+    return words, clusters, state.wz[words, clusters]
+
+
+def _scanned_entropy(state, *args):
+    """word_entropy on the numpy path, its cells from the matrix scan."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_native, "kernel", lambda: None)
+        mp.setattr(model, "_nonzero_cells", _matrix_cells)
+        return word_entropy(state, *args)
+
+
 class TestEntropyFromCells:
     @pytest.mark.parametrize("compiled", [True, False])
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -59,16 +76,16 @@ class TestEntropyFromCells:
         real = sampler.word_entropy
         seen = []
 
-        def checked(state, epsilon, normalized, csr=None):
-            assert csr is not None, "the sampler refreshes from the corpus"
-            got = real(state, epsilon, normalized, csr)
-            _assert_same_table(got, real(state, epsilon, normalized))
+        def checked(state, epsilon, normalized):
+            got = real(state, epsilon, normalized)
+            _assert_same_table(got, _scanned_entropy(state, epsilon, normalized))
             seen.append((state.k_active, int((state.assignments < 0).sum())))
             return got
 
         monkeypatch.setattr(sampler, "word_entropy", checked)
-        # at k_max 150, past _CROSSOVER, the kernel scores sparse, and the
-        # clusters span three 64-bit words of the compiled cell listing
+        # at k_max 150 the kernel scores sparse until the occupied clusters
+        # fall to _CROSSOVER, and most tables hold fewer slots than there
+        # are active clusters, so the listing sorts their cells
         for k_max, corpus in ((40, _topical(3)), (150, _topical(3, per_topic=40))):
             seen.clear()
             for normalized in (True, False):
@@ -85,10 +102,8 @@ class TestEntropyFromCells:
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_detached_document_and_zero_counts(self, normalized):
-        # document 0 holds word 0 and is detached (a key built from its
-        # assignment -1 would name the occupied cell of the last word and
-        # cluster); an entry of count 0, which no Corpus holds, occupies no
-        # cell
+        # document 0 holds word 0 and is detached, so its counts left the
+        # tables; an entry of count 0, which no Corpus holds, adds no cell
         csr = _token_arrays([{0: 2, 3: 1}, {0: 1, 1: 2}, {1: 1, 2: 0, 4: 3},
                              {3: 2}, {4: 1}])
         state = ModelState(5, 5, k_max=6, alpha=0.1, k_active=3)
@@ -98,15 +113,14 @@ class TestEntropyFromCells:
         state.remove_doc(d, csr.words[lo:hi], csr.counts[lo:hi],
                          int(csr.tok_ptr[d + 1] - csr.tok_ptr[d]))
         assert state.assignments[d] == -1 and state.wz[0, 0] == 1
-        _assert_same_table(word_entropy(state, 1e-9, normalized, csr),
-                           word_entropy(state, 1e-9, normalized))
+        _assert_same_table(word_entropy(state, 1e-9, normalized),
+                           _scanned_entropy(state, 1e-9, normalized))
 
     def test_after_adaptive_init(self):
         corpus = _topical(8)
         cfg = RunConfig(algorithm="gsdmm+", k_max=30, beta=0.05)
         state = adaptive_init(corpus, cfg, np.random.default_rng(1))
-        _assert_same_table(word_entropy(state, csr=corpus.token_csr),
-                           word_entropy(state))
+        _assert_same_table(word_entropy(state), _scanned_entropy(state))
 
 
 def _token_arrays(docs: list[dict[int, int]]) -> TokenCSR:
@@ -116,13 +130,15 @@ def _token_arrays(docs: list[dict[int, int]]) -> TokenCSR:
                               [list(doc.values()) for doc in docs])
 
 
-def _cells_case(seed, n_docs, v, k_max, prunes, detached):
+def _cells_case(seed, n_docs, v, k_max, prunes, detached, sized):
     """The token arrays of documents over v words, some never used (word
-    v - 1 among them when v > 1), with entries of count 0, which the
-    kernel must skip though no Corpus holds them, and a state of them: the
-    documents spread over k_max clusters, then prunes clusters emptied and
-    pruned (their documents moved to others), then up to detached
-    documents detached."""
+    v - 1 among them when v > 1), with entries of count 0, which add no
+    cell though no Corpus holds them, and a state of them: the documents
+    spread over k_max clusters, then prunes clusters emptied and pruned
+    (their documents moved to others), then up to detached documents
+    detached. Sized, each word's table is sized from the documents that
+    hold it, so most have fewer slots than clusters and their probe runs
+    wrap; else every table has a slot for each of the k_max clusters."""
     gen = np.random.default_rng(seed)
     used = gen.choice(max(v - 1, 1), size=max((v - 1) * 2 // 3, 1), replace=False)
     docs = []
@@ -131,7 +147,8 @@ def _cells_case(seed, n_docs, v, k_max, prunes, detached):
                            replace=False)
         docs.append({int(w): int(gen.integers(0, 4)) for w in words})
     csr = _token_arrays(docs)
-    state = ModelState(n_docs, v, k_max=k_max, alpha=0.1)
+    state = ModelState(n_docs, v, k_max=k_max, alpha=0.1, doc_freq=np.bincount(
+        csr.words, minlength=v) if sized else None)
     state.add_docs(csr, np.arange(n_docs), gen.integers(0, k_max, size=n_docs))
 
     def move(d, z):
@@ -153,32 +170,63 @@ def _cells_case(seed, n_docs, v, k_max, prunes, detached):
     state.validate()
     for d in gen.choice(n_docs, size=min(detached, n_docs), replace=False).tolist():
         move(d, -1)
-    return state, csr
+    return state
+
+
+# cases that hold each table shape the listing reads; see test_cells_cases
+_CELLS_CASES = [
+    dict(seed=1, n_docs=6, v=5, k_max=2, prunes=0, detached=1, sized=False),
+    dict(seed=2, n_docs=30, v=40, k_max=2, prunes=1, detached=0, sized=True),
+    dict(seed=3, n_docs=60, v=30, k_max=129, prunes=2, detached=3, sized=True),
+    dict(seed=4, n_docs=80, v=60, k_max=200, prunes=0, detached=0, sized=False),
+    dict(seed=5, n_docs=1, v=1, k_max=3, prunes=0, detached=1, sized=True),
+    dict(seed=6, n_docs=14, v=20, k_max=9, prunes=3, detached=2, sized=True),
+    dict(seed=7, n_docs=80, v=60, k_max=200, prunes=3, detached=4, sized=True),
+]
+
+
+def _cases(test):
+    for case in _CELLS_CASES:
+        test = example(**case)(test)
+    return test
 
 
 @needs_cc
 @settings(derandomize=True, deadline=None, max_examples=120)
-@example(seed=1, n_docs=6, v=5, k_max=2, prunes=0, detached=1)
-@example(seed=2, n_docs=30, v=40, k_max=2, prunes=1, detached=0)
-@example(seed=3, n_docs=60, v=30, k_max=129, prunes=2, detached=3)
-@example(seed=4, n_docs=80, v=60, k_max=200, prunes=0, detached=0)
-@example(seed=5, n_docs=1, v=1, k_max=3, prunes=0, detached=1)
+@_cases
 @given(seed=st.integers(0, 2 ** 32 - 1), n_docs=st.integers(1, 80),
        v=st.integers(1, 60), k_max=st.integers(2, 200),
-       prunes=st.integers(0, 3), detached=st.integers(0, 4))
+       prunes=st.integers(0, 3), detached=st.integers(0, 4),
+       sized=st.booleans())
 def test_compiled_cells_match_the_reference(seed, n_docs, v, k_max, prunes,
-                                            detached):
-    state, csr = _cells_case(seed, n_docs, v, k_max, prunes, detached)
-    got = _native.kernel().cells(state, csr)
-    want = _occupied_cells(state, csr)
+                                            detached, sized):
+    state = _cells_case(seed, n_docs, v, k_max, prunes, detached, sized)
+    got = _native.kernel().cells(state)
     # and both equal the scan of the count matrix
-    flat = np.flatnonzero(state.wz[:, :state.k_active] != 0)
-    scan = flat // state.k_active, state.wz.reshape(-1)[
-        flat // state.k_active * state.k_max + flat % state.k_active]
-    for a, b, c in zip(got, want, scan):
+    for a, b, c in zip(got, _nonzero_cells(state), _matrix_cells(state)):
         assert a.dtype == b.dtype == c.dtype
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
+
+
+def test_cells_cases():
+    """The explicit cases hold a cell off its home slot past its table's
+    end (a wrapped probe run), a table with fewer slots than k_max but as
+    many as k_active, so read in slot order up to k_active, and detached
+    documents; prunes and detaches free cells by backward shifts."""
+    wrapped = direct_below_kmax = detached = False
+    for case in _CELLS_CASES:
+        state = _cells_case(**case)
+        caps = np.diff(state.cell_ptr)
+        slots = np.flatnonzero(state.cell_z >= 0)
+        words = state._slot_words(slots)
+        at = slots - state.cell_ptr[words]
+        home = state.cell_z[slots] & (caps[words] - 1)
+        wrapped |= bool((at < home).any())
+        direct_below_kmax |= bool(
+            ((caps[words] >= state.k_active) & (caps[words] < state.k_max)).any())
+        detached |= bool((state.assignments < 0).any())
+    assert wrapped and direct_below_kmax and detached
 
 
 @needs_cc

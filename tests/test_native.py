@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdmm import _native, archive, model, sampler
-from gsdmm.corpus import TokenCSR
 from gsdmm.errors import NonFiniteScore
 from gsdmm.model import (
     EntropyTable,
@@ -42,12 +41,17 @@ pytestmark = pytest.mark.skipif(
     reason="no C compiler: the numpy reference is the only path here")
 
 
+# _CROSSOVER values that force a mode on every document of a call: no count
+# of occupied clusters is at or below -1, and none passes 10 ** 6
+EVERY_SPARSE, EVERY_DENSE = -1, 10 ** 6
+
+
 @pytest.fixture()
 def crossover():
-    """The k_max above which a kernel call scores every document sparse: the
+    """The occupied-cluster count above which the kernel scores sparse: the
     production value, which the k_max <= 40 states here never pass, so
-    their calls run dense. The *Sparse classes rerun their tests at 0, every
-    call sparse."""
+    their calls run dense. The *Sparse classes rerun their tests with every
+    document sparse, calls that start with no occupied cluster too."""
     return _native._CROSSOVER
 
 
@@ -143,12 +147,12 @@ class TestSweepMatchesNumpy:
 
             def refresh(state=state, seen=detached_at_refresh):
                 seen.append(np.flatnonzero(state.assignments < 0).tolist())
-                return word_entropy(state, csr=csr)
+                return word_entropy(state)
 
             rng = np.random.default_rng(22)
             order = rng.permutation(len(corpus))
             moved = steps(state, csr, order, rng.random(len(order)),
-                          word_entropy(state, csr=csr) if entropy else weights,
+                          word_entropy(state) if entropy else weights,
                           prune, 5 if entropy else 0, refresh)
             states.append(state)
             results.append((moved, detached_at_refresh))
@@ -202,7 +206,7 @@ class TestSweepMatchesNumpy:
 class TestSweepMatchesNumpySparse(TestSweepMatchesNumpy):
     @pytest.fixture()
     def crossover(self):
-        return 0
+        return EVERY_SPARSE
 
 
 class TestSparseScoring:
@@ -214,18 +218,19 @@ class TestSparseScoring:
         # k_max 200 over 300 documents: random_init occupies about 155
         # clusters. With fixed lengths n = 6 m, so most clusters share their
         # (m, n) with many others; with Poisson lengths clusters share n but
-        # not m. The chain is the same in sparse mode (the production
-        # crossover is below k_max), in dense mode (crossover above k_max,
-        # no bitmaps) and on the numpy reference
+        # not m. The chain is the same under the production crossover (sparse
+        # until the occupied clusters fall to it, then dense), with every
+        # document sparse, with every document dense and on the numpy
+        # reference
         corpus, _, _, _ = generate_corpus(GenSpec(
             k=5, v=400, d=300, doc_len=6, length_dist=length_dist,
             beta_gen=0.05, seed=12))
         cfg = RunConfig(algorithm="gsdmm+" if prune_empty else "gsdmm",
                         k_max=200, alpha=alpha, beta=0.05)
         init = random_init(corpus, cfg, np.random.default_rng(5))
-        assert cfg.k_max > _native._CROSSOVER
+        assert init.nonempty_count() > _native._CROSSOVER
         runs = []
-        for crossover in (_native._CROSSOVER, cfg.k_max + 1, None):
+        for crossover in (_native._CROSSOVER, EVERY_SPARSE, EVERY_DENSE, None):
             state, rng, moved = init.copy(), np.random.default_rng(6), []
             with monkeypatch.context() as mp:
                 if crossover is None:
@@ -244,6 +249,72 @@ class TestSparseScoring:
             assert runs[0][0].k_active < cfg.k_max
 
 
+class TestModeChangeInsideACall:
+    """One kernel call whose occupied-cluster count crosses _CROSSOVER, so
+    its documents score sparse and then dense, or dense and then sparse,
+    against the same call with every document sparse, with every document
+    dense and on the numpy reference."""
+
+    PATHS = ("shipped", "sparse", "dense", "numpy")
+
+    @staticmethod
+    def _call(path, state, csr, order, uniforms, weights):
+        with pytest.MonkeyPatch.context() as mp:
+            if path == "numpy":
+                return sampler._numpy_steps(state, csr, order, uniforms,
+                                            weights, False)
+            if path != "shipped":
+                mp.setattr(_native, "_CROSSOVER",
+                           EVERY_SPARSE if path == "sparse" else EVERY_DENSE)
+            return _native.kernel().sweep(state, csr, order, uniforms,
+                                          weights, False)
+
+    def _check(self, init, csr, order, uniforms, weights):
+        results = []
+        for path in self.PATHS:
+            state = init.copy()
+            moved = self._call(path, state, csr, order, uniforms, weights)
+            state.validate()
+            results.append((path, state, moved))
+        # the numpy steps take a document's cells out before its draw and
+        # put them back after, so a probe run can hold its cells in another
+        # order there: the same counts, compared as the matrix wz
+        _, shipped, moved = results[0]
+        for path, state, other in results[1:]:
+            assert other == moved, path
+            for name in ("assignments", "m", "n",
+                         "wz" if path == "numpy" else "table"):
+                assert np.array_equal(getattr(state, name),
+                                      getattr(shipped, name)), (path, name)
+        return shipped
+
+    def test_falling_through_the_crossover(self):
+        # gsdmm from random_init at k_max 200: about 155 clusters occupied
+        # on entry, and the sweep empties most of them
+        corpus = _fixed_length_corpus()
+        cfg = RunConfig(k_max=200, alpha=0.1, beta=0.05)
+        init = random_init(corpus, cfg, np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        order = rng.permutation(len(corpus))
+        state = self._check(init, corpus.token_csr, order,
+                            rng.random(len(order)), UniformBeta(cfg.beta))
+        assert init.nonempty_count() > _native._CROSSOVER >= state.nonempty_count()
+
+    def test_rising_through_the_crossover(self):
+        # detached documents join 5 seeded clusters; a large alpha gives
+        # each empty cluster nearly an occupied one's prior mass, so most
+        # joins open a cluster
+        corpus = _fixed_length_corpus()
+        csr = corpus.token_csr
+        init = ModelState.for_corpus(corpus, 200, 50.0)
+        init.add_docs(csr, np.arange(5), np.arange(5))
+        rng = np.random.default_rng(7)
+        order = 5 + rng.permutation(len(corpus) - 5)
+        state = self._check(init, csr, order, rng.random(len(order)),
+                            UniformBeta(1.0))
+        assert init.nonempty_count() <= _native._CROSSOVER < state.nonempty_count()
+
+
 def _fixed_length_corpus(d=300, seed=31):
     """Documents of 6 tokens each: a cluster's n is 6 m, so the occupied
     clusters fall into a few (m, n) classes of many members."""
@@ -254,32 +325,32 @@ def _fixed_length_corpus(d=300, seed=31):
 
 
 def kernel_scores(state, words, counts, weights, crossover):
-    """Kernel.log_scores with the given crossover: 0 scores sparse, None
-    (above k_max, no bitmaps) dense."""
+    """Kernel.log_scores with _CROSSOVER set to crossover."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_native, "_CROSSOVER",
-                   state.k_max + 1 if crossover is None else crossover)
+        mp.setattr(_native, "_CROSSOVER", crossover)
         return _native.kernel().log_scores(state, words, counts, weights)
 
 
 class TestClassBookkeeping:
     """The sparse path scores one member per (m, n) class, so the classes
-    must follow every count change: moves, prunes and the re-entries after
-    an entropy refresh. Each chain here runs in sparse mode (k_max 200, past
-    the production crossover), in dense mode (crossover above k_max, no
-    bitmaps) and on the numpy reference. A large beta (gsdmm) or
-    alpha (gsdmm+) gives the clusters that share no word with a document
-    enough mass to be drawn, so a stale class shows in the chain."""
+    must follow every count change: moves, prunes, the re-entries after an
+    entropy refresh and the return to sparse mode. Each chain here runs with
+    every document sparse, under the production crossover (k_max 200: sparse
+    until the occupied clusters fall to it), with every document dense and
+    on the numpy reference. A large beta (gsdmm) or alpha (gsdmm+) gives the
+    clusters that share no word with a document enough mass to be drawn, so
+    a stale class shows in the chain."""
 
-    PATHS = ("sparse", "dense", "numpy")
+    PATHS = ("sparse", "shipped", "dense", "numpy")
 
     @staticmethod
     def _on(path, monkeypatch, fn):
         with monkeypatch.context() as mp:
             if path == "numpy":
                 mp.setattr(_native, "kernel", lambda: None)
-            elif path == "dense":
-                mp.setattr(_native, "_CROSSOVER", 10 ** 6)
+            elif path != "shipped":
+                mp.setattr(_native, "_CROSSOVER",
+                           EVERY_SPARSE if path == "sparse" else EVERY_DENSE)
             return fn()
 
     def _steps(self, path, monkeypatch, state, corpus, weights, prune,
@@ -292,7 +363,7 @@ class TestClassBookkeeping:
 
         def refresh():
             seen.append(state.k_active)
-            return word_entropy(state, csr=csr)
+            return word_entropy(state)
 
         step = sampler._numpy_steps if path == "numpy" else \
             lambda *a: _native.kernel().sweep(*a)
@@ -334,7 +405,7 @@ class TestClassBookkeeping:
                 corpus, cfg, np.random.default_rng(8)))
             runs.append((state, self._steps(
                 path, monkeypatch, state, corpus,
-                lambda s=state: word_entropy(s, csr=corpus.token_csr),
+                lambda s=state: word_entropy(s),
                 prune=True, refreshes=7)))
         for state, result in runs[1:]:
             assert result == runs[0][1]
@@ -343,6 +414,11 @@ class TestClassBookkeeping:
         state.validate(require_nonempty=True)
         assert len(at_refresh) == 3 * 7
         assert at_refresh[0] > _native._CROSSOVER > state.k_active
+        # every active cluster is occupied at a refresh, so the shipped run
+        # changed to dense inside the entry after the last refresh past the
+        # crossover
+        assert any(a > _native._CROSSOVER >= b
+                   for a, b in zip(at_refresh, at_refresh[1:]))
 
     @staticmethod
     def _overlapped_class_state():
@@ -364,7 +440,7 @@ class TestClassBookkeeping:
         state, words, counts = self._overlapped_class_state()
         weights = _random_weights(np.random.default_rng(4), state, entropy)
         sparse, dense = (kernel_scores(state, words, counts, weights, crossover)
-                         for crossover in (0, None))
+                         for crossover in (EVERY_SPARSE, EVERY_DENSE))
         assert sparse.tobytes() == dense.tobytes()
         assert np.allclose(sparse, cluster_log_scores(state, words, counts,
                                                       weights), rtol=1e-12)
@@ -377,7 +453,7 @@ class TestClassBookkeeping:
         state, words, counts = self._overlapped_class_state()
         table = _bad_weights("zero_entropy", state.V)
         messages = []
-        for crossover in (0, None):
+        for crossover in (EVERY_SPARSE, EVERY_DENSE):
             with pytest.raises(NonFiniteScore) as err:
                 kernel_scores(state, words, counts, table, crossover)
             messages.append(str(err.value))
@@ -400,7 +476,7 @@ class TestClassBookkeeping:
 
         real_work = _native._work
         monkeypatch.setattr(_native, "_work", work)
-        kernel_scores(state, words, counts, UniformBeta(0.1), 0)
+        kernel_scores(state, words, counts, UniformBeta(0.1), EVERY_SPARSE)
         written = ~np.isnan(spaces[0][2 * state.k_max:3 * state.k_max])
         assert written.sum() == 4 + 3
 
@@ -449,7 +525,7 @@ class TestCompiledScores:
 class TestCompiledScoresSparse(TestCompiledScores):
     @pytest.fixture()
     def crossover(self):
-        return 0
+        return EVERY_SPARSE
 
 
 def _bad_weights(kind, v):
@@ -528,7 +604,7 @@ class TestNonFinite:
 class TestNonFiniteSparse(TestNonFinite):
     @pytest.fixture()
     def crossover(self):
-        return 0
+        return EVERY_SPARSE
 
 
 class TestCompiledCells:
@@ -537,48 +613,57 @@ class TestCompiledCells:
         calls = []
         real = _native.Kernel.cells
 
-        def spy(self, state, csr):
+        def spy(self, state):
             calls.append(state.k_active)
-            return real(self, state, csr)
+            return real(self, state)
 
-        def numpy_cells(state, csr):
+        def numpy_cells(state):
             raise AssertionError("the numpy cells ran beside a compiler")
 
         monkeypatch.setattr(_native.Kernel, "cells", spy)
-        monkeypatch.setattr(model, "_occupied_cells", numpy_cells)
+        monkeypatch.setattr(model, "_nonzero_cells", numpy_cells)
         cfg = RunConfig(algorithm="gsdmm+", k_max=20, k_real=4, beta=0.05,
                         iterations=2, entropy_refreshes_per_sweep=5, seed=3)
         run_gsdmm_plus(_noisy_topics(2), cfg)
         assert len(calls) == 1 + 2 * 5
         assert calls[0] == 20
 
+    def test_lists_the_tables(self, kernel):
+        # word 0's table has a slot for every cluster, read in slot order;
+        # word 2's has 4, where clusters 3 and 7 share home slot 3 and 7
+        # wraps to slot 0, so its cells are listed sorted
+        corpus = corpus_from_counts([{0: 1}, {1: 2}, {0: 2, 2: 1}, {2: 4},
+                                     {0: 1}], 3)
+        state = ModelState(5, 3, k_max=8, alpha=0.1, doc_freq=[8, 1, 2])
+        state.add_docs(corpus.token_csr, np.arange(5), [0, 5, 3, 7, 6])
+        assert state.cell_ptr.tolist() == [0, 8, 10, 14]
+        assert state.cell_z.tolist()[10:] == [7, -1, -1, 3]
+        words, clusters, counts = kernel.cells(state)
+        assert words.tolist() == [0, 0, 0, 1, 2, 2]
+        assert clusters.tolist() == [0, 3, 6, 5, 3, 7]
+        assert counts.tolist() == [1, 2, 1, 2, 1, 4]
+        for got, want in zip((words, clusters, counts),
+                             model._nonzero_cells(state)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_rejects_mismatched_arrays(self, kernel):
         corpus = corpus_from_counts([{0: 1}, {1: 2}, {0: 2, 2: 1}], 3)
-        csr = corpus.token_csr
-        state = ModelState(3, 3, k_max=2, alpha=0.1)
-        state.add_docs(csr, np.arange(3), [0, 1, 0])
-        words, nz = kernel.cells(state, csr)
-        assert words.tolist() == [0, 1, 2] and nz.tolist() == [3, 2, 1]
-        other = corpus_from_counts([{0: 1}, {1: 1}], 2).token_csr
-        with pytest.raises(ValueError):  # state sized for another corpus
-            kernel.cells(state, other)
-        narrow = ModelState(3, 2, k_max=2, alpha=0.1)
-        with pytest.raises(ValueError):  # a word id outside the vocabulary
-            kernel.cells(narrow, csr)
+        state = ModelState.for_corpus(corpus, 2, 0.1)
+        state.add_docs(corpus.token_csr, np.arange(3), [0, 1, 0])
+        words, clusters, counts = kernel.cells(state)
+        assert words.tolist() == [0, 1, 2] and counts.tolist() == [3, 2, 1]
         stray = state.copy()
         stray.assignments[0] = 2
         with pytest.raises(ValueError):  # an assignment past k_active
-            kernel.cells(stray, csr)
-        start, docs, counts = csr.by_word
-        for index in ((start[:-1], docs, counts),             # misses entries
-                      (start[::-1].copy(), docs, counts),     # starts past 0
-                      (np.array([0, 3, 1, 4]), docs, counts),  # falls
-                      (start, docs + 5, counts),              # no such document
-                      (start, docs[:-1], counts[:-1])):       # another corpus
-            stale = TokenCSR(csr.word_ptr, csr.words, csr.counts)
-            stale.__dict__["by_word"] = index
-            with pytest.raises(ValueError):
-                kernel.cells(state, stale)
+            kernel.cells(stray)
+        cut = state.copy()
+        cut.table = cut.table[:-1].copy()
+        with pytest.raises(ValueError):  # tables shorter than their offsets
+            kernel.cells(cut)
+        outside = state.copy()
+        outside.cell_z[np.flatnonzero(outside.cell_z < 0)[0]] = 2
+        with pytest.raises(ValueError):  # a cell past k_max
+            kernel.cells(outside)
 
 
 def reference_runs(raw: bytes) -> tuple[list[int], list[int], list[str]]:
@@ -698,20 +783,22 @@ class TestByteScans:
 
 # Run in a process of its own with the sanitizer runtime preloaded: the
 # kernel built with AddressSanitizer and UndefinedBehaviorSanitizer
-# (argv[1]) against the numpy reference, in dense and sparse calls. The
-# runs insert cells into the count tables and delete them by backward
-# shifts, in the sweeps and in Kernel.add (the initial states, the merge's
-# folds); gsdmm+ moves the cells of pruned clusters under new keys, in
-# sparse calls (k_active 40 past crossover 0) and dense ones, and lists
-# cells for its refreshes. Most used words' tables hold 2 to 32 slots for
-# 40 clusters, so probe runs and backward shifts wrap past a table's end.
-# Then Kernel.counts reads every cell of the last state, and the byte scans
-# of ingestion and the archive reader run on drawn adversarial inputs.
+# (argv[1]) against the numpy reference, with every document sparse, with
+# every document dense and at crossover 20, where the runs' calls change
+# mode as their 40 clusters empty; then a call whose joins fill clusters
+# past 20, changing to sparse. The runs insert cells into the count tables
+# and delete them by backward shifts, in the sweeps and in Kernel.add (the
+# initial states, the merge's folds); gsdmm+ moves the cells of pruned
+# clusters under new keys and lists the tables' cells for its refreshes.
+# Most used words' tables hold 2 to 32 slots for 40 clusters, so probe
+# runs and backward shifts wrap past a table's end. Then Kernel.counts
+# reads every cell of the last state, and the byte scans of ingestion and
+# the archive reader run on drawn adversarial inputs.
 _SANITIZED_RUN = """
 import ctypes, re, sys
 import numpy as np
-from gsdmm import _native, archive, model
-from gsdmm.model import UniformBeta, cluster_log_scores, word_entropy
+from gsdmm import _native, archive, model, sampler
+from gsdmm.model import ModelState, UniformBeta, cluster_log_scores, word_entropy
 from gsdmm.sampler import RunConfig, run_gsdmm, run_gsdmm_plus
 from gsdmm.synth import GenSpec, generate_corpus
 
@@ -732,7 +819,7 @@ for dist in ("fixed", "poisson"):
     corpus = generate_corpus(GenSpec(k=4, v=120, d=90, doc_len=6,
                                      length_dist=dist, seed=3))[0]
     csr = corpus.token_csr
-    for crossover in (0, 1000):  # every call sparse, then dense
+    for crossover in (-1, 1000, 20):  # every document sparse, dense, both
         for cfg in configs:
             run = run_gsdmm_plus if cfg.algorithm == "gsdmm+" else run_gsdmm
             (a, state, trace), (b, _, ref) = (
@@ -744,17 +831,35 @@ for dist in ("fixed", "poisson"):
             if cfg.algorithm == "gsdmm+":  # pruned in the first sweep
                 assert trace.records[0].active_clusters < cfg.k_max
             state.validate(require_nonempty=cfg.algorithm == "gsdmm+")
-            for got, want in zip(built.cells(state, csr),
-                                 model._occupied_cells(state, csr)):
+            for got, want in zip(built.cells(state),
+                                 model._nonzero_cells(state)):
                 assert np.array_equal(got, want)
             lo, hi = csr.word_ptr[0], csr.word_ptr[1]
             words, counts = csr.words[lo:hi], csr.counts[lo:hi]
             state.remove_doc(0, words, counts, int(counts.sum()))
-            for weights in (UniformBeta(0.1), word_entropy(state, csr=csr)):
+            for weights in (UniformBeta(0.1), word_entropy(state)):
                 got = on(built, crossover, lambda: built.log_scores(
                     state, words, counts, weights))
                 assert np.allclose(got, cluster_log_scores(
                     state, words, counts, weights), rtol=1e-12, atol=1e-9)
+
+    # detached documents join 3 seeded clusters at a large alpha: the
+    # occupied count rises past the crossover inside the call
+    rising = []
+    for step in (built.sweep, sampler._numpy_steps):
+        joined = ModelState.for_corpus(corpus, 40, 30.0)
+        joined.add_docs(csr, np.arange(3), np.arange(3))
+        order = np.arange(3, len(corpus))
+        on(built, 20, lambda: step(joined, csr, order,
+                                   np.random.default_rng(4).random(len(order)),
+                                   UniformBeta(5.0), False))
+        joined.validate()
+        rising.append(joined)
+    assert rising[0].nonempty_count() > 20
+    for name in ("assignments", "m", "n", "wz"):
+        assert np.array_equal(getattr(rising[0], name), getattr(rising[1], name))
+    for got, want in zip(built.cells(rising[0]), model._nonzero_cells(rising[0])):
+        assert np.array_equal(got, want)
 
 # the count reads of folds and merges: every (word, cluster) of the last
 # state against the numpy probe
