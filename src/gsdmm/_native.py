@@ -12,8 +12,8 @@ load a partial file. When the cache directory is not private, or cannot be
 made, the library is built in a private temporary directory for this
 process only.
 
-The entry points, each with the numpy (or regex) reference that runs in
-its place when the kernel cannot be built:
+The entry points, each with the numpy (or regex, or line loop) reference
+that runs in its place when the kernel cannot be built:
 
 - Kernel.sweep runs document steps (sampler's numpy steps) and
   Kernel.log_scores scores one document (model.cluster_log_scores). A
@@ -29,8 +29,9 @@ its place when the kernel cannot be built:
 - Kernel.runs finds the runs of a..z bytes of build_corpus's joined texts
   and numbers the distinct ones (corpus._split's regex and a dict).
 - Kernel.pairs parses documents.txt's word_id:count pairs, and
-  Kernel.digits a column of numbers of vocabulary.tsv (archive's numpy
-  passes, which also read any value of more than 18 digits).
+  Kernel.vocabulary checks vocabulary.tsv's columns and ids and parses its
+  document frequencies (archive's line loops, which also read any value of
+  more than 18 digits and name the first bad line of a refused file).
 
 The table operations work on the state's per-word count tables (cell_ptr
 and table; see model.ModelState) in place, as the numpy reference does.
@@ -207,9 +208,9 @@ class Kernel:
         self._pairs.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64),
                                 _arr(np.int64), _I64, _arr(np.int64), _I64]
         self._pairs.restype = _I64
-        self._digits = lib.dmm_digits
-        self._digits.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64), _I64]
-        self._digits.restype = _I64
+        self._vocabulary = lib.dmm_vocabulary
+        self._vocabulary.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64), _I64]
+        self._vocabulary.restype = _I64
 
     def sweep(self, state, csr, order: np.ndarray, uniforms: np.ndarray,
               weights, prune: bool, refresh_step: int = 0,
@@ -352,12 +353,14 @@ class Kernel:
             return None
         return words[:n], counts[:n], word_ptr
 
-    def digits(self, raw: bytes) -> np.ndarray | None:
-        """The int64 values of a column of ASCII-digit numbers, each ended
-        by a line feed, or None if a value is not one or more ASCII digits.
-        A value of more than 18 digits raises OverflowError."""
+    def vocabulary(self, raw: bytes) -> np.ndarray | None:
+        """The document frequencies (int64) of the bytes of vocabulary.tsv,
+        every line ended by a line feed, or None for a line other than
+        id<TAB>word<TAB>df with the id and df in ASCII digits and the id
+        equal to the line's index (from 0). A value of more than 18 digits
+        raises OverflowError."""
         out = np.empty(self._count_bytes(raw, len(raw), ord("\n")), dtype=np.int64)
-        code = self._digits(raw, len(raw), out, len(out))
+        code = self._vocabulary(raw, len(raw), out, len(out))
         if code == _LONG:
             raise OverflowError("a value of more than 18 digits")
         return out if code == DONE else None

@@ -73,9 +73,9 @@
  * object per token or per pair: dmm_count_runs and dmm_runs find and number
  * the runs of a..z bytes of the texts build_corpus joins; dmm_count_bytes
  * sizes the archive scans' outputs, dmm_pairs parses documents.txt and
- * dmm_digits a column of vocabulary.tsv. Every output is sized by the
- * caller from a count (of runs, of colons, of line feeds), never from the
- * byte length.
+ * dmm_vocabulary checks vocabulary.tsv and parses its document frequencies.
+ * Every output is sized by the caller from a count (of runs, of colons, of
+ * line feeds), never from the byte length.
  *
  * Build: cc -O2 -ftree-vectorize -shared -fPIC (never -ffast-math: the
  * non-finite checks and the exact draw rely on IEEE semantics; the vector
@@ -1006,12 +1006,12 @@ int64_t dmm_runs(const uint8_t *buf, int64_t len, int64_t n_runs,
     return parts;
 }
 
-/* The archive's digit columns: archive.read_archive passes the bytes of
- * documents.txt and of vocabulary.tsv's id and df columns, every line ended
- * by a line feed. Both scans accept or refuse exactly where the numpy
- * passes do; a refused file goes to the line loop that names its first bad
- * line. A value of more than MAX_DIGITS digits, which might not fit int64,
- * returns LONG, and the numpy pass reads the file. */
+/* The archive scans: archive.read_archive passes the bytes of documents.txt
+ * and of vocabulary.tsv, every line ended by a line feed. Each scan accepts
+ * exactly the files archive's line loop reads without error; a refused file
+ * goes to that loop, which names its first bad line. A value of more than
+ * MAX_DIGITS digits, which might not fit int64, returns LONG, and the line
+ * loop reads the file. */
 
 #define MAX_DIGITS 18  /* every number of 18 digits fits int64 */
 
@@ -1099,17 +1099,28 @@ int64_t dmm_pairs(const uint8_t *buf, int64_t len, int64_t *words,
     return line == n_lines ? np : BAD;
 }
 
-/* Parse a column of n values, buf[0:len], each one or more ASCII digits
- * ended by a line feed, into out. Returns DONE, BAD or LONG. */
-int64_t dmm_digits(const uint8_t *buf, int64_t len, int64_t *out, int64_t n)
+/* Parse vocabulary.tsv, buf[0:len]: n_lines lines, each id<TAB>word<TAB>df
+ * and ended by a line feed, the id and df one or more ASCII digits and the
+ * id equal to the line's index; the word is any bytes but a tab or a line
+ * feed. Writes line d's df to df[d]. Returns DONE; BAD for a line that is
+ * not of that form, or more lines than n_lines; LONG as above. */
+int64_t dmm_vocabulary(const uint8_t *buf, int64_t len, int64_t *df,
+                       int64_t n_lines)
 {
-    int64_t i = 0, d = 0;
-    for (; i < len && d < n; d++) {
-        const int64_t nd = digits(buf, &i, len, out + d);
-        if (nd == LONG)
-            return LONG;
-        if (!nd || i == len || buf[i++] != '\n')
+    int64_t i = 0, line = 0;
+    for (; i < len; line++) {
+        if (line == n_lines)
             return BAD;
+        int64_t id, nd = digits(buf, &i, len, &id);
+        if (nd <= 0 || i == len || buf[i++] != '\t' || id != line)
+            return nd == LONG ? LONG : BAD;
+        while (i < len && buf[i] != '\t' && buf[i] != '\n')
+            i++;
+        if (i == len || buf[i++] != '\t')
+            return BAD;
+        nd = digits(buf, &i, len, df + line);
+        if (nd <= 0 || i == len || buf[i++] != '\n')
+            return nd == LONG ? LONG : BAD;
     }
-    return i == len && d == n ? DONE : BAD;
+    return line == n_lines ? DONE : BAD;
 }

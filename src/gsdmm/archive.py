@@ -1,16 +1,14 @@
 """The corpus archive: a directory of vocabulary.tsv, documents.txt and
 stats.json, written from a Corpus and read back into its token arrays.
 
-read_archive parses each file in whole-file passes: the lines are split
-into their columns once, and the word_id:count pairs of all lines are
-checked and converted together from their bytes, with no Python object
-per pair or per document. The compiled kernel scans documents.txt and the
-vocabulary's number columns in one C pass each (Kernel.pairs,
-Kernel.digits); the numpy passes are their reference, and read the file
-where the kernel cannot be built or a value has more than 18 digits. The
-passes only decide whether a file is valid. When one is not, a plain loop
-over the lines already read finds the first bad line and raises its
-error, checking each line in the order a line-by-line reader would.
+Each of vocabulary.tsv and documents.txt has two readers. The compiled
+kernel scans the file's bytes once (Kernel.vocabulary, Kernel.pairs),
+checking each line and parsing its numbers with no Python object per pair
+or per document. A line loop is the reference: it reads the file where
+the kernel cannot be built or a value has more than 18 digits, and it
+names the first bad line of a file the compiled path refuses, checking
+each line in a fixed order. The files are UTF-8; a byte that is not names
+the file and its line.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import json
 import re
 from dataclasses import asdict
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -133,10 +130,9 @@ def read_archive(indir: str | Path) -> Corpus:
     count below 1, or a stats.json that is no JSON object, gives D or V
     other than the files or dropped_doc_ids other than a list of strings
     raises MalformedRecord naming the first bad line (the rest of
-    stats.json is derived, not read). Whole-array passes only accept or
-    refuse each file; a refused file is read again line by line. A count
-    beyond int32, the dtype of the counts array, raises ConfigError once
-    the file is known to be valid (see model.check_token_total).
+    stats.json is derived, not read), as does a byte that is not UTF-8. A
+    count beyond int32, the dtype of the counts array, raises ConfigError
+    once the file is known to be valid (see model.check_token_total).
     """
     src = Path(indir)
     for name in ("vocabulary.tsv", "documents.txt", "stats.json"):
@@ -164,7 +160,7 @@ def read_archive(indir: str | Path) -> Corpus:
 def read_json_object(path: Path) -> tuple[dict, str]:
     """The JSON object a file holds, and its text; anything else raises
     MalformedRecord naming the file."""
-    text = path.read_text(encoding="utf-8")
+    text = _decode(path)
     try:
         obj = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int too long to read
@@ -183,22 +179,26 @@ def line_naming(text: str, key: str) -> int:
                  if f'"{key}"' in row), 1)
 
 
+def _decode(path: Path) -> str:
+    """A UTF-8 file's text as text mode reads it: CRLF and CR line ends read
+    as LF. A byte that is not UTF-8 raises MalformedRecord naming the file
+    and the line of the first such byte."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise MalformedRecord(f"{path.name} is not UTF-8 (byte "
+                              f"0x{raw[exc.start]:02x})", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def _read_text(path: Path) -> str:
-    """A text file's text with every line ended by a newline. The file is
-    read in text mode, so CRLF and CR line ends read as LF."""
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    """A UTF-8 text file's text (see _decode) with every line ended by a
+    newline."""
+    text = _decode(path)
     return text + "\n" if text and not text.endswith("\n") else text
-
-
-def _has_columns(text: str, n: int) -> bool:
-    """Whether every line of text has n tab-separated columns."""
-    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    # counted per line: a line with a tab too many and a later one with a
-    # tab too few would balance out in the file's total
-    tabs = np.diff(np.searchsorted(np.flatnonzero(raw == ord("\t")),
-                                   np.flatnonzero(raw == ord("\n"))), prepend=0)
-    return not (tabs != n - 1).any()
 
 
 def _fields(text: str, n: int) -> list[list[str]]:
@@ -209,85 +209,79 @@ def _fields(text: str, n: int) -> list[list[str]]:
     return [fields[i::n] for i in range(n)]
 
 
-def _digit_column(values: list[str]) -> np.ndarray | None:
-    """int64 values of a column of ASCII-digit numbers, or None if a value
-    is not one or more ASCII digits. A value past int64 reads as int64
-    max. Parsed in C (Kernel.digits) when the kernel builds; otherwise, or
-    for a value of more than 18 digits, in one whole-array numpy pass."""
-    raw = ("\n".join(values) + "\n" if values else "").encode("utf-8")
+_BY_LOOP = object()  # what _scan returns for a file the line loop reads
+
+
+def _scan(text: str, scan):
+    """What a compiled scan (Kernel.vocabulary or Kernel.pairs) makes of a
+    file's text: its arrays, or None if it refuses the file. _BY_LOOP where
+    the kernel cannot be built or the file holds a value of more than 18
+    digits, which the line loop reads."""
     kernel = _native.kernel()
-    if kernel is not None:
-        try:
-            return kernel.digits(raw)
-        except OverflowError:
-            pass  # read by the numpy pass, which caps it
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    # the line ends are the only bytes other than digits, and no value is empty
-    if np.count_nonzero(_CLASS[buf] != _DIGIT) > len(ends) or (starts == ends).any():
-        return None
-    return _digit_values(buf, starts, ends)
+    if kernel is None:
+        return _BY_LOOP
+    try:
+        return scan(kernel, text.encode("utf-8"))
+    except OverflowError:  # a value of more than 18 digits
+        return _BY_LOOP
 
 
 def _read_vocabulary(path: Path) -> tuple[list[str], list[int]]:
     """Words by id and their document frequencies; ids must run 0, 1, ...
     in line order. Ids and document frequencies are ASCII digits."""
     text = _read_text(path)
-    if _has_columns(text, 3):
-        ids, words, dfs = _fields(text, 3)
-        ids, doc_freq = _digit_column(ids), _digit_column(dfs)
-        if ids is not None and doc_freq is not None \
-                and (ids == np.arange(len(ids))).all():
-            return words, doc_freq.tolist()
-    _vocabulary_error(text)
+    doc_freq = _scan(text, _native.Kernel.vocabulary)
+    if doc_freq is _BY_LOOP:
+        return _vocabulary_loop(text)
+    if doc_freq is None:  # the loop names the first bad line
+        _vocabulary_loop(text)
+        raise AssertionError("the compiled path refused a valid vocabulary.tsv")
+    return _fields(text, 3)[1], doc_freq.tolist()
 
 
-def _vocabulary_error(text: str) -> NoReturn:
-    """Raise the MalformedRecord of the first bad line of a vocabulary.tsv
-    the array pass refused. A line is checked for, in order: columns, id
-    digits, id order, df digits."""
-    for lineno, line in enumerate(text.split("\n")[:-1], start=1):
+def _vocabulary_loop(text: str) -> tuple[list[str], list[int]]:
+    """The words and document frequencies of a vocabulary.tsv, line by
+    line, or the MalformedRecord of its first bad line. A line is checked
+    for, in order: columns, id digits, id order, df digits. Ids are
+    compared exactly, at any length."""
+    words, doc_freq = [], []
+    for index, line in enumerate(text.split("\n")[:-1]):
         cols = line.split("\t")
         if len(cols) != 3:
-            raise MalformedRecord("expected id<TAB>word<TAB>df", lineno)
-        if not (cols[0].isascii() and cols[0].isdigit()):
-            raise MalformedRecord(f"expected an ASCII-digit id, got {cols[0]!r}", lineno)
-        if _capped(cols[0]) != lineno - 1:
-            raise MalformedRecord("vocabulary ids out of order", lineno)
-        if not (cols[2].isascii() and cols[2].isdigit()):
-            raise MalformedRecord(f"expected an ASCII-digit df, got {cols[2]!r}", lineno)
-    raise AssertionError("the array pass refused a valid vocabulary.tsv")
+            raise MalformedRecord("expected id<TAB>word<TAB>df", index + 1)
+        ident, word, df = cols
+        if not (ident.isascii() and ident.isdigit()):
+            raise MalformedRecord(f"expected an ASCII-digit id, got {ident!r}", index + 1)
+        if _digits(ident) != str(index):
+            raise MalformedRecord("vocabulary ids out of order", index + 1)
+        if not (df.isascii() and df.isdigit()):
+            raise MalformedRecord(f"expected an ASCII-digit df, got {df!r}", index + 1)
+        words.append(word)
+        doc_freq.append(df)
+    return words, _values(doc_freq)
 
 
-# byte classes of the pairs column; any byte outside them (a sign, an
-# underscore, a non-ASCII digit) makes its pair unparseable
-_BAD, _DIGIT, _COLON, _SPACE, _NEWLINE = range(5)
-_CLASS = np.zeros(256, dtype=np.uint8)
-_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
-_CLASS[ord(":")] = _COLON
-# the ASCII whitespace str.split() splits on, less the tab and the line
-# end that delimit the column
-_SEPARATORS = " \x0b\x0c\x1c\x1d\x1e\x1f"
-_CLASS[np.frombuffer(_SEPARATORS.encode("ascii"), dtype=np.uint8)] = _SPACE
-_CLASS[ord("\n")] = _NEWLINE
-_DIGIT_VALUE = np.zeros(256, dtype=np.int64)
-_DIGIT_VALUE[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
-_MAX_DIGITS = 18  # every number of 18 digits fits int64
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _INT32_MAX = int(np.iinfo(np.int32).max)
-# the same classes for the line loop over documents.txt
+# the ASCII whitespace str.split() splits on, less the tab and the line end
+# that delimit the column: what separates two pairs
+_SEPARATORS = " \x0b\x0c\x1c\x1d\x1e\x1f"
 _PAIR = re.compile("[0-9]+:[0-9]+")
+_PAIRS = re.compile(f"[{_SEPARATORS}]*(?:[0-9]+:[0-9]+(?:[{_SEPARATORS}]+|$))*")
 _SPLIT = re.compile(f"[{_SEPARATORS}]+")
 
 
 def _read_documents(path: Path, v: int):
     """(doc ids, labels, TokenCSR) of documents.txt, in file order."""
     text = _read_text(path)
-    parsed = _parse_documents(text, v)
-    if parsed is None:
-        _documents_error(text, v)
+    pairs = _scan(text, _native.Kernel.pairs)
+    if pairs is _BY_LOOP:
+        parsed = _documents_loop(text, v)
+    else:
+        parsed = None if pairs is None else _checked(text, pairs, v)
+        if parsed is None:  # the loop names the first bad line
+            _documents_loop(text, v)
+            raise AssertionError("the compiled path refused a valid documents.txt")
     doc_ids, labels, words, counts, word_ptr = parsed
     if len(counts) and counts.max() > _INT32_MAX:
         # past the int32 counts array; the total names the excess
@@ -297,116 +291,82 @@ def _read_documents(path: Path, v: int):
     return doc_ids, labels, csr
 
 
-def _parse_documents(text: str, v: int):
-    """The whole-array pass over documents.txt: (doc ids, labels, word ids,
-    counts, word_ptr) as read, or None if a line is bad in any way
-    _documents_error checks."""
-    doc_ids, labels, blobs = _fields(text, 3)
-    pairs = _pairs(text, blobs)
-    if pairs is None or len(set(doc_ids)) < len(doc_ids):
-        return None
+def _checked(text: str, pairs, v: int):
+    """(doc ids, labels, word ids, counts, word_ptr) of a documents.txt whose
+    pairs Kernel.pairs read, or None if a line is bad in a way the scan
+    does not check: a repeated doc id, an empty document, a repeated word
+    id, a word id outside [0, V) or a count below 1."""
+    doc_ids, labels, _ = _fields(text, 3)
     words, counts, word_ptr = pairs
-    # ids past int64, read as int64 max, may look repeated, but they are
-    # outside [0, V) anyway
-    if (word_ptr[1:] == word_ptr[:-1]).any() or _repeated_row(words, word_ptr) >= 0 \
-            or (words >= v).any() or (counts < 1).any():
+    if len(set(doc_ids)) < len(doc_ids) or (word_ptr[1:] == word_ptr[:-1]).any() \
+            or _repeated_row(words, word_ptr) >= 0 or (words >= v).any() \
+            or (counts < 1).any():
         return None
     return doc_ids, labels, words, counts, word_ptr
 
 
-def _pairs(text: str, blobs: list[str]):
-    """(word ids, counts, word_ptr) of the pairs columns, blobs, of the
-    lines of documents.txt, text; None if a line has other than three
-    columns or a pair is other than word_id:count in ASCII digits. The
-    compiled kernel scans text's bytes once (Kernel.pairs); without it, or
-    for a value of more than 18 digits, which it leaves to numpy, the
-    numpy pass reads blobs."""
-    kernel = _native.kernel()
-    if kernel is not None:
-        try:
-            return kernel.pairs(text.encode("utf-8"))
-        except OverflowError:
-            pass  # read by the numpy pass, which caps it
-    if not _has_columns(text, 3):
-        return None
-    # every line's pairs column, each ended by a newline
-    pairs_text = "\n".join(blobs) + "\n" if blobs else ""
-    buf = np.frombuffer(pairs_text.encode("utf-8"), dtype=np.uint8)
-    del pairs_text
-    cls = _CLASS[buf]
-    # pairs are the runs of bytes that separate nothing: [starts, ends)
-    edge = np.diff((cls < _SPACE).view(np.int8), prepend=np.int8(0))
-    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    del edge
-    colons = np.flatnonzero(cls == _COLON)
-    # well formed: digits, one colon, digits. With no other bytes, as many
-    # colons as pairs and the k-th colon strictly inside the k-th pair,
-    # every pair holds exactly one colon between digits.
-    if len(colons) != len(starts) or (cls == _BAD).any() \
-            or not ((starts < colons) & (colons < ends - 1)).all():
-        return None
-    word_ptr = np.zeros(len(blobs) + 1, dtype=np.int64)
-    word_ptr[1:] = np.searchsorted(starts, np.flatnonzero(cls == _NEWLINE))
-    del cls
-    return (_digit_values(buf, starts, colons), _digit_values(buf, colons + 1, ends),
-            word_ptr)
-
-
-def _documents_error(text: str, v: int) -> NoReturn:
-    """Raise the MalformedRecord of the first bad line of a documents.txt
-    the array pass refused. A line is checked for, in order: columns, doc
-    id, pair syntax, empty document, repeated word id, word id range,
-    count. Ids are compared as exact integers, by their digits without
-    leading zeros."""
+def _documents_loop(text: str, v: int):
+    """(doc ids, labels, word ids, counts, word_ptr) of a documents.txt, line
+    by line, with the dtypes Kernel.pairs gives, or the MalformedRecord of
+    its first bad line. A line is checked for, in order: columns, doc id,
+    pair syntax, empty document, repeated word id, word id range, count. Ids
+    are compared exactly, at any length."""
+    doc_ids, labels, words, counts, word_ptr = [], [], [], [], [0]
     seen: set[str] = set()
     for lineno, line in enumerate(text.split("\n")[:-1], start=1):
         cols = line.split("\t")
         if len(cols) != 3:
             raise MalformedRecord("expected doc_id<TAB>label<TAB>counts", lineno)
-        if cols[0] in seen:
-            raise MalformedRecord(f"duplicate doc id {cols[0]!r}", lineno)
-        seen.add(cols[0])
-        pairs = [pair for pair in _SPLIT.split(cols[2]) if pair]
-        malformed = [pair for pair in pairs if not _PAIR.fullmatch(pair)]
-        if malformed:
+        doc_id, label, blob = cols
+        if doc_id in seen:
+            raise MalformedRecord(f"duplicate doc id {doc_id!r}", lineno)
+        seen.add(doc_id)
+        if not _PAIRS.fullmatch(blob):
+            pair = next(pair for pair in _SPLIT.split(blob)
+                        if pair and not _PAIR.fullmatch(pair))
             raise MalformedRecord(
-                f"expected word_id:count in ASCII digits, got {malformed[0]!r}", lineno)
-        if not pairs:
+                f"expected word_id:count in ASCII digits, got {pair!r}", lineno)
+        values = blob.replace(":", " ").split()
+        if not values:
             raise MalformedRecord("empty document in archive", lineno)
-        ids, counts = zip(*((value.lstrip("0") or "0" for value in pair.split(":"))
-                            for pair in pairs))
-        if len(set(ids)) < len(ids):
+        numbers = _values(values)
+        line_words, line_counts = numbers[0::2], numbers[1::2]
+        # capping only merges ids, all of them outside: the digits decide
+        if len(set(line_words)) < len(line_words) \
+                and len(set(map(_digits, values[0::2]))) < len(line_words):
             raise MalformedRecord("repeated word id in document", lineno)
-        top = max(ids, key=lambda digits: (len(digits), digits))
-        if _capped(top) >= v:
+        if max(line_words) >= v:
+            top = max(map(_digits, values[0::2]), key=lambda digits: (len(digits), digits))
             # an id of over 40 digits is named by its first digits and length
             shown = top if len(top) <= 40 else f"{top[:20]}... ({len(top)} digits)"
             raise MalformedRecord(f"word id {shown} outside [0, {v})", lineno)
-        if "0" in counts:
+        if 0 in line_counts:
             raise MalformedRecord("count 0 < 1", lineno)
-    raise AssertionError("the array pass refused a valid documents.txt")
+        doc_ids.append(doc_id)
+        labels.append(label)
+        words += line_words
+        counts += line_counts
+        word_ptr.append(len(words))
+    return (doc_ids, labels, *(np.array(column, dtype=np.int64)
+                               for column in (words, counts, word_ptr)))
 
 
-def _digit_values(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """int64 values of the ASCII digit strings buf[lo[i]:hi[i]], by Horner's
-    rule over all strings at once, one digit place per pass. A string of
-    more than 18 digits is converted on its own (see _capped)."""
-    length = hi - lo
-    width = int(length.max(initial=0))
-    value = np.zeros(len(lo), dtype=np.int64)
-    for place in range(min(width, _MAX_DIGITS) - 1, -1, -1):
-        # a string shorter than the place reads the byte before it, which
-        # is no digit and so reads as 0
-        value *= 10
-        value += _DIGIT_VALUE[buf[np.maximum(hi - 1 - place, lo - 1)]]
-    if width > _MAX_DIGITS:
-        for i in np.flatnonzero(length > _MAX_DIGITS).tolist():
-            value[i] = _capped(buf[lo[i]:hi[i]].tobytes().decode())
-    return value
+def _values(digits: list[str]) -> list[int]:
+    """The values of ASCII digit strings, each past int64 read as int64
+    max."""
+    if max(map(len, digits), default=0) <= 18:  # every 18 digits fit int64
+        return list(map(int, digits))
+    return list(map(_capped, digits))
 
 
 def _capped(digits: str) -> int:
     """The value of an ASCII digit string, or int64 max if it is larger. At
     most 19 digits are converted, so a string of any length reads."""
-    digits = digits.lstrip("0")
-    return min(int(digits or 0), _INT64_MAX) if len(digits) <= 19 else _INT64_MAX
+    digits = _digits(digits)
+    return min(int(digits), _INT64_MAX) if len(digits) <= 19 else _INT64_MAX
+
+
+def _digits(digits: str) -> str:
+    """An ASCII digit string without its leading zeros: equal strings for
+    equal values, at any length."""
+    return digits.lstrip("0") or "0"

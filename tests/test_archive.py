@@ -166,6 +166,18 @@ LENIENT = {"plus", "minus_zero", "underscore", "arabic_digit"}
 EDITS = ["non_digit", "no_colon", "extra_colon", "extra_tab", "minus_one",
          "id_v", "count_zero", "repeated_word", "blank_line", "duplicate_id",
          "crlf", "double_spaces", *sorted(LENIENT)]
+# edits to one line of vocabulary.tsv (crlf: to every line end); the
+# reference reads a df past int64, which the archive reader caps
+VOCABULARY_EDITS = ["vocab_missing_tab", "vocab_missing_word", "vocab_extra_tab",
+                    "vocab_moved_tab", "vocab_sign", "vocab_arabic_df",
+                    "vocab_empty_id", "vocab_empty_df", "vocab_id_order",
+                    "vocab_long_id", "vocab_long_df", "vocab_crlf"]
+# edits whose line is the first bad one, whatever the reference reports:
+# forms int() accepts, and an empty id or df, which int() refuses with a
+# ValueError that names no line
+NAMED_LINE = LENIENT | {"vocab_sign", "vocab_arabic_df", "vocab_empty_id",
+                        "vocab_empty_df"}
+_INT64_MAX = 2 ** 63 - 1
 
 
 def _edit(lines: list[str], i: int, j: int, kind: str, v: int) -> list[str]:
@@ -202,15 +214,45 @@ def _edit(lines: list[str], i: int, j: int, kind: str, v: int) -> list[str]:
     return out
 
 
+def _edit_vocabulary(lines: list[str], i: int, kind: str) -> tuple[list[str], int]:
+    """lines of vocabulary.tsv with line i changed by one edit, and the
+    number of the first line the edit touches."""
+    out = [line.rstrip("\n") for line in lines]
+    ident, word, df = out[i].split("\t")
+    out[i] = {
+        "vocab_missing_tab": f"{ident}\t{word}{df}",
+        "vocab_missing_word": f"{ident}\t{df}",
+        "vocab_extra_tab": f"{ident}\t{word}\t{df}\tz",
+        "vocab_sign": f"+{ident}\t{word}\t{df}",
+        "vocab_arabic_df": f"{ident}\t{word}\t{df}\u0665",
+        "vocab_empty_id": f"\t{word}\t{df}",
+        "vocab_empty_df": f"{ident}\t{word}\t",
+        "vocab_id_order": f"{int(ident) + 1}\t{word}\t{df}",
+        "vocab_long_id": f"{'0' * 20}{ident}\t{word}\t{df}",
+        "vocab_long_df": f"{ident}\t{word}\t{'9' * 25}",
+    }.get(kind, out[i])
+    if kind == "vocab_moved_tab":
+        # a tab moves from the next line (the one before, for the last) into
+        # this one's word, so the file's tab total stays right
+        a, b = sorted((i, i + 1 if i + 1 < len(out) else i - 1))
+        ident, word, df = out[a].split("\t")
+        out[a] = f"{ident}\t{word[:1]}\t{word[1:]}\t{df}"
+        out[b] = out[b].replace("\t", "", 1)
+        i = a
+    end = "\r\n" if kind == "vocab_crlf" else "\n"
+    return [line + end for line in out], i + 1
+
+
 def _outcome(reader, path):
-    """("ok", documents), or ("error", line number or None) for what the
-    command line reports as malformed input."""
+    """("ok", (documents, vocabulary)), or ("error", line number or None)
+    for what the command line reports as malformed input."""
     try:
-        return "ok", reader(path).documents
+        corpus = reader(path)
     except MalformedRecord as exc:
         return "error", exc.line_number
     except ValueError:
         return "error", None
+    return "ok", (corpus.documents, corpus.vocabulary)
 
 
 @pytest.fixture(scope="module")
@@ -222,25 +264,34 @@ def base_archive(tmp_path_factory):
     return path, corpus.vocabulary.size
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(derandomize=True, deadline=None, max_examples=300)
 @given(line=st.integers(0, 11), pair=st.integers(0, 20),
-       kind=st.sampled_from(EDITS))
-def test_corruption_matches_reference(base_archive, line, pair, kind):
+       kind=st.sampled_from(EDITS + VOCABULARY_EDITS), word=st.integers(0, 39))
+def test_corruption_matches_reference(base_archive, line, pair, kind, word):
     base, v = base_archive
-    lines = (base / "documents.txt").read_text(encoding="utf-8") \
-        .splitlines(keepends=True)
+    files = {name: (base / name).read_text(encoding="utf-8").splitlines(keepends=True)
+             for name in ("vocabulary.tsv", "documents.txt")}
+    if kind in VOCABULARY_EDITS:
+        files["vocabulary.tsv"], at = _edit_vocabulary(files["vocabulary.tsv"],
+                                                       word % v, kind)
+    else:
+        files["documents.txt"] = _edit(files["documents.txt"], line, pair, kind, v)
+        at = line + 1
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("vocabulary.tsv", "stats.json"):
-            (Path(tmp) / name).write_bytes((base / name).read_bytes())
-        with open(Path(tmp) / "documents.txt", "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.writelines(_edit(lines, line, pair, kind, v))
+        (Path(tmp) / "stats.json").write_bytes((base / "stats.json").read_bytes())
+        for name, lines in files.items():
+            with open(Path(tmp) / name, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(lines)
         want = _outcome(reference_read_archive, tmp)
+        if kind == "vocab_long_df":
+            documents, vocabulary = want[1]
+            want = "ok", (documents, Vocabulary(vocabulary.id_to_word, tuple(
+                min(df, _INT64_MAX) for df in vocabulary.doc_freq)))
         for path in PATHS:
             with kernel_path(path):
                 got = _outcome(read_archive, tmp)
-            if kind in LENIENT:
-                assert got == ("error", line + 1)
+            if kind in NAMED_LINE:
+                assert got == ("error", at)
             elif want[0] == "ok":
                 assert got == want
             else:
@@ -323,8 +374,8 @@ class TestReader:
         if message:
             assert message in capsys.readouterr().err
 
-    # the compiled scan hands a value of more than 18 digits to the numpy
-    # pass, and reads text-mode line ends as the numpy pass does
+    # the compiled scan hands a value of more than 18 digits to the line
+    # loop, and reads text-mode line ends as the line loop does
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("text, want", [
         ("a\tx\t0000000000000000003:2\n", {3: 2}),
@@ -349,6 +400,22 @@ class TestReader:
             else:
                 with pytest.raises(want, match="int32"):
                     read_archive(tmp_path)
+
+    # past int64 a count or df reads as int64 max, a 19-digit one too
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("digits", [19, 25])
+    def test_values_past_int64_read_capped(self, tmp_path, path, digits):
+        self._write(tmp_path, f"a\tx\t0:1\nb\tx\t1:{'9' * digits}\n")
+        vocabulary = tmp_path / "vocabulary.tsv"
+        lines = vocabulary.read_text().splitlines(keepends=True)
+        lines[2] = f"{'0' * digits}2\tw2\t{'9' * digits}\n"
+        vocabulary.write_text("".join(lines))
+        with kernel_path(path):
+            with pytest.raises(ConfigError, match=f"corpus has {2 ** 63} tokens"):
+                read_archive(tmp_path)
+            self._write(tmp_path, "a\tx\t0:1\n")
+            vocabulary.write_text("".join(lines))
+            assert read_archive(tmp_path).vocabulary.doc_freq[2] == _INT64_MAX
 
 
 VOCABULARY = [f"{i}\tw{i}\t1" for i in range(6)]
@@ -390,6 +457,8 @@ ONE_FAULT = {
     "documents-count": ("documents.txt", {2: "c\ty\t2:1 5:0"}, "line 3: count 0 < 1"),
     "vocabulary-columns": ("vocabulary.tsv", {2: "2\tw2"},
                            "line 3: expected id<TAB>word<TAB>df"),
+    "vocabulary-two-number-columns": ("vocabulary.tsv", {2: "2\t1"},
+                                      "line 3: expected id<TAB>word<TAB>df"),
     # a tab moved from line 3 to line 2: split at every tab, the fields are
     # those of the valid file
     "vocabulary-balanced-columns": ("vocabulary.tsv", {1: "1\tw1\t1\t2", 2: "w2\t1"},
@@ -425,9 +494,10 @@ def test_fault_names_its_line(tmp_path, case):
     for i, line in edits.items():
         files[name][i] = line
     _write_lines(tmp_path, files["vocabulary.tsv"], files["documents.txt"])
-    with pytest.raises(MalformedRecord) as info:
-        read_archive(tmp_path)
-    assert str(info.value) == message
+    for path in PATHS:
+        with kernel_path(path), pytest.raises(MalformedRecord) as info:
+            read_archive(tmp_path)
+        assert str(info.value) == message
 
 
 # stats.json with one fault; each names the file and the line of the fault
@@ -464,6 +534,38 @@ def test_stats_fault_names_the_file(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("name, line", [("vocabulary.tsv", 3), ("documents.txt", 2),
+                                        ("stats.json", 3)])
+def test_byte_not_utf8_names_the_file_and_line(tmp_path, capsys, name, line, end):
+    # this used to exit 2 with the codec's text alone: "'utf-8' codec can't
+    # decode byte 0xff in position 40: invalid start byte"
+    _write_lines(tmp_path, VOCABULARY, DOCUMENTS)
+    (tmp_path / "stats.json").write_text(json.dumps({"D": 4, "V": 6}, indent=1))
+    lines = (tmp_path / name).read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:1] + b"\xff" + lines[line - 1][1:]
+    (tmp_path / name).write_bytes(end.encode().join(lines))
+    message = f"line {line}: {name} is not UTF-8 (byte 0xff)"
+    for path in PATHS:
+        with kernel_path(path), pytest.raises(MalformedRecord) as info:
+            read_archive(tmp_path)
+        assert str(info.value) == message
+    assert cli.main(["cluster", str(tmp_path), str(tmp_path / "r"),
+                     "--kmax", "2", "--iters", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_summary_byte_not_utf8_names_the_file(tmp_path, capsys):
+    _write_lines(tmp_path, VOCABULARY, DOCUMENTS)
+    run = tmp_path / "run"
+    assert cli.main(["cluster", str(tmp_path), str(run), "--kmax", "2",
+                     "--iters", "1"]) == 0
+    summary = run / "summary.json"
+    summary.write_bytes(summary.read_bytes().replace(b"\n", b"\n\xc3", 1))
+    assert cli.main(["topwords", str(tmp_path), str(run)]) == 2
+    assert "line 2: summary.json is not UTF-8 (byte 0xc3)" in capsys.readouterr().err
+
+
 def test_stats_lengths_are_derived_not_read(tmp_path):
     # a stats.json without mean_len and max_len used to raise KeyError;
     # wrong ones are not read either
@@ -481,7 +583,7 @@ def _counted_line_loops():
     """The names of the line loops called inside the block, in call order."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_vocabulary_error", "_documents_error"):
+        for name in ("_vocabulary_loop", "_documents_loop"):
             def counted(*args, name=name, loop=getattr(archive, name)):
                 calls.append(name)
                 return loop(*args)
@@ -510,7 +612,29 @@ def test_line_loops_run_only_on_refused_files(tmp_path):
                 fh.write("\n")  # a blank line, with no columns
             with pytest.raises(MalformedRecord):
                 read_archive(tmp_path)
-    assert calls == ["_documents_error", "_vocabulary_error"]
+    assert calls == ["_documents_loop", "_vocabulary_loop"]
+
+
+@pytest.mark.parametrize("scan, loop", [("vocabulary", "_vocabulary_loop"),
+                                        ("pairs", "_documents_loop")])
+def test_refused_valid_file_is_a_fault_and_long_values_go_to_the_loop(
+        tmp_path, monkeypatch, scan, loop):
+    if _native.kernel() is None:
+        pytest.skip("no compiled kernel here")
+    path = _write_lines(tmp_path, VOCABULARY, DOCUMENTS)
+    want = read_archive(path)
+
+    def long(kernel, raw):
+        raise OverflowError("a value of more than 18 digits")
+
+    with _counted_line_loops() as calls:
+        monkeypatch.setattr(_native.Kernel, scan, long)
+        back = read_archive(path)  # read by the line loop alone
+        assert calls == [loop]
+        assert back.documents == want.documents and back.vocabulary == want.vocabulary
+        monkeypatch.setattr(_native.Kernel, scan, lambda kernel, raw: None)
+        with pytest.raises(AssertionError, match="refused a valid"):
+            read_archive(path)
 
 
 def _archive(tmp_path) -> Path:

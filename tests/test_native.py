@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsdmm import _native, archive, model, sampler
-from gsdmm.errors import NonFiniteScore
+from gsdmm.errors import MalformedRecord, NonFiniteScore
 from gsdmm.model import (
     EntropyTable,
     ModelState,
@@ -33,7 +33,7 @@ from gsdmm.sampler import (
 )
 from gsdmm.synth import GenSpec, generate_corpus
 
-from conftest import corpus_from_counts, kernel_path, make_doc, make_state
+from conftest import corpus_from_counts, make_doc, make_state
 from test_model import _random_weights, _sparse_state
 
 pytestmark = pytest.mark.skipif(
@@ -680,16 +680,21 @@ def reference_runs(raw: bytes) -> tuple[list[int], list[int], list[str]]:
     return seg, part, [p.decode() for p in index]
 
 
-def numpy_pairs(text: str):
-    """archive._pairs on its numpy pass: (words, counts, word_ptr) or None."""
-    with kernel_path("numpy"):
-        return archive._pairs(text, archive._fields(text, 3)[2])
+def compiled_documents(kernel: _native.Kernel, text: str, v: int):
+    """The compiled reading of documents.txt: Kernel.pairs, then the array
+    checks of what it does not check; (doc ids, labels, words, counts,
+    word_ptr) or None. A value of more than 18 digits raises
+    OverflowError."""
+    pairs = kernel.pairs(text.encode("utf-8"))
+    return None if pairs is None else archive._checked(text, pairs, v)
 
 
-def numpy_digits(values: list[str]):
-    """archive._digit_column on its numpy pass: the values or None."""
-    with kernel_path("numpy"):
-        return archive._digit_column(values)
+def line_loop(loop, *args):
+    """What a line loop of archive returns, or None where it raises."""
+    try:
+        return loop(*args)
+    except MalformedRecord:
+        return None
 
 
 # byte strings built to hit the scans' edges: run starts and ends at the
@@ -712,9 +717,32 @@ _pair_lines = st.lists(st.tuples(
     max_size=5).map(lambda lines: "".join(
         (f"d{i}\tx\t" if n else "") + line + "\n"
         for i, (n, line) in enumerate(lines)))
-# a number column's values: digits, what is no digit, and 18 and 19 digits
-_DIGIT_PIECES = ["0", "1", "9", "123", "a", " ", ":", "\u0663", "é", "\x00",
-                 "9" * 18, "9" * 19]
+# vocabulary.tsv lines id<TAB>word<TAB>df, the id the line's index; now and
+# then one part is replaced: by what the scan refuses, by a value of 19 or
+# more digits, which it hands to the line loop, or by a form both accept.
+# The word part holds the tab after it, so that a fault can drop both.
+_VOCABULARY_FAULTS = [None] * 120 + [
+    *(("id", form) for form in ["0{}", "0" * 18 + "{}", "+{}", "{}x", "", "\u0663",
+                                "{}1", "9" * 19, "{}\t"]),
+    *(("word", word) for word in ["x\ty\t", "\t", "\x00\t", " \t", "", "7", "w",
+                                  "w\t\t"]),
+    *(("df", df) for df in ["", "a", " 1", "\u0663", "-1", "9" * 19, "1\t",
+                            "0" * 20 + "7"])]
+
+
+def _vocabulary_line(i: int, word: str, df: str, fault) -> str:
+    parts = {"id": "{}", "word": f"{word}\t", "df": df}
+    if fault:
+        parts[fault[0]] = fault[1]
+    return f"{parts['id'].format(i)}\t{parts['word']}{parts['df']}\n"
+
+
+_vocabulary_lines = st.lists(st.tuples(
+    st.sampled_from(["w", "ab", "é", "zz", "7", ""]),
+    st.sampled_from(["0", "1", "9", "123", "9" * 18]),
+    st.sampled_from(_VOCABULARY_FAULTS)), max_size=8).map(
+        lambda lines: "".join(_vocabulary_line(i, *line)
+                              for i, line in enumerate(lines)))
 
 
 def _built() -> _native.Kernel:
@@ -727,7 +755,7 @@ def _built() -> _native.Kernel:
 
 class TestByteScans:
     """The compiled scans of ingestion and the archive reader against the
-    regex and numpy passes they stand in for."""
+    regex and the line loops they stand in for."""
 
     @settings(max_examples=300, deadline=None)
     @given(raw=_run_bytes)
@@ -749,36 +777,33 @@ class TestByteScans:
         assert len(parts) == 26 * 26 * 3 + 1
 
     @settings(max_examples=300, deadline=None)
-    @given(text=_pair_lines)
-    def test_pairs_match_the_numpy_pass(self, text):
-        kernel = _built()
-        want = numpy_pairs(text)
+    @given(text=_pair_lines, v=st.integers(1, 120))
+    def test_pairs_match_the_line_loop(self, text, v):
+        want = line_loop(archive._documents_loop, text, v)
         try:
-            got = kernel.pairs(text.encode("utf-8"))
-        except OverflowError:  # handed to the numpy pass
+            got = compiled_documents(_built(), text, v)
+        except OverflowError:  # handed to the line loop
             assert re.search("[0-9]{19}", text)
             return
         assert (got is None) == (want is None)
         if got is not None:
-            for a, b in zip(got, want):
+            assert got[:2] == want[:2]  # doc ids, labels
+            for a, b in zip(got[2:], want[2:]):
                 assert a.dtype == b.dtype == np.int64
                 assert np.array_equal(a, b)
 
     @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(st.lists(st.sampled_from(_DIGIT_PIECES), max_size=3)
-                           .map("".join), max_size=12))
-    def test_digits_match_the_numpy_pass(self, values):
-        kernel = _built()
-        want = numpy_digits(values)
-        raw = ("\n".join(values) + "\n" if values else "").encode("utf-8")
+    @given(text=_vocabulary_lines)
+    def test_vocabulary_scan_matches_the_line_loop(self, text):
+        want = line_loop(archive._vocabulary_loop, text)
         try:
-            got = kernel.digits(raw)
-        except OverflowError:  # handed to the numpy pass
-            assert any(len(v) > 18 for v in values)
+            got = _built().vocabulary(text.encode("utf-8"))
+        except OverflowError:  # handed to the line loop
+            assert re.search("[0-9]{19}", text)
             return
         assert (got is None) == (want is None)
         if got is not None:
-            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert got.dtype == np.int64 and got.tolist() == want[1]
 
 
 # Run in a process of its own with the sanitizer runtime preloaded: the
@@ -870,9 +895,9 @@ assert np.array_equal(built.counts(state, words, clusters),
                       np.where(slots >= 0, state.cell_n[slots], 0))
 
 # The byte scans read copies of their input in buffers of its exact size
-# (a bytes object holds a NUL past its end), against the regex and the
-# numpy passes on adversarial bytes.
-for name in ("_count_runs", "_runs", "_count_bytes", "_pairs", "_digits"):
+# (a bytes object holds a NUL past its end), against the regex and the line
+# loops on adversarial bytes.
+for name in ("_count_runs", "_runs", "_count_bytes", "_pairs", "_vocabulary"):
     def exact(raw, *args, fn=getattr(built, name)):
         buf = np.frombuffer(raw, dtype=np.uint8).copy()
         return fn(ctypes.cast(buf.ctypes.data, ctypes.c_char_p), *args)
@@ -907,32 +932,45 @@ for raw in [b"", b"a", b"\\x00", b"q" * 100_000, many,
     seg, part, parts = built.runs(raw)
     assert (seg.tolist(), part.tolist(), parts) == reference_runs(raw), raw
 
+def loop(fn, *args):
+    try:
+        return fn(*args)
+    except archive.MalformedRecord:
+        return None
+
+
 pair_pieces = ["0", "12", ":", " ", "\\x0b", "\\x1f", "\\t", "\\r", "a", "\\u0665",
                "1:2 ", "3:45 ", "1:2 ", "3:45 ", "9" * 19, "1" * 18 + ":1 "]
 for _ in range(300):
     text = "".join(("d%d\\tx\\t" % i if gen.random() < 0.9 else "")
                    + draw(pair_pieces, 8) + "\\n" for i in range(int(gen.integers(0, 5))))
-    want = archive._pairs(text, archive._fields(text, 3)[2])
+    want = loop(archive._documents_loop, text, 50)
     try:
         got = built.pairs(text.encode())
     except OverflowError:
         continue
+    got = None if got is None else archive._checked(text, got, 50)
     assert (got is None) == (want is None), text
     if got is not None:
-        assert all(np.array_equal(a, b) for a, b in zip(got, want)), text
+        assert got[:2] == want[:2], text
+        assert all(np.array_equal(a, b) for a, b in zip(got[2:], want[2:])), text
 assert built.pairs(b"d\\tx\\t1:2") is None  # no line feed at its end
 
-digit_pieces = ["0", "7", "123", "9" * 18, "9" * 19, "a", " ", "\\u0663"]
+id_forms = ["{}", "{}", "{}", "0{}", "+{}", "", "{}1", "9" * 19, "{}\\t"]
+word_pieces = ["w", "", "\\t", "\\x00", "é"]
+df_pieces = ["0", "7", "123", "9" * 18, "9" * 19, "a", " ", "\\u0663", "\\t"]
 for _ in range(300):
-    values = [draw(digit_pieces, 3) for _ in range(int(gen.integers(0, 6)))]
-    want = archive._digit_column(values)
+    text = "".join(id_forms[gen.integers(len(id_forms))].format(i) + "\\t"
+                   + draw(word_pieces, 2) + "\\t" + draw(df_pieces, 2) + "\\n"
+                   for i in range(int(gen.integers(0, 6))))
+    want = loop(archive._vocabulary_loop, text)
     try:
-        got = built.digits(("\\n".join(values) + "\\n" if values else "").encode())
+        got = built.vocabulary(text.encode())
     except OverflowError:
         continue
-    assert (got is None) == (want is None), values
-    assert got is None or np.array_equal(got, want), values
-assert built.digits(b"12") is None  # no line feed at its end
+    assert (got is None) == (want is None), text
+    assert got is None or got.tolist() == want[1], text
+assert built.vocabulary(b"0\\tw\\t12") is None  # no line feed at its end
 print("ok")
 """
 
