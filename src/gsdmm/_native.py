@@ -28,10 +28,14 @@ that runs in its place when the kernel cannot be built:
   (ModelState.counts_of, reference ModelState._probe).
 - Kernel.runs finds the runs of a..z bytes of build_corpus's joined texts
   and numbers the distinct ones (corpus._split's regex and a dict).
-- Kernel.pairs parses documents.txt's word_id:count pairs, and
+- Kernel.pairs parses documents.txt's word_id:count pairs,
   Kernel.vocabulary checks vocabulary.tsv's columns and ids and parses its
-  document frequencies (archive's line loops, which also read any value of
-  more than 18 digits and name the first bad line of a refused file).
+  document frequencies, and Kernel.assignments parses the cluster ids of a
+  run's assignments.csv (archive's line loops, which also read any value
+  of more than 18 digits and name the first bad line of a refused file).
+- Kernel.lines formats documents.txt and the rows of assignments.csv
+  from the lines' joined prefixes and integer arrays (archive's plain
+  loop, which writes the same bytes).
 
 The table operations work on the state's per-word count tables (cell_ptr
 and table; see model.ModelState) in place, as the numpy reference does.
@@ -211,6 +215,14 @@ class Kernel:
         self._vocabulary = lib.dmm_vocabulary
         self._vocabulary.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64), _I64]
         self._vocabulary.restype = _I64
+        self._assignments = lib.dmm_assignments
+        self._assignments.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64), _I64]
+        self._assignments.restype = _I64
+        self._lines = lib.dmm_lines
+        self._lines.argtypes = [ctypes.c_char_p, _I64, _I64, _I64,  # sep, per line
+                                _arr(np.int64), _I64, _arr(np.int64, 2), _I64,
+                                _arr(np.uint8), _I64]
+        self._lines.restype = _I64
 
     def sweep(self, state, csr, order: np.ndarray, uniforms: np.ndarray,
               weights, prune: bool, refresh_step: int = 0,
@@ -359,11 +371,45 @@ class Kernel:
         id<TAB>word<TAB>df with the id and df in ASCII digits and the id
         equal to the line's index (from 0). A value of more than 18 digits
         raises OverflowError."""
+        return self._per_line(self._vocabulary, raw)
+
+    def assignments(self, raw: bytes) -> np.ndarray | None:
+        """The cluster ids (int64) of the bytes of assignments.csv after
+        its header line, every line ended by a line feed, or None for a
+        line other than doc_id,cluster with a comma-free doc id and the
+        cluster id in ASCII digits. A cluster id of more than 18 digits
+        after its leading zeros raises OverflowError."""
+        return self._per_line(self._assignments, raw)
+
+    def _per_line(self, scan, raw: bytes) -> np.ndarray | None:
+        """A scan's one value per line of raw, or None if it refuses raw."""
         out = np.empty(self._count_bytes(raw, len(raw), ord("\n")), dtype=np.int64)
-        code = self._vocabulary(raw, len(raw), out, len(out))
+        code = scan(raw, len(raw), out, len(out))
         if code == _LONG:
             raise OverflowError("a value of more than 18 digits")
         return out if code == DONE else None
+
+    def lines(self, prefix: bytes, sep: str, per_line: int, ptr: np.ndarray,
+              items: np.ndarray) -> bytearray:
+        """The bytes of a line file. Line d is the d-th prefix of
+        prefix, its bytes through its per_line-th sep; then the rows
+        ptr[d]:ptr[d + 1] of the 2-D integer array items in decimal, a
+        row's values separated by colons and the rows by spaces; then a
+        line feed. Raises ValueError where ptr does not rise from 0 to
+        len(items) or prefix is not one such prefix per line."""
+        ptr = np.ascontiguousarray(ptr, dtype=np.int64)
+        items = np.ascontiguousarray(items, dtype=np.int64)
+        if items.ndim != 2 or not items.shape[1] or not len(ptr) or ptr[0] \
+                or ptr[-1] != len(items) or (ptr[1:] < ptr[:-1]).any():
+            raise ValueError("line offsets do not match the items")
+        args = (prefix, len(prefix), ord(sep), per_line, ptr, len(ptr) - 1,
+                items, items.shape[1])
+        size = self._lines(*args, np.empty(0, dtype=np.uint8), 0)
+        if size < 0:
+            raise ValueError(f"the prefixes are not {per_line} {sep!r} per line")
+        out = bytearray(size)
+        self._lines(*args, np.frombuffer(out, dtype=np.uint8), size)
+        return out
 
 
 def _check_state(state) -> None:

@@ -72,10 +72,14 @@
  * The byte scans serve ingestion and the archive reader, with no Python
  * object per token or per pair: dmm_count_runs and dmm_runs find and number
  * the runs of a..z bytes of the texts build_corpus joins; dmm_count_bytes
- * sizes the archive scans' outputs, dmm_pairs parses documents.txt and
- * dmm_vocabulary checks vocabulary.tsv and parses its document frequencies.
+ * sizes the archive scans' outputs, dmm_pairs parses documents.txt,
+ * dmm_vocabulary checks vocabulary.tsv and parses its document frequencies,
+ * and dmm_assignments parses the cluster ids of a run's assignments.csv.
  * Every output is sized by the caller from a count (of runs, of colons, of
- * line feeds), never from the byte length.
+ * line feeds), never from the byte length. dmm_lines writes the other way:
+ * documents.txt and the rows of assignments.csv, from the lines' joined
+ * text prefixes and integer arrays, into a buffer it sizes in a first
+ * call.
  *
  * Build: cc -O2 -ftree-vectorize -shared -fPIC (never -ffast-math: the
  * non-finite checks and the exact draw rely on IEEE semantics; the vector
@@ -1006,12 +1010,12 @@ int64_t dmm_runs(const uint8_t *buf, int64_t len, int64_t n_runs,
     return parts;
 }
 
-/* The archive scans: archive.read_archive passes the bytes of documents.txt
- * and of vocabulary.tsv, every line ended by a line feed. Each scan accepts
- * exactly the files archive's line loop reads without error; a refused file
- * goes to that loop, which names its first bad line. A value of more than
- * MAX_DIGITS digits, which might not fit int64, returns LONG, and the line
- * loop reads the file. */
+/* The archive scans: archive passes the bytes of documents.txt, of
+ * vocabulary.tsv and of the body of a run's assignments.csv, every line
+ * ended by a line feed. Each scan accepts only files archive's line loop
+ * reads without error; a refused file goes to that loop, which names its
+ * first bad line. A value of more than MAX_DIGITS digits, which might not
+ * fit int64, returns LONG, and the line loop reads the file. */
 
 #define MAX_DIGITS 18  /* every number of 18 digits fits int64 */
 
@@ -1123,4 +1127,101 @@ int64_t dmm_vocabulary(const uint8_t *buf, int64_t len, int64_t *df,
             return nd == LONG ? LONG : BAD;
     }
     return line == n_lines ? DONE : BAD;
+}
+
+/* Parse the body of assignments.csv, buf[0:len]: n_lines lines, each
+ * doc_id,cluster and ended by a line feed, the doc id any bytes but a
+ * comma or a line feed and the cluster id ASCII digits, of which at most
+ * MAX_DIGITS follow its leading zeros. Writes line d's cluster id to
+ * out[d]. Returns DONE; BAD for a line of another form (a blank one too,
+ * which the line loop skips) or more lines than n_lines; LONG for a
+ * cluster id of more significant digits. */
+int64_t dmm_assignments(const uint8_t *buf, int64_t len, int64_t *out,
+                        int64_t n_lines)
+{
+    int64_t i = 0, line = 0;
+    for (; i < len; line++) {
+        if (line == n_lines)
+            return BAD;
+        while (i < len && buf[i] != ',' && buf[i] != '\n')
+            i++;
+        if (i == len || buf[i++] != ',')
+            return BAD;
+        const int64_t lo = i;
+        while (i < len && buf[i] == '0')
+            i++;
+        if (digits(buf, &i, len, out + line) == LONG)
+            return LONG;
+        if (i == lo || i == len || buf[i++] != '\n')
+            return BAD;
+    }
+    return line == n_lines ? DONE : BAD;
+}
+
+/* The number of bytes of v in decimal, a minus sign included. */
+static int64_t decimal_len(int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int64_t n = 1 + (v < 0);
+    for (; u >= 100; u /= 100)
+        n += 2;
+    return n + (u >= 10);
+}
+
+/* Write v in decimal, a minus sign first if it is negative, at out; returns
+ * the end of what it wrote. */
+static uint8_t *decimal(uint8_t *out, int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    uint8_t *const end = out + decimal_len(v);
+    for (out = end; u >= 10; u /= 10)
+        *--out = (uint8_t)('0' + u % 10);
+    *--out = (uint8_t)('0' + u);
+    if (v < 0)
+        *--out = '-';
+    return end;
+}
+
+/* Format a line file (documents.txt, the body of assignments.csv) into
+ * out[0:cap]. Line d is the d-th prefix of prefix[0:prefix_len], its bytes
+ * through its per_line-th byte equal to sep; then the items ptr[d] to
+ * ptr[d + 1] - 1 separated by spaces, item i the width values
+ * items[i * width:(i + 1) * width] in decimal separated by colons; then a
+ * line feed. Returns the file's length and writes the file only when cap
+ * is that length, so a first call sizes the buffer of the second; BAD
+ * when the prefix text is not n_lines such prefixes or per_line or width
+ * is below 1. The caller checks that ptr rises from 0. */
+int64_t dmm_lines(const uint8_t *prefix, int64_t prefix_len, int64_t sep,
+                  int64_t per_line, const int64_t *ptr, int64_t n_lines,
+                  const int64_t *items, int64_t width, uint8_t *out,
+                  int64_t cap)
+{
+    const uint8_t s = (uint8_t)sep;
+    if (per_line < 1 || width < 1
+        || dmm_count_bytes(prefix, prefix_len, s) != per_line * n_lines
+        || (prefix_len && prefix[prefix_len - 1] != s))
+        return BAD;
+    int64_t size = prefix_len + n_lines;
+    for (int64_t d = 0; d < n_lines; d++)  /* the spaces and colons */
+        size += ptr[d + 1] > ptr[d] ? (ptr[d + 1] - ptr[d]) * width - 1 : 0;
+    for (int64_t j = 0; j < ptr[n_lines] * width; j++)
+        size += decimal_len(items[j]);
+    if (cap != size)
+        return size;
+    const uint8_t *p = prefix;
+    for (int64_t d = 0; d < n_lines; d++) {
+        for (int64_t seen = 0; seen < per_line; seen += *out++ == s)
+            *out = *p++;
+        for (int64_t i = ptr[d]; i < ptr[d + 1]; i++) {
+            if (i > ptr[d])
+                *out++ = ' ';
+            out = decimal(out, items[i * width]);
+            for (int64_t c = 1; c < width; c++) {
+                *out++ = ':';
+                out = decimal(out, items[i * width + c]);
+            }
+        }
+        *out++ = '\n';
+    }
+    return size;
 }

@@ -1,14 +1,16 @@
-"""The corpus archive: a directory of vocabulary.tsv, documents.txt and
-stats.json, written from a Corpus and read back into its token arrays.
+"""The corpus archive, a directory of vocabulary.tsv, documents.txt and
+stats.json written from a Corpus and read back into its token arrays, and
+a run's assignments.csv.
 
-Each of vocabulary.tsv and documents.txt has two readers. The compiled
-kernel scans the file's bytes once (Kernel.vocabulary, Kernel.pairs),
-checking each line and parsing its numbers with no Python object per pair
-or per document. A line loop is the reference: it reads the file where
-the kernel cannot be built or a value has more than 18 digits, and it
-names the first bad line of a file the compiled path refuses, checking
-each line in a fixed order. The files are UTF-8; a byte that is not names
-the file and its line.
+Each of vocabulary.tsv, documents.txt and assignments.csv has two readers.
+The compiled kernel scans the file's bytes once (Kernel.vocabulary,
+Kernel.pairs, Kernel.assignments), parsing its numbers with no Python
+object per pair or per line. A line loop is the reference: it reads the
+file where the kernel cannot be built or a value has more than 18 digits,
+and it names the first bad line of a file the compiled path refuses. The
+files are UTF-8; a byte that is not names the file and its line.
+Kernel.lines writes documents.txt and assignments.csv, or where it cannot
+be built one plain loop that writes the same bytes.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import numpy as np
 
 from . import _native
 from .corpus import Corpus, TokenCSR, Vocabulary, _not_rising, _repeated_row
-from .errors import ConfigError, MalformedRecord
+from .errors import ConfigError, GsdmmError, MalformedRecord
 from .model import check_token_total
 
 __all__ = ["MISSING_LABEL", "check_comma_free", "line_naming", "read_archive",
-           "read_json_object", "write_archive"]
+           "read_assignments", "read_json_object", "write_archive", "write_assignments"]
 
 MISSING_LABEL = "-"
 
@@ -42,82 +44,73 @@ def write_archive(corpus: Corpus, outdir: str | Path) -> None:
     or a vocabulary word holding a tab or a line break, which would break
     vocabulary.tsv's, raises ConfigError before any file is written.
     """
-    doc_ids = corpus.doc_ids
-    labels = [MISSING_LABEL if label is None else label
-              for label in corpus.gold_labels]
-    _check_fields(doc_ids, labels)
+    fields = [""] * (2 * len(corpus) + 1)  # doc_id<TAB>label<TAB> per line
+    fields[0:-1:2] = corpus.doc_ids
+    fields[1:-1:2] = [MISSING_LABEL if label is None else label
+                      for label in corpus.gold_labels]
+    _refuse(_WHITESPACE, fields, "doc id or label {!r} contains whitespace; "
+            "archives need whitespace-free fields")
+    check_comma_free(fields[0:-1:2])
     vocab = corpus.vocabulary
-    _check_words(vocab.id_to_word)
+    _refuse(_BREAKS, vocab.id_to_word, "vocabulary word {!r} contains a tab or a "
+            "line break; vocabulary.tsv needs one word per line")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "vocabulary.tsv", "w", encoding="utf-8") as fh:
-        fh.write("".join(map("{}\t{}\t{}\n".format, range(vocab.size),
-                             vocab.id_to_word, vocab.doc_freq)))
-    with open(out / "documents.txt", "w", encoding="utf-8") as fh:
-        fh.write("".join(_document_lines(corpus.token_csr, doc_ids, labels)))
-    stats = {**asdict(corpus.stats), "dropped_doc_ids": list(corpus.dropped_doc_ids)}
-    with open(out / "stats.json", "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-_WHITESPACE = re.compile(r"\s")  # exactly the characters str.isspace accepts
-
-
-def _check_fields(doc_ids, labels) -> None:
-    """Raise ConfigError naming the first doc id or label, in document
-    order, that holds whitespace, then the first doc id with a comma."""
-    if _WHITESPACE.search("".join(doc_ids) + "".join(labels)):
-        for doc_id, label in zip(doc_ids, labels):
-            for value in (doc_id, label):
-                if _WHITESPACE.search(value):
-                    raise ConfigError(
-                        f"doc id or label {value!r} contains whitespace; "
-                        "archives need whitespace-free fields"
-                    )
-    check_comma_free(doc_ids)
-
-
-# what read_archive takes as a column or line end: a tab, and the line ends
-# of text mode
-_BREAKS = re.compile("[\t\n\r]")
-
-
-def _check_words(words) -> None:
-    """Raise ConfigError naming the first vocabulary word that holds a tab,
-    a line feed or a carriage return."""
-    if _BREAKS.search("".join(words)):
-        word = next(word for word in words if _BREAKS.search(word))
-        raise ConfigError(f"vocabulary word {word!r} contains a tab or a line "
-                          "break; vocabulary.tsv needs one word per line")
-
-
-def check_comma_free(doc_ids) -> None:
-    """Raise ConfigError naming the first doc id that holds a comma, which
-    the doc_id,cluster lines of a run's assignments.csv cannot hold."""
-    with_comma = [doc_id for doc_id in doc_ids if "," in doc_id]
-    if with_comma:
-        raise ConfigError(f"doc id {with_comma[0]!r} contains a comma; "
-                          "assignments.csv needs comma-free doc ids")
-
-
-def _document_lines(csr: TokenCSR, doc_ids, labels) -> list[str]:
-    """The lines of documents.txt: doc_id<TAB>label<TAB>pairs, each pair
-    word_id:count, in rising word id order. The pair strings come from
-    tables of the id and count strings in use."""
+    (out / "vocabulary.tsv").write_text("".join(map(
+        "{}\t{}\t{}\n".format, range(vocab.size), vocab.id_to_word,
+        vocab.doc_freq)), encoding="utf-8")
+    csr = corpus.token_csr
     words, counts = csr.words, csr.counts
     if _not_rising(words, csr.word_ptr).any():
         # a Corpus built from Documents holds each one's dict order
         order = np.lexsort((words, csr.entry_doc))
         words, counts = words[order], counts[order]
-    id_text = np.array([f"{w}:" for w in range(int(words.max(initial=-1)) + 1)],
-                       dtype=object)
-    distinct, count_index = np.unique(counts, return_inverse=True)
-    count_text = np.array(list(map(str, distinct.tolist())), dtype=object)
-    pairs = (id_text[words] + count_text[count_index]).tolist()
-    wp = csr.word_ptr.tolist()
-    return [f"{doc_id}\t{label}\t{' '.join(pairs[a:b])}\n"
-            for doc_id, label, a, b in zip(doc_ids, labels, wp, wp[1:])]
+    (out / "documents.txt").write_bytes(_line_bytes(
+        "\t".join(fields), "\t", 2, csr.word_ptr, np.column_stack((words, counts))))
+    stats = {**asdict(corpus.stats), "dropped_doc_ids": list(corpus.dropped_doc_ids)}
+    (out / "stats.json").write_text(
+        json.dumps(stats, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+_WHITESPACE = re.compile(r"\s")  # exactly the characters str.isspace accepts
+# what read_archive takes as a column or line end: a tab, and the line ends
+# of text mode
+_BREAKS = re.compile("[\t\n\r]")
+
+
+def _refuse(pattern: re.Pattern, values, message: str) -> None:
+    """Raise ConfigError with message naming the first value that holds a
+    match of a one-character pattern."""
+    if pattern.search("".join(values)):
+        raise ConfigError(message.format(next(filter(pattern.search, values))))
+
+
+def check_comma_free(doc_ids) -> None:
+    """Raise ConfigError naming the first doc id that holds a comma, which
+    the doc_id,cluster lines of a run's assignments.csv cannot hold."""
+    _refuse(re.compile(","), doc_ids,
+            "doc id {!r} contains a comma; assignments.csv needs comma-free doc ids")
+
+
+def _line_bytes(prefix: str, sep: str, per_line: int, ptr,
+                items) -> bytes | bytearray:
+    """Kernel.lines on the text prefix, or where the kernel cannot be built
+    one plain loop that writes the same bytes."""
+    kernel = _native.kernel()
+    if kernel is not None:
+        return kernel.lines(prefix.encode("utf-8"), sep, per_line, ptr, items)
+    rows = list(map(":".join(["{}"] * items.shape[1]).format, *items.T.tolist()))
+    p = ptr.tolist()
+    return "".join([f"{head}{' '.join(rows[a:b])}\n" for head, a, b in zip(
+        re.findall(f"(?:[^{sep}]*{sep}){{{per_line}}}", prefix), p, p[1:])]
+    ).encode("utf-8")
+
+
+def write_assignments(path: Path, doc_ids, assignments: np.ndarray) -> None:
+    """Write a run's assignments.csv, doc ids comma-free (check_comma_free)."""
+    path.write_bytes(b"doc_id,cluster\n" + _line_bytes(
+        ",".join([*doc_ids, ""]), ",", 1, np.arange(len(doc_ids) + 1),
+        assignments.reshape(-1, 1)))
 
 
 def read_archive(indir: str | Path) -> Corpus:
@@ -201,10 +194,10 @@ def _read_text(path: Path) -> str:
     return text + "\n" if text and not text.endswith("\n") else text
 
 
-def _fields(text: str, n: int) -> list[list[str]]:
-    """The n tab-separated columns of the lines of text, as n lists, for a
+def _fields(text: str, n: int, sep: str = "\t") -> list[list[str]]:
+    """The n sep-separated columns of the lines of text, as n lists, for a
     text whose every line has n columns."""
-    fields = text.replace("\n", "\t").split("\t")
+    fields = text.replace("\n", sep).split(sep)
     fields.pop()  # after the last line end
     return [fields[i::n] for i in range(n)]
 
@@ -213,10 +206,10 @@ _BY_LOOP = object()  # what _scan returns for a file the line loop reads
 
 
 def _scan(text: str, scan):
-    """What a compiled scan (Kernel.vocabulary or Kernel.pairs) makes of a
-    file's text: its arrays, or None if it refuses the file. _BY_LOOP where
-    the kernel cannot be built or the file holds a value of more than 18
-    digits, which the line loop reads."""
+    """What a compiled scan (Kernel.vocabulary, Kernel.pairs or
+    Kernel.assignments) makes of a file's text: its arrays, or None if it
+    refuses the file. _BY_LOOP where the kernel cannot be built or the file
+    holds a value of more than 18 digits, which the line loop reads."""
     kernel = _native.kernel()
     if kernel is None:
         return _BY_LOOP
@@ -349,6 +342,52 @@ def _documents_loop(text: str, v: int):
         word_ptr.append(len(words))
     return (doc_ids, labels, *(np.array(column, dtype=np.int64)
                                for column in (words, counts, word_ptr)))
+
+
+def read_assignments(path: str | Path) -> list[tuple[str, int]]:
+    """The (doc_id, cluster) rows of a run's assignments.csv after its
+    header, blank lines skipped; a file without rows is a GsdmmError."""
+    header, _, body = _read_text(Path(path)).partition("\n")
+    if header != "doc_id,cluster":
+        raise MalformedRecord("expected header 'doc_id,cluster'", 1)
+    clusters = _scan(body, _native.Kernel.assignments)
+    ids = _fields(body, 2, ",")[0]
+    if clusters is None or clusters is _BY_LOOP or len(set(ids)) < len(ids):
+        rows = _assignments_loop(body)  # its rows, or its first bad line
+    else:
+        rows = list(zip(ids, clusters.tolist()))
+    if not rows:
+        raise GsdmmError(f"{path} holds no assignments")
+    return rows
+
+
+def _assignments_loop(body: str) -> list[tuple[str, int]]:
+    """The rows of the lines of an assignments.csv after its header, line
+    by line, or the MalformedRecord of its first bad line: one without two
+    columns, a cluster id other than ASCII digits (a negative one too) or
+    past int64, a repeated doc id."""
+    rows, seen = [], set()
+    for lineno, line in enumerate(body.split("\n")[:-1], start=2):
+        if not line.strip():
+            continue
+        cols = line.split(",")
+        if len(cols) != 2:
+            raise MalformedRecord("expected doc_id,cluster", lineno)
+        doc_id, z = cols
+        if not (z.isascii() and z.isdigit()):
+            if z[:1] == "-" and z[1:].isascii() and z[1:].isdigit():
+                raise MalformedRecord(f"negative cluster id {z}", lineno)
+            raise MalformedRecord(
+                f"expected a cluster id in ASCII digits, got {z!r}", lineno)
+        digits = _digits(z)
+        if len(digits) > 19 or int(digits) > _INT64_MAX:
+            raise MalformedRecord(
+                f"cluster id of {len(digits)} digits is past int64", lineno)
+        if doc_id in seen:
+            raise MalformedRecord(f"duplicate doc id {doc_id!r}", lineno)
+        seen.add(doc_id)
+        rows.append((doc_id, int(digits)))
+    return rows
 
 
 def _values(digits: list[str]) -> list[int]:

@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import __version__
 from .archive import (check_comma_free, line_naming, read_archive, read_json_object,
-                      write_archive)
+                      write_archive, write_assignments)
+from .archive import read_assignments as _read_assignments
 from .corpus import (
     TokenRules,
     build_corpus,
@@ -197,10 +198,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     out = Path(args.output)  # made only now, so a failed run leaves none
     out.mkdir(parents=True, exist_ok=True)
 
-    with open(out / "assignments.csv", "w", encoding="utf-8") as fh:
-        fh.write("doc_id,cluster\n")
-        fh.writelines(f"{doc_id},{z}\n"
-                      for doc_id, z in zip(corpus.doc_ids, assignments.tolist()))
+    write_assignments(out / "assignments.csv", corpus.doc_ids, assignments)
     summary = {
         "algorithm": cfg.algorithm,
         "alpha": cfg.alpha,
@@ -213,9 +211,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "wall_time_ms": wall_ms,
         "notes": trace.notes,
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "summary.json").write_text(
+        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     if given.get("trace", False):
         (out / "trace.csv").write_text(trace.to_csv(), encoding="utf-8")
     if cfg.algorithm == GSDMM_PLUS:
@@ -227,59 +224,17 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_assignments(path: str | Path) -> list[tuple[str, int]]:
-    """(doc_id, cluster) rows; a cluster id other than ASCII digits (a
-    negative one too) or past int64, or a repeated doc id, is a
-    MalformedRecord, and a file without rows a GsdmmError."""
-    rows: list[tuple[str, int]] = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header != "doc_id,cluster":
-            raise MalformedRecord("expected header 'doc_id,cluster'", 1)
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            cols = line.rstrip("\n").split(",")
-            if len(cols) != 2:
-                raise MalformedRecord("expected doc_id,cluster", lineno)
-            z = cols[1]
-            if not (z.isascii() and z.isdigit()):
-                if z[:1] == "-" and z[1:].isascii() and z[1:].isdigit():
-                    raise MalformedRecord(f"negative cluster id {z}", lineno)
-                raise MalformedRecord(
-                    f"expected a cluster id in ASCII digits, got {z!r}", lineno)
-            # at most 19 digits are converted, so a value of any length reads
-            digits = z.lstrip("0") or "0"
-            cluster = int(digits) if len(digits) <= 19 else 2 ** 63
-            if cluster >= 2 ** 63:
-                raise MalformedRecord(
-                    f"cluster id of {len(digits)} digits is past int64", lineno)
-            if cols[0] in seen:
-                raise MalformedRecord(f"duplicate doc id {cols[0]!r}", lineno)
-            seen.add(cols[0])
-            rows.append((cols[0], cluster))
-    if not rows:
-        raise GsdmmError(f"{path} holds no assignments")
-    return rows
-
-
 def _gold_labels(source: str, fmt: str) -> dict[str, str]:
     """Labels by doc id, from either a corpus archive or a raw dataset."""
     path = Path(source)
-    labels: dict[str, str] = {}
     if path.is_dir():
         corpus = read_archive(path)
-        for doc_id, label in zip(corpus.doc_ids, corpus.gold_labels):
-            if label is not None:
-                labels[doc_id] = label
+        pairs = zip(corpus.doc_ids, corpus.gold_labels)
     else:
         records = read_dataset(path, fmt)
         check_unique_doc_ids([doc_id for doc_id, _, _ in records])
-        for doc_id, _, label in records:
-            if label is not None:
-                labels[doc_id] = label
-    return labels
+        pairs = ((doc_id, label) for doc_id, _, label in records)
+    return {doc_id: label for doc_id, label in pairs if label is not None}
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -897,11 +897,25 @@ assert np.array_equal(built.counts(state, words, clusters),
 # The byte scans read copies of their input in buffers of its exact size
 # (a bytes object holds a NUL past its end), against the regex and the line
 # loops on adversarial bytes.
-for name in ("_count_runs", "_runs", "_count_bytes", "_pairs", "_vocabulary"):
+for name in ("_count_runs", "_runs", "_count_bytes", "_pairs", "_vocabulary",
+             "_assignments", "_lines"):
     def exact(raw, *args, fn=getattr(built, name)):
         buf = np.frombuffer(raw, dtype=np.uint8).copy()
         return fn(ctypes.cast(buf.ctypes.data, ctypes.c_char_p), *args)
     setattr(built, name, exact)
+
+
+def exact_out(*args, fn=built._lines):
+    # the formatter writes into a buffer of exactly the file's size (the
+    # bytearray Kernel.lines passes holds a NUL past its end)
+    *head, out, cap = args
+    own = np.empty(len(out), dtype=np.uint8)
+    size = fn(*head, own, cap)
+    out[:] = own
+    return size
+
+
+built._lines = exact_out
 _native.kernel = lambda: None
 gen = np.random.default_rng(5)
 
@@ -971,6 +985,41 @@ for _ in range(300):
     assert (got is None) == (want is None), text
     assert got is None or got.tolist() == want[1], text
 assert built.vocabulary(b"0\\tw\\t12") is None  # no line feed at its end
+
+cluster_pieces = ["d", "é", " ", ",", "\\n", "\\r", "\\x0c", "-", "+", "\\u0665",
+                  "0", "7", "12", "0" * 20, "9" * 18, "1" * 19, "9" * 19,
+                  "d,1\\n", "e,0\\n", "f,42\\n", "d,1\\n", "e,0\\n", "f,42\\n", "g,3\\r\\n"]
+for _ in range(400):
+    body = draw(cluster_pieces, 10)
+    body += "\\n" if body and not body.endswith("\\n") else ""
+    want = loop(archive._assignments_loop, body)
+    try:
+        got = built.assignments(body.encode())
+    except OverflowError:
+        continue
+    ids = archive._fields(body, 2, ",")[0]
+    if got is not None and len(set(ids)) == len(ids):  # read_assignments' rows
+        assert list(zip(ids, got.tolist())) == want, body
+assert built.assignments(b"d,1") is None  # no line feed at its end
+
+values = np.array([0, 1, 9, 10, 99, 100, 12345, -1, -10, 2 ** 31 - 1,
+                   2 ** 63 - 1, -2 ** 63, 10 ** 18, -10 ** 17], dtype=np.int64)
+field_pieces = ["a", "é", "中", "", "x y", "-", "0"]
+for _ in range(300):
+    sep, per_line = [("\\t", 2), (",", 1), ("\\t", 1), (",", 3)][gen.integers(4)]
+    n_lines = int(gen.integers(0, 6))
+    prefix = "".join(draw(field_pieces, 3) + sep
+                     for _ in range(n_lines * per_line))
+    ptr = np.concatenate([[0], np.cumsum(gen.integers(0, 4, n_lines))])
+    items = values[gen.integers(0, len(values), (int(ptr[-1]), int(gen.integers(1, 4))))]
+    got = built.lines(prefix.encode(), sep, per_line, ptr, items)
+    assert bytes(got) == archive._line_bytes(prefix, sep, per_line, ptr, items), prefix
+    for bad in {prefix + "x", prefix[:-1], prefix + sep} - {prefix}:
+        try:  # not one prefix per line
+            built.lines(bad.encode(), sep, per_line, ptr, items)
+        except ValueError:
+            continue
+        raise AssertionError(f"accepted the prefixes {bad!r}")
 print("ok")
 """
 

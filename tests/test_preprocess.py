@@ -4,6 +4,7 @@ they worked in whole-corpus passes are kept here as oracles, and
 hypothesis compares the two on raw datasets, rules and corpora. Also: the
 fields an archive refuses, the in-memory word order, and demo 04."""
 
+import functools
 import json
 import os
 import random
@@ -23,6 +24,7 @@ from gsdmm.archive import MISSING_LABEL, read_archive, write_archive
 from gsdmm.corpus import (
     Corpus,
     Document,
+    TokenCSR,
     TokenRules,
     Vocabulary,
     _stem,
@@ -400,6 +402,60 @@ def test_writer_matches_reference_on_generated_corpora(spec, seed):
     corpus, _, _, _ = generate_corpus(GenSpec(seed=seed, **spec))
     assert archive_bytes(write_archive, corpus) == \
         archive_bytes(reference_write_archive, corpus)
+
+
+_ID_LETTERS = "abzé中ж0_-."
+_WRITE_LABELS = ["c0", "ключ", "標籤", "x_y", None]
+
+
+@functools.cache
+def _vocabulary(v: int) -> Vocabulary:
+    return Vocabulary(tuple(f"w{i}" for i in range(v)), (1,) * v)
+
+
+def _written_corpus(v: int, rows, doc_ids, labels, from_documents: bool) -> Corpus:
+    """A corpus of the rows (word ids, counts), built from Documents in the
+    rows' order or from arrays with each row's ids sorted."""
+    if from_documents:
+        return Corpus(documents=tuple(
+            Document(doc_id, dict(zip(*row)), gold_label=label)
+            for doc_id, label, row in zip(doc_ids, labels, rows)),
+            vocabulary=_vocabulary(v))
+    rows = [sorted(zip(*row)) for row in rows]
+    csr = TokenCSR.from_rows([[w for w, _ in row] for row in rows],
+                             [[c for _, c in row] for row in rows])
+    return Corpus.from_arrays(csr, doc_ids, labels, _vocabulary(v))
+
+
+@st.composite
+def written_corpora(draw) -> Corpus:
+    """Corpora of V up to 10**5 and counts up to 2**31 - 1, with non-ASCII
+    doc ids and labels and missing labels, built either way."""
+    v = draw(st.integers(1, 10 ** 5))
+    rows, doc_ids, labels = [], [], []
+    for d in range(draw(st.integers(1, 12))):
+        words = draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=6,
+                              unique=True))
+        rows.append((words, draw(st.lists(st.integers(1, 2 ** 31 - 1),
+                                          min_size=len(words),
+                                          max_size=len(words)))))
+        doc_ids.append(draw(st.text(_ID_LETTERS, max_size=3)) + str(d))
+        labels.append(draw(st.sampled_from(_WRITE_LABELS)))
+    return _written_corpus(v, rows, doc_ids, labels, draw(st.booleans()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(corpus=written_corpora())
+@example(corpus=_written_corpus(
+    10 ** 5, [([99_999, 0, 5], [2 ** 31 - 1, 1, 10]), ([7], [1])], ["é1", "中"],
+    ["ключ", None], from_documents=True))
+@example(corpus=_written_corpus(
+    10 ** 5, [([0, 99_999], [1, 2 ** 31 - 1])], ["a"], [None], from_documents=False))
+def test_writer_matches_reference_on_both_paths(corpus):
+    want = archive_bytes(reference_write_archive, corpus)
+    for path in PATHS:
+        with kernel_path(path):
+            assert archive_bytes(write_archive, corpus) == want, path
 
 
 # ---------------------------------------------------------------------------
