@@ -37,12 +37,22 @@ that runs in its place when the kernel cannot be built:
   from the lines' joined prefixes and integer arrays (archive's plain
   loop, which writes the same bytes).
 
-The table operations work on the state's per-word count tables (cell_ptr
-and table; see model.ModelState) in place, as the numpy reference does.
+The five table operations work on the state's per-word count tables
+(cell_ptr and table; see model.ModelState) in place, as the numpy reference
+does, through the state's binding (_sweep.c's dmm_bind): one buffer with
+its arrays' pointers and sizes, the work space and the log(m + alpha)
+table. A Kernel binds a state on its first call and again when one of its
+arrays is replaced (they are never reallocated), and keeps the binding in
+a weak mapping, not in the state, so no copy or pickle carries one. Calls
+on one state share its work space and must not overlap, not even two
+log_scores calls from two threads.
+
 kernel() returns None when no compiler exists or the build fails; the
 callers then run the references, which give the same assignments, counts,
 corpora and archive errors. Every array passed to C is checked first:
-dtype, contiguity and size.
+dtype, contiguity and size; what the kernel follows as an index (k_active,
+the assignments, the clusters of the tables, the corpus rows) is checked
+on every call.
 """
 
 from __future__ import annotations
@@ -51,10 +61,12 @@ import ctypes
 import functools
 import hashlib
 import logging
+import operator
 import os
 import shutil
 import subprocess
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Callable
 
@@ -158,71 +170,47 @@ def _arr(dtype, ndim=1):
 
 
 _I64, _F64 = ctypes.c_int64, ctypes.c_double
-_TABLES = [_arr(np.int64), _arr(np.int32, 2)]  # cell_ptr, table
-_STATE = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64)]  # k_max, m, n
-_LOGM = [_arr(np.float64), _I64]  # the log(m + alpha) table and its length
+
+
+def _typed(fn, *argtypes, restype=_I64):
+    """fn, a function of the library, with its argument and result types."""
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn
 
 
 class Kernel:
     """Typed entry points of the loaded library."""
 
     def __init__(self, lib: ctypes.CDLL):
-        self._sweep = lib.dmm_sweep
-        self._sweep.argtypes = [
-            *_STATE, _arr(np.int64), _I64,                    # assignments, D
-            _arr(np.int64), _arr(np.int64), _arr(np.int32),   # corpus CSR
-            _arr(np.int64), _arr(np.float64), _I64,           # order, u, n
-            _arr(np.float64), _F64, _F64, *_LOGM,            # weights
-            _I64, _I64, _I64,                  # prune, refresh step, crossover
-            _arr(np.float64), _arr(np.int64), _arr(np.int64),  # work space, io
-        ]
-        self._sweep.restype = _I64
-        self._scores = lib.dmm_scores
-        self._scores.argtypes = [
-            *_STATE, _I64, _arr(np.int64), _arr(np.int32), _I64,
-            _arr(np.float64), _F64, _F64, *_LOGM, _I64,
-            _arr(np.float64), _arr(np.int64), _arr(np.float64),
-            ctypes.POINTER(_I64),
-        ]
-        self._scores.restype = _I64
-        self._cells = lib.dmm_cells
-        self._cells.argtypes = [*_TABLES, _I64, _I64,  # V, k_active
-                                _arr(np.int64), _arr(np.int64), _arr(np.int32)]
-        self._cells.restype = _I64
-        self._add = lib.dmm_add
-        self._add.argtypes = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64),
-                              _arr(np.int32), _I64]
-        self._add.restype = _I64
-        self._counts = lib.dmm_counts
-        self._counts.argtypes = [*_TABLES, _I64, _arr(np.int64), _arr(np.int64),
-                                 _I64, _arr(np.int32)]
-        self._counts.restype = None
-        self._count_runs = lib.dmm_count_runs
-        self._count_runs.argtypes = [ctypes.c_char_p, _I64]
-        self._count_runs.restype = _I64
-        self._runs = lib.dmm_runs
-        self._runs.argtypes = [ctypes.c_char_p, _I64, _I64, _arr(np.int64),
-                               _arr(np.int64), _arr(np.int64), _arr(np.int64),
-                               _arr(np.int64), _I64]
-        self._runs.restype = _I64
-        self._count_bytes = lib.dmm_count_bytes
-        self._count_bytes.argtypes = [ctypes.c_char_p, _I64, _I64]
-        self._count_bytes.restype = _I64
-        self._pairs = lib.dmm_pairs
-        self._pairs.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64),
-                                _arr(np.int64), _I64, _arr(np.int64), _I64]
-        self._pairs.restype = _I64
-        self._vocabulary = lib.dmm_vocabulary
-        self._vocabulary.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64), _I64]
-        self._vocabulary.restype = _I64
-        self._assignments = lib.dmm_assignments
-        self._assignments.argtypes = [ctypes.c_char_p, _I64, _arr(np.int64), _I64]
-        self._assignments.restype = _I64
-        self._lines = lib.dmm_lines
-        self._lines.argtypes = [ctypes.c_char_p, _I64, _I64, _I64,  # sep, per line
-                                _arr(np.int64), _I64, _arr(np.int64, 2), _I64,
-                                _arr(np.uint8), _I64]
-        self._lines.restype = _I64
+        self._bindings = weakref.WeakKeyDictionary()  # state: (buffer, arrays)
+        i64, i32, f64 = _arr(np.int64), _arr(np.int32), _arr(np.float64)
+        text = ctypes.c_char_p
+        # the tables, V, k_max, m, n, the assignments, D; the binding, its size
+        self._bind = _typed(lib.dmm_bind, i64, _arr(np.int32, 2), _I64, _I64,
+                            i64, i64, i64, _I64, i64, _I64)
+        # the table operations take the binding first. The sweep: the corpus
+        # rows; order, u, their length; the weights; prune, the refresh step,
+        # the crossover; io
+        self._sweep = _typed(lib.dmm_sweep, i64, i64, i64, i32, i64, f64, _I64,
+                             f64, _F64, _F64, _I64, _I64, _I64, i64)
+        self._scores = _typed(lib.dmm_scores, i64, _I64, i64, i32, _I64, f64,
+                              _F64, _F64, _I64, f64, ctypes.POINTER(_I64))
+        self._cells = _typed(lib.dmm_cells, i64, _I64, i64, i64, i32)
+        self._add = _typed(lib.dmm_add, i64, i64, i64, i32, _I64)
+        self._counts = _typed(lib.dmm_counts, i64, i64, i64, _I64, i32,
+                              restype=None)
+        self._count_runs = _typed(lib.dmm_count_runs, text, _I64)
+        self._runs = _typed(lib.dmm_runs, text, _I64, _I64, i64, i64, i64, i64,
+                            i64, _I64)
+        self._count_bytes = _typed(lib.dmm_count_bytes, text, _I64, _I64)
+        self._pairs = _typed(lib.dmm_pairs, text, _I64, i64, i64, _I64, i64,
+                             _I64)
+        self._vocabulary = _typed(lib.dmm_vocabulary, text, _I64, i64, _I64)
+        self._assignments = _typed(lib.dmm_assignments, text, _I64, i64, _I64)
+        # the prefixes, sep, per line; the line offsets, the items, their
+        # width; the output, its size
+        self._lines = _typed(lib.dmm_lines, text, _I64, _I64, _I64, i64, _I64,
+                             _arr(np.int64, 2), _I64, _arr(np.uint8), _I64)
 
     def sweep(self, state, csr, order: np.ndarray, uniforms: np.ndarray,
               weights, prune: bool, refresh_step: int = 0,
@@ -240,23 +228,20 @@ class Kernel:
         """
         order = np.ascontiguousarray(order, dtype=np.int64)
         uniforms = np.ascontiguousarray(uniforms, dtype=np.float64)
+        bound = self._checked(state)  # held to the end, its arrays with it
         word_ptr, words, counts = _corpus_arrays(state, csr)
         if order.shape != uniforms.shape or \
                 (len(order) and not 0 <= order.min() <= order.max() < state.D):
             raise ValueError("order and uniforms must match, with ids in [0, D)")
         if refresh_step and refresh is None:
             raise ValueError("a refresh step needs a refresh callback")
-        work, iwork = _work(state.k_max)
-        logm = np.empty(state.D + 1)  # filled once, on the first entry
         io = np.zeros(IO_LEN, dtype=np.int64)
         io[IO_K] = state.k_active
         while True:
             h, ctot = weights.pseudocounts(state.V)
-            code = self._sweep(*_state_args(state), state.assignments, state.D,
-                               word_ptr, words, counts, order, uniforms,
-                               len(order), h, ctot, state.alpha, logm,
-                               len(logm), int(prune), int(refresh_step),
-                               _CROSSOVER, work, iwork, io)
+            code = self._sweep(bound[0], word_ptr, words, counts, order,
+                               uniforms, len(order), h, ctot, state.alpha,
+                               int(prune), int(refresh_step), _CROSSOVER, io)
             state.k_active = int(io[IO_K])
             if code != REFRESH:
                 break
@@ -269,19 +254,17 @@ class Kernel:
         """Compiled scores of one document (already excluded from the state)
         against every active cluster: the values the sweep draws from. Its
         numpy reference is model.cluster_log_scores, with these arguments."""
-        _check_state(state)
+        bound = self._checked(state)[0]
         words = np.ascontiguousarray(words, dtype=np.int64)
         counts = np.ascontiguousarray(counts, dtype=np.int32)
         if words.shape != counts.shape or \
                 (len(words) and not 0 <= words.min() <= words.max() < state.V):
             raise ValueError("words and counts must match, with ids in [0, V)")
         h, ctot = weights.pseudocounts(state.V)
-        logm = np.empty(int(state.m[:state.k_active].max(initial=0)) + 1)
         out = np.empty(state.k_active, dtype=np.float64)
         bad = _I64(-1)
-        code = self._scores(*_state_args(state), state.k_active, words, counts,
-                            len(words), h, ctot, state.alpha, logm, len(logm),
-                            _CROSSOVER, *_work(state.k_max), out,
+        code = self._scores(bound, state.k_active, words, counts, len(words),
+                            h, ctot, state.alpha, _CROSSOVER, out,
                             ctypes.byref(bad))
         _raise_for(code, bad.value)
         return out
@@ -292,12 +275,11 @@ class Kernel:
         (int64) ascending, with their counts (int32). Its numpy reference
         is model._nonzero_cells, with the same argument and result. A table
         with a slot for every active cluster is read up to k_active."""
-        _check_state(state)
+        bound = self._checked(state)[0]
         out_w, out_z = (np.empty(len(state.table), dtype=np.int64)
                         for _ in range(2))
         out_n = np.empty(len(state.table), dtype=np.int32)
-        n = self._cells(state.cell_ptr, state.table, state.V, state.k_active,
-                        out_w, out_z, out_n)
+        n = self._cells(bound, state.k_active, out_w, out_z, out_n)
         return out_w[:n], out_z[:n], out_n[:n]
 
     def add(self, state, words: np.ndarray, clusters: np.ndarray,
@@ -309,11 +291,10 @@ class Kernel:
         words, clusters = (np.ascontiguousarray(a, dtype=np.int64)
                            for a in (words, clusters))
         counts = np.ascontiguousarray(counts, dtype=np.int32)
-        if state.table.shape != (state.cell_ptr[-1], 2) or \
-                not words.shape == clusters.shape == counts.shape:
+        if not words.shape == clusters.shape == counts.shape:
             raise ValueError("count tables or cells do not match")
-        _raise_for(self._add(state.cell_ptr, state.table, state.k_max, words,
-                             clusters, counts, len(words)), -1)
+        _raise_for(self._add(self._bound(state)[0], words, clusters, counts,
+                             len(words)), -1)
 
     def counts(self, state, words: np.ndarray, clusters: np.ndarray) -> np.ndarray:
         """ModelState.counts_of in C, with its arguments: int64 word ids in
@@ -321,13 +302,50 @@ class Kernel:
         length. Returns their counts (int32), one probe each."""
         words, clusters = (np.ascontiguousarray(a, dtype=np.int64)
                            for a in (words, clusters))
-        if state.table.shape != (state.cell_ptr[-1], 2) or \
-                words.shape != clusters.shape:
+        if words.shape != clusters.shape:
             raise ValueError("count tables or cells do not match")
         out = np.empty(len(words), dtype=np.int32)
-        self._counts(state.cell_ptr, state.table, state.k_max, words, clusters,
-                     len(words), out)
+        self._counts(self._bound(state)[0], words, clusters, len(words), out)
         return out
+
+    def _bound(self, state) -> tuple[np.ndarray, tuple]:
+        """state's binding and the arrays it binds: made on the first call
+        and again when one of the state's arrays is not the one bound, after
+        checking their dtypes, contiguity and shapes. The tables' length and
+        k_active are checked on every call."""
+        arrays = (state.cell_ptr, state.table, state.m, state.n,
+                  state.assignments)
+        if state.table.shape != (state.cell_ptr[-1], 2) or \
+                not 0 <= state.k_active <= state.k_max:
+            raise ValueError("model state arrays do not match its sizes")
+        held = self._bindings.get(state)
+        if held is None or not all(map(operator.is_, held[1], arrays)):
+            if state.n.shape != state.m.shape:
+                raise ValueError("model state arrays do not match its sizes")
+            args = (*arrays[:2], state.V, state.k_max, *arrays[2:], state.D)
+            size = self._bind(*args, np.empty(0, dtype=np.int64), 0)
+            held = np.empty(size, dtype=np.int64), arrays
+            self._bind(*args, held[0], size)
+            self._bindings[state] = held
+        return held
+
+    def _checked(self, state) -> tuple[np.ndarray, tuple]:
+        """_bound, after the per-call checks of the indices the scoring and
+        the cell listing follow: the assignments and every slot's cluster,
+        -1 (free) or in [0, k_max)."""
+        held, z = self._bound(state), state.cell_z
+        if state.D and state.assignments.max() >= state.k_active:
+            raise ValueError("assignment outside the active clusters")
+        if z.min(initial=-1) < -1 or z.max(initial=-1) >= state.k_max:
+            raise ValueError("count cell outside the clusters")
+        return held
+
+    def _float_work(self, state) -> np.ndarray:
+        """The float work space of state's binding, a view for tests: it
+        lies between the first two pointers of the binding's Model."""
+        buf = self._bound(state)[0]
+        end, start = ((int(p) - buf.ctypes.data) // 8 for p in buf[:2])
+        return buf[start:end].view(np.float64)
 
     def runs(self, raw: bytes) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """The runs of a..z bytes in raw, as corpus.build_corpus reads its
@@ -412,42 +430,9 @@ class Kernel:
         return out
 
 
-def _check_state(state) -> None:
-    if state.n.shape != state.m.shape or not 0 <= state.k_active <= state.k_max \
-            or state.table.shape != (state.cell_ptr[-1], 2):
-        raise ValueError("model state arrays do not match its sizes")
-    if state.D and state.assignments.max() >= state.k_active:
-        raise ValueError("assignment outside the active clusters")
-    if state.cell_z.max(initial=-1) >= state.k_max:
-        raise ValueError("count cell outside the clusters")
-
-
-def _state_args(state) -> tuple:
-    """The count tables, k_max, m and n, as the kernel takes them."""
-    return state.cell_ptr, state.table, state.k_max, state.m, state.n
-
-
-def _work(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel's float and integer work space, which carries nothing
-    from one C call to the next (_sweep.c's carve lays it out).
-
-    Float, five k_max arrays: the chunk products (the first then holds the
-    exponentiated scores), the scores, the cumulated weights and the
-    scored clusters' n; then k_max + 1 for the current word's count in
-    each. Integer: the plan (the scored clusters, k_max + 1, and each
-    cluster's entry among them, 1 + k_max), the clusters the sparse plan
-    has listed (1 + k_max), then the (m, n) classes' nine k_max arrays and
-    their hash table of the first power of two at or above 2 * k_max
-    cells."""
-    cells = 1 << (2 * k_max - 1).bit_length()
-    return (np.empty(6 * k_max + 1, dtype=np.float64),
-            np.empty(12 * k_max + 3 + cells, dtype=np.int64))
-
-
 def _corpus_arrays(state, csr):
     """The corpus CSR arrays as the kernel reads them, checked against the
     state so that every index the kernel follows stays in bounds."""
-    _check_state(state)
     word_ptr = np.ascontiguousarray(csr.word_ptr, dtype=np.int64)
     words = np.ascontiguousarray(csr.words, dtype=np.int64)
     counts = np.ascontiguousarray(csr.counts, dtype=np.int32)

@@ -58,16 +58,18 @@
  * takes the same floating-point operations in the same order in both
  * modes, so the chain does not depend on the mode.
  *
- * log(m + alpha) is read from a table of the same expression for every m up
- * to the number of documents, filled on the first entry of a sweep and kept
- * across its refresh re-entries. Everything else is rebuilt on every entry.
+ * A model state is bound once: dmm_bind lays out one caller-owned buffer
+ * with its Model, the work space and a table of log(m + alpha) for every m
+ * up to the number of documents, which a sweep fills on its first entry and
+ * keeps across its refresh re-entries. The work space carries nothing from
+ * one call to the next, and calls on one binding must not overlap.
  *
- * The entry points: dmm_sweep runs document steps and dmm_scores scores one
- * document. dmm_cells lists the occupied count cells for gsdmm+'s entropy
- * refresh, word-major with clusters ascending, in one pass over the tables;
- * the entropy arithmetic stays with the caller. dmm_add adds counts to
- * cells (ModelState.add_counts) and dmm_counts reads them
- * (ModelState.counts_of).
+ * The entry points, each taking the binding: dmm_sweep runs document steps
+ * and dmm_scores scores one document. dmm_cells lists the occupied count
+ * cells for gsdmm+'s entropy refresh, word-major with clusters ascending,
+ * in one pass over the tables; the entropy arithmetic stays with the
+ * caller. dmm_add adds counts to cells (ModelState.add_counts) and
+ * dmm_counts reads them (ModelState.counts_of).
  *
  * The byte scans serve ingestion and the archive reader, with no Python
  * object per token or per pair: dmm_count_runs and dmm_runs find and number
@@ -121,9 +123,32 @@ typedef struct {
     int32_t z, n;
 } Cell;
 
+/* The work space of a call, in the binding. The plan (list, ent, nc) is the
+ * one set of clusters the current document is scored against. Dense keeps
+ * its plan across documents and rebuilds it when a cluster empties or fills
+ * (plan_dense), sparse rewrites it for every document (plan_sparse); a
+ * change of mode happens only at those events, and replan makes the plan of
+ * the new mode. */
 typedef struct {
+    double *num, *den, *score, *cum;
+    double *nd;       /* per plan entry: its cluster's n */
+    double *cv;       /* per plan entry: the current word's count there */
+    int64_t *list;    /* the nc clusters scored */
+    int64_t *ent;     /* active cluster -> the entry in list it reads */
+    int64_t nc;
+    int64_t *mark;    /* per cluster, 0 between documents: listed by the plan */
+} Scratch;
+
+/* A bound model state (dmm_bind). dmm_sweep and dmm_scores work on a copy,
+ * so the fields from crossover on hold only within a call. logm and x.num
+ * come first: the float work space lies between them, which is where
+ * _native.Kernel._float_work finds it. */
+typedef struct {
+    double *logm;        /* (n_docs + 1,) log(m + alpha) for each m */
+    Scratch x;
     const int64_t *ptr;  /* (V + 1,) word w's table: slots ptr[w]:ptr[w + 1] */
     Cell *cell;
+    int64_t n_words;     /* V */
     int64_t kmax;
     int64_t *m, *n;      /* (kmax,) document and token counts */
     int64_t *assign;     /* (n_docs,) cluster per document, -1 when detached */
@@ -144,52 +169,19 @@ typedef struct {
     int64_t nlog;
 } Weights;
 
-/* Work space of one call, carved from the caller's arrays by carve. The
- * plan (list, ent, nc) is the one set of clusters the current document is
- * scored against. Dense keeps its plan across documents and rebuilds it
- * when a cluster empties or fills (plan_dense), sparse rewrites it for
- * every document (plan_sparse); a change of mode happens only at those
- * events, and replan makes the plan of the new mode. */
-typedef struct {
-    int64_t *list;    /* the nc clusters scored */
-    int64_t *ent;     /* active cluster -> the entry in list it reads */
-    int64_t nc;
-    int64_t *mark;    /* per cluster, 0 between documents: listed by the plan */
-    double *num, *den, *score, *cum;
-    double *nd;       /* per plan entry: its cluster's n */
-    double *cv;       /* per plan entry: the current word's count there */
-} Scratch;
-
-/* Carve the work space (sizes in _native._work): float num, den, score, cum
- * and nd, kmax each, and cv, kmax + 1; int list, kmax + 1, ent and mark,
- * 1 + kmax each, then the classes' nine arrays, kmax each, then the
- * classes' cells. A free slot's key, -1, indexes ent and mark too: ent[-1]
- * sends its count, 0, to cv[kmax], which nothing reads, and mark[-1] = 1
- * keeps it out of the plan, so the loops over a table take no branch on
- * whether a slot is free. mark is zeroed here, and every entry of ent
- * starts at kmax, so that no key sends a count outside cv. */
-static Scratch carve(Model *s, double *work, int64_t *iwork)
+/* Ready the work space for a call. A free slot's key, -1, indexes ent and
+ * mark too: ent[-1] sends its count, 0, to cv[kmax], which nothing reads,
+ * and mark[-1] = 1 keeps it out of the plan, so the loops over a table take
+ * no branch on whether a slot is free. mark is zeroed, and every entry of
+ * ent starts at kmax, so that no key sends a count outside cv. */
+static Scratch *ready(Model *s)
 {
-    const int64_t kmax = s->kmax;
-    int64_t cells = 1;
-    while (cells < 2 * kmax)
-        cells <<= 1;
-    for (int64_t i = kmax + 1; i < 2 * kmax + 2; i++)
-        iwork[i] = kmax;  /* ent: cv[kmax] until a plan is made */
-    iwork[2 * kmax + 2] = 1;  /* mark[-1] */
-    for (int64_t i = 2 * kmax + 3; i < 3 * kmax + 3; i++)
-        iwork[i] = 0;
-    int64_t *c = iwork + 3 * kmax + 3;
-    s->cl = (Classes){.cls = c, .next = c + kmax, .prev = c + 2 * kmax,
-                      .head = c + 3 * kmax, .key_m = c + 4 * kmax,
-                      .key_n = c + 5 * kmax, .ent = c + 6 * kmax,
-                      .ids = c + 7 * kmax, .pos = c + 8 * kmax,
-                      .cells = c + 9 * kmax, .mask = cells - 1};
-    return (Scratch){.list = iwork, .ent = iwork + kmax + 2,
-                     .mark = iwork + 2 * kmax + 3, .num = work,
-                     .den = work + kmax, .score = work + 2 * kmax,
-                     .cum = work + 3 * kmax, .nd = work + 4 * kmax,
-                     .cv = work + 5 * kmax};
+    for (int64_t z = -1; z < s->kmax; z++) {
+        s->x.ent[z] = s->kmax;  /* cv[kmax] until a plan is made */
+        s->x.mark[z] = 0;
+    }
+    s->x.mark[-1] = 1;
+    return &s->x;
 }
 
 /* The slot of cell (w, z): the one holding it, or the free slot that ends
@@ -222,7 +214,7 @@ static int32_t count(const Model *s, int64_t w, int64_t z)
  * after the hole) does, and the hole moves to where it was, so no slot is
  * ever marked deleted. The same scheme as leave's for the classes. In a
  * table with room for kmax cells each cell is at its home and stays. */
-static void drop(Model *s, int64_t w, int64_t i)
+static void drop(const Model *s, int64_t w, int64_t i)
 {
     const int64_t lo = s->ptr[w], mask = s->ptr[w + 1] - lo - 1;
     int64_t hole = i - lo, j = hole;
@@ -244,7 +236,7 @@ static void drop(Model *s, int64_t w, int64_t i)
 /* Add delta to the count of word w in cluster z: a new cell takes the free
  * slot that ends its probe run, and a cell whose count reaches 0 leaves.
  * Returns DONE, or FULL for a full table. */
-static int64_t add(Model *s, int64_t w, int64_t z, int32_t delta)
+static int64_t add(const Model *s, int64_t w, int64_t z, int32_t delta)
 {
     if (!delta)
         return DONE;
@@ -377,15 +369,8 @@ static void reclass(Model *s, int64_t z)
     join(&s->cl, z, s->m[z], s->n[z]);
 }
 
-/* log(m + alpha) for m < len, the expression log_m falls back to. */
-static void fill_logs(double *logm, int64_t len, double alpha)
-{
-    for (int64_t m = 0; m < len; m++)
-        logm[m] = log((double)m + alpha);
-}
-
-/* log(m + alpha): from the table, or computed for an m past it (a state
- * whose counts disagree with its assignments). */
+/* log(m + alpha): from the table (dmm_sweep fills it with the same
+ * expression), or computed for an m past it. */
 static double log_m(const Weights *wt, int64_t m)
 {
     return (uint64_t)m < (uint64_t)wt->nlog ? wt->logm[m]
@@ -703,29 +688,64 @@ static int64_t deactivate(Model *s, int64_t z, int64_t *k,
     return DONE;
 }
 
+/* Bind a model state (its tables, of n_words words, m, n and assignments)
+ * into bound[0:cap]: its Model, the float work space (num, den, score, cum,
+ * nd, kmax each, and cv, kmax + 1), the log table (n_docs + 1), then the
+ * integer work space (list, kmax + 1; ent and mark, 1 + kmax each, from
+ * index -1; the classes' nine arrays, kmax each, and their cells). Returns
+ * the number of int64 words that takes, laid out only when cap is that
+ * number, so a first call sizes the buffer of the second. The caller keeps
+ * the arrays and the buffer alive, and the arrays in place, while it binds. */
+int64_t dmm_bind(const int64_t *ptr, Cell *cell, int64_t n_words,
+                 int64_t kmax, int64_t *m, int64_t *n, int64_t *assign,
+                 int64_t n_docs, int64_t *bound, int64_t cap)
+{
+    const int64_t head = (int64_t)((sizeof(Model) + 7) / 8);
+    int64_t cells = 1;
+    while (cells < 2 * kmax)
+        cells <<= 1;
+    const int64_t size = head + (6 * kmax + 1) + (n_docs + 1)
+                         + (12 * kmax + 3) + cells;
+    if (cap != size)
+        return size;
+    double *f = (double *)(bound + head);
+    int64_t *i = (int64_t *)(f + 6 * kmax + 1 + n_docs + 1);
+    int64_t *c = i + 3 * kmax + 3;
+    *(Model *)bound = (Model){
+        .logm = f + 6 * kmax + 1,
+        .x = {.num = f, .den = f + kmax, .score = f + 2 * kmax,
+              .cum = f + 3 * kmax, .nd = f + 4 * kmax, .cv = f + 5 * kmax,
+              .list = i, .ent = i + kmax + 2, .mark = i + 2 * kmax + 3},
+        .ptr = ptr, .cell = cell, .n_words = n_words, .kmax = kmax, .m = m,
+        .n = n, .assign = assign, .n_docs = n_docs, .held = -1,
+        .cl = {.cls = c, .next = c + kmax, .prev = c + 2 * kmax,
+               .head = c + 3 * kmax, .key_m = c + 4 * kmax,
+               .key_n = c + 5 * kmax, .ent = c + 6 * kmax,
+               .ids = c + 7 * kmax, .pos = c + 8 * kmax,
+               .cells = c + 9 * kmax, .mask = cells - 1}};
+    return size;
+}
+
 /* Score one detached document against every active cluster, k of them,
  * into out (k,), sparse when more than crossover clusters are occupied.
- * The tables are only read. logm (nlog,) is filled here. Work space as for
- * dmm_sweep.
- * Returns DONE, or NONFINITE with the cluster in *bad. */
-int64_t dmm_scores(const int64_t *ptr, Cell *cell,
-                   int64_t kmax, int64_t *m, int64_t *n, int64_t k,
-                   const int64_t *words, const int32_t *counts, int64_t nw,
-                   const double *h, double ctot, double alpha, double *logm,
-                   int64_t nlog, int64_t crossover, double *work,
-                   int64_t *iwork, double *out, int64_t *bad)
+ * The tables are only read, and each log(m + alpha) is computed, not read
+ * from the binding's table. Returns DONE, or NONFINITE with the cluster in
+ * *bad. */
+int64_t dmm_scores(const Model *bound, int64_t k, const int64_t *words,
+                   const int32_t *counts, int64_t nw, const double *h,
+                   double ctot, double alpha, int64_t crossover, double *out,
+                   int64_t *bad)
 {
-    Model s = {.ptr = ptr, .cell = cell, .kmax = kmax, .m = m,
-               .n = n, .crossover = crossover, .held = -1};
-    const Weights wt = {h, ctot, alpha, logm, nlog};
-    Scratch x = carve(&s, work, iwork);
-    fill_logs(logm, nlog, alpha);
+    Model s = *bound;
+    s.crossover = crossover;
+    const Weights wt = {h, ctot, alpha, s.logm, 0};
+    Scratch *x = ready(&s);
     s.occupied = count_occupied(&s, k);
-    replan(&s, &x, k);
-    score_slots(&s, &wt, &x, k, words, counts, nw);
+    replan(&s, x, k);
+    score_slots(&s, &wt, x, k, words, counts, nw);
     for (int64_t z = 0; z < k; z++)
-        out[z] = x.score[x.ent[z]];
-    *bad = bad_cluster(&s, &x, k);
+        out[z] = x->score[x->ent[z]];
+    *bad = bad_cluster(&s, x, k);
     return *bad < 0 ? DONE : NONFINITE;
 }
 
@@ -735,33 +755,27 @@ int64_t dmm_scores(const int64_t *ptr, Cell *cell,
  * REFRESH after detaching (and pruning for) each position that is a multiple
  * of refresh_step, so the caller can recompute h and call again to resume.
  * A document scores sparse when more than crossover clusters are occupied
- * as it is scored. logm (nlog,) is filled on the first entry; later
- * entries resume after a REFRESH and keep it. work and iwork are sized by
- * _native._work and hold nothing from one entry to the next. Returns DONE,
- * REFRESH or a negative code; io always holds the position and counts
- * reached. */
-int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
-                  int64_t kmax, int64_t *m, int64_t *n,
-                  int64_t *assign, int64_t n_docs,
-                  const int64_t *word_ptr, const int64_t *words,
-                  const int32_t *counts, const int64_t *order,
-                  const double *u, int64_t n_order, const double *h,
-                  double ctot, double alpha, double *logm, int64_t nlog,
-                  int64_t prune, int64_t refresh_step, int64_t crossover,
-                  double *work, int64_t *iwork, int64_t *io)
+ * as it is scored. The binding's log table is filled on the first entry;
+ * later entries resume after a REFRESH and keep it. Returns DONE, REFRESH
+ * or a negative code; io always holds the position and counts reached. */
+int64_t dmm_sweep(const Model *bound, const int64_t *word_ptr,
+                  const int64_t *words, const int32_t *counts,
+                  const int64_t *order, const double *u, int64_t n_order,
+                  const double *h, double ctot, double alpha, int64_t prune,
+                  int64_t refresh_step, int64_t crossover, int64_t *io)
 {
-    Model s = {.ptr = ptr, .cell = cell, .kmax = kmax, .m = m,
-               .n = n, .assign = assign, .n_docs = n_docs,
-               .crossover = crossover, .held = -1};
-    const Weights wt = {h, ctot, alpha, logm, nlog};
-    Scratch x = carve(&s, work, iwork);
+    Model s = *bound;
+    s.crossover = crossover;
+    const Weights wt = {h, ctot, alpha, s.logm, s.n_docs + 1};
+    Scratch *x = ready(&s);
     int64_t k = io[IO_K], moved = io[IO_MOVED], pos = io[IO_POS];
     int64_t code = DONE;
 
     if (!io[IO_RESUME])
-        fill_logs(logm, nlog, alpha);
+        for (int64_t i = 0; i < wt.nlog; i++)
+            s.logm[i] = log((double)i + alpha);
     s.occupied = count_occupied(&s, k);
-    replan(&s, &x, k);
+    replan(&s, x, k);
 
     for (; pos < n_order; pos++) {
         const int64_t d = order[pos];
@@ -776,13 +790,13 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
             z_old = io[IO_ZOLD];
             pruned = io[IO_PRUNED];
         } else {
-            z_old = assign[d];
+            z_old = s.assign[d];
             const int refreshing = refresh_step > 0
                                    && pos % refresh_step == 0;
             if (z_old >= 0) {
                 move_totals(&s, z_old, total, -1);
-                assign[d] = -1;
-                const int emptied = !m[z_old] && !n[z_old];
+                s.assign[d] = -1;
+                const int emptied = !s.m[z_old] && !s.n[z_old];
                 /* the cells wait for the draw unless a refresh or a prune
                  * reads the tables first */
                 if (!emptied && !refreshing) {
@@ -801,7 +815,7 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
                         pruned = 1;
                     }
                     s.occupied--;
-                    replan(&s, &x, k);
+                    replan(&s, x, k);
                 }
             }
             if (refreshing) {
@@ -812,10 +826,10 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
                 break;
             }
         }
-        score_slots(&s, &wt, &x, k, w, c, nw);
-        io[IO_BAD] = bad_cluster(&s, &x, k);
+        score_slots(&s, &wt, x, k, w, c, nw);
+        io[IO_BAD] = bad_cluster(&s, x, k);
         const int64_t z_new = io[IO_BAD] >= 0 ? NONFINITE
-                                              : draw(&x, k, u[pos]);
+                                              : draw(x, k, u[pos]);
         const int64_t held = s.held;
         s.held = -1;
         if (held >= 0 && z_new != held
@@ -827,16 +841,16 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
             code = z_new;
             break;
         }
-        const int filled = !m[z_new] && !n[z_new];
+        const int filled = !s.m[z_new] && !s.n[z_new];
         move_totals(&s, z_new, total, 1);
         if (z_new != held && move_cells(&s, z_new, w, c, nw, 1) != DONE) {
             code = FULL;
             break;
         }
-        assign[d] = z_new;
+        s.assign[d] = z_new;
         if (filled) {
             s.occupied++;
-            replan(&s, &x, k);
+            replan(&s, x, k);
         }
         if (pruned || z_new != z_old)
             moved++;
@@ -847,7 +861,7 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
     return code;
 }
 
-/* The occupied cells of the tables of words 0 to n_words - 1, word by word
+/* The occupied cells of the bound tables, word by word
  * and, within a word, clusters ascending: each cell's word, cluster and
  * count go to out_w, out_z and out_n, which have room for every slot. A
  * word's first span(k) slots are copied out, each slot written and only
@@ -856,11 +870,13 @@ int64_t dmm_sweep(const int64_t *ptr, Cell *cell,
  * k active clusters holds each cell at its home (span), so its run is
  * sorted already; a smaller table is read whole and is at most half full.
  * Returns the number of cells. */
-int64_t dmm_cells(const int64_t *ptr, const Cell *cell, int64_t n_words,
-                  int64_t k, int64_t *out_w, int64_t *out_z, int32_t *out_n)
+int64_t dmm_cells(const Model *bound, int64_t k, int64_t *out_w,
+                  int64_t *out_z, int32_t *out_n)
 {
+    const int64_t *ptr = bound->ptr;
+    const Cell *cell = bound->cell;
     int64_t nc = 0;
-    for (int64_t w = 0; w < n_words; w++) {
+    for (int64_t w = 0; w < bound->n_words; w++) {
         const int64_t first = nc, lo = ptr[w], end = lo + span(ptr, w, k);
         for (int64_t t = lo; t < end; t++) {
             out_w[nc] = w;
@@ -887,13 +903,11 @@ int64_t dmm_cells(const int64_t *ptr, const Cell *cell, int64_t n_words,
  * each i < len in turn: model.ModelState.add_counts in C, which checks the
  * ids. Returns DONE, or FULL at the first full table, with the counts
  * before it added. */
-int64_t dmm_add(const int64_t *ptr, Cell *cell, int64_t kmax,
-                const int64_t *words, const int64_t *clusters,
-                const int32_t *counts, int64_t len)
+int64_t dmm_add(const Model *bound, const int64_t *words,
+                const int64_t *clusters, const int32_t *counts, int64_t len)
 {
-    Model s = {.ptr = ptr, .cell = cell, .kmax = kmax};
     for (int64_t i = 0; i < len; i++)
-        if (add(&s, words[i], clusters[i], counts[i]) != DONE)
+        if (add(bound, words[i], clusters[i], counts[i]) != DONE)
             return FULL;
     return DONE;
 }
@@ -901,13 +915,11 @@ int64_t dmm_add(const int64_t *ptr, Cell *cell, int64_t kmax,
 /* The count of word words[i] in cluster clusters[i] into out[i], for each
  * i < len, 0 where the word has no cell: model.ModelState.counts_of in C,
  * which checks the ids. One probe per pair. */
-void dmm_counts(const int64_t *ptr, Cell *cell, int64_t kmax,
-                const int64_t *words, const int64_t *clusters, int64_t len,
-                int32_t *out)
+void dmm_counts(const Model *bound, const int64_t *words,
+                const int64_t *clusters, int64_t len, int32_t *out)
 {
-    const Model s = {.ptr = ptr, .cell = cell, .kmax = kmax};
     for (int64_t i = 0; i < len; i++)
-        out[i] = count(&s, words[i], clusters[i]);
+        out[i] = count(bound, words[i], clusters[i]);
 }
 
 /* ---- Byte scans for ingestion and the archive reader ----

@@ -389,6 +389,7 @@ class ModelState:
         counts = self.cell_n[slots]
         assert (clusters < k).all(), "count cell outside the active clusters"
         assert (counts > 0).all(), "count cell that is not positive"
+        assert (self.cell_z >= -1).all(), "slot neither free nor a cell"
         assert not self.cell_n[self.cell_z < 0].any(), "free slot with a count"
         assert (np.bincount(clusters, weights=counts, minlength=k)
                 == self.n[:k]).all(), "n != sum of counts"

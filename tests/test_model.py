@@ -623,3 +623,11 @@ class TestCountTables:
         for fault in (zero_cell, off_its_run, stale_key, free_with_count):
             with pytest.raises(AssertionError):
                 faulty(fault).validate()
+
+    def test_validate_refuses_a_slot_below_free(self):
+        # cluster -3 with count 0 is neither a free slot (-1) nor a cell;
+        # the kernel would read it as an index
+        state = make_state([2, 1], [[1, 0, 2], [0, 3, 1]], alpha=0.1, k_max=3)
+        state.cell_z[np.flatnonzero(state.cell_z < 0)[0]] = -3
+        with pytest.raises(AssertionError, match="neither free nor a cell"):
+            state.validate()

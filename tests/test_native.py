@@ -1,7 +1,9 @@
 """The compiled sweep kernel against the numpy reference, its build and
 cache, and the fallback to numpy when it cannot be built."""
 
+import copy
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -460,24 +462,17 @@ class TestClassBookkeeping:
         assert messages[0] == messages[1]
         assert "clusters [4]" in messages[0]
 
-    def test_sparse_scores_once_per_needed_class(self, monkeypatch):
+    def test_sparse_scores_once_per_needed_class(self):
         # the overlapping clusters 0-3, then one member of the classes
         # (1, 3), (3, 9) and (0, 0); the class (2, 6), all of whose members
         # share a word, gets no score. The kernel writes a score only for
-        # what it scores, into the third k_max block of its float work space
+        # what it scores, into the third k_max block of the float work space
+        # of the state's binding
         state, words, counts = self._overlapped_class_state()
-        spaces = []
-
-        def work(k_max):
-            work, iwork = real_work(k_max)
-            work[:] = np.nan
-            spaces.append(work)
-            return work, iwork
-
-        real_work = _native._work
-        monkeypatch.setattr(_native, "_work", work)
+        work = _native.kernel()._float_work(state)
+        work[:] = np.nan
         kernel_scores(state, words, counts, UniformBeta(0.1), EVERY_SPARSE)
-        written = ~np.isnan(spaces[0][2 * state.k_max:3 * state.k_max])
+        written = ~np.isnan(work[2 * state.k_max:3 * state.k_max])
         assert written.sum() == 4 + 3
 
 
@@ -666,6 +661,75 @@ class TestCompiledCells:
             kernel.cells(outside)
 
 
+class TestBinding:
+    """A state is bound to the kernel on its first call and keeps the
+    binding while its arrays stay; no copy of it shares the binding."""
+
+    @staticmethod
+    def _bound_state(kernel):
+        corpus = _noisy_topics(5)
+        state = ModelState.for_corpus(corpus, 12, 0.1)
+        state.add_docs(corpus.token_csr, np.arange(len(corpus)),
+                       np.arange(len(corpus)) % 12)
+        kernel.cells(state)  # binds it
+        return corpus.token_csr, state
+
+    @staticmethod
+    def _sweep_both(monkeypatch, kernel, state, csr):
+        """Sweep state on the kernel and a copy of it on numpy; both must
+        end the same."""
+        ref = state.copy()
+        args = (csr, np.arange(state.D), np.random.default_rng(1).random(state.D),
+                UniformBeta(0.1), False)
+        moved = kernel.sweep(state, *args)
+        assert moved == _numpy(monkeypatch,
+                               lambda: sampler._numpy_steps(ref, *args)) > 0
+        _assert_same_state(state, ref)
+
+    @pytest.mark.parametrize("duplicate", [
+        ModelState.copy, copy.deepcopy,
+        lambda state: pickle.loads(pickle.dumps(state))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_bind_their_own_arrays(self, kernel, monkeypatch, duplicate):
+        csr, state = self._bound_state(kernel)
+        before = state.copy()
+        twin = duplicate(state)
+        self._sweep_both(monkeypatch, kernel, twin, csr)
+        for name in ("assignments", "m", "n", "table"):
+            assert np.array_equal(getattr(state, name), getattr(before, name))
+
+    def test_shallow_copy_binds_the_shared_arrays(self, kernel, monkeypatch):
+        csr, state = self._bound_state(kernel)
+        twin = copy.copy(state)
+        self._sweep_both(monkeypatch, kernel, twin, csr)
+        assert state.m is twin.m  # one set of arrays, with two bindings
+        assert kernel._bindings[twin][0] is not kernel._bindings[state][0]
+
+    @pytest.mark.parametrize("name", ["table", "m", "n", "assignments"])
+    def test_replaced_array_is_bound_anew(self, kernel, monkeypatch, name):
+        csr, state = self._bound_state(kernel)
+        old = getattr(state, name)
+        kept = old.copy()
+        setattr(state, name, old.copy())
+        self._sweep_both(monkeypatch, kernel, state, csr)
+        assert np.array_equal(old, kept)  # the array bound first is untouched
+
+    def test_refuses_a_slot_below_free(self, kernel):
+        # a cluster of -3 is neither a free slot nor a cluster's cell: the
+        # kernel would read it as an index into its work space
+        csr, state = self._bound_state(kernel)
+        state.cell_z[np.flatnonzero(state.cell_z < 0)[0]] = -3
+        lo, hi = csr.word_ptr[0], csr.word_ptr[1]
+        with pytest.raises(ValueError):
+            kernel.cells(state)
+        with pytest.raises(ValueError):
+            kernel.sweep(state, csr, np.arange(1), np.zeros(1), UniformBeta(0.1),
+                         False)
+        with pytest.raises(ValueError):
+            kernel.log_scores(state, csr.words[lo:hi], csr.counts[lo:hi],
+                              UniformBeta(0.1))
+
+
 def reference_runs(raw: bytes) -> tuple[list[int], list[int], list[str]]:
     """Kernel.runs by the regex of corpus._split: each [a-z]+ run's
     segment (the NUL bytes before it) and part id, the parts numbered by
@@ -817,10 +881,12 @@ class TestByteScans:
 # clusters under new keys and lists the tables' cells for its refreshes.
 # Most used words' tables hold 2 to 32 slots for 40 clusters, so probe
 # runs and backward shifts wrap past a table's end. Then Kernel.counts
-# reads every cell of the last state, and the byte scans of ingestion and
-# the archive reader run on drawn adversarial inputs.
+# reads every cell of the last state; two states bound at once run their
+# sweeps, cell listings, count reads and adds interleaved, and a copy(), a
+# deepcopy and a state whose m was replaced are swept; and the byte scans
+# of ingestion and the archive reader run on drawn adversarial inputs.
 _SANITIZED_RUN = """
-import ctypes, re, sys
+import copy, ctypes, re, sys
 import numpy as np
 from gsdmm import _native, archive, model, sampler
 from gsdmm.model import ModelState, UniformBeta, cluster_log_scores, word_entropy
@@ -893,6 +959,68 @@ words, clusters = (a.ravel() for a in np.meshgrid(
 slots = state._probe(words, clusters)
 assert np.array_equal(built.counts(state, words, clusters),
                       np.where(slots >= 0, state.cell_n[slots], 0))
+
+# two bindings at once, each call against the numpy reference on a copy
+order = np.arange(len(corpus))
+uniforms = np.random.default_rng(6).random(len(corpus))
+
+
+def seeded(k_max):
+    fresh = ModelState.for_corpus(corpus, k_max, 0.1)
+    fresh.add_docs(csr, order, order % k_max)
+    return fresh
+
+
+def sweep(state, kernel):
+    step = sampler._numpy_steps if kernel is None else kernel.sweep
+    on(kernel, 20, lambda: step(state, csr, order, uniforms,
+                                UniformBeta(0.1), False))
+
+
+def same(a, b):
+    for name in ("assignments", "m", "n", "wz"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+pair = [seeded(40), seeded(12)]
+refs = [s.copy() for s in pair]
+lo, hi = csr.word_ptr[0], csr.word_ptr[1]
+words, counts, to = csr.words[lo:hi], csr.counts[lo:hi], np.full(hi - lo, 3)
+for _ in range(2):
+    for s, r in zip(pair, refs):
+        sweep(s, built)
+        sweep(r, None)
+    for s, r in zip(pair, refs):
+        for got, want in zip(built.cells(s), model._nonzero_cells(r)):
+            assert np.array_equal(got, want)
+        built.add(s, words, to, counts)
+        r._add_counts(words, to, counts.astype(np.int64))
+    for s, r in zip(pair, refs):
+        slots = r._probe(words, to)
+        assert np.array_equal(built.counts(s, words, to),
+                              np.where(slots >= 0, r.cell_n[slots], 0))
+        built.add(s, words, to, -counts)
+        r._add_counts(words, to, -counts.astype(np.int64))
+for s, r in zip(pair, refs):
+    s.validate()
+    same(s, r)
+
+# copies bind their own arrays, and a replaced array is bound anew
+before = [s.copy() for s in pair]
+for twin in (pair[0].copy(), copy.deepcopy(pair[0])):
+    ref = twin.copy()
+    sweep(twin, built)
+    sweep(ref, None)
+    same(twin, ref)
+old_m = pair[1].m
+pair[1].m = old_m.copy()
+ref = pair[1].copy()
+sweep(pair[1], built)
+sweep(ref, None)
+same(pair[1], ref)
+assert np.array_equal(old_m, before[1].m)
+for name in ("assignments", "m", "n", "table"):
+    assert np.array_equal(getattr(pair[0], name), getattr(before[0], name))
 
 # The byte scans read copies of their input in buffers of its exact size
 # (a bytes object holds a NUL past its end), against the regex and the line
