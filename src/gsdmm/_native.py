@@ -23,8 +23,10 @@ that runs in its place when the kernel cannot be built:
 - Kernel.cells lists the occupied count cells that gsdmm+'s entropy
   refresh reads, in one pass over the count tables
   (model._nonzero_cells); the refresh's arithmetic stays in numpy.
-- Kernel.add adds to cells one by one (ModelState.add_counts, reference
-  ModelState._add_counts), and Kernel.counts reads them, one probe each
+- Kernel.add adds to cells one pair at a time (ModelState.add_counts,
+  reference ModelState._add_counts, the same algorithm in the same order,
+  so both leave the same tables); it stays compiled for bulk adds, such as
+  a whole corpus in add_docs. Kernel.counts reads cells, one probe each
   (ModelState.counts_of, reference ModelState._probe).
 - Kernel.runs finds the runs of a..z bytes of build_corpus's joined texts
   and numbers the distinct ones (corpus._split's regex and a dict).
@@ -84,7 +86,8 @@ SOURCE = Path(__file__).with_name("_sweep.c")
 FLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 
 # return codes and io slots, mirrored from _sweep.c
-DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE, FULL = 0, 1, -1, -2, -3, -4
+DONE, REFRESH, NONFINITE, ALL_ZERO, DEGENERATE = 0, 1, -1, -2, -3
+FULL, OVERFLOW = -4, -5
 IO_POS, IO_K, IO_MOVED, IO_RESUME, IO_ZOLD, IO_PRUNED, IO_BAD, IO_LEN = range(8)
 _LONG = -2  # the byte scans' code for a value of more than 18 digits
 
@@ -285,9 +288,9 @@ class Kernel:
     def add(self, state, words: np.ndarray, clusters: np.ndarray,
             counts: np.ndarray) -> None:
         """ModelState.add_counts in C, with its arguments: int64 word ids in
-        [0, V) and clusters in [0, k_max), which add_counts checks, and
-        their counts, of one length. Each pair in turn, so a pair given
-        twice adds twice."""
+        [0, V), clusters in [0, k_max) and counts in int32, which add_counts
+        checks, of one length. Each pair in turn, so a pair given twice adds
+        twice, and the tables end as _add_counts leaves them."""
         words, clusters = (np.ascontiguousarray(a, dtype=np.int64)
                            for a in (words, clusters))
         counts = np.ascontiguousarray(counts, dtype=np.int32)
@@ -458,5 +461,7 @@ def _raise_for(code: int, bad: int) -> None:
     if code == FULL:
         raise ValueError("a count table is full: the state was sized for "
                          "another corpus")
+    if code == OVERFLOW:
+        raise ValueError("a count passes int32")
     if code != DONE:
         raise RuntimeError(f"sweep kernel returned {code}")

@@ -97,7 +97,7 @@
 
 /* return codes, mirrored in _native.py */
 enum { DONE = 0, REFRESH = 1, NONFINITE = -1, ALL_ZERO = -2, DEGENERATE = -3,
-       FULL = -4 };
+       FULL = -4, OVERFLOW = -5 };
 
 /* io array slots, mirrored in _native.py: the resume position in the order,
  * k_active, documents moved so far, whether the document at the resume
@@ -235,7 +235,8 @@ static void drop(const Model *s, int64_t w, int64_t i)
 
 /* Add delta to the count of word w in cluster z: a new cell takes the free
  * slot that ends its probe run, and a cell whose count reaches 0 leaves.
- * Returns DONE, or FULL for a full table. */
+ * Returns DONE, FULL for a full table, or OVERFLOW, changing nothing, for a
+ * sum outside int32. */
 static int64_t add(const Model *s, int64_t w, int64_t z, int32_t delta)
 {
     if (!delta)
@@ -243,16 +244,19 @@ static int64_t add(const Model *s, int64_t w, int64_t z, int32_t delta)
     const int64_t i = slot_of(s, w, z);
     if (i < 0)
         return FULL;
+    const int64_t sum = (int64_t)s->cell[i].n + delta;
+    if (sum < INT32_MIN || sum > INT32_MAX)
+        return OVERFLOW;
     s->cell[i].z = (int32_t)z;
-    s->cell[i].n += delta;
-    if (!s->cell[i].n)
+    s->cell[i].n = (int32_t)sum;
+    if (!sum)
         drop(s, w, i);
     return DONE;
 }
 
 /* Move word w's count in cluster src, if it has one, into cluster dst: the
  * cell leaves its table and its count joins dst's, under dst's home. Returns
- * DONE or FULL. */
+ * add's code. */
 static int64_t move_cell(Model *s, int64_t w, int64_t src, int64_t dst)
 {
     const int64_t i = slot_of(s, w, src);
@@ -647,14 +651,14 @@ static void move_totals(Model *s, int64_t z, int64_t total, int32_t sign)
 }
 
 /* Add (sign 1) or remove (sign -1) a document's word counts in cluster z.
- * Returns DONE or FULL. */
+ * Returns DONE, or add's code at the first pair it refuses. */
 static int64_t move_cells(Model *s, int64_t z, const int64_t *words,
                           const int32_t *counts, int64_t nw, int32_t sign)
 {
-    for (int64_t a = 0; a < nw; a++)
-        if (add(s, words[a], z, sign * counts[a]) != DONE)
-            return FULL;
-    return DONE;
+    int64_t code = DONE;
+    for (int64_t a = 0; a < nw && code == DONE; a++)
+        code = add(s, words[a], z, sign * counts[a]);
+    return code;
 }
 
 /* Remove emptied cluster z, moving the last active cluster into its slot.
@@ -662,7 +666,8 @@ static int64_t move_cells(Model *s, int64_t z, const int64_t *words,
  * cluster last are exactly those of the words of the documents assigned to
  * last, so one scan of the assignments relabels those documents and moves
  * their cells: O(D + tokens of last), not O(V). A word two of them share is
- * moved once; the second finds no cell of last. Returns DONE or FULL. */
+ * moved once; the second finds no cell of last. Returns DONE, or add's
+ * code at the first cell it refuses. */
 static int64_t deactivate(Model *s, int64_t z, int64_t *k,
                           const int64_t *word_ptr, const int64_t *words)
 {
@@ -675,9 +680,11 @@ static int64_t deactivate(Model *s, int64_t z, int64_t *k,
             if (s->assign[d] != last)
                 continue;
             s->assign[d] = z;
-            for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++)
-                if (move_cell(s, words[a], last, z) != DONE)
-                    return FULL;
+            for (int64_t a = word_ptr[d]; a < word_ptr[d + 1]; a++) {
+                const int64_t code = move_cell(s, words[a], last, z);
+                if (code != DONE)
+                    return code;
+            }
         }
     }
     if (s->sparse)
@@ -801,17 +808,15 @@ int64_t dmm_sweep(const Model *bound, const int64_t *word_ptr,
                  * reads the tables first */
                 if (!emptied && !refreshing) {
                     s.held = z_old;
-                } else if (move_cells(&s, z_old, w, c, nw, -1) != DONE) {
-                    code = FULL;
+                } else if ((code = move_cells(&s, z_old, w, c, nw, -1))
+                           != DONE) {
                     break;
                 }
                 if (emptied) {
                     if (prune) {
-                        if (deactivate(&s, z_old, &k, word_ptr, words)
-                            != DONE) {
-                            code = FULL;
+                        if ((code = deactivate(&s, z_old, &k, word_ptr,
+                                               words)) != DONE)
                             break;
-                        }
                         pruned = 1;
                     }
                     s.occupied--;
@@ -833,20 +838,17 @@ int64_t dmm_sweep(const Model *bound, const int64_t *word_ptr,
         const int64_t held = s.held;
         s.held = -1;
         if (held >= 0 && z_new != held
-            && move_cells(&s, held, w, c, nw, -1) != DONE) {
-            code = FULL;
+            && (code = move_cells(&s, held, w, c, nw, -1)) != DONE)
             break;
-        }
         if (z_new < 0) {
             code = z_new;
             break;
         }
         const int filled = !s.m[z_new] && !s.n[z_new];
         move_totals(&s, z_new, total, 1);
-        if (z_new != held && move_cells(&s, z_new, w, c, nw, 1) != DONE) {
-            code = FULL;
+        if (z_new != held
+            && (code = move_cells(&s, z_new, w, c, nw, 1)) != DONE)
             break;
-        }
         s.assign[d] = z_new;
         if (filled) {
             s.occupied++;
@@ -901,15 +903,15 @@ int64_t dmm_cells(const Model *bound, int64_t k, int64_t *out_w,
 
 /* Add counts[i] to the count of word words[i] in cluster clusters[i], for
  * each i < len in turn: model.ModelState.add_counts in C, which checks the
- * ids. Returns DONE, or FULL at the first full table, with the counts
- * before it added. */
+ * ids and counts. Returns DONE, or add's code (FULL or OVERFLOW) at the
+ * first pair it refuses, with the pairs before it added. */
 int64_t dmm_add(const Model *bound, const int64_t *words,
                 const int64_t *clusters, const int32_t *counts, int64_t len)
 {
-    for (int64_t i = 0; i < len; i++)
-        if (add(bound, words[i], clusters[i], counts[i]) != DONE)
-            return FULL;
-    return DONE;
+    int64_t code = DONE;
+    for (int64_t i = 0; i < len && code == DONE; i++)
+        code = add(bound, words[i], clusters[i], counts[i]);
+    return code;
 }
 
 /* The count of word words[i] in cluster clusters[i] into out[i], for each

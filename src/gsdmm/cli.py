@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-len", type=int, dest="min_len")
     p.add_argument("--max-len", type=int, dest="max_len")
     p.add_argument("--config")
-    p.set_defaults(func=cmd_preprocess)
 
     p = sub.add_parser("cluster", help="run a sampler over a corpus archive")
     p.add_argument("archive")
@@ -353,21 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="entropy_norm")
     p.add_argument("--trace", action="store_const", const=True)
     p.add_argument("--config")
-    p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("eval", help="score assignments against gold labels")
     p.add_argument("assignments")
     p.add_argument("gold", help="corpus archive directory or labeled dataset")
     p.add_argument("--format", choices=["jsonl", "tsv"])
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("topwords", help="representative words per cluster")
     p.add_argument("archive")
     p.add_argument("run", help="run directory from the cluster command")
     p.add_argument("-n", type=int, default=10)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_topwords)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
     p.add_argument("output")
@@ -380,29 +376,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-gen", type=float, default=10.0, dest="alpha_gen")
     p.add_argument("--beta-gen", type=float, default=0.05, dest="beta_gen")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
     return parser
 
 
-# whether main has frozen the objects alive after the imports
-_gc_frozen = False
+# the parser, built by the first main call of the process
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _gc_frozen
-    if not _gc_frozen:
-        # the import-time objects live as long as the process; frozen, a
-        # full collection during a command no longer traverses them
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+        # the import-time objects and the parser live as long as the
+        # process; frozen, a full collection during a command no longer
+        # traverses them
         gc.freeze()
-        _gc_frozen = True
     level = os.environ.get("DMM_LOG", "WARNING").upper()
     if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
         level = "WARNING"
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when the command runs, so a wrapper installed on this
+        # module after the first call still runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigError, KMaxExceedsCorpus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

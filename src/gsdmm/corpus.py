@@ -129,9 +129,10 @@ class Corpus:
     Corpus(documents=...) converts the given Document objects to arrays once,
     at construction, keeping each document's word order. Both raise
     ValueError unless there are as many doc ids and gold labels as token
-    rows, every word id lies in [0, V), every count is at least 1 and no
-    document names a word id twice; the last two messages name the
-    document. A document may be empty.
+    rows, the rows (word_ptr) start at 0, never fall and end at the last
+    word, there are as many counts as words, every word id lies in [0, V),
+    every count is at least 1 and no document names a word id twice; the
+    last two messages name the document. A document may be empty.
     """
 
     def __init__(self, documents, vocabulary: Vocabulary, dropped_doc_ids=()):
@@ -156,6 +157,12 @@ class Corpus:
             raise ValueError(f"corpus has {len(doc_ids)} doc ids, "
                              f"{len(gold_labels)} gold labels and {rows} token rows")
         words, counts, v = token_csr.words, token_csr.counts, vocabulary.size
+        if len(counts) != len(words):
+            raise ValueError(f"corpus has {len(words)} words and {len(counts)} counts")
+        ptr = token_csr.word_ptr
+        if ptr[0] != 0 or ptr[-1] != len(words) or (np.diff(ptr) < 0).any():
+            raise ValueError("word_ptr must start at 0, never fall and end at "
+                             f"{len(words)}, the number of words")
         lo, hi = (words.min(), words.max()) if len(words) else (0, -1)
         if lo < 0 or hi >= v:
             raise ValueError(f"word id {lo if lo < 0 else hi} outside [0, {v})")

@@ -260,53 +260,40 @@ class ModelState:
     def add_counts(self, words, clusters, counts) -> None:
         """Add counts[i] to the count of word words[i] in cluster
         clusters[i] (a scalar broadcasts); a pair given twice adds twice.
-        Word ids must lie in [0, V) and clusters in [0, k_max). A new cell
-        goes to the free slot that ends its probe run, and a cell whose
-        count reaches 0 leaves its table. In C (Kernel.add) when the kernel
-        can be built, else in numpy (_add_counts)."""
+        Refuses with ValueError, adding nothing, a word id outside [0, V), a
+        cluster outside [0, k_max) or a count outside int32, and, with the
+        pairs before it added, a pair whose table is full or whose sum
+        passes int32. In C (Kernel.add) when the kernel can be built, else
+        in numpy (_add_counts); both leave the same tables."""
         words, clusters, counts = (np.ravel(a) for a in np.broadcast_arrays(
-            *(np.asarray(a, dtype=np.int64) for a in (words, clusters)), counts))
+            *(np.asarray(a, dtype=np.int64) for a in (words, clusters, counts))))
         self._check_ids(words, clusters)
+        if len(counts) and (counts.min() < ~_INT32_MAX
+                            or counts.max() > _INT32_MAX):
+            raise ValueError("counts must lie in int32")
         kernel = _native.kernel()
-        if kernel is None:
-            self._add_counts(words, clusters, counts.astype(np.int64))
-        else:
-            kernel.add(self, words, clusters, counts)
+        if kernel is not None:
+            return kernel.add(self, words, clusters, counts)
+        self._add_counts(words, clusters, counts)
 
     def _add_counts(self, words, clusters, counts) -> None:
         """The reference for Kernel.add, with add_counts' arguments as int64
-        arrays of one length. All cells step together: a cell already in
-        its word's table takes the count, and a new one goes to the free
-        slot that ends its probe run, one new cell per free slot per round
-        when two of a table's new cells probe the same slot. Cells whose
-        counts ended at 0 then leave their tables. The tables may order a
-        probe run's cells otherwise than Kernel.add's one-by-one changes
-        do, and hold the same counts."""
-        todo = np.flatnonzero(counts)
-        zeroed = []
-        claim = None
-        while len(todo):
-            slots = self._probe(words[todo], clusters[todo])
-            if (slots < 0).any():
-                w = int(words[todo[np.argmax(slots < 0)]])
+        arrays of one length: _sweep.c's add for each pair in turn. Refuses
+        with ValueError, the pairs before it added, a pair whose table is
+        full (a state sized for another corpus) or whose sum passes int32."""
+        for w, z, c in zip(words.tolist(), clusters.tolist(), counts.tolist()):
+            if not c:
+                continue
+            i = self._slot_of(w, z)
+            if i < 0:
                 raise ValueError(f"the count table of word {w} is full: the "
                                  "state was sized for another corpus")
-            hit = self.cell_z[slots] >= 0
-            at = slots[hit]
-            np.add.at(self.cell_n, at, counts[todo[hit]])
-            zeroed.append(at[self.cell_n[at] == 0])
-            new, at = todo[~hit], slots[~hit]
-            if claim is None:
-                claim = np.empty(len(self.table), dtype=np.int64)
-            claim[at] = new  # of new cells probing one free slot, one wins
-            won = claim[at] == new
-            self.cell_z[at[won]] = clusters[new[won]]
-            self.cell_n[at[won]] = counts[new[won]]
-            todo = new[~won]  # the others probe again, past the winner
-        gone = np.unique(np.concatenate(zeroed)) if zeroed else ()
-        if len(gone):
-            gone = gone[self.cell_n[gone] == 0]
-            self._drop(self._slot_words(gone), self.cell_z[gone].astype(np.int64))
+            total = int(self.table[i, 1]) + c
+            if not ~_INT32_MAX <= total <= _INT32_MAX:
+                raise ValueError(f"a count passes int32: word {w}, cluster {z}")
+            self.table[i] = z, total
+            if not total:
+                self._drop(w, i)
 
     def add_doc(self, d: int, words: np.ndarray, counts: np.ndarray,
                 total: int, z: int) -> None:
@@ -450,39 +437,42 @@ class ModelState:
             at[todo] = (at[todo] + 1) & mask[todo]
         return found
 
-    def _drop(self, words: np.ndarray, clusters: np.ndarray) -> None:
-        """Free the cells (words[i], clusters[i]), each in its table, by
-        backward-shift deletion: each later cell of the probe run that may
-        move into the hole (its home is not cyclically after the hole) does,
-        and the hole moves to where it was. One cell per table at a time,
-        so tables holding several go in rounds."""
-        while len(words):
-            first = np.zeros(len(words), dtype=bool)
-            first[np.unique(words, return_index=True)[1]] = True
-            w = words[first]
-            slots = self._probe(w, clusters[first])
-            w, slots = w[slots >= 0], slots[slots >= 0]
-            lo = self.cell_ptr[w]
-            mask = self.cell_ptr[w + 1] - lo - 1
-            hole = slots - lo
-            j = (hole + 1) & mask
-            todo = np.flatnonzero(mask > 0)
-            for step in range(int(mask.max(initial=0))):
-                key = self.cell_z[lo[todo] + j[todo]].astype(np.int64)
-                run = (key >= 0) & (step < mask[todo])  # never past the hole
-                todo, key = todo[run], key[run]
-                if not len(todo):
-                    break
-                jt, mt = j[todo], mask[todo]
-                move = ((jt - (key & mt)) & mt) >= ((jt - hole[todo]) & mt)
-                t = todo[move]
-                self.cell_z[lo[t] + hole[t]] = self.cell_z[lo[t] + j[t]]
-                self.cell_n[lo[t] + hole[t]] = self.cell_n[lo[t] + j[t]]
-                hole[t] = j[t]
-                j[todo] = (j[todo] + 1) & mask[todo]
-            self.cell_z[lo + hole] = -1
-            self.cell_n[lo + hole] = 0
-            words, clusters = words[~first], clusters[~first]
+    def _slot_of(self, w: int, z: int) -> int:
+        """The slot of cell (w, z): the one holding it, or the free slot that
+        ends its probe run, where it goes; -1 for a full table without it. A
+        table with room for k_max cells holds z at its home or nowhere."""
+        lo = int(self.cell_ptr[w])
+        mask = int(self.cell_ptr[w + 1]) - lo - 1
+        if mask >= self.k_max - 1:
+            return lo + z
+        cell_z = self.cell_z
+        i = z & mask
+        for _ in range(mask + 1):
+            key = cell_z[lo + i]
+            if key < 0 or key == z:
+                return lo + i
+            i = (i + 1) & mask
+        return -1
+
+    def _drop(self, w: int, slot: int) -> None:
+        """Free slot, a cell of word w's table, by backward-shift deletion;
+        it refuses nothing, so the caller names a held slot. Each later cell
+        of the probe run that may move into the hole (its home is not
+        cyclically after the hole) does, and the hole moves to where it was;
+        in a table with room for k_max cells every cell stays at its home."""
+        table = self.table
+        lo = int(self.cell_ptr[w])
+        mask = int(self.cell_ptr[w + 1]) - lo - 1
+        hole = j = slot - lo
+        for _ in range(mask if mask < self.k_max - 1 else 0):
+            j = (j + 1) & mask
+            key = int(table[lo + j, 0])
+            if key < 0:
+                break
+            if ((j - (key & mask)) & mask) >= ((j - hole) & mask):
+                table[lo + hole] = table[lo + j]
+                hole = j
+        table[lo + hole] = -1, 0
 
 
 def _table_capacities(doc_freq, k_max: int) -> np.ndarray:

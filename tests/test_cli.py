@@ -407,6 +407,21 @@ def test_every_setting_reaches_the_command_line():
     assert set(keys.values()) <= fields
 
 
+def test_one_parser_per_process(tmp_path, monkeypatch):
+    # main builds its parser on its first call and looks each command up
+    # when it runs, so a wrapper installed after that call (as a tracer
+    # installs one) still runs
+    builds, evals = [], []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    assert run("synth", tmp_path / "s.jsonl", "--k", 1, "--v", 5, "--d", 2) == 0
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: evals.append(args.gold) or 0)
+    assert run("eval", tmp_path / "assignments.csv", "gold") == 0
+    assert builds == [1]
+    assert evals == ["gold"]
+
+
 class TestImportHygiene:
     def test_no_scipy_on_the_run_path(self, pipeline_dir):
         # scipy is needed only by the synth oracles; the commands never load it

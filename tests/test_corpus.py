@@ -290,6 +290,14 @@ def _three_rows() -> TokenCSR:
     return TokenCSR.from_rows([[0], [1], [0, 1]], [[1], [2], [1, 1]])
 
 
+def _two_rows(word_ptr, counts) -> Corpus:
+    """Documents x and y over the words [0, 1], with these rows and counts."""
+    return Corpus.from_arrays(
+        TokenCSR(np.array(word_ptr, dtype=np.int64), np.array([0, 1], dtype=np.intp),
+                 np.array(counts, dtype=np.int32)),
+        ["x", "y"], [None, None], _VOCAB)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Corpus.from_arrays(_three_rows(), ["a", "b"], ["x", "y", "z"], _VOCAB),
      "2 doc ids, 3 gold labels and 3 token rows"),
@@ -318,9 +326,18 @@ def _three_rows() -> TokenCSR:
                                                    [[1, 1], [2, 1, 1]]),
                                 ["a", "c"], [None] * 2, _VOCAB),
      "document 'c' names a word id twice"),
+    # rows that do not cover the words once, in order, and counts that do
+    # not match the words: each would report a wrong corpus
+    (lambda: _two_rows([0, 2, 1], [1, 1]),
+     "word_ptr must start at 0, never fall and end at 2, the number of words"),
+    (lambda: _two_rows([0, 1, 5], [1, 1]), "word_ptr must start at 0"),
+    (lambda: _two_rows([1, 1, 2], [1, 1]), "word_ptr must start at 0"),
+    (lambda: _two_rows([0, 1, 2], [1, 1, 1]), "corpus has 2 words and 3 counts"),
 ], ids=["fewer-ids", "fewer-labels", "word-past-v", "document-word-past-v",
         "negative-word", "vocabulary", "document-negative-count",
-        "zero-count", "repeated-word", "repeated-word-unsorted"])
+        "zero-count", "repeated-word", "repeated-word-unsorted",
+        "rows-fall", "rows-end-past-words", "rows-start-past-0",
+        "more-counts-than-words"])
 def test_disagreeing_arrays_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()

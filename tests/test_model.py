@@ -24,7 +24,7 @@ from gsdmm.model import (
 )
 from gsdmm.synth import oracle_delta_ratio
 
-from conftest import corpus_from_counts, make_doc, make_state, random_triple
+from conftest import PATHS, corpus_from_counts, make_doc, make_state, random_triple
 
 
 class TestPriorClusterFactor:
@@ -548,6 +548,73 @@ class TestCountTables:
         state.add_counts([0, 0], [0, 1], [1, 1])
         with pytest.raises(ValueError, match="full"):
             state.add_counts(0, 2, 1)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), v=st.integers(1, 8),
+           k_max=st.integers(1, 40), batches=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_and_reference_leave_the_same_tables(self, seed, v, k_max,
+                                                        batches):
+        # Kernel.add and _add_counts run one algorithm in one order, so the
+        # tables match byte for byte, not only their counts: small colliding
+        # tables, tables of k_max slots or more (a document frequency of at
+        # least k_max / 2), pairs given twice, removals to 0 that start
+        # backward shifts, and full tables, refused at the same pair with
+        # the same pairs before it added
+        kernel = _native.kernel()
+        if kernel is None:
+            pytest.skip("no compiled kernel here")
+        gen = np.random.default_rng(seed)
+        compiled = ModelState(10, v, k_max, 0.1,
+                              doc_freq=gen.integers(0, k_max + 1, size=v))
+        reference = compiled.copy()
+        for _ in range(batches):
+            size = int(gen.integers(1, 16))
+            words = gen.integers(0, v, size=size)
+            clusters = gen.integers(0, k_max, size=size)
+            counts = gen.integers(1, 4, size=size)
+            held = reference.counts_of(words, clusters).astype(np.int64)
+            take = (gen.random(size) < 0.4) & (held > 0)
+            counts[take] = -held[take]
+            twice = gen.random(size) < 0.2
+            words, clusters, counts = (np.concatenate((a, a[twice]))
+                                       for a in (words, clusters, counts))
+            refused = []
+            for add in (lambda: kernel.add(compiled, words, clusters, counts),
+                        lambda: reference._add_counts(words, clusters, counts)):
+                try:
+                    add()
+                except ValueError as exc:
+                    assert "full" in str(exc)
+                    refused.append(True)
+                else:
+                    refused.append(False)
+            assert refused[0] == refused[1]
+            assert compiled.table.tobytes() == reference.table.tobytes()
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("count", [2 ** 31, 2 ** 32 + 1, -2 ** 31 - 1])
+    def test_count_outside_int32_refused(self, path, count, monkeypatch):
+        # int32 conversion would store 2**32 + 1 as 1 and 2**31 as -2**31
+        _on_path(path, monkeypatch)
+        state = ModelState(3, 2, 4, 0.1)
+        before = state.table.copy()
+        with pytest.raises(ValueError, match="int32"):
+            state.add_counts([0, 0], [2, 1], [1, count])
+        assert np.array_equal(state.table, before)  # nothing added
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_sum_past_int32_refused(self, path, monkeypatch):
+        # as at a full table, the pairs before the refused one stay added;
+        # the second would wrap to -2147483644 (signed overflow, undefined
+        # behaviour in C)
+        _on_path(path, monkeypatch)
+        state = ModelState(3, 2, 4, 0.1)
+        with pytest.raises(ValueError, match="a count passes int32"):
+            state.add_counts([0, 0, 1], [1, 1, 1], [2 ** 31 - 1, 5, 1])
+        assert state.counts_of([0, 1], 1).tolist() == [2 ** 31 - 1, 0]
+        with pytest.raises(ValueError, match="a count passes int32"):
+            state.add_counts([0, 0], [1, 1], [-2 ** 31, -2 ** 31])
+        assert state.counts_of(0, 1).tolist() == [-1]
 
     @pytest.mark.parametrize("path", ["numpy", "compiled"])
     @pytest.mark.parametrize("word, cluster", [(0, -1), (0, 4), (-1, 0), (2, 0)])

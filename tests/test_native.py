@@ -1022,6 +1022,17 @@ assert np.array_equal(old_m, before[1].m)
 for name in ("assignments", "m", "n", "table"):
     assert np.array_equal(getattr(pair[0], name), getattr(before[0], name))
 
+# a sum past int32 is refused, not wrapped by a signed overflow
+big = ModelState(3, 2, 4, 0.1)
+one = np.zeros(1, dtype=np.int64)
+built.add(big, one, one + 1, np.array([2 ** 31 - 1]))
+try:
+    built.add(big, one, one + 1, np.array([5]))
+    raise AssertionError("a sum past int32 was added")
+except ValueError:
+    pass
+assert built.counts(big, one, one + 1).tolist() == [2 ** 31 - 1]
+
 # The byte scans read copies of their input in buffers of its exact size
 # (a bytes object holds a NUL past its end), against the regex and the line
 # loops on adversarial bytes.
